@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from noisyflow import Circle, builtin_catalog, coordinate_noise
-from noisyflow.evolution import evolve, fit_decay_rate, perturbed_initial
+from noisyflow.evolution import evolve, fit_decay_rate, perturbed_initial, poincare_quotient
 from noisyflow.experiments import SweepConfig, SystemSpec, run_decay_study
 from noisyflow.geometry import build_grid
 from noisyflow.operator import assemble_for
@@ -59,11 +59,14 @@ cfg = SweepConfig(
     scheme="crank-nicolson",
 )
 report = run_decay_study(cfg)
+grid, system, family = cfg.build()
 
 print("\nadvective circle benchmark")
 print("eps      rate       rate/eps^2   r^2       Poincare quotient")
 for row in report.rows:
+    stationary = solve_stationary(assemble_for(system, family, row.eps)).density
+    poincare = poincare_quotient(family, row.eps, stationary, grid)
     print(f"{row.eps:<8g} {row.fit.rate:<10.4f} {row.fit.rate_over_eps2:<12.2f} "
-          f"{row.fit.r_squared:<9.6f} {row.poincare:.3f}")
+          f"{row.fit.r_squared:<9.6f} {poincare:.3f}")
 for name, ok in report.verdicts.items():
     print(f"  [{'PASS' if ok else 'FAIL'}] {name}")

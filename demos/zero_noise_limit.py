@@ -29,10 +29,14 @@ print("eps      min u_eps  max u_eps  ||u_eps - u0||_1")
 for row in report.rows:
     print(f"{row.eps:<8g} {row.report.min_u:<10.6f} {row.report.max_u:<10.6f} {row.l1_to_u0:.3e}")
 
+u0 = cfg.system.build(cfg.grid()).u0
+sup_max_u = max(row.report.max_u for row in report.rows)
+sup_inv_min_u = max(1.0 / row.report.min_u for row in report.rows)
+sup_w12 = max(row.report.w12_seminorm for row in report.rows)
 print()
-print(f"invariant density bounds: [{report.u0_min:.6f}, {report.u0_max:.6f}]")
-print(f"sweep suprema: max u = {report.sup_max_u:.6f}, 1/min u = {report.sup_inv_min_u:.6f}")
-print(f"W^{{1,2}} seminorm stays below {report.sup_w12:.4f} across the sweep")
+print(f"invariant density bounds: [{u0.min():.6f}, {u0.max():.6f}]")
+print(f"sweep suprema: max u = {sup_max_u:.6f}, 1/min u = {sup_inv_min_u:.6f}")
+print(f"W^{{1,2}} seminorm stays below {sup_w12:.4f} across the sweep")
 print()
 for name, ok in report.verdicts.items():
     print(f"  [{'PASS' if ok else 'FAIL'}] {name}")

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Commands: stationary, evolve, sweep, select, oracle1d, check, transform,
-bounded.  Every command reads an experiment configuration file; a few
-flags override the obvious knobs.  Exit status: 0 when all verdicts
-pass, 2 on a verdict failure (the failing assertion is named), 1 on an
-operational error.
+bounded, decay.  Every command reads an experiment configuration file; a
+few flags override the obvious knobs.  The experiment commands (sweep,
+select, transform, bounded, decay) each run one ``[experiment] kind``
+and refuse a configuration of another kind.  Exit status: 0 when all
+verdicts pass, 2 on a verdict failure (the failing assertion is named),
+1 on an operational error.
 """
 
 from __future__ import annotations
@@ -14,28 +16,25 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .config import parse_config
 from .errors import NoisyflowError
 from .evolution import evolve, fit_decay_rate, perturbed_initial
-from .experiments import (
-    STABILITY_HEADER,
-    TRACE_HEADER,
-    StationaryRow,
-    SweepConfig,
-    run_bounded_domain,
-    run_selection,
-    run_stability_sweep,
-    run_transform_consistency,
-)
+from .experiments import STABILITY_HEADER, TRACE_HEADER, SweepConfig, run, stability_rows, trace_cells
 from .fields import check_admissible
 from .geometry import Circle, Interval
 from .operator import assemble_for
 from .reporting import atomic_write_text, fmt, write_csv
 from .stationary import oracle_1d_circle, oracle_1d_interval, solve_stationary
 
-COMMANDS = ("stationary", "evolve", "sweep", "select", "oracle1d", "check", "transform", "bounded")
+#: experiment command -> the ``[experiment] kind`` it runs
+EXPERIMENT_COMMANDS = {
+    "sweep": "stability",
+    "select": "selection",
+    "transform": "transform",
+    "bounded": "bounded",
+    "decay": "decay",
+}
+COMMANDS = ("stationary", "evolve", "oracle1d", "check", *EXPERIMENT_COMMANDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,23 +73,14 @@ def _say(quiet, *parts):
 
 
 def _run_stationary(cfg: SweepConfig, args) -> int:
-    grid = cfg.grid()
-    system = cfg.system.build(grid)
-    family = cfg.noise.build(grid, cfg.epsilons)
-    rows = []
-    for eps in cfg.epsilons:
-        rep = solve_stationary(assemble_for(system, family, eps))
-        l1 = float(np.sum(np.abs(rep.density.values - system.u0)) * grid.cell_volume)
-        rows.append(StationaryRow(eps=eps, n=grid.n, report=rep, l1_to_u0=l1))
-        _say(args.quiet, f"eps={eps:g}: min={rep.min_u:.6g} max={rep.max_u:.6g} "
-                         f"residual={rep.residual:.3g} l1_to_u0={l1:.6g}")
+    rows, _ = stability_rows(cfg)
+    for r in rows:
+        rep = r.report
+        _say(args.quiet, f"eps={r.eps:g}: min={rep.min_u:.6g} max={rep.max_u:.6g} "
+                         f"residual={rep.residual:.3g} l1_to_u0={r.l1_to_u0:.6g}")
     if cfg.out_dir:
-        write_csv(
-            os.path.join(cfg.out_dir, "stationary.csv"),
-            STABILITY_HEADER,
-            [(r.eps, "x".join(map(str, r.n)), r.report.min_u, r.report.max_u,
-              r.report.w12_seminorm, r.report.residual, r.l1_to_u0) for r in rows],
-        )
+        write_csv(os.path.join(cfg.out_dir, "stationary.csv"), STABILITY_HEADER,
+                  [r.cells() for r in rows])
     return 0
 
 
@@ -99,32 +89,25 @@ def _run_evolve(cfg: SweepConfig, args) -> int:
         raise NoisyflowError("dt must be positive")
     if args.horizon is not None and args.horizon <= 0:
         raise NoisyflowError("horizon must be positive")
-    grid = cfg.grid()
-    system = cfg.system.build(grid)
-    family = cfg.noise.build(grid, cfg.epsilons)
+    _, system, family = cfg.build()
     eps = cfg.epsilons[0]
     scale = 1.0 / (eps * eps * cfg.rate_guess)
     dt = args.dt if args.dt is not None else cfg.dt_factor * scale
     horizon = args.horizon if args.horizon is not None else cfg.horizon_factor * scale
     op = assemble_for(system, family, eps)
     stationary = solve_stationary(op).density
-    trace, _ = evolve(op, perturbed_initial(stationary), horizon, dt, stationary=stationary)
+    trace, _ = evolve(op, perturbed_initial(stationary), horizon, dt, scheme=cfg.scheme,
+                      stationary=stationary)
     fit = fit_decay_rate(trace)
     _say(args.quiet, f"eps={eps:g}: fitted rate {fit.rate:.6g} "
                      f"(rate/eps^2 = {fit.rate_over_eps2:.6g}, r^2 = {fit.r_squared:.4f})")
     if cfg.out_dir:
-        write_csv(
-            os.path.join(cfg.out_dir, "trace.csv"),
-            TRACE_HEADER,
-            list(zip(trace.times, trace.chi2, trace.mass_drift, trace.min_v)),
-        )
+        write_csv(os.path.join(cfg.out_dir, "trace.csv"), TRACE_HEADER, trace_cells(trace))
     return 0
 
 
 def _run_oracle1d(cfg: SweepConfig, args) -> int:
-    grid = cfg.grid()
-    system = cfg.system.build(grid)
-    family = cfg.noise.build(grid, cfg.epsilons)
+    grid, system, family = cfg.build()
     eps = cfg.epsilons[0]
     if isinstance(grid.kind, Circle):
         u, c_eps = oracle_1d_circle(system.drift, family.a0(eps), family.ai(eps), eps, grid)
@@ -156,8 +139,12 @@ def _run_check(cfg: SweepConfig, args) -> int:
     return 0 if (report.passes_A1 and report.passes_A2) else 2
 
 
-def _run_experiment(runner, cfg: SweepConfig, args) -> int:
-    report = runner(cfg)
+def _run_experiment(cfg: SweepConfig, args) -> int:
+    kind = EXPERIMENT_COMMANDS[args.command]
+    if cfg.kind != kind:
+        raise NoisyflowError(f"command {args.command!r} runs the {kind!r} experiment, "
+                             f"but the configuration's [experiment] kind is {cfg.kind!r}")
+    report = run(cfg)
     for name, passed in report.verdicts.items():
         _say(args.quiet, f"[{'PASS' if passed else 'FAIL'}] {name}")
     if not report.passed():
@@ -173,21 +160,11 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
         cfg = _apply_overrides(cfg, args)
-        if args.command == "stationary":
-            return _run_stationary(cfg, args)
-        if args.command == "evolve":
-            return _run_evolve(cfg, args)
-        if args.command == "oracle1d":
-            return _run_oracle1d(cfg, args)
-        if args.command == "check":
-            return _run_check(cfg, args)
-        if args.command == "sweep":
-            return _run_experiment(run_stability_sweep, cfg, args)
-        if args.command == "select":
-            return _run_experiment(run_selection, cfg, args)
-        if args.command == "transform":
-            return _run_experiment(run_transform_consistency, cfg, args)
-        return _run_experiment(run_bounded_domain, cfg, args)
+        if args.command in EXPERIMENT_COMMANDS:
+            return _run_experiment(cfg, args)
+        tools = {"stationary": _run_stationary, "evolve": _run_evolve,
+                 "oracle1d": _run_oracle1d, "check": _run_check}
+        return tools[args.command](cfg, args)
     except (NoisyflowError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,7 @@ SECTION_KEYS = {
     "experiment": {
         "kind", "out", "target", "dt_factor", "horizon_factor", "rate_guess",
         "refine_factor", "assert_l1_limit", "scheme", "workers",
-        "l1_final", "l1_floor", "bound_factor", "uniform_sup",
+        "l1_final", "l1_floor", "bound_factor",
         "selection_sup", "selection_ratio_lo", "selection_ratio_hi", "selection_eps_spread",
         "transform_sup", "c_floor", "rate_spread", "oracle_sup", "div_target_tol",
     },
@@ -49,7 +49,7 @@ SECTION_KEYS = {
 EXPERIMENT_KINDS = ("stability", "selection", "transform", "decay", "bounded")
 
 _THRESHOLD_KEYS = (
-    "l1_final", "l1_floor", "bound_factor", "uniform_sup", "selection_sup",
+    "l1_final", "l1_floor", "bound_factor", "selection_sup",
     "selection_ratio_lo", "selection_ratio_hi", "selection_eps_spread",
     "transform_sup", "c_floor", "rate_spread", "oracle_sup", "div_target_tol",
 )

@@ -1,12 +1,13 @@
 """Study runners: stability sweeps, selection, transform, decay, bounded runs.
 
-Each runner consumes a :class:`SweepConfig`, performs the study on the
-configured grid(s), and returns a report whose ``verdicts`` dictionary is
-recomputable from the stored rows and thresholds.  When ``out_dir`` is
-set the runner also writes fixed-column CSV files plus a human-readable
-summary with one line per verdict.  Runs are deterministic: assembly
-order, solver pivoting and CSV formatting are all fixed, so a rerun with
-the same configuration yields byte-identical artifacts.
+:func:`run` dispatches a :class:`SweepConfig` on its ``kind`` to one
+runner.  Each runner performs the study on the configured grid(s) and
+returns a :class:`Report` whose ``verdicts`` dictionary is recomputable
+from the stored rows and thresholds.  When ``out_dir`` is set the runner
+also writes a fixed-column CSV file plus a human-readable summary with
+one line per verdict.  Runs are deterministic: assembly order, solver
+pivoting and CSV formatting are all fixed, so a rerun with the same
+configuration yields byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +30,13 @@ from .fields import (
     coordinate_noise,
     divergence,
     mul,
+    transform_div_free,
     Const,
 )
 from .geometry import DomainKind, Grid, build_grid, refine_grid
-from .evolution import DecayFit, evolve, fit_decay_rate, perturbed_initial, poincare_quotient
+from .evolution import DecayFit, evolve, fit_decay_rate, perturbed_initial
 from .operator import assemble_for
-from .reporting import verdict_block, write_csv
+from .reporting import atomic_write_text, verdict_block, write_csv
 from .stationary import StationaryReport, oracle_1d_interval, solve_stationary
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -96,7 +98,6 @@ class Thresholds:
     l1_final: float = 0.02
     l1_floor: float = 1e-9
     bound_factor: float = 2.0
-    uniform_sup: float = 1e-10
     selection_sup: float = 5e-3
     selection_ratio_lo: float = 3.0
     selection_ratio_hi: float = 5.0
@@ -139,6 +140,11 @@ class SweepConfig:
     def grid(self) -> Grid:
         return build_grid(self.domain, self.n)
 
+    def build(self) -> tuple[Grid, ConservativeSystem, NoiseFamily]:
+        """The configured grid with its conservative system and noise family."""
+        grid = self.grid()
+        return grid, self.system.build(grid), self.noise.build(grid, self.epsilons)
+
 
 def _n_label(n) -> str:
     return "x".join(str(k) for k in n)
@@ -157,6 +163,28 @@ def _map_over_eps(fn, epsilons, workers: int):
         return list(pool.map(fn, epsilons))
 
 
+@dataclass
+class Report:
+    """Per-epsilon rows of one study, its thresholds and its named verdicts."""
+
+    rows: list
+    thresholds: Thresholds
+    verdicts: dict
+
+    def passed(self) -> bool:
+        return all(self.verdicts.values())
+
+
+def _report(cfg: SweepConfig, title: str, csv_name: str, header: list[str],
+            rows: list, verdicts: dict) -> Report:
+    """The study's report; with ``out_dir`` set, also its CSV and summary."""
+    if cfg.out_dir:
+        write_csv(os.path.join(cfg.out_dir, csv_name), header, [r.cells() for r in rows])
+        atomic_write_text(os.path.join(cfg.out_dir, "summary.txt"),
+                          verdict_block(f"{title} ({_n_label(cfg.n)} cells)", verdicts))
+    return Report(rows=rows, thresholds=cfg.thresholds, verdicts=verdicts)
+
+
 # ---------------------------------------------------------------------------
 # stability sweep (uniform bounds and the zero-noise limit)
 # ---------------------------------------------------------------------------
@@ -169,33 +197,28 @@ class StationaryRow:
     report: StationaryReport
     l1_to_u0: float
 
-
-@dataclass
-class SweepReport:
-    rows: list[StationaryRow]
-    sup_max_u: float
-    sup_inv_min_u: float
-    sup_w12: float
-    u0_min: float
-    u0_max: float
-    thresholds: Thresholds
-    verdicts: dict = field(default_factory=dict)
-
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
-
-    def csv_rows(self):
-        return [
-            (r.eps, _n_label(r.n), r.report.min_u, r.report.max_u,
-             r.report.w12_seminorm, r.report.residual, r.l1_to_u0)
-            for r in self.rows
-        ]
+    def cells(self) -> tuple:
+        r = self.report
+        return (self.eps, _n_label(self.n), r.min_u, r.max_u, r.w12_seminorm, r.residual,
+                self.l1_to_u0)
 
 
 STABILITY_HEADER = ["eps", "n", "min_u", "max_u", "w12", "residual", "l1_dist_to_u0"]
 
 
-def run_stability_sweep(cfg: SweepConfig) -> SweepReport:
+def stability_rows(cfg: SweepConfig) -> tuple[list[StationaryRow], ConservativeSystem]:
+    """One stationary solve per epsilon with its L1 distance to u0, and the system."""
+    grid, system, family = cfg.build()
+
+    def solve_one(eps):
+        rep = solve_stationary(assemble_for(system, family, eps))
+        l1 = float(np.sum(np.abs(rep.density.values - system.u0)) * grid.cell_volume)
+        return StationaryRow(eps=eps, n=grid.n, report=rep, l1_to_u0=l1)
+
+    return _map_over_eps(solve_one, cfg.epsilons, cfg.workers), system
+
+
+def run_stability_sweep(cfg: SweepConfig) -> Report:
     """Per-epsilon stationary solves with L1 distance to the invariant density.
 
     Verdicts: the L1 distance trend is non-increasing up to the floor,
@@ -204,44 +227,21 @@ def run_stability_sweep(cfg: SweepConfig) -> SweepReport:
     bounds stay within a configured factor of the invariant density's own
     bounds across the whole sweep.
     """
-    grid = cfg.grid()
-    system = cfg.system.build(grid)
-    family = cfg.noise.build(grid, cfg.epsilons)
-
-    def solve_one(eps):
-        rep = solve_stationary(assemble_for(system, family, eps))
-        l1 = float(np.sum(np.abs(rep.density.values - system.u0)) * grid.cell_volume)
-        return StationaryRow(eps=eps, n=grid.n, report=rep, l1_to_u0=l1)
-
-    rows = _map_over_eps(solve_one, cfg.epsilons, cfg.workers)
-    sup_max = max(r.report.max_u for r in rows)
-    sup_inv_min = max(1.0 / r.report.min_u for r in rows)
-    sup_w12 = max(r.report.w12_seminorm for r in rows)
+    rows, system = stability_rows(cfg)
     thr = cfg.thresholds
     l1s = [r.l1_to_u0 for r in rows]
     verdicts = {
         "l1 trend non-increasing (up to floor)": all(
             b <= max(a, thr.l1_floor) for a, b in zip(l1s, l1s[1:])
         ),
-        "uniform upper bound": sup_max <= thr.bound_factor * float(system.u0.max()),
-        "uniform lower bound": sup_inv_min <= thr.bound_factor / float(system.u0.min()),
+        "uniform upper bound":
+            max(r.report.max_u for r in rows) <= thr.bound_factor * float(system.u0.max()),
+        "uniform lower bound":
+            max(1.0 / r.report.min_u for r in rows) <= thr.bound_factor / float(system.u0.min()),
     }
     if cfg.assert_l1_limit:
         verdicts["final l1 distance"] = l1s[-1] <= thr.l1_final
-    report = SweepReport(
-        rows=rows,
-        sup_max_u=sup_max,
-        sup_inv_min_u=sup_inv_min,
-        sup_w12=sup_w12,
-        u0_min=float(system.u0.min()),
-        u0_max=float(system.u0.max()),
-        thresholds=thr,
-        verdicts=verdicts,
-    )
-    if cfg.out_dir:
-        write_csv(os.path.join(cfg.out_dir, "stability.csv"), STABILITY_HEADER, report.csv_rows())
-        _write_summary(cfg, "stability sweep", report.verdicts)
-    return report
+    return _report(cfg, "stability sweep", "stability.csv", STABILITY_HEADER, rows, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +257,14 @@ class SelectionRow:
     err_sup_refined: float
     ratio: float
 
-
-@dataclass
-class SelectionReport:
-    rows: list[SelectionRow]
-    k_constant: float
-    thresholds: Thresholds
-    verdicts: dict = field(default_factory=dict)
-
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
+    def cells(self) -> tuple:
+        return (self.eps, _n_label(self.n), self.err_sup, self.err_sup_refined, self.ratio)
 
 
 SELECTION_HEADER = ["eps", "n", "err_sup", "err_sup_refined", "ratio"]
 
 
-def run_selection(cfg: SweepConfig) -> SelectionReport:
+def run_selection(cfg: SweepConfig) -> Report:
     """Build the selecting noise for the target density and verify exact selection.
 
     The target must make u* B discretely divergence-free on faces.  The
@@ -308,8 +300,6 @@ def run_selection(cfg: SweepConfig) -> SelectionReport:
                             err_sup_refined=errs[fine], ratio=ratio)
 
     rows = _map_over_eps(solve_one, cfg.epsilons, cfg.workers)
-    h_sq = max(grid.h) ** 2
-    k_constant = rows[0].err_sup / h_sq
     thr = cfg.thresholds
     sups = [r.err_sup for r in rows]
     spread = (max(sups) - min(sups)) / max(min(sups), 1e-300)
@@ -321,15 +311,7 @@ def run_selection(cfg: SweepConfig) -> SelectionReport:
         "h^2 refinement ratio": all(lo <= r.ratio <= hi for r in rows),
         "eps-uniform residual": spread <= thr.selection_eps_spread,
     }
-    report = SelectionReport(rows=rows, k_constant=k_constant, thresholds=thr, verdicts=verdicts)
-    if cfg.out_dir:
-        write_csv(
-            os.path.join(cfg.out_dir, "selection.csv"),
-            SELECTION_HEADER,
-            [(r.eps, _n_label(r.n), r.err_sup, r.err_sup_refined, r.ratio) for r in rows],
-        )
-        _write_summary(cfg, "selection by noise", verdicts)
-    return report
+    return _report(cfg, "selection by noise", "selection.csv", SELECTION_HEADER, rows, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -338,31 +320,26 @@ def run_selection(cfg: SweepConfig) -> SelectionReport:
 
 
 @dataclass
-class TransformReport:
-    eps: list[float]
-    sup_diff: list[float]
-    thresholds: Thresholds
-    verdicts: dict = field(default_factory=dict)
+class TransformRow:
+    eps: float
+    n: tuple[int, ...]
+    sup_diff: float
 
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
+    def cells(self) -> tuple:
+        return (self.eps, _n_label(self.n), self.sup_diff)
 
 
 TRANSFORM_HEADER = ["eps", "n", "sup_diff"]
 
 
-def run_transform_consistency(cfg: SweepConfig) -> TransformReport:
+def run_transform_consistency(cfg: SweepConfig) -> Report:
     """Solve the original and the divergence-free transformed system.
 
     The transformed stationary density must match u_eps / u0 (normalized
     to unit mass; the raw ratio integrates to 1 + O(eps^2)) up to a
     discretization-level tolerance.
     """
-    from .fields import transform_div_free
-
-    grid = cfg.grid()
-    system = cfg.system.build(grid)
-    family = cfg.noise.build(grid, cfg.epsilons)
+    grid, system, family = cfg.build()
     new_drift, new_family = transform_div_free(system, family)
     transformed = ConservativeSystem(new_drift, Const(1.0), grid,
                                      name=f"{system.name or 'system'}-transformed")
@@ -372,20 +349,12 @@ def run_transform_consistency(cfg: SweepConfig) -> TransformReport:
         u_t = solve_stationary(assemble_for(transformed, new_family, eps)).density
         ratio = u.values / system.u0
         ratio /= np.sum(ratio) * grid.cell_volume
-        return float(np.max(np.abs(u_t.values - ratio)))
+        return TransformRow(eps=eps, n=grid.n, sup_diff=float(np.max(np.abs(u_t.values - ratio))))
 
-    sups = _map_over_eps(solve_one, cfg.epsilons, cfg.workers)
-    verdicts = {"transformed density matches u_eps/u0": max(sups) <= cfg.thresholds.transform_sup}
-    report = TransformReport(eps=list(cfg.epsilons), sup_diff=sups,
-                             thresholds=cfg.thresholds, verdicts=verdicts)
-    if cfg.out_dir:
-        write_csv(
-            os.path.join(cfg.out_dir, "transform.csv"),
-            TRANSFORM_HEADER,
-            [(e, _n_label(grid.n), s) for e, s in zip(report.eps, report.sup_diff)],
-        )
-        _write_summary(cfg, "transform consistency", verdicts)
-    return report
+    rows = _map_over_eps(solve_one, cfg.epsilons, cfg.workers)
+    verdicts = {"transformed density matches u_eps/u0":
+                max(r.sup_diff for r in rows) <= cfg.thresholds.transform_sup}
+    return _report(cfg, "transform consistency", "transform.csv", TRANSFORM_HEADER, rows, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -400,38 +369,35 @@ class DecayStudyRow:
     fits_by_mode: dict
     chi2_monotone: bool
     max_mass_drift: float
-    poincare: float
 
-
-@dataclass
-class DecayStudyReport:
-    rows: list[DecayStudyRow]
-    thresholds: Thresholds
-    verdicts: dict = field(default_factory=dict)
-
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
+    def cells(self) -> tuple:
+        f = self.fit
+        return (self.eps, f.rate, f.rate_over_eps2, f.r_squared, f.fit_window[0], f.fit_window[1])
 
 
 DECAY_HEADER = ["eps", "rate", "rate_over_eps2", "r2", "t_lo", "t_hi"]
 TRACE_HEADER = ["t", "chi2", "mass_drift", "min_v"]
 
 
-def run_decay_study(cfg: SweepConfig) -> DecayStudyReport:
+def trace_cells(trace) -> list[tuple]:
+    """The rows of a ``TRACE_HEADER`` CSV for one evolution trace."""
+    return list(zip(trace.times, trace.chi2, trace.mass_drift, trace.min_v))
+
+
+def run_decay_study(cfg: SweepConfig) -> Report:
     """Fit chi^2 decay rates across the sweep and check the eps^2 scaling.
 
     Horizons scale like 1/(eps^2 rate_guess) so every run decays through
     the same number of e-folds.  Initial-data independence is probed with
     two perturbation modes; the reported rate is the slower one.  If
-    chi^2 underflows the fit floor the horizon is halved once.
+    chi^2 underflows the fit floor the horizon is halved once.  Each
+    trace is written as ``trace_eps<eps>_mode<mode>.csv``.
 
     For advective systems prefer scheme = "crank-nicolson": implicit
     Euler damps the rotational part of the spectrum by about omega^2 dt,
     which pollutes the fitted rate well before it violates stability.
     """
-    grid = cfg.grid()
-    system = cfg.system.build(grid)
-    family = cfg.noise.build(grid, cfg.epsilons)
+    grid, system, family = cfg.build()
 
     def study_one(eps):
         op = assemble_for(system, family, eps)
@@ -458,20 +424,11 @@ def run_decay_study(cfg: SweepConfig) -> DecayStudyReport:
             monotone = monotone and bool(np.all(np.diff(trace.chi2) <= 1e-12))
             drift_max = max(drift_max, float(trace.mass_drift.max()))
             if cfg.out_dir:
-                write_csv(
-                    os.path.join(cfg.out_dir, f"trace_eps{eps:g}_mode{mode}.csv"),
-                    TRACE_HEADER,
-                    list(zip(trace.times, trace.chi2, trace.mass_drift, trace.min_v)),
-                )
+                write_csv(os.path.join(cfg.out_dir, f"trace_eps{eps:g}_mode{mode}.csv"),
+                          TRACE_HEADER, trace_cells(trace))
         slower = min(fits.values(), key=lambda f: f.rate)
-        return DecayStudyRow(
-            eps=eps,
-            fit=slower,
-            fits_by_mode=fits,
-            chi2_monotone=monotone,
-            max_mass_drift=drift_max,
-            poincare=poincare_quotient(family, eps, stationary, grid),
-        )
+        return DecayStudyRow(eps=eps, fit=slower, fits_by_mode=fits,
+                             chi2_monotone=monotone, max_mass_drift=drift_max)
 
     rows = _map_over_eps(study_one, cfg.epsilons, cfg.workers)
     thr = cfg.thresholds
@@ -483,16 +440,7 @@ def run_decay_study(cfg: SweepConfig) -> DecayStudyReport:
         "chi^2 monotone": all(r.chi2_monotone for r in rows),
         "mass conserved": all(r.max_mass_drift <= 1e-12 for r in rows),
     }
-    report = DecayStudyReport(rows=rows, thresholds=thr, verdicts=verdicts)
-    if cfg.out_dir:
-        write_csv(
-            os.path.join(cfg.out_dir, "decay.csv"),
-            DECAY_HEADER,
-            [(r.eps, r.fit.rate, r.fit.rate_over_eps2, r.fit.r_squared,
-              r.fit.fit_window[0], r.fit.fit_window[1]) for r in rows],
-        )
-        _write_summary(cfg, "decay study", verdicts)
-    return report
+    return _report(cfg, "decay study", "decay.csv", DECAY_HEADER, rows, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -507,31 +455,25 @@ class BoundedRow:
     report: StationaryReport
     oracle_sup: float | None
 
-
-@dataclass
-class BoundedReport:
-    rows: list[BoundedRow]
-    thresholds: Thresholds
-    verdicts: dict = field(default_factory=dict)
-
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
+    def cells(self) -> tuple:
+        r = self.report
+        return (self.eps, _n_label(self.n), r.min_u, r.max_u, r.w12_seminorm, r.residual,
+                self.oracle_sup if self.oracle_sup is not None else "")
 
 
 BOUNDED_HEADER = ["eps", "n", "min_u", "max_u", "w12", "residual", "oracle_sup"]
 
 
-def run_bounded_domain(cfg: SweepConfig) -> BoundedReport:
+def run_bounded_domain(cfg: SweepConfig) -> Report:
     """Zero-flux stationary solves on an interval or rectangle.
 
     The drift's normal component must vanish on the boundary.  In one
     dimension each solve is cross-checked against the closed-form
     interval oracle.
     """
-    grid = cfg.grid()
+    grid, system, family = cfg.build()
     if all(grid.periodic):
         raise ValueError("bounded-domain experiment needs an interval or rectangle")
-    system = cfg.system.build(grid)
     for axis in range(grid.dim):
         lo, hi = system.drift.normal_at_boundary(grid, axis)
         worst = max(
@@ -540,7 +482,6 @@ def run_bounded_domain(cfg: SweepConfig) -> BoundedReport:
         )
         if worst > 1e-12:
             raise BoundaryError(f"drift normal component reaches {worst} on the axis-{axis} boundary")
-    family = cfg.noise.build(grid, cfg.epsilons)
 
     def solve_one(eps):
         rep = solve_stationary(assemble_for(system, family, eps))
@@ -551,34 +492,27 @@ def run_bounded_domain(cfg: SweepConfig) -> BoundedReport:
         return BoundedRow(eps=eps, n=grid.n, report=rep, oracle_sup=oracle_sup)
 
     rows = _map_over_eps(solve_one, cfg.epsilons, cfg.workers)
-    thr = cfg.thresholds
     verdicts = {"positive density": all(r.report.min_u > 0 for r in rows)}
     if grid.dim == 1:
-        verdicts["matches interval oracle"] = all(r.oracle_sup <= thr.oracle_sup for r in rows)
-    report = BoundedReport(rows=rows, thresholds=thr, verdicts=verdicts)
-    if cfg.out_dir:
-        write_csv(
-            os.path.join(cfg.out_dir, "bounded.csv"),
-            BOUNDED_HEADER,
-            [(r.eps, _n_label(r.n), r.report.min_u, r.report.max_u, r.report.w12_seminorm,
-              r.report.residual, r.oracle_sup if r.oracle_sup is not None else "")
-             for r in rows],
-        )
-        _write_summary(cfg, "bounded domain", verdicts)
-    return report
+        verdicts["matches interval oracle"] = all(
+            r.oracle_sup <= cfg.thresholds.oracle_sup for r in rows)
+    return _report(cfg, "bounded domain", "bounded.csv", BOUNDED_HEADER, rows, verdicts)
 
 
-def _write_summary(cfg: SweepConfig, title: str, verdicts: dict) -> None:
-    from .reporting import atomic_write_text
-
-    path = os.path.join(cfg.out_dir, "summary.txt")
-    atomic_write_text(path, verdict_block(f"{title} ({_n_label(cfg.n)} cells)", verdicts))
+# ---------------------------------------------------------------------------
+# dispatch
+# ---------------------------------------------------------------------------
 
 
-RUNNERS = {
-    "stability": run_stability_sweep,
-    "selection": run_selection,
-    "transform": run_transform_consistency,
-    "decay": run_decay_study,
-    "bounded": run_bounded_domain,
-}
+def run(cfg: SweepConfig) -> Report:
+    """Run the study that ``cfg.kind`` names."""
+    runners = {
+        "stability": run_stability_sweep,
+        "selection": run_selection,
+        "transform": run_transform_consistency,
+        "decay": run_decay_study,
+        "bounded": run_bounded_domain,
+    }
+    if cfg.kind not in runners:
+        raise ValueError(f"unknown experiment kind {cfg.kind!r}; choose from {', '.join(runners)}")
+    return runners[cfg.kind](cfg)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -190,14 +190,14 @@ ONE = Const(1.0)
 class VectorField:
     """Vector field with one ScalarForm per axis.
 
-    Evaluation is reentrant; per-grid samples are cached so repeated
-    assembly over an epsilon sweep does not re-evaluate the forms.
+    Fields hold no per-grid state: every sampling call evaluates the
+    closed forms afresh, so one field can serve any number of grids and
+    threads.
     """
 
     def __init__(self, components: Sequence[ScalarForm]):
         self.components = tuple(components)
         self.dim = len(self.components)
-        self._cache = {}
 
     @classmethod
     def constant(cls, values) -> "VectorField":
@@ -222,18 +222,12 @@ class VectorField:
         return np.column_stack(cols)
 
     def at_centers(self, grid: Grid) -> np.ndarray:
-        key = (id(grid), "centers")
-        if key not in self._cache:
-            self._cache[key] = self.at_points(grid.cell_centers())
-        return self._cache[key]
+        return self.at_points(grid.cell_centers())
 
     def normal_at_faces(self, grid: Grid, axis: int) -> np.ndarray:
         """Normal component sampled at the interior face centers of ``axis``."""
-        key = (id(grid), "faces", axis)
-        if key not in self._cache:
-            _, _, centers = grid.interior_faces(axis)
-            self._cache[key] = self._eval(self.components[axis], centers, f"component {axis}")
-        return self._cache[key]
+        _, _, centers = grid.interior_faces(axis)
+        return self._eval(self.components[axis], centers, f"component {axis}")
 
     def normal_at_boundary(self, grid: Grid, axis: int):
         low_cells, low_c, high_cells, high_c = grid.boundary_faces(axis)
@@ -298,19 +292,17 @@ def divergence(f: VectorField, grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-FieldFactory = Callable[[float], VectorField]
-
-
 class NoiseFamily:
     """Epsilon-indexed collection {A_0, A_1..A_m} of vector fields.
 
-    The drift correction A_0 and each diffusion field A_i may depend on
-    epsilon (factories), though every builtin family is
-    epsilon-independent.  ``epsilons`` must be strictly decreasing and
-    lie in (0, 1).
+    The drift correction A_0 and the diffusion fields A_i are the same
+    at every epsilon; the noise level enters the operator only through
+    its eps^2 scaling.  ``epsilons`` must be strictly decreasing and lie
+    in (0, 1).
     """
 
-    def __init__(self, m: int, a0, ai, epsilons: Sequence[float]):
+    def __init__(self, m: int, a0: VectorField, ai: Sequence[VectorField],
+                 epsilons: Sequence[float]):
         eps = tuple(float(e) for e in epsilons)
         if not eps:
             raise ValueError("epsilons must be nonempty")
@@ -325,15 +317,11 @@ class NoiseFamily:
         self._a0 = a0
         self._ai = list(ai)
 
-    @classmethod
-    def constant_in_eps(cls, a0: VectorField, ai: Sequence[VectorField], epsilons):
-        return cls(len(ai), a0, list(ai), epsilons)
-
     def a0(self, eps: float) -> VectorField:
-        return self._a0(eps) if callable(self._a0) else self._a0
+        return self._a0
 
     def ai(self, eps: float) -> list[VectorField]:
-        return [f(eps) if callable(f) else f for f in self._ai]
+        return list(self._ai)
 
     def __repr__(self):
         return f"NoiseFamily(m={self.m}, epsilons={self.epsilons})"
@@ -362,9 +350,6 @@ class ConservativeSystem:
         self.drift = drift
         flux = VectorField([mul(self.u0_form, c) for c in drift.components])
         self.div_residual = float(np.max(np.abs(divergence(flux, grid))))
-
-    def uniform_like(self) -> np.ndarray:
-        return np.copy(self.u0)
 
     def __repr__(self):
         tag = self.name or "custom"
@@ -482,28 +467,14 @@ def transform_div_free(sys: ConservativeSystem, nf: NoiseFamily):
     u0 = sys.u0_form
     sqrt_u0 = Power(u0, 0.5)
     new_drift = VectorField([mul(u0, c) for c in sys.drift.components])
-
-    def transform_ai(fields):
-        return [f.scaled(sqrt_u0) for f in fields]
-
-    def transform_a0(a0_field, ai_fields):
-        comps = [mul(u0, c) for c in a0_field.components]
-        for f in ai_fields:
-            s = f.directional_derivative(sqrt_u0)
-            corr = mul(Const(-0.5), mul(sqrt_u0, s))
-            comps = [add(c, mul(corr, fc)) for c, fc in zip(comps, f.components)]
-        return VectorField(comps)
-
-    eps_dependent = callable(nf._a0) or any(callable(f) for f in nf._ai)
-    if eps_dependent:
-        a0_new: FieldFactory = lambda e: transform_a0(nf.a0(e), nf.ai(e))
-        ai_new = [
-            (lambda e, idx=i: nf.ai(e)[idx].scaled(sqrt_u0)) for i in range(nf.m)
-        ]
-        return new_drift, NoiseFamily(nf.m, a0_new, ai_new, nf.epsilons)
-    ai_fields = transform_ai(nf.ai(nf.epsilons[0]))
-    a0_field = transform_a0(nf.a0(nf.epsilons[0]), nf.ai(nf.epsilons[0]))
-    return new_drift, NoiseFamily(nf.m, a0_field, ai_fields, nf.epsilons)
+    eps = nf.epsilons[0]
+    ai = nf.ai(eps)
+    comps = [mul(u0, c) for c in nf.a0(eps).components]
+    for f in ai:
+        corr = mul(Const(-0.5), mul(sqrt_u0, f.directional_derivative(sqrt_u0)))
+        comps = [add(c, mul(corr, fc)) for c, fc in zip(comps, f.components)]
+    return new_drift, NoiseFamily(nf.m, VectorField(comps), [f.scaled(sqrt_u0) for f in ai],
+                                  nf.epsilons)
 
 
 def construct_selecting_noise(u_form: ScalarForm, grid: Grid, epsilons) -> NoiseFamily:

@@ -169,12 +169,6 @@ class Grid:
 
     # -- indexing -----------------------------------------------------
 
-    def cell_index(self, multi):
-        """Lexicographic flat index, x fastest."""
-        if self.dim == 1:
-            return multi[0]
-        return multi[1] * self.n[0] + multi[0]
-
     def cell_centers(self) -> np.ndarray:
         """Cell-center coordinates, shape (ncells, dim)."""
         if self._centers is None:

@@ -158,7 +158,7 @@ def test_criterion_7_transform_consistency():
             kind="transform", domain=Circle(), n=(n,), epsilons=(0.3,),
             system=SystemSpec(catalog="circle-positive"),
         )
-        sups[n] = run_transform_consistency(cfg).sup_diff[0]
+        sups[n] = run_transform_consistency(cfg).rows[0].sup_diff
     ratio = sups[256] / sups[512]
     elapsed = time.perf_counter() - start
     ok = sups[512] <= 5e-3 and 3.0 <= ratio <= 5.0 and elapsed < 10.0

@@ -5,9 +5,13 @@ import pytest
 from noisyflow.cli import main
 from noisyflow.config import parse_config, parse_expression, serialize_config, serialize_expression
 from noisyflow.errors import ConfigError
-from noisyflow.experiments import SweepConfig, SystemSpec, NoiseSpec, Thresholds
+from noisyflow.evolution import evolve, perturbed_initial
+from noisyflow.experiments import TRACE_HEADER, SweepConfig, SystemSpec, NoiseSpec, Thresholds, trace_cells
 from noisyflow.fields import Const, Power, Product, Trig
 from noisyflow.geometry import Circle, Torus2
+from noisyflow.operator import assemble_for
+from noisyflow.reporting import write_csv
+from noisyflow.stationary import solve_stationary
 
 MINIMAL = """\
 [domain]
@@ -51,6 +55,12 @@ def test_unknown_key_names_nearest():
 def test_unknown_section_is_an_error():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config(MINIMAL + "\n[domian]\nkind = circle\n")
+
+
+def test_removed_uniform_sup_threshold_is_an_unknown_key():
+    text = MINIMAL.replace("kind = stability", "kind = stability\nuniform_sup = 1e-10")
+    with pytest.raises(ConfigError, match=r"uniform_sup: unknown key in \[experiment\] \(nearest valid key"):
+        parse_config(text)
 
 
 def test_duplicate_key_is_an_error():
@@ -221,3 +231,57 @@ def test_cli_n_and_eps_overrides(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "eps=0.4" in out and "eps=0.2" in out
+
+
+def test_cli_stationary_csv_equals_sweep_stability_csv(tmp_path):
+    path = write_config(tmp_path, ROTATION)
+    assert main(["stationary", "--config", path, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    assert (tmp_path / "a" / "stationary.csv").read_bytes() == (tmp_path / "b" / "stability.csv").read_bytes()
+
+
+def test_cli_command_must_match_experiment_kind(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["select", "--config", write_config(tmp_path, ROTATION), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'selection'" in err and "'stability'" in err
+    assert not out.exists()  # no other study ran in its place
+
+
+def test_cli_decay_writes_rates_and_traces(tmp_path):
+    text = (MINIMAL.replace("catalog = circle-positive", "catalog = zero-drift")
+            .replace("eps = 0.2", "eps = 0.5, 0.25").replace("kind = stability", "kind = decay"))
+    out = tmp_path / "out"
+    code = main(["decay", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"])
+    assert code == 0
+    lines = (out / "decay.csv").read_text().splitlines()
+    assert lines[0] == "eps,rate,rate_over_eps2,r2,t_lo,t_hi"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "0.25"]
+    for eps in ("0.5", "0.25"):
+        for mode in (1, 2):
+            trace = (out / f"trace_eps{eps}_mode{mode}.csv").read_text().splitlines()
+            assert trace[0] == "t,chi2,mass_drift,min_v" and len(trace) > 2
+    assert "overall: PASS" in (out / "summary.txt").read_text()
+
+
+def test_cli_evolve_steps_the_configured_scheme(tmp_path):
+    text = MINIMAL.replace("kind = stability", "kind = decay\nscheme = crank-nicolson")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    cfg = parse_config(text)
+    _, system, family = cfg.build()
+    eps = cfg.epsilons[0]
+    scale = 1.0 / (eps * eps * cfg.rate_guess)
+    op = assemble_for(system, family, eps)
+    stationary = solve_stationary(op).density
+    expected = {}
+    for scheme in ("crank-nicolson", "implicit-euler"):
+        trace, _ = evolve(op, perturbed_initial(stationary), cfg.horizon_factor * scale,
+                          cfg.dt_factor * scale, scheme=scheme, stationary=stationary)
+        path = tmp_path / f"{scheme}.csv"
+        write_csv(str(path), TRACE_HEADER, trace_cells(trace))
+        expected[scheme] = path.read_bytes()
+    written = (out / "trace.csv").read_bytes()
+    assert written == expected["crank-nicolson"]
+    assert written != expected["implicit-euler"]

@@ -10,6 +10,7 @@ from noisyflow.experiments import (
     run_bounded_domain,
     run_decay_study,
     run_selection,
+    run,
     run_stability_sweep,
     run_transform_consistency,
 )
@@ -59,7 +60,8 @@ def test_stability_sweep_cellular_reports_bounds_without_limit_claim():
     )
     report = run_stability_sweep(cfg)
     assert "final l1 distance" not in report.verdicts
-    assert np.isfinite(report.sup_max_u) and np.isfinite(report.sup_inv_min_u)
+    assert (np.isfinite(max(r.report.max_u for r in report.rows))
+            and np.isfinite(max(1.0 / r.report.min_u for r in report.rows)))
     assert report.passed()
 
 
@@ -136,7 +138,7 @@ def test_transform_consistency_circle():
     )
     report = run_transform_consistency(cfg)
     assert report.passed()
-    assert report.sup_diff[0] <= 5e-3
+    assert report.rows[0].sup_diff <= 5e-3
 
 
 def test_transform_identity_for_uniform_density():
@@ -163,7 +165,7 @@ def test_transform_consistency_refines_at_second_order():
             kind="transform", domain=Circle(), n=(n,), epsilons=(0.3,),
             system=SystemSpec(catalog="circle-positive"),
         )
-        sups[n] = run_transform_consistency(cfg).sup_diff[0]
+        sups[n] = run_transform_consistency(cfg).rows[0].sup_diff
     assert 3.0 <= sups[128] / sups[256] <= 5.0
 
 
@@ -252,6 +254,38 @@ def test_summary_supremum_monotone_in_sweep_size():
         system=SystemSpec(catalog="circle-positive"),
     )
     r1, r2 = run_stability_sweep(base), run_stability_sweep(wider)
-    assert r2.sup_max_u >= r1.sup_max_u
-    assert r2.sup_inv_min_u >= r1.sup_inv_min_u
-    assert r2.sup_w12 >= r1.sup_w12
+    assert max(r.report.max_u for r in r2.rows) >= max(r.report.max_u for r in r1.rows)
+    assert (max(1.0 / r.report.min_u for r in r2.rows)
+            >= max(1.0 / r.report.min_u for r in r1.rows))
+    assert (max(r.report.w12_seminorm for r in r2.rows)
+            >= max(r.report.w12_seminorm for r in r1.rows))
+
+
+WORKER_CASES = {
+    "stability": dict(domain=Torus2(), n=(12, 12), epsilons=(0.5, 0.25),
+                      system=SystemSpec(catalog="hamiltonian-cellular"), assert_l1_limit=False),
+    "transform": dict(domain=Circle(), n=(64,), epsilons=(0.4, 0.3),
+                      system=SystemSpec(catalog="circle-positive")),
+    "decay": dict(domain=Circle(), n=(64,), epsilons=(0.4, 0.2),
+                  system=SystemSpec(catalog="circle-positive"), scheme="crank-nicolson"),
+    "bounded": dict(domain=Interval(), n=(48,), epsilons=(0.5, 0.1),
+                    noise=NoiseSpec(kind="explicit", a0_forms=(Const(1.0),), ai_forms=((Const(1.0),),))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WORKER_CASES))
+def test_worker_count_leaves_artifacts_byte_identical(kind, tmp_path):
+    artifacts = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        run(SweepConfig(kind=kind, out_dir=str(out), workers=workers, **WORKER_CASES[kind]))
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert f"{kind}.csv" in artifacts[0]
+    assert artifacts[0] == artifacts[1]
+
+
+def test_run_dispatches_on_kind_and_rejects_unknown_kinds():
+    cfg = SweepConfig(kind="bounded", domain=Interval(), n=(32,), epsilons=(0.5,))
+    assert run(cfg).verdicts == run_bounded_domain(cfg).verdicts
+    with pytest.raises(ValueError, match="unknown experiment kind 'sweep'"):
+        run(SweepConfig(kind="sweep", domain=Circle(), n=(32,), epsilons=(0.5,)))

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -184,6 +185,29 @@ def test_conservative_system_requires_positive_density():
     g = build_grid(Circle(), 16)
     with pytest.raises(PositivityError):
         ConservativeSystem(VectorField.zero(1), Trig("sin", 0, 1, 1.0, 0.0, 1.0), g)
+
+
+def test_field_samples_follow_the_grid_even_at_a_reused_address():
+    # a freed grid's id can be reused by the next one; sampling must never
+    # hand back the samples of an earlier grid.  Freezing the objects that
+    # already exist keeps each full collection cheap.
+    field = VectorField([Trig("sin", 0, 1, 1.0, 2.0, 1.0)])
+    gc.freeze()
+    try:
+        for i in range(200):
+            grid = build_grid(Circle(), 8 if i % 2 else 16)
+            x = grid.cell_centers()[:, 0]
+            centers = field.at_centers(grid)[:, 0]
+            assert centers.shape == x.shape
+            assert np.allclose(centers, 2.0 + np.sin(2 * np.pi * x), rtol=0.0, atol=1e-14)
+            _, _, faces = grid.interior_faces(0)
+            normal = field.normal_at_faces(grid, 0)
+            assert normal.shape == (len(faces),)
+            assert np.allclose(normal, 2.0 + np.sin(2 * np.pi * faces[:, 0]), rtol=0.0, atol=1e-14)
+            del grid
+            gc.collect()
+    finally:
+        gc.unfreeze()
 
 
 # ---------------------------------------------------------------------------
