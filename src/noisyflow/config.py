@@ -384,7 +384,10 @@ def parse_config(text: str) -> SweepConfig:
     if "workers" in exp:
         value, line = exp["workers"]
         try:
-            extras["workers"] = max(1, int(value))
+            workers = int(value)
+            if workers < 1:
+                raise ValueError(f"must be at least 1, got {workers}")
+            extras["workers"] = workers
         except ValueError as exc:
             problems.add(line, "workers", str(exc))
     noise_sec = sections.get("noise", {})

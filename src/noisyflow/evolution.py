@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import FitError, PositivityError, SolveError
 from .fields import NoiseFamily, Trig, diffusion_matrix
 from .geometry import Grid
 from .operator import FokkerPlanckOperator
-from .stationary import Density, solve_stationary
+from .stationary import Density, factorize, solve_stationary
 
 #: chi^2 values below this are treated as roundoff and excluded from fits.
 CHI2_FLOOR = 1e-13
@@ -43,6 +42,13 @@ class EvolutionTrace:
     mass_drift: np.ndarray
     min_v: np.ndarray
     eps: float | None = None
+
+    def prefix(self, nsteps: int) -> "EvolutionTrace":
+        """The record of the first ``nsteps`` steps."""
+        keep = slice(0, nsteps + 1)
+        return EvolutionTrace(times=self.times[keep], chi2=self.chi2[keep],
+                              mass_drift=self.mass_drift[keep], min_v=self.min_v[keep],
+                              eps=self.eps)
 
 
 @dataclass
@@ -66,9 +72,11 @@ def evolve(op: FokkerPlanckOperator, v0: Density, horizon: float, dt: float,
            scheme: str = "implicit-euler", stationary: Density | None = None):
     """Integrate dv/dt = M v to the horizon; returns (trace, final density).
 
-    One factorization is reused across all steps.  chi^2 against the
-    stationary density, the mass drift |sum v vol - 1| and min v are
-    recorded at every step including t = 0.
+    The step matrix is factorized once, by :func:`stationary.factorize`
+    (fill-reducing ordering, diagonal pivots: (I - dt M) is strictly
+    column diagonally dominant), and reused across all steps.  chi^2
+    against the stationary density, the mass drift |sum v vol - 1| and
+    min v are recorded at every step including t = 0.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -91,7 +99,7 @@ def evolve(op: FokkerPlanckOperator, v0: Density, horizon: float, dt: float,
         lhs = (eye - 0.5 * dt * m).tocsc()
         rhs_mat = (eye + 0.5 * dt * m).tocsr()
     try:
-        lu = spla.splu(lhs)
+        lu = factorize(lhs)
     except RuntimeError as exc:
         raise SolveError(f"time-step factorization failed: {exc}") from exc
 

@@ -1,10 +1,14 @@
 """Stationary solves and the 1D closed-form quadrature oracle.
 
-The primary solve replaces one row of the singular conservative matrix
-(the cell with the largest diagonal magnitude, lowest index on ties) by
-the mass-normalization row and factorizes; an inverse-power iteration is
-kept as an independent cross-check and as a fallback when the
-factorization reports singularity.
+The primary solve pins one cell of the singular conservative matrix:
+the row of the cell with the largest diagonal magnitude (lowest index on
+ties) becomes d u_r = d with d its diagonal magnitude.  The pinned
+matrix stays sparse; it is factorized by :func:`factorize` and the
+solution is normalized to unit mass afterwards.  An inverse-power
+iteration is kept as an independent cross-check and as a fallback when
+the factorization reports singularity.  :func:`factorize` is the one
+place the package calls SuperLU, with a fill-reducing ordering and
+diagonal pivots; the time stepper uses it too.
 
 The 1D oracles integrate the stationary balance
 
@@ -89,24 +93,63 @@ class StationaryReport:
     iterations: int
 
 
-def _normalization_row_solve(matrix: sp.csr_matrix, grid: Grid):
+def factorize(matrix: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of ``matrix`` with a fill-reducing ordering and diagonal pivots.
+
+    Every factorization in the package goes through here: the pinned
+    stationary matrix, the generator itself in inverse iteration, and the
+    time-step matrices (I - dt M) and (I - dt/2 M).  The columns are
+    ordered by minimum degree on the pattern of A^T + A, applied
+    symmetrically, and the pivots are taken on the diagonal.
+
+    Skipping the pivot search is safe for these matrices (without cross
+    diffusion).  M has zero column sums and nonnegative off-diagonal
+    entries, so every column is weakly diagonally dominant.  Pinning row
+    r keeps that: column r stays weakly dominant, and every column j
+    with M_rj != 0 loses an off-diagonal entry and becomes strictly
+    dominant.  Since M is irreducible, every column reaches such a
+    strictly dominant one through the entries of M outside row r: the
+    pinned matrix is weakly chained column diagonally dominant, hence
+    nonsingular.  (I - dt M) and (I - dt/2 M) are
+    strictly column diagonally dominant for any dt > 0.  A symmetric
+    permutation keeps column dominance, and Gaussian elimination with
+    diagonal pivots on a nonsingular column diagonally dominant matrix
+    is stable: every Schur complement stays column dominant and the
+    growth factor is at most two.  The ordering, not the pivoting, is
+    what halves the fill of a 2D factor.
+
+    Raises ``RuntimeError`` when SuperLU meets an exactly singular matrix.
+    """
+    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+def pinned_system(matrix: sp.csr_matrix):
+    """M with one equation replaced by a pin, and its right-hand side.
+
+    Row r (largest diagonal magnitude, lowest index on ties) becomes
+    d u_r = d with d = |M_rr|, which keeps the matrix sparse and its
+    scale.  Returns the pinned matrix (CSR) and the right-hand side d e_r.
+    """
     diag = matrix.diagonal()
     row = int(np.argmax(np.abs(diag)))  # argmax takes the lowest index on ties
-    modified = matrix.tolil(copy=True)
-    modified[row, :] = grid.cell_volumes
-    rhs = np.zeros(grid.ncells)
-    rhs[row] = 1.0
-    lu = spla.splu(modified.tocsc())
-    return lu.solve(rhs)
+    pin = abs(float(diag[row]))
+    pinned = matrix.tocsr(copy=True)
+    start, end = pinned.indptr[row], pinned.indptr[row + 1]
+    pinned.data[start:end] = np.where(pinned.indices[start:end] == row, pin, 0.0)
+    pinned.eliminate_zeros()
+    rhs = np.zeros(matrix.shape[0])
+    rhs[row] = pin
+    return pinned, rhs
 
 
 def _inverse_iteration(matrix: sp.csr_matrix, grid: Grid, tol: float, maxiter: int):
     mat_norm = float(np.max(np.abs(matrix).sum(axis=1)))
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = factorize(matrix)
     except RuntimeError:
         jitter = 1e-14 * mat_norm
-        lu = spla.splu((matrix + jitter * sp.identity(grid.ncells, format="csr")).tocsc())
+        lu = factorize(matrix + jitter * sp.identity(grid.ncells, format="csr"))
     v = np.full(grid.ncells, 1.0 / grid.total_measure())
     for it in range(1, maxiter + 1):
         v = lu.solve(v)
@@ -123,7 +166,7 @@ def solve_stationary(op: FokkerPlanckOperator, method: str = "direct",
                      tol: float = 1e-12, maxiter: int = 500) -> StationaryReport:
     """Solve M u = 0 for the unique unit-mass stationary density.
 
-    ``method`` is "direct" (row replacement + sparse LU, with inverse
+    ``method`` is "direct" (pinned row + sparse LU, with inverse
     iteration as automatic fallback) or "inverse-iteration" (the
     independent cross-check path).  The residual is measured against the
     unmodified matrix as ||M u||_inf / (||M||_inf ||u||_inf).
@@ -134,8 +177,10 @@ def solve_stationary(op: FokkerPlanckOperator, method: str = "direct",
     iterations = 0
     used = method
     if method == "direct":
+        pinned, rhs = pinned_system(op.matrix)
         try:
-            u = _normalization_row_solve(op.matrix, grid)
+            u = factorize(pinned).solve(rhs)
+            u /= np.sum(u) * grid.cell_volume  # unit mass, the scale the positivity slack assumes
         except RuntimeError:
             u, iterations = _inverse_iteration(op.matrix, grid, tol, maxiter)
             used = "direct+fallback"

@@ -63,6 +63,15 @@ def test_removed_uniform_sup_threshold_is_an_unknown_key():
         parse_config(text)
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_an_error(workers):
+    text = MINIMAL + f"workers = {workers}\n"  # line 15
+    with pytest.raises(ConfigError, match=f"must be at least 1, got {workers}") as info:
+        parse_config(text)
+    (line, key, _), = info.value.locations
+    assert (line, key) == (15, "workers")
+
+
 def test_duplicate_key_is_an_error():
     text = MINIMAL.replace("length = 1.0", "length = 1.0\nlength = 2.0")
     with pytest.raises(ConfigError, match="duplicate"):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from noisyflow.errors import BoundaryError
+import noisyflow.experiments as experiments
+from noisyflow.errors import BoundaryError, FitError
+from noisyflow.evolution import fit_decay_rate, perturbed_initial
 from noisyflow.experiments import (
     NoiseSpec,
     SweepConfig,
@@ -16,6 +18,9 @@ from noisyflow.experiments import (
 )
 from noisyflow.fields import Const, Trig
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2
+from noisyflow.operator import assemble_for
+from noisyflow.reporting import write_csv
+from noisyflow.stationary import solve_stationary
 
 
 def test_sweep_config_validation():
@@ -289,3 +294,47 @@ def test_run_dispatches_on_kind_and_rejects_unknown_kinds():
     assert run(cfg).verdicts == run_bounded_domain(cfg).verdicts
     with pytest.raises(ValueError, match="unknown experiment kind 'sweep'"):
         run(SweepConfig(kind="sweep", domain=Circle(), n=(32,), epsilons=(0.5,)))
+
+
+def test_decay_retry_refits_the_prefix_without_reintegrating(tmp_path, monkeypatch):
+    # at horizon_factor 40 the mode-2 chi^2 underflows the fit floor across
+    # the full window, so each epsilon retries mode 2 at half the horizon
+    cfg = SweepConfig(kind="decay", domain=Circle(), n=(16,), epsilons=(0.5, 0.25),
+                      system=SystemSpec(catalog="zero-drift"), horizon_factor=40.0,
+                      dt_factor=0.02, out_dir=str(tmp_path / "study"))
+    calls = []
+    evolve = experiments.evolve
+
+    def counting_evolve(*args, **kwargs):
+        calls.append(args[2])
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "evolve", counting_evolve)
+    report = run_decay_study(cfg)
+    assert len(calls) == 2 * len(cfg.epsilons)  # once per mode, no re-integration
+    assert report.verdicts == {"rates above the eps^2 floor": True, "rate/eps^2 spread": True,
+                               "chi^2 monotone": True, "mass conserved": True}
+
+    # reference: re-integrate to half the horizon whenever the full fit fails
+    grid, system, family = cfg.build()
+    retried = 0
+    for row in report.rows:
+        op = assemble_for(system, family, row.eps)
+        stationary = solve_stationary(op).density
+        scale = 1.0 / (row.eps ** 2 * cfg.rate_guess)
+        for mode in (1, 2):
+            v0 = perturbed_initial(stationary, mode=mode)
+            horizon = cfg.horizon_factor * scale
+            trace, _ = evolve(op, v0, horizon, cfg.dt_factor * scale, stationary=stationary)
+            try:
+                fit = fit_decay_rate(trace)
+            except FitError:
+                retried += 1
+                trace, _ = evolve(op, v0, 0.5 * horizon, cfg.dt_factor * scale,
+                                  stationary=stationary)
+                fit = fit_decay_rate(trace)
+            assert row.fits_by_mode[mode] == fit
+            name = f"trace_eps{row.eps:g}_mode{mode}.csv"
+            write_csv(str(tmp_path / name), experiments.TRACE_HEADER, experiments.trace_cells(trace))
+            assert (tmp_path / "study" / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert retried == len(cfg.epsilons)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from noisyflow.errors import AssemblyError
 from noisyflow.fields import (
@@ -11,13 +13,13 @@ from noisyflow.fields import (
     construct_selecting_noise,
     coordinate_noise,
 )
-from noisyflow.geometry import Circle, Interval, Torus2, build_grid
+from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
 from noisyflow.operator import (
     assemble_for,
     bernoulli,
     derive_drift_diffusion,
 )
-from noisyflow.stationary import solve_stationary
+from noisyflow.stationary import pinned_system, solve_stationary
 
 
 # ---------------------------------------------------------------------------
@@ -227,3 +229,71 @@ def test_assembly_bit_identical():
     assert np.array_equal(a.matrix.data, b.matrix.data)
     assert np.array_equal(a.matrix.indices, b.matrix.indices)
     assert np.array_equal(a.matrix.indptr, b.matrix.indptr)
+
+
+# ---------------------------------------------------------------------------
+# the precondition for LU without pivoting
+# ---------------------------------------------------------------------------
+
+CATALOG_ON_DOMAINS = [
+    (Circle, "circle-positive"), (Circle, "zero-drift"), (Interval, "zero-drift"),
+    (Torus2, "torus-rotation"), (Torus2, "torus-shear"), (Torus2, "hamiltonian-cellular"),
+    (Torus2, "zero-drift"), (Rectangle, "zero-drift"),
+]
+
+
+@st.composite
+def catalog_operators(draw):
+    """A catalog system with coordinate noise on a random small grid."""
+    kind_cls, name = draw(st.sampled_from(CATALOG_ON_DOMAINS))
+    dim = 2 if kind_cls in (Torus2, Rectangle) else 1
+    lengths = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
+    kind = {
+        Circle: lambda: Circle(lengths[0]),
+        Interval: lambda: Interval(0.0, lengths[0]),
+        Torus2: lambda: Torus2(*lengths),
+        Rectangle: lambda: Rectangle(0.0, lengths[0], 0.0, lengths[1]),
+    }[kind_cls]()
+    n = draw(st.lists(st.integers(4, 14), min_size=dim, max_size=dim))
+    eps = draw(st.floats(0.05, 0.95))
+    g = build_grid(kind, n)
+    return assemble_for(builtin_catalog(name, g), coordinate_noise(g, [eps]), eps)
+
+
+def column_margins(matrix):
+    """|A_jj| - sum_{i != j} |A_ij| for every column j."""
+    dense = np.abs(matrix.toarray())
+    diag = np.diag(dense)
+    return diag - (dense.sum(axis=0) - diag), diag
+
+
+@settings(max_examples=40, deadline=None)
+@given(catalog_operators())
+def test_generator_has_zero_column_sums_and_nonnegative_offdiagonals(op):
+    assert not op.has_cross_diffusion
+    m = op.matrix.toarray()
+    scale = np.max(np.abs(np.diag(m)))
+    assert np.max(np.abs(m.sum(axis=0))) <= 1e-13 * scale
+    offdiag = m - np.diag(np.diag(m))
+    assert offdiag.min() >= 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(catalog_operators(), st.floats(1e-6, 1e3))
+def test_pinned_and_step_matrices_are_column_diagonally_dominant(op, dt):
+    m = op.matrix
+    tol = 1e-13 * float(np.max(np.abs(m.diagonal())))
+    # pinned: every column weakly dominant, strictly where the pin removed an entry
+    pinned, rhs = pinned_system(m)
+    row = int(np.flatnonzero(rhs)[0])
+    margins, _ = column_margins(pinned)
+    assert margins.min() >= -tol
+    lost = m[row].toarray().ravel()
+    lost[row] = 0.0
+    hit = lost > 0.0
+    assert np.any(hit)
+    assert np.all(margins[hit] >= lost[hit] - tol)
+    # (I - dt M): every margin is 1 up to roundoff
+    step = sp.identity(m.shape[0], format="csr") - dt * m
+    margins, diag = column_margins(step)
+    assert np.all(margins >= 1.0 - 1e-13 * diag)

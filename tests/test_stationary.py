@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from noisyflow.errors import BoundaryError, PositivityError
+from noisyflow.errors import BoundaryError, CatalogError, PositivityError
 from noisyflow.fields import (
+    CATALOG_NAMES,
     Const,
     NoiseFamily,
     Trig,
@@ -14,13 +17,15 @@ from noisyflow.fields import (
     construct_selecting_noise,
     coordinate_noise,
 )
-from noisyflow.geometry import Circle, Interval, Torus2, build_grid
+from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
 from noisyflow.operator import assemble_for
 from noisyflow.stationary import (
     Density,
     discrete_w12_seminorm,
+    factorize,
     oracle_1d_circle,
     oracle_1d_interval,
+    pinned_system,
     solve_stationary,
 )
 
@@ -96,6 +101,72 @@ def test_random_positive_drift_properties(offset, amp, eps):
     assert rep.min_u > 0.0
     assert abs(rep.density.mass() - 1.0) <= 1e-12
     assert rep.residual <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the factorization helper
+# ---------------------------------------------------------------------------
+
+
+def dense_row_reference(op):
+    """The mass-normalization-row solve: row r of M becomes the cell volumes."""
+    m, g = op.matrix, op.grid
+    row = int(np.argmax(np.abs(m.diagonal())))
+    replaced = m.tolil(copy=True)
+    replaced[row, :] = g.cell_volumes
+    rhs = np.zeros(g.ncells)
+    rhs[row] = 1.0
+    return spla.splu(replaced.tocsc(), permc_spec="COLAMD").solve(rhs)
+
+
+SOLVER_CASES = [
+    (Torus2(), (48, 48), "hamiltonian-cellular", 0.2),
+    (Circle(), 256, "circle-positive", 0.1),
+]
+
+
+@pytest.mark.parametrize("kind, n, name, eps", SOLVER_CASES)
+def test_direct_solve_matches_inverse_iteration_and_dense_row(kind, n, name, eps):
+    g = build_grid(kind, n)
+    op = assemble_for(builtin_catalog(name, g), unit_noise(g, [eps]), eps)
+    direct = solve_stationary(op)
+    assert direct.method == "direct"
+    u = direct.density.values
+    for other in (solve_stationary(op, method="inverse-iteration").density.values,
+                  dense_row_reference(op)):
+        assert np.max(np.abs(u - other)) <= 1e-12 * np.max(np.abs(other))
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.05])
+def test_direct_solve_never_falls_back_on_the_catalog(eps):
+    solved = 0
+    for name in CATALOG_NAMES:
+        for kind in (Circle(), Interval(), Torus2(), Rectangle()):
+            g = build_grid(kind, (12,) * len(kind.lengths))
+            try:
+                system = builtin_catalog(name, g)
+            except CatalogError:
+                continue
+            rep = solve_stationary(assemble_for(system, unit_noise(g, [eps]), eps))
+            assert rep.method == "direct", (name, type(kind).__name__)
+            solved += 1
+    assert solved == 8  # circle-positive, three torus systems, zero-drift on four domains
+
+
+@pytest.mark.parametrize("kind, name", [(Torus2(), "hamiltonian-cellular"),
+                                        (Rectangle(), "zero-drift")])
+def test_factorize_fills_less_than_colamd_with_partial_pivoting(kind, name):
+    # in 2D only: on a 1D circle COLAMD's fill is ~17% lower, on a tiny factor
+    g = build_grid(kind, (48, 48))
+    eps = 0.2
+    op = assemble_for(builtin_catalog(name, g), unit_noise(g, [eps]), eps)
+    pinned, _ = pinned_system(op.matrix)
+    step = sp.identity(g.ncells, format="csr") - 0.01 * op.matrix
+    for matrix in (pinned, step):
+        ours = factorize(matrix)
+        colamd = spla.splu(matrix.tocsc(), permc_spec="COLAMD")
+        fill, colamd_fill = ours.L.nnz + ours.U.nnz, colamd.L.nnz + colamd.U.nnz
+        assert fill < colamd_fill
 
 
 # ---------------------------------------------------------------------------
