@@ -16,8 +16,8 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import parse_config
-from .errors import NoisyflowError
+from .config import parse_config, read_counts, read_epsilons
+from .errors import ConfigError, NoisyflowError
 from .evolution import evolve, fit_decay_rate, perturbed_initial
 from .experiments import STABILITY_HEADER, TRACE_HEADER, SweepConfig, run, stability_rows, trace_cells
 from .fields import check_admissible
@@ -54,17 +54,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: SweepConfig, args) -> SweepConfig:
+    """Apply --out, --eps and --n; each flag is read like the file key it overrides."""
+    readers = {"out": ("out_dir", str), "eps": ("epsilons", read_epsilons),
+               "n": ("n", lambda text: read_counts(text, cfg.domain.dim))}
     changes = {}
-    if args.out is not None:
-        changes["out_dir"] = args.out
-    if args.eps is not None:
-        eps = tuple(float(p) for p in args.eps.split(",") if p.strip())
-        changes["epsilons"] = eps
-    if args.n is not None:
-        changes["n"] = tuple(int(p) for p in args.n.split(",") if p.strip())
-        if len(changes["n"]) == 1 and cfg.domain.dim == 2:
-            changes["n"] = (changes["n"][0], changes["n"][0])
-    return replace(cfg, **changes) if changes else cfg
+    for flag, (field, read) in readers.items():
+        text = getattr(args, flag)
+        if text is not None:
+            try:
+                changes[field] = read(text)
+            except ValueError as exc:
+                raise ConfigError(f"invalid configuration: --{flag}: {exc}",
+                                  [(0, f"--{flag}", str(exc))]) from None
+    return replace(cfg, **changes)
 
 
 def _say(quiet, *parts):

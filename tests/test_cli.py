@@ -7,8 +7,8 @@ from noisyflow.config import parse_config, parse_expression, serialize_config, s
 from noisyflow.errors import ConfigError
 from noisyflow.evolution import evolve, perturbed_initial
 from noisyflow.experiments import TRACE_HEADER, SweepConfig, SystemSpec, NoiseSpec, Thresholds, trace_cells
-from noisyflow.fields import Const, Power, Product, Trig
-from noisyflow.geometry import Circle, Torus2
+from noisyflow.fields import Affine, Const, Power, Product, Trig
+from noisyflow.geometry import Circle, Interval, Rectangle, Torus2
 from noisyflow.operator import assemble_for
 from noisyflow.reporting import write_csv
 from noisyflow.stationary import solve_stationary
@@ -125,25 +125,47 @@ def test_expression_errors():
         parse_expression("tan:axis=0", (1.0,))
     with pytest.raises(ValueError):
         parse_expression("cos:axis=0,zzz=1", (1.0,))
+    with pytest.raises(ValueError, match="axis 1.7"):
+        parse_expression("cos:axis=1.7,freq=1", (1.0, 1.0))  # fractional axis
+    with pytest.raises(ValueError, match="axis 3"):
+        parse_expression("affine:axis=3,slope=1", (1.0, 1.0))  # axis out of range
 
 
-def test_config_round_trip_rich():
+ROUND_TRIP_SETTINGS = dict(refine_factor=3, horizon_factor=7.5, rate_guess=12.25, assert_l1_limit=False)
+
+
+@pytest.mark.parametrize("domain, n, system, settings", [
+    pytest.param(Torus2(1.0, 1.0), (32, 32), SystemSpec(catalog="torus-shear"), {}, id="torus2"),
+    pytest.param(Torus2(1.0, 0.5), (32, 24), SystemSpec(catalog="torus-shear"), ROUND_TRIP_SETTINGS,
+                 id="torus2-settings"),
+    pytest.param(Circle(2.0), (48,),
+                 SystemSpec(drift_forms=(Trig("sin", 0, 1, 0.5, 2.0, 2.0),), u0_form=Const(0.5)),
+                 ROUND_TRIP_SETTINGS, id="circle-settings"),
+    pytest.param(Interval(-1.0, 0.5), (40,),
+                 SystemSpec(drift_forms=(Const(0.0),), u0_form=Affine(0, 0.25, 1.0)),
+                 ROUND_TRIP_SETTINGS, id="interval-settings"),
+    pytest.param(Rectangle(0.0, 1.0, -0.5, 1.5), (16, 20), SystemSpec(catalog="zero-drift"),
+                 ROUND_TRIP_SETTINGS, id="rectangle-settings"),
+])
+def test_config_round_trip_rich(domain, n, system, settings):
+    axes = range(domain.dim)
     cfg = SweepConfig(
         kind="selection",
-        domain=Torus2(1.0, 1.0),
-        n=(32, 32),
+        domain=domain,
+        n=n,
         epsilons=(0.5, 0.1),
-        system=SystemSpec(catalog="torus-shear"),
+        system=system,
         noise=NoiseSpec(kind="explicit",
-                        a0_forms=(Const(0.0), Const(0.0)),
-                        ai_forms=((Const(1.0), Const(0.0)), (Const(0.0), Const(1.0)))),
-        target=Trig("cos", 1, 1, 0.5, 1.0, 1.0),
+                        a0_forms=tuple(Const(0.0) for _ in axes),
+                        ai_forms=tuple(tuple(Const(float(i == j)) for j in axes) for i in axes)),
+        target=Trig("cos", domain.dim - 1, 1, 0.5, 1.0, domain.lengths[-1]),
         out_dir="results",
         thresholds=Thresholds(selection_sup=1e-3),
         dt_factor=1e-3,
         scheme="crank-nicolson",
         workers=4,
         admissibility_p=3.5,
+        **settings,
     )
     assert parse_config(serialize_config(cfg)) == cfg
 
@@ -232,6 +254,45 @@ def test_cli_check_degenerate_noise_fails(tmp_path):
 def test_cli_check_passes_for_coordinate_noise(tmp_path):
     code = main(["check", "--config", write_config(tmp_path, MINIMAL), "--quiet"])
     assert code == 0
+
+
+@pytest.mark.parametrize("text, old, new, line, key", [
+    pytest.param(MINIMAL, "length = 1.0", "bounds = 0, 1", 3, "bounds", id="bounds-on-circle"),
+    pytest.param(MINIMAL, "catalog = circle-positive", "catalog = circle-positive\nbx = const:1", 8, "bx",
+                 id="bx-beside-catalog"),
+    pytest.param(MINIMAL, "catalog = circle-positive", "catalog = circle-positive\nu0 = const:1", 8, "u0",
+                 id="u0-beside-catalog"),
+    pytest.param(MINIMAL, "kind = coordinate", "kind = coordinate\na1 = const:1", 11, "a1",
+                 id="a1-under-coordinate-noise"),
+    pytest.param(MINIMAL, "catalog = circle-positive", "bx = const:1\nby = const:1\nu0 = const:1", 8, "by",
+                 id="by-on-circle"),
+    pytest.param(ROTATION, "n = 16, 16", "n = 16.9, 8.2", 4, "n", id="fractional-n"),
+    pytest.param(ROTATION, "catalog = torus-rotation", "bx = cos:axis=1.7,freq=1\nu0 = const:1", 7, "bx",
+                 id="fractional-axis"),
+    pytest.param(ROTATION, "catalog = torus-rotation", "bx = const:1\nu0 = affine:axis=3,slope=1", 8, "u0",
+                 id="axis-out-of-range"),
+])
+def test_keys_read_other_than_written_are_errors(tmp_path, capsys, text, old, new, line, key):
+    text = text.replace(old, new)
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [(ln, k) for ln, k, _ in info.value.locations] == [(line, key)]
+    assert main(["stationary", "--config", write_config(tmp_path, text), "--quiet"]) == 1
+    assert f"line {line}, {key}: " in capsys.readouterr().err
+
+
+def test_omitted_drift_component_is_zero_on_its_own_axis():
+    cfg = parse_config(ROTATION.replace("catalog = torus-rotation", "by = const:1\nu0 = const:1"))
+    assert cfg.system.drift_forms == (Const(0.0), Const(1.0))
+
+
+def test_cli_n_is_read_like_the_file_key(tmp_path, capsys):
+    with pytest.raises(ConfigError) as info:
+        parse_config(MINIMAL.replace("n = 64", "n = 8.5"))
+    (line, key, message), = info.value.locations
+    assert (line, key) == (4, "n")
+    assert main(["stationary", "--config", write_config(tmp_path, MINIMAL), "--n", "8.5"]) == 1
+    assert f"--n: {message}" in capsys.readouterr().err
 
 
 def test_cli_n_and_eps_overrides(tmp_path, capsys):
