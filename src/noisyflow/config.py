@@ -322,6 +322,8 @@ def _parse_drift(section, lengths, problems) -> SystemSpec:
     if "catalog" in section:
         _unread(section, {"catalog"}, "beside catalog", problems)
         return SystemSpec(catalog=section["catalog"][0].strip())
+    if lengths is None:  # an inline drift is read against the domain's axes
+        return SystemSpec(catalog="zero-drift")
     axes = DRIFT_AXES[:len(lengths)]
     _unread(section, {"u0", *axes}, f"on a {len(lengths)}D domain", problems)
 
@@ -345,11 +347,18 @@ def _parse_noise(section, lengths, problems) -> tuple[NoiseSpec, tuple[float, ..
         if kind is not None:
             _unread(section, {"kind", "eps", "p"}, f"by [noise] kind = {kind}", problems)
         return NoiseSpec(kind=kind or "coordinate"), epsilons
-    vectors = _read_table(section, dict.fromkeys(NOISE_FIELDS, lambda text: _vector(text, lengths)),
-                          problems)
+    def vector(text):
+        return _vector(text, lengths) if lengths else None
+
+    vectors = _read_table(section, dict.fromkeys(NOISE_FIELDS, vector), problems)
     a0 = vectors.pop("a0", None)
     if not vectors:
         problems.append((0, "a1", "explicit noise needs at least one diffusion field"))
+    for expected, key in zip(NOISE_FIELDS[1:], vectors):
+        if key != expected:
+            problems.append((section[key][1], key, f"{expected} is missing: diffusion fields are a1..ak "
+                                                   "without gaps"))
+            break
     return NoiseSpec(kind="explicit", a0_forms=a0, ai_forms=tuple(vectors.values())), epsilons
 
 
@@ -361,7 +370,8 @@ def parse_config(text: str) -> SweepConfig:
     if not domain_sec:
         problems.append((0, "domain", "missing [domain] section"))
     domain, counts = _parse_domain(domain_sec, problems) if domain_sec else (None, ())
-    lengths = domain.lengths if domain is not None else (1.0,)
+    # unknown without a domain: then the keys read against its axes are not checked
+    lengths = domain.lengths if domain is not None else None
 
     system = _parse_drift(sections.get("drift", {}), lengths, problems)
     noise_sec = sections.get("noise", {})
@@ -369,7 +379,8 @@ def parse_config(text: str) -> SweepConfig:
 
     exp = sections.get("experiment", {})
     kind = _read(exp, "kind", _choice("experiment kind", EXPERIMENT_KINDS), problems, "stability")
-    target = _read(exp, "target", lambda value: parse_expression(value, lengths), problems)
+    target = _read(exp, "target", lambda value: parse_expression(value, lengths) if lengths else None,
+                   problems)
     thresholds = _read_table(exp, THRESHOLDS, problems)
     settings = _read_table(exp, SETTINGS, problems)
     admissibility_p = _read(noise_sec, "p", float, problems)

@@ -230,10 +230,9 @@ class VectorField:
         return self._eval(self.components[axis], centers, f"component {axis}")
 
     def normal_at_boundary(self, grid: Grid, axis: int):
-        low_cells, low_c, high_cells, high_c = grid.boundary_faces(axis)
-        lo = self._eval(self.components[axis], low_c, f"component {axis}") if len(low_cells) else np.empty(0)
-        hi = self._eval(self.components[axis], high_c, f"component {axis}") if len(high_cells) else np.empty(0)
-        return lo, hi
+        """Normal component at the low and high boundary faces of ``axis`` (empty if periodic)."""
+        _, low_c, _, high_c = grid.boundary_faces(axis)
+        return tuple(self._eval(self.components[axis], c, f"component {axis}") for c in (low_c, high_c))
 
     def div_form(self) -> ScalarForm:
         """Exact divergence as a closed form."""
@@ -279,11 +278,10 @@ def divergence(f: VectorField, grid: Grid) -> np.ndarray:
         # outward normal is +axis for the left cell, -axis for the right
         np.add.at(out, left, vals)
         np.add.at(out, right, -vals)
-        if not grid.periodic[axis]:
-            low_cells, _, high_cells, _ = grid.boundary_faces(axis)
-            lo, hi = f.normal_at_boundary(grid, axis)
-            np.add.at(out, low_cells, -lo * grid.face_area(axis))
-            np.add.at(out, high_cells, hi * grid.face_area(axis))
+        low_cells, _, high_cells, _ = grid.boundary_faces(axis)
+        lo, hi = f.normal_at_boundary(grid, axis)
+        np.add.at(out, low_cells, -lo * grid.face_area(axis))
+        np.add.at(out, high_cells, hi * grid.face_area(axis))
     return out / grid.cell_volume
 
 
@@ -377,15 +375,12 @@ def _centered_diff(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     Periodic axes wrap; bounded axes fall back to one-sided differences in
     the first and last cell layer (diagnostic use only).
     """
-    shape = grid._shape()
-    v = values.reshape(shape)
-    ax = 0 if grid.dim == 1 else (1 if axis == 0 else 0)
     h = grid.h[axis]
     if grid.periodic[axis]:
-        d = (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)) / (2 * h)
-    else:
-        d = np.gradient(v, h, axis=ax)
-    return d.reshape(-1)
+        cells = np.arange(grid.ncells)
+        return (values[grid.shift(cells, axis, +1)] - values[grid.shift(cells, axis, -1)]) / (2 * h)
+    v = values.reshape(grid.lattice.shape)
+    return np.gradient(v, h, axis=grid.lattice_axis(axis)).reshape(-1)
 
 
 def diffusion_matrix(ai_fields: Sequence[VectorField], grid: Grid) -> np.ndarray:

@@ -1,15 +1,19 @@
 """Flat discrete geometries: circle, 2-torus, interval, rectangle.
 
-Cells are uniform rectilinear boxes with cell-centered unknowns; cell
-ordering is lexicographic with x fastest.  Interior faces are stored once
-per adjacent pair (the cell on the negative side is the "left" cell), and
-a periodic axis contributes its wrap face exactly once.  Non-periodic axes
-additionally expose boundary faces, which conservative operators with a
-zero-flux condition simply drop.
+Each domain is a box of per-axis ``bounds``, periodic or bounded axis by
+axis.  Cells are uniform rectilinear boxes with cell-centered unknowns,
+laid out by one index lattice (flat index lexicographic, x fastest; see
+:class:`Grid`) from which centers, faces and neighbors follow in any
+dimension.  Interior faces are stored once per adjacent pair (the cell on
+the negative side is the "left" cell), and a periodic axis contributes
+its wrap face exactly once.  Non-periodic axes additionally expose
+boundary faces, which conservative operators with a zero-flux condition
+simply drop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +26,34 @@ MAX_CELLS = 2 ** 24
 MIN_CELLS_PER_AXIS = 4
 
 
+class FlatDomain:
+    """A box given by ``bounds``, one ``(lo, hi)`` pair per axis, each finite with hi > lo.
+
+    The domain kinds are frozen dataclasses that set ``dim`` and
+    ``periodic`` and derive ``bounds`` from their fields.
+    """
+
+    def __post_init__(self):
+        for axis, (lo, hi) in enumerate(self.bounds):
+            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+                raise DomainError(f"{type(self).__name__.lower()} axis {axis} must be a finite "
+                                  f"interval with hi > lo, got [{lo}, {hi}]")
+
+    @property
+    def origin(self) -> tuple[float, ...]:
+        return tuple(lo for lo, _ in self.bounds)
+
+    @property
+    def lengths(self) -> tuple[float, ...]:
+        return tuple(hi - lo for lo, hi in self.bounds)
+
+    @property
+    def measure(self) -> float:
+        return math.prod(self.lengths)
+
+
 @dataclass(frozen=True)
-class Circle:
+class Circle(FlatDomain):
     """Flat circle of circumference ``length`` (default: unit measure)."""
 
     length: float = 1.0
@@ -31,25 +61,13 @@ class Circle:
     dim = 1
     periodic = (True,)
 
-    def __post_init__(self):
-        if self.length <= 0:
-            raise DomainError(f"circle length must be positive, got {self.length}")
-
     @property
-    def lengths(self):
-        return (self.length,)
-
-    @property
-    def origin(self):
-        return (0.0,)
-
-    @property
-    def measure(self):
-        return self.length
+    def bounds(self):
+        return ((0.0, self.length),)
 
 
 @dataclass(frozen=True)
-class Torus2:
+class Torus2(FlatDomain):
     """Flat 2-torus with side lengths ``lx`` and ``ly``."""
 
     lx: float = 1.0
@@ -58,25 +76,13 @@ class Torus2:
     dim = 2
     periodic = (True, True)
 
-    def __post_init__(self):
-        if self.lx <= 0 or self.ly <= 0:
-            raise DomainError(f"torus side lengths must be positive, got ({self.lx}, {self.ly})")
-
     @property
-    def lengths(self):
-        return (self.lx, self.ly)
-
-    @property
-    def origin(self):
-        return (0.0, 0.0)
-
-    @property
-    def measure(self):
-        return self.lx * self.ly
+    def bounds(self):
+        return ((0.0, self.lx), (0.0, self.ly))
 
 
 @dataclass(frozen=True)
-class Interval:
+class Interval(FlatDomain):
     """Bounded interval [a, b] with reflecting ends."""
 
     a: float = 0.0
@@ -85,25 +91,13 @@ class Interval:
     dim = 1
     periodic = (False,)
 
-    def __post_init__(self):
-        if not self.b > self.a:
-            raise DomainError(f"interval requires b > a, got [{self.a}, {self.b}]")
-
     @property
-    def lengths(self):
-        return (self.b - self.a,)
-
-    @property
-    def origin(self):
-        return (self.a,)
-
-    @property
-    def measure(self):
-        return self.b - self.a
+    def bounds(self):
+        return ((self.a, self.b),)
 
 
 @dataclass(frozen=True)
-class Rectangle:
+class Rectangle(FlatDomain):
     """Bounded axis-aligned rectangle [ax, bx] x [ay, by]."""
 
     ax: float = 0.0
@@ -114,24 +108,9 @@ class Rectangle:
     dim = 2
     periodic = (False, False)
 
-    def __post_init__(self):
-        if not (self.bx > self.ax and self.by > self.ay):
-            raise DomainError(
-                f"rectangle requires bx > ax and by > ay, got "
-                f"[{self.ax}, {self.bx}] x [{self.ay}, {self.by}]"
-            )
-
     @property
-    def lengths(self):
-        return (self.bx - self.ax, self.by - self.ay)
-
-    @property
-    def origin(self):
-        return (self.ax, self.ay)
-
-    @property
-    def measure(self):
-        return (self.bx - self.ax) * (self.by - self.ay)
+    def bounds(self):
+        return ((self.ax, self.bx), (self.ay, self.by))
 
 
 DomainKind = Circle | Torus2 | Interval | Rectangle
@@ -143,6 +122,11 @@ class Grid:
     Immutable after construction; safe to share across threads.  Use
     :func:`build_grid` rather than the constructor.
 
+    The cell layout lives in ``lattice``, the flat cell indices
+    ``arange(ncells)`` reshaped to ``n[::-1]``: x runs fastest, and grid
+    axis k is lattice axis ``dim - 1 - k``.  Centers, faces and
+    :meth:`shift` all read it, so no other code spells out the layout.
+
     Attributes
     ----------
     kind : DomainKind
@@ -153,6 +137,7 @@ class Grid:
     periodic : tuple of bool
     ncells : int
     cell_volumes : ndarray, shape (ncells,)
+    lattice : ndarray of int64, shape n[::-1]
     """
 
     def __init__(self, kind: DomainKind, n: tuple[int, ...]):
@@ -164,23 +149,41 @@ class Grid:
         self.ncells = int(np.prod(self.n))
         self.cell_volume = float(np.prod(self.h))
         self.cell_volumes = np.full(self.ncells, self.cell_volume)
+        self.lattice = np.arange(self.ncells, dtype=np.int64).reshape(self.n[::-1])
+        self.lattice.setflags(write=False)
         self._centers = None
         self._faces = {}
 
     # -- indexing -----------------------------------------------------
 
+    def lattice_axis(self, axis: int) -> int:
+        """The axis of :attr:`lattice` that runs along grid axis ``axis``."""
+        return self.dim - 1 - axis
+
+    def shift(self, cells: np.ndarray, axis: int, by: int) -> np.ndarray:
+        """Flat index of the cell ``by`` steps along ``axis`` from each of ``cells``, wrapping around."""
+        return np.roll(self.lattice, -by, axis=self.lattice_axis(axis)).ravel()[cells]
+
+    def _layer(self, axis: int, keep: slice, normal=None):
+        """The cells of lattice layers ``keep`` along ``axis``, and one point in each.
+
+        The point is the cell center, o + (i + 0.5) h on each axis with cell
+        index i, except that on ``axis`` it is ``normal(i)`` when given.
+        """
+        select = [slice(None)] * self.dim
+        select[self.lattice_axis(axis)] = keep
+        select = tuple(select)
+        index = np.indices(self.lattice.shape)
+        cols = []
+        for k, (o, h) in enumerate(zip(self.kind.origin, self.h)):
+            i = index[self.lattice_axis(k)][select].ravel()
+            cols.append(normal(i) if normal and k == axis else o + (i + 0.5) * h)
+        return self.lattice[select].ravel(), np.column_stack(cols)
+
     def cell_centers(self) -> np.ndarray:
         """Cell-center coordinates, shape (ncells, dim)."""
         if self._centers is None:
-            axes = [
-                o + (np.arange(k) + 0.5) * h
-                for o, k, h in zip(self.kind.origin, self.n, self.h)
-            ]
-            if self.dim == 1:
-                self._centers = axes[0][:, None]
-            else:
-                xx, yy = np.meshgrid(axes[0], axes[1], indexing="xy")
-                self._centers = np.column_stack([xx.ravel(), yy.ravel()])
+            _, self._centers = self._layer(0, slice(None))
             self._centers.setflags(write=False)
         return self._centers
 
@@ -197,100 +200,32 @@ class Grid:
         """
         key = ("interior", axis)
         if key not in self._faces:
-            self._faces[key] = self._build_interior(axis)
+            o, h = self.kind.origin[axis], self.h[axis]
+            # a bounded axis has no face beyond its last layer of cells
+            keep = slice(None) if self.periodic[axis] else slice(0, -1)
+            left, centers = self._layer(axis, keep, lambda i: o + (i + 1) * h)
+            self._faces[key] = left, self.shift(left, axis, +1), centers
         return self._faces[key]
 
     def boundary_faces(self, axis: int):
         """Boundary faces of a non-periodic axis.
 
-        Returns ``(low_cells, low_centers, high_cells, high_centers)``.
-        Empty arrays when the axis is periodic.
+        Returns ``(low_cells, low_centers, high_cells, high_centers)``: the
+        first and last lattice layers along ``axis``, with face centers at
+        ``o`` and ``o + L``.  Empty arrays when the axis is periodic.
         """
         key = ("boundary", axis)
         if key not in self._faces:
-            self._faces[key] = self._build_boundary(axis)
+            o, L = self.kind.origin[axis], self.kind.lengths[axis]
+            # a periodic axis has no walls: both layers are empty
+            low, high = (slice(0, 0),) * 2 if self.periodic[axis] else (slice(0, 1), slice(-1, None))
+            self._faces[key] = (*self._layer(axis, low, lambda i: np.full(i.shape, o)),
+                                *self._layer(axis, high, lambda i: np.full(i.shape, o + L)))
         return self._faces[key]
 
     def face_area(self, axis: int) -> float:
-        """Measure of a face normal to ``axis`` (1.0 in one dimension)."""
-        if self.dim == 1:
-            return 1.0
-        return self.h[1 - axis]
-
-    def _axis_edges(self, axis):
-        o = self.kind.origin[axis]
-        return o + np.arange(self.n[axis] + 1) * self.h[axis]
-
-    def _build_interior(self, axis):
-        n, per = self.n[axis], self.periodic[axis]
-        if self.dim == 1:
-            # periodic: n faces including the wrap at edge n (== edge 0);
-            # bounded: the n-1 internal edges only
-            left = np.arange(n) if per else np.arange(n - 1)
-            right = (left + 1) % n
-            edges = self._axis_edges(0)
-            centers = edges[left + 1][:, None]
-            return left.astype(np.int64), right.astype(np.int64), centers
-        # 2D: build per-axis neighbor pairs on the index lattice
-        nx, ny = self.n
-        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-        ix, iy = ix.ravel(), iy.ravel()
-        if axis == 0:
-            keep = np.ones_like(ix, bool) if per else (ix < nx - 1)
-            li, lj = ix[keep], iy[keep]
-            ri = (li + 1) % nx
-            left = lj * nx + li
-            right = lj * nx + ri
-            fx = self.kind.origin[0] + (li + 1) * self.h[0]
-            fy = self.kind.origin[1] + (lj + 0.5) * self.h[1]
-        else:
-            keep = np.ones_like(iy, bool) if per else (iy < ny - 1)
-            li, lj = ix[keep], iy[keep]
-            rj = (lj + 1) % ny
-            left = lj * nx + li
-            right = rj * nx + li
-            fx = self.kind.origin[0] + (li + 0.5) * self.h[0]
-            fy = self.kind.origin[1] + (lj + 1) * self.h[1]
-        order = np.argsort(left, kind="stable")
-        centers = np.column_stack([fx, fy])
-        return (
-            left[order].astype(np.int64),
-            right[order].astype(np.int64),
-            centers[order],
-        )
-
-    def _build_boundary(self, axis):
-        empty = np.empty(0, np.int64), np.empty((0, self.dim)), np.empty(0, np.int64), np.empty((0, self.dim))
-        if self.periodic[axis]:
-            return empty
-        if self.dim == 1:
-            a, b = self.kind.origin[0], self.kind.origin[0] + self.kind.lengths[0]
-            return (
-                np.array([0], np.int64),
-                np.array([[a]]),
-                np.array([self.n[0] - 1], np.int64),
-                np.array([[b]]),
-            )
-        nx, ny = self.n
-        ox, oy = self.kind.origin
-        if axis == 0:
-            rows = np.arange(ny)
-            low = rows * nx
-            high = rows * nx + (nx - 1)
-            ys = oy + (rows + 0.5) * self.h[1]
-            low_c = np.column_stack([np.full(ny, ox), ys])
-            high_c = np.column_stack([np.full(ny, ox + self.kind.lengths[0]), ys])
-        else:
-            cols = np.arange(nx)
-            low = cols
-            high = (ny - 1) * nx + cols
-            xs = ox + (cols + 0.5) * self.h[0]
-            low_c = np.column_stack([xs, np.full(nx, oy)])
-            high_c = np.column_stack([xs, np.full(nx, oy + self.kind.lengths[1])])
-        return low.astype(np.int64), low_c, high.astype(np.int64), high_c
-
-    def _shape(self):
-        return (self.n[0],) if self.dim == 1 else (self.n[1], self.n[0])
+        """Measure of a face normal to ``axis``: the product of the other spacings."""
+        return math.prod((h for k, h in enumerate(self.h) if k != axis), start=1.0)
 
     @property
     def faces(self):

@@ -174,16 +174,6 @@ class FokkerPlanckOperator:
         return f"FokkerPlanckOperator(n={self.shape[0]}, eps={self.eps}, bc={self.bc})"
 
 
-def _tangential_neighbors(grid: Grid, cells: np.ndarray, axis: int, shift: int) -> np.ndarray:
-    nx = grid.n[0]
-    if axis == 0:
-        ix = cells % nx
-        return cells - ix + (ix + shift) % nx
-    ny = grid.n[1]
-    iy = cells // nx
-    return ((iy + shift) % ny) * nx + cells % nx
-
-
 def assemble_fp_operator(dd: DriftDiffusionData, grid: Grid) -> FokkerPlanckOperator:
     """Assemble the finite-volume matrix from flux-form coefficients.
 
@@ -232,10 +222,10 @@ def assemble_fp_operator(dd: DriftDiffusionData, grid: Grid) -> FokkerPlanckOper
             a_jk = e2half * 0.5 * (dd.a[left, axis, tang] + dd.a[right, axis, tang])
             w = a_jk * area / (4.0 * grid.h[tang] * vol)
             stencil = [
-                (_tangential_neighbors(grid, left, tang, +1), +w),
-                (_tangential_neighbors(grid, left, tang, -1), -w),
-                (_tangential_neighbors(grid, right, tang, +1), +w),
-                (_tangential_neighbors(grid, right, tang, -1), -w),
+                (grid.shift(left, tang, +1), +w),
+                (grid.shift(left, tang, -1), -w),
+                (grid.shift(right, tang, +1), +w),
+                (grid.shift(right, tang, -1), -w),
             ]
             # cross flux(L->R) = -sum(coef * u_neighbor); rate -flux into L, +flux into R
             for nbr, coef in stencil:

@@ -271,6 +271,8 @@ def test_cli_check_passes_for_coordinate_noise(tmp_path):
                  id="fractional-axis"),
     pytest.param(ROTATION, "catalog = torus-rotation", "bx = const:1\nu0 = affine:axis=3,slope=1", 8, "u0",
                  id="axis-out-of-range"),
+    pytest.param(MINIMAL, "kind = coordinate", "kind = explicit\na1 = const:1\na3 = const:1", 12, "a3",
+                 id="gap-in-diffusion-fields"),
 ])
 def test_keys_read_other_than_written_are_errors(tmp_path, capsys, text, old, new, line, key):
     text = text.replace(old, new)
@@ -279,6 +281,24 @@ def test_keys_read_other_than_written_are_errors(tmp_path, capsys, text, old, ne
     assert [(ln, k) for ln, k, _ in info.value.locations] == [(line, key)]
     assert main(["stationary", "--config", write_config(tmp_path, text), "--quiet"]) == 1
     assert f"line {line}, {key}: " in capsys.readouterr().err
+
+
+def test_gap_in_diffusion_fields_names_the_missing_key():
+    text = MINIMAL.replace("kind = coordinate", "kind = explicit\na2 = const:1")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [(line, key) for line, key, _ in info.value.locations] == [(11, "a2")]
+    assert "a1 is missing" in str(info.value)
+
+
+def test_bad_domain_kind_reports_only_the_domain_error():
+    text = (ROTATION.replace("kind = torus2", "kind = toruss")
+            .replace("catalog = torus-rotation", "bx = cos:axis=1,freq=1\nby = const:0\nu0 = const:1")
+            .replace("kind = coordinate", "kind = explicit\na1 = const:1; const:0\na2 = const:0; const:1")
+            .replace("kind = stability", "kind = stability\ntarget = cos:axis=1,freq=1,offset=2"))
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [(line, key) for line, key, _ in info.value.locations] == [(2, "kind")]
 
 
 def test_omitted_drift_component_is_zero_on_its_own_axis():

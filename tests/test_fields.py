@@ -6,6 +6,7 @@ import pytest
 
 from noisyflow.errors import CatalogError, PositivityError
 from noisyflow.fields import (
+    Affine,
     Const,
     ConservativeSystem,
     NoiseFamily,
@@ -23,7 +24,7 @@ from noisyflow.fields import (
     diffusion_matrix,
     transform_div_free,
 )
-from noisyflow.geometry import Circle, Torus2, build_grid
+from noisyflow.geometry import Circle, Rectangle, Torus2, build_grid
 
 
 def simpson(f, a, b, panels):
@@ -92,6 +93,26 @@ def test_admissible_vanishing_field_fails_A2():
     report = check_admissible(nf, g, p=3.0)
     assert report.lam <= 1e-12
     assert not report.passes_A2
+
+
+def test_admissible_non_square_rectangle_differentiates_along_each_axis():
+    # linear fields: the centered and one-sided differences are exact, so
+    # |grad A1|^2 = 4 and |grad A2|^2 = 9 in every cell, walls included
+    g = build_grid(Rectangle(0.0, 2.0, -1.0, 0.0), (8, 5))
+    a1 = VectorField([Affine(0, 2.0, 1.0), Const(0.0)])
+    a2 = VectorField([Const(0.0), Affine(1, 3.0, 4.0)])
+    nf = NoiseFamily(2, VectorField.zero(2), [a1, a2], [0.5])
+    p = 4.0
+    x, y = g.cell_centers().T
+    vol = g.cell_volume
+    expected = max(
+        (np.sum(np.abs(2 * x + 1) ** p * vol) + 4.0 ** (p / 2) * 2.0) ** (1 / p),
+        (np.sum(np.abs(3 * y + 4) ** p * vol) + 9.0 ** (p / 2) * 2.0) ** (1 / p),
+    )
+    report = check_admissible(nf, g, p=p)
+    assert abs(report.sup_norm_bound - expected) <= 1e-12 * expected
+    lam = min(np.min((2 * x + 1) ** 2), np.min((3 * y + 4) ** 2))
+    assert abs(report.lam - lam) <= 1e-12 * lam
 
 
 def test_admissible_p_must_exceed_dimension():

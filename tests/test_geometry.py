@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisyflow.errors import DomainError, ResolutionError
+from noisyflow.config import DOMAINS, parse_config
+from noisyflow.errors import ConfigError, DomainError, ResolutionError
 from noisyflow.geometry import (
     Circle,
+    Grid,
     Interval,
     Rectangle,
     Torus2,
@@ -138,3 +142,61 @@ def test_cell_centers_lexicographic_x_fastest():
     assert np.allclose(centers[0], [0.125, 0.125])
     assert np.allclose(centers[1], [0.375, 0.125])  # x moves first
     assert np.allclose(centers[4], [0.125, 0.375])
+
+
+@pytest.mark.parametrize("kind, values", [
+    ("circle", (math.nan,)), ("circle", (math.inf,)), ("circle", (0.0,)),
+    ("torus2", (1.0, math.nan)), ("torus2", (math.inf, 1.0)), ("torus2", (1.0, 0.0)),
+    ("interval", (0.0, math.nan)), ("interval", (0.0, math.inf)), ("interval", (1.0, 0.0)),
+    ("rectangle", (0.0, 1.0, math.nan, 1.0)), ("rectangle", (0.0, math.inf, 0.0, 1.0)),
+    ("rectangle", (0.0, 1.0, 1.0, 0.0)),
+])
+def test_domain_sides_must_be_finite_and_ordered(kind, values):
+    cls, key = DOMAINS[kind]
+    with pytest.raises(DomainError):
+        cls(*values)
+    text = (f"[domain]\nkind = {kind}\n{key} = {', '.join(map(str, values))}\nn = 8\n\n"
+            f"[noise]\neps = 0.5\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [(line, k) for line, k, _ in info.value.locations] == [(3, key)]
+
+
+def test_rectangle_lattice_faces_on_a_non_square_grid():
+    # 3 x 2 cells, flat index j * 3 + i; h = (0.5, 1.0)
+    kind = Rectangle(1.0, 2.5, -1.0, 1.0)
+    g = Grid(kind, (3, 2))
+    assert g.cell_centers().tolist() == [[1.25, -0.5], [1.75, -0.5], [2.25, -0.5],
+                                         [1.25, 0.5], [1.75, 0.5], [2.25, 0.5]]
+    left, right, centers = g.interior_faces(0)
+    assert left.tolist() == [0, 1, 3, 4] and right.tolist() == [1, 2, 4, 5]
+    assert centers.tolist() == [[1.5, -0.5], [2.0, -0.5], [1.5, 0.5], [2.0, 0.5]]
+    left, right, centers = g.interior_faces(1)
+    assert left.tolist() == [0, 1, 2] and right.tolist() == [3, 4, 5]
+    assert centers.tolist() == [[1.25, 0.0], [1.75, 0.0], [2.25, 0.0]]
+    (ox, oy), (lx, ly) = kind.origin, kind.lengths
+    low, low_c, high, high_c = g.boundary_faces(0)
+    assert low.tolist() == [0, 3] and high.tolist() == [2, 5]
+    assert low_c.tolist() == [[ox, -0.5], [ox, 0.5]]
+    assert high_c.tolist() == [[ox + lx, -0.5], [ox + lx, 0.5]]
+    low, low_c, high, high_c = g.boundary_faces(1)
+    assert low.tolist() == [0, 1, 2] and high.tolist() == [3, 4, 5]
+    assert low_c.tolist() == [[1.25, oy], [1.75, oy], [2.25, oy]]
+    assert high_c.tolist() == [[1.25, oy + ly], [1.75, oy + ly], [2.25, oy + ly]]
+    assert (g.face_area(0), g.face_area(1)) == (1.0, 0.5)
+
+
+def test_torus_lattice_faces_on_a_non_square_grid():
+    # 3 x 2 cells, h = (0.5, 1.0); each axis has one wrap face per lattice row
+    g = Grid(Torus2(1.5, 2.0), (3, 2))
+    left, right, centers = g.interior_faces(0)
+    assert left.tolist() == [0, 1, 2, 3, 4, 5] and right.tolist() == [1, 2, 0, 4, 5, 3]
+    assert centers.tolist() == [[0.5, 0.5], [1.0, 0.5], [1.5, 0.5], [0.5, 1.5], [1.0, 1.5], [1.5, 1.5]]
+    left, right, centers = g.interior_faces(1)
+    assert left.tolist() == [0, 1, 2, 3, 4, 5] and right.tolist() == [3, 4, 5, 0, 1, 2]
+    assert centers.tolist() == [[0.25, 1.0], [0.75, 1.0], [1.25, 1.0], [0.25, 2.0], [0.75, 2.0], [1.25, 2.0]]
+    for axis in range(2):
+        low, low_c, high, high_c = g.boundary_faces(axis)
+        assert low.shape == high.shape == (0,) and low_c.shape == high_c.shape == (0, 2)
+    assert g.shift(np.arange(6), 0, -1).tolist() == [2, 0, 1, 5, 3, 4]
+    assert g.shift(np.arange(6), 1, +1).tolist() == [3, 4, 5, 0, 1, 2]

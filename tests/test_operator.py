@@ -197,6 +197,25 @@ def test_cross_diffusion_flagged_and_conservative():
     assert np.max(np.abs(rep.density.values - 1.0)) <= 1e-9
 
 
+def test_cross_diffusion_on_a_non_square_torus_is_conservative_and_second_order():
+    # a = [[1, 0.5], [0.5, 1.25]]; zero drift, so M u = (eps^2/2) div(a grad u)
+    lx, ly, eps = 1.5, 1.0, 0.5
+    a1 = VectorField.constant([1.0, 0.5])
+    a2 = VectorField.constant([0.0, 1.0])
+    k = 2 * np.pi * np.array([1 / lx, 1 / ly])
+    k_a_k = k @ np.array([[1.0, 0.5], [0.5, 1.25]]) @ k
+    errors = []
+    for n in ((12, 10), (24, 20)):
+        g = build_grid(Torus2(lx, ly), n)
+        nf = NoiseFamily(2, VectorField.zero(2), [a1, a2], [eps])
+        op = assemble_for(builtin_catalog("zero-drift", g), nf, eps)
+        assert op.has_cross_diffusion
+        assert op.column_sum_max() <= 1e-13 * op.inf_norm()
+        u = np.cos(g.cell_centers() @ k)
+        errors.append(np.max(np.abs(op.apply(u) + 0.5 * eps ** 2 * k_a_k * u)))
+    assert 3.6 <= errors[0] / errors[1] <= 4.4
+
+
 def test_cross_diffusion_requires_spd():
     g = build_grid(Torus2(), (8, 8))
     sys = builtin_catalog("zero-drift", g)
