@@ -99,7 +99,7 @@ def evolve(op: FokkerPlanckOperator, v0: Density, horizon: float, dt: float,
         lhs = (eye - 0.5 * dt * m).tocsc()
         rhs_mat = (eye + 0.5 * dt * m).tocsr()
     try:
-        lu = factorize(lhs)
+        lu = factorize(lhs, grid.dim)
     except RuntimeError as exc:
         raise SolveError(f"time-step factorization failed: {exc}") from exc
 

@@ -7,8 +7,10 @@ matrix stays sparse; it is factorized by :func:`factorize` and the
 solution is normalized to unit mass afterwards.  An inverse-power
 iteration is kept as an independent cross-check and as a fallback when
 the factorization reports singularity.  :func:`factorize` is the one
-place the package calls SuperLU, with a fill-reducing ordering and
-diagonal pivots; the time stepper uses it too.
+place the package calls SuperLU, with diagonal pivots and an ordering
+chosen by the grid's dimension: minimum degree on A^T + A in 2D, the
+natural order in 1D, where the matrix is (cyclically) tridiagonal and
+the natural order already fills least.  The time stepper uses it too.
 
 The 1D oracles integrate the stationary balance
 
@@ -26,14 +28,19 @@ backward-integrated form
     J1(x) = int_x^L e^{Phi(x) - Phi(s)} ds,
     J2(x) = int_0^x e^{Phi(x) - Phi(L) - Phi(s)} ds,
 
-whose exponents are all nonpositive for positive drift; N > 0 comes from
-normalization and C = -eps^2 N (1 - e^{-Phi(L)}) / 2.  Phi itself is a
-cumulative composite Simpson integral on a panel grid aligned with the
-cell centers.
+with N > 0 from normalization and C = -eps^2 N (1 - e^{-Phi(L)}) / 2.
+Where B + eps^2 b > 0 every exponent is nonpositive.  B > 0 does not
+imply that: eps^2 b may be negative on an arc, where Phi falls, and J1's
+exponents are then positive by at most the fall.  J1 is therefore summed
+over blocks on which Phi ranges by a bounded amount, each scaled by its
+own largest Phi, so no exponential overflows even where e^{Phi(L)} would.
+Phi itself is a cumulative composite Simpson integral on a panel grid
+aligned with the cell centers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,14 +100,22 @@ class StationaryReport:
     iterations: int
 
 
-def factorize(matrix: sp.spmatrix) -> spla.SuperLU:
+def factorize(matrix: sp.spmatrix, dim: int) -> spla.SuperLU:
     """Sparse LU of ``matrix`` with a fill-reducing ordering and diagonal pivots.
 
     Every factorization in the package goes through here: the pinned
     stationary matrix, the generator itself in inverse iteration, and the
-    time-step matrices (I - dt M) and (I - dt/2 M).  The columns are
+    time-step matrices (I - dt M) and (I - dt/2 M).  ``dim`` is the
+    dimension of the grid the matrix lives on.  In 2D the columns are
     ordered by minimum degree on the pattern of A^T + A, applied
-    symmetrically, and the pivots are taken on the diagonal.
+    symmetrically, which halves the fill of the factor.  In 1D the
+    matrix is tridiagonal on an interval and tridiagonal plus the two
+    wrap corners on a circle, and the natural order is already near
+    minimum fill: an interval factors without fill, a circle fills only
+    a last row and column.  Minimum degree costs more than it saves there
+    and fills more: 196574 against 146797 nnz(L+U) on the pinned 2^15-cell
+    circle-positive matrix at eps = 0.2 (COLAMD: 163834).  The pivots are
+    taken on the diagonal in both cases.
 
     Skipping the pivot search is safe for these matrices (without cross
     diffusion).  M has zero column sums and nonnegative off-diagonal
@@ -112,15 +127,15 @@ def factorize(matrix: sp.spmatrix) -> spla.SuperLU:
     pinned matrix is weakly chained column diagonally dominant, hence
     nonsingular.  (I - dt M) and (I - dt/2 M) are
     strictly column diagonally dominant for any dt > 0.  A symmetric
-    permutation keeps column dominance, and Gaussian elimination with
-    diagonal pivots on a nonsingular column diagonally dominant matrix
-    is stable: every Schur complement stays column dominant and the
-    growth factor is at most two.  The ordering, not the pivoting, is
-    what halves the fill of a 2D factor.
+    permutation (minimum degree or the identity) keeps column dominance,
+    and Gaussian elimination with diagonal pivots on a nonsingular column
+    diagonally dominant matrix is stable: every Schur complement stays
+    column dominant and the growth factor is at most two.
 
     Raises ``RuntimeError`` when SuperLU meets an exactly singular matrix.
     """
-    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    ordering = "NATURAL" if dim == 1 else "MMD_AT_PLUS_A"
+    return spla.splu(matrix.tocsc(), permc_spec=ordering, diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
 
 
@@ -146,10 +161,10 @@ def pinned_system(matrix: sp.csr_matrix):
 def _inverse_iteration(matrix: sp.csr_matrix, grid: Grid, tol: float, maxiter: int):
     mat_norm = float(np.max(np.abs(matrix).sum(axis=1)))
     try:
-        lu = factorize(matrix)
+        lu = factorize(matrix, grid.dim)
     except RuntimeError:
         jitter = 1e-14 * mat_norm
-        lu = factorize(matrix + jitter * sp.identity(grid.ncells, format="csr"))
+        lu = factorize(matrix + jitter * sp.identity(grid.ncells, format="csr"), grid.dim)
     v = np.full(grid.ncells, 1.0 / grid.total_measure())
     for it in range(1, maxiter + 1):
         v = lu.solve(v)
@@ -179,7 +194,7 @@ def solve_stationary(op: FokkerPlanckOperator, method: str = "direct",
     if method == "direct":
         pinned, rhs = pinned_system(op.matrix)
         try:
-            u = factorize(pinned).solve(rhs)
+            u = factorize(pinned, grid.dim).solve(rhs)
             u /= np.sum(u) * grid.cell_volume  # unit mass, the scale the positivity slack assumes
         except RuntimeError:
             u, iterations = _inverse_iteration(op.matrix, grid, tol, maxiter)
@@ -234,6 +249,14 @@ def discrete_w12_seminorm(u: Density) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: Most panels one block of the backward sum spans.
+J1_BLOCK = 4096
+
+#: Largest range of Phi over one block of the backward sum: e^300 ~ 1e130
+#: leaves the block's scaled partial sums far from overflow.
+J1_BLOCK_SPAN = 300.0
+
+
 def _oracle_coefficients(a0: VectorField, ai: list[VectorField]):
     a_form: ScalarForm = Const(0.0)
     b_form: ScalarForm = a0.components[0]
@@ -285,73 +308,133 @@ def _resolve_quad(grid: Grid, quad_n):
     return quad_n
 
 
+def _exponent(drift: VectorField, a0: VectorField, ai: list[VectorField], eps: float,
+              grid: Grid, quad: int):
+    """The oracles' exponent on ``quad`` Simpson panels over the 1D domain of ``grid``.
+
+    Returns ``(b_min, a_edges, psi_edges, psi_mids, phi, phi_mid)``: the
+    least drift B over all panel nodes, a at the panel edges,
+    psi = 2 (B + eps^2 b) / (eps^2 a) at the edges and midpoints, and
+    Phi = int_origin^x psi at the edges and midpoints.
+    """
+    a_form, b_form = _oracle_coefficients(a0, ai)
+    e2 = eps * eps
+
+    def sample(x):
+        a = a_form(x)
+        if np.any(a <= 0.0):
+            raise PositivityError("total diffusion a must be positive")
+        b = drift.components[0](x)
+        return a, float(b.min()), 2.0 * (b + e2 * b_form(x)) / (e2 * a)
+
+    (origin,), (length,) = grid.kind.origin, grid.kind.lengths
+    edges, mids = _quad_nodes(origin, length, quad)
+    a_edges, b_min_edges, psi_edges = sample(edges)
+    _, b_min_mids, psi_mids = sample(mids)
+    delta = length / quad
+    phi = _cumulative_simpson(psi_edges, psi_mids, delta)
+    phi_mid = phi[:-1] + _half_panel(psi_edges, psi_mids, delta)
+    return min(b_min_edges, b_min_mids), a_edges, psi_edges, psi_mids, phi, phi_mid
+
+
+def _at_centers(edge_values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Samples of the panel-edge values at the cell centers of ``grid``."""
+    n = grid.n[0]
+    stride = (len(edge_values) - 1) // n
+    return edge_values[stride * np.arange(n) + stride // 2]
+
+
+def _backward_sum(local: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """J1[j] = sum_{k >= j} local[k] e^{Phi[j] - Phi[k]}, with J1[-1] = 0.
+
+    The closed form of the recurrence J1[j] = local[j] + e^{Phi[j] -
+    Phi[j+1]} J1[j+1], evaluated block by block from the right.  A block
+    spans at most ``J1_BLOCK`` panels and is halved until Phi ranges over
+    at most ``J1_BLOCK_SPAN`` on its edges.  Inside it, with Phi_ref the
+    block's largest Phi, the reversed cumulative sum of
+    local e^{Phi_ref - Phi} plus the carried right edge value
+    J1[end] e^{Phi_ref - Phi[end]} is scaled back by e^{Phi - Phi_ref}.
+    Every exponent lies in [-J1_BLOCK_SPAN, J1_BLOCK_SPAN] whatever the
+    sign of Phi's slope (unless Phi moves by more than that within one
+    panel), so nothing overflows even when e^{Phi(L)} would.
+    """
+    j1 = np.zeros(len(phi))
+    end = len(local)
+    while end > 0:
+        start = max(0, end - J1_BLOCK)
+        while end - start > 1 and np.ptp(phi[start:end + 1]) > J1_BLOCK_SPAN:
+            start = end - (end - start) // 2
+        ref = float(np.max(phi[start:end + 1]))
+        scaled = np.exp(ref - phi[start:end])
+        scaled *= local[start:end]
+        sums = np.cumsum(scaled[::-1])[::-1]
+        sums += math.exp(ref - phi[end]) * j1[end]
+        np.exp(phi[start:end] - ref, out=scaled)
+        np.multiply(scaled, sums, out=j1[start:end])
+        end = start
+    return j1
+
+
 def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
                      eps: float, grid: Grid, quad_n: int | None = None):
     """Closed-form stationary density on the circle; returns (u, C_eps).
 
     ``u`` holds cell-center samples on ``grid``.  Requires B > 0 on the
-    whole circle and positive total diffusion a.  The returned constant
-    satisfies C_eps = -int (B + eps^2 b) u, which is re-verified against
-    the quadrature before returning.
+    whole circle and positive total diffusion a; B + eps^2 b may change
+    sign, so Phi need not be monotone.  J1 is the backward sum of
+    :func:`_backward_sum`, which keeps every exponent within a bounded
+    range, and J2 = e^{Phi - Phi(L)} int_0^x e^{-Phi} is added into it in
+    place.  The returned constant satisfies C_eps = -int (B + eps^2 b) u,
+    which is re-verified against the quadrature before returning.
     """
     if not isinstance(grid.kind, Circle):
         raise ValueError("circle oracle needs a Circle grid")
     quad = _resolve_quad(grid, quad_n)
-    L = grid.kind.length
-    delta = L / quad
-    edges, mids = _quad_nodes(0.0, L, quad)
-
-    a_form, b_form = _oracle_coefficients(a0, ai)
-    b_edges, b_mids = drift.components[0](edges), drift.components[0](mids)
-    if np.any(b_edges <= 0.0) or np.any(b_mids <= 0.0):
-        raise PositivityError("circle oracle requires B > 0 everywhere")
-    a_edges, a_mids = a_form(edges), a_form(mids)
-    if np.any(a_edges <= 0.0) or np.any(a_mids <= 0.0):
-        raise PositivityError("total diffusion a must be positive")
-    corr_edges, corr_mids = b_form(edges), b_form(mids)
+    delta = grid.kind.length / quad
     e2 = eps * eps
-    psi_edges = 2.0 * (b_edges + e2 * corr_edges) / (e2 * a_edges)
-    psi_mids = 2.0 * (b_mids + e2 * corr_mids) / (e2 * a_mids)
-
-    phi = _cumulative_simpson(psi_edges, psi_mids, delta)
-    phi_mid = phi[:-1] + _half_panel(psi_edges, psi_mids, delta)
-    phi_total = phi[-1]
+    b_min, a_edges, psi_edges, psi_mids, phi, phi_mid = _exponent(drift, a0, ai, eps, grid, quad)
+    if b_min <= 0.0:
+        raise PositivityError("circle oracle requires B > 0 everywhere")
+    psi_max = max(float(np.max(np.abs(psi_edges))), float(np.max(np.abs(psi_mids))))
+    del psi_mids
+    phi_total = float(phi[-1])
     # |1 - e^{Phi(L)}| < 1e-14 iff |Phi(L)| < ~1e-14; test the exponent to
     # avoid overflowing e^{Phi(L)} at small eps
     if abs(phi_total) < 1e-14:
         raise DegenerateError("periodic oracle is singular: net drift integral vanishes")
 
-    # backward recurrence for J1 (exponents scaled to the left panel edge)
-    decay = np.exp(-(phi[1:] - phi[:-1]))
-    local = (delta / 6.0) * (1.0 + 4.0 * np.exp(-(phi_mid - phi[:-1])) + decay)
-    j1 = np.zeros(quad + 1)
-    for j in range(quad - 1, -1, -1):
-        j1[j] = local[j] + decay[j] * j1[j + 1]
+    # Simpson over each panel of e^{Phi(left edge) - Phi}
+    local = np.exp(phi[:-1] - phi_mid)
+    local *= 4.0
+    local += 1.0
+    local += np.exp(phi[:-1] - phi[1:])
+    local *= delta / 6.0
+    w = _backward_sum(local, phi)
+    del local
 
-    # forward cumulative of e^{-Phi} for the wrap term J2
-    exp_neg = np.exp(-phi)
-    exp_neg_mid = np.exp(-phi_mid)
-    big_e = _cumulative_simpson(exp_neg, exp_neg_mid, delta)
-    j2 = np.exp(phi - phi_total) * big_e
+    # w = J1 + J2, with J2 = e^{Phi - Phi(L)} int_0^x e^{-Phi}
+    wrap = _cumulative_simpson(np.exp(-phi), np.exp(-phi_mid), delta)
+    del phi_mid
+    phi -= phi_total
+    np.exp(phi, out=phi)
+    wrap *= phi
+    del phi
+    w += wrap
+    del wrap
 
-    w_unnorm = j1 + j2
-    u_unnorm = w_unnorm / a_edges
-    z = _simpson_on_edges(u_unnorm, delta)
-    scale = 1.0 / z
+    # (B + eps^2 b) u = (eps^2 / 2) psi w / Z
+    flux = _simpson_on_edges(psi_edges * w, delta)
+    w /= a_edges
+    scale = 1.0 / _simpson_on_edges(w, delta)
     c_eps = -0.5 * e2 * scale * -np.expm1(-phi_total)
-
-    u_edges = scale * u_unnorm
-    check = _simpson_on_edges((b_edges + e2 * corr_edges) * u_edges, delta)
+    check = 0.5 * e2 * scale * flux
     # Simpson's panel error on the boundary-layer kernels scales like
     # (psi delta)^4 / 2880; allow an order of magnitude of headroom
-    psi_max = max(float(np.max(np.abs(psi_edges))), float(np.max(np.abs(psi_mids))))
     quad_tol = max(1e-10, 10.0 * (psi_max * delta) ** 4 / 2880.0)
     if abs(c_eps + check) > quad_tol * max(abs(c_eps), 1.0):
         raise SolveError(f"oracle self-check failed: C={c_eps} vs -int (B+eps^2 b) u = {-check}")
-
-    stride = quad // grid.n[0]
-    centers_idx = stride * np.arange(grid.n[0]) + stride // 2
-    return u_edges[centers_idx], float(c_eps)
+    w *= scale
+    return _at_centers(w, grid), float(c_eps)
 
 
 def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField],
@@ -370,22 +453,8 @@ def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField
     if np.max(np.abs(b_ends)) > 1e-12:
         raise BoundaryError(f"drift must vanish at the endpoints, got B(a), B(b) = {tuple(b_ends)}")
     quad = _resolve_quad(grid, quad_n)
-    L = kind.lengths[0]
-    delta = L / quad
-    edges, mids = _quad_nodes(kind.a, L, quad)
-
-    a_form, b_form = _oracle_coefficients(a0, ai)
-    a_edges, a_mids = a_form(edges), a_form(mids)
-    if np.any(a_edges <= 0.0) or np.any(a_mids <= 0.0):
-        raise PositivityError("total diffusion a must be positive")
-    e2 = eps * eps
-    psi_edges = 2.0 * (drift.components[0](edges) + e2 * b_form(edges)) / (e2 * a_edges)
-    psi_mids = 2.0 * (drift.components[0](mids) + e2 * b_form(mids)) / (e2 * a_mids)
-    phi = _cumulative_simpson(psi_edges, psi_mids, delta)
+    _, a_edges, _, _, phi, _ = _exponent(drift, a0, ai, eps, grid, quad)
     phi -= phi.max()
     u_unnorm = np.exp(phi) / a_edges
-    z = _simpson_on_edges(u_unnorm, delta)
-    u_edges = u_unnorm / z
-    stride = quad // grid.n[0]
-    centers_idx = stride * np.arange(grid.n[0]) + stride // 2
-    return u_edges[centers_idx]
+    z = _simpson_on_edges(u_unnorm, kind.lengths[0] / quad)
+    return _at_centers(u_unnorm / z, grid)

@@ -21,6 +21,8 @@ from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
 from noisyflow.operator import assemble_for
 from noisyflow.stationary import (
     Density,
+    _backward_sum,
+    _exponent,
     discrete_w12_seminorm,
     factorize,
     oracle_1d_circle,
@@ -119,16 +121,22 @@ def dense_row_reference(op):
     return spla.splu(replaced.tocsc(), permc_spec="COLAMD").solve(rhs)
 
 
+def selecting_noise(grid, epsilons):
+    """Noise under which zero drift has the stationary density 1 + cos(2 pi x) / 2."""
+    return construct_selecting_noise(Trig("cos", 0, 1, 0.5, 1.0, 1.0), grid, epsilons)
+
+
 SOLVER_CASES = [
-    (Torus2(), (48, 48), "hamiltonian-cellular", 0.2),
-    (Circle(), 256, "circle-positive", 0.1),
+    (Torus2(), (48, 48), "hamiltonian-cellular", 0.2, unit_noise),
+    (Circle(), 256, "circle-positive", 0.1, unit_noise),
+    (Interval(), 256, "zero-drift", 0.2, selecting_noise),
 ]
 
 
-@pytest.mark.parametrize("kind, n, name, eps", SOLVER_CASES)
-def test_direct_solve_matches_inverse_iteration_and_dense_row(kind, n, name, eps):
+@pytest.mark.parametrize("kind, n, name, eps, noise", SOLVER_CASES)
+def test_direct_solve_matches_inverse_iteration_and_dense_row(kind, n, name, eps, noise):
     g = build_grid(kind, n)
-    op = assemble_for(builtin_catalog(name, g), unit_noise(g, [eps]), eps)
+    op = assemble_for(builtin_catalog(name, g), noise(g, [eps]), eps)
     direct = solve_stationary(op)
     assert direct.method == "direct"
     u = direct.density.values
@@ -153,20 +161,29 @@ def test_direct_solve_never_falls_back_on_the_catalog(eps):
     assert solved == 8  # circle-positive, three torus systems, zero-drift on four domains
 
 
-@pytest.mark.parametrize("kind, name", [(Torus2(), "hamiltonian-cellular"),
-                                        (Rectangle(), "zero-drift")])
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("kind, name", [(Torus2(), "hamiltonian-cellular"), (Rectangle(), "zero-drift"),
+                                        (Circle(), "circle-positive"), (Interval(), "zero-drift")])
 def test_factorize_fills_less_than_colamd_with_partial_pivoting(kind, name):
-    # in 2D only: on a 1D circle COLAMD's fill is ~17% lower, on a tiny factor
-    g = build_grid(kind, (48, 48))
+    g = build_grid(kind, (48,) * len(kind.lengths))
     eps = 0.2
     op = assemble_for(builtin_catalog(name, g), unit_noise(g, [eps]), eps)
     pinned, _ = pinned_system(op.matrix)
     step = sp.identity(g.ncells, format="csr") - 0.01 * op.matrix
     for matrix in (pinned, step):
-        ours = factorize(matrix)
-        colamd = spla.splu(matrix.tocsc(), permc_spec="COLAMD")
-        fill, colamd_fill = ours.L.nnz + ours.U.nnz, colamd.L.nnz + colamd.U.nnz
-        assert fill < colamd_fill
+        ours = fill(factorize(matrix, g.dim))
+        colamd = fill(spla.splu(matrix.tocsc(), permc_spec="COLAMD"))
+        assert ours <= fill(factorize(matrix, 2))  # no more than the 2D minimum-degree order
+        if isinstance(kind, Circle) and matrix is step:
+            # the pattern is a cycle: every elimination order adds the same n - 3 chords
+            assert ours == colamd
+        else:
+            assert ours < colamd
+    if isinstance(kind, Circle):  # on an interval minimum degree finds the fill-free order too
+        assert fill(factorize(pinned, 1)) < fill(factorize(pinned, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +253,41 @@ def test_oracle_self_consistency_across_eps():
         u, c_eps = oracle_1d_circle(sys.drift, nf.a0(eps), nf.ai(eps), eps, g)
         assert np.all(u > 0.0)
         assert c_eps < 0.0
+
+
+def reference_j1(local, phi):
+    """The backward recurrence the blocked closed form replaces, one panel at a time."""
+    j1 = np.zeros(len(phi))
+    for j in range(len(local) - 1, -1, -1):
+        j1[j] = local[j] + math.exp(phi[j] - phi[j + 1]) * j1[j + 1]
+    return j1
+
+
+@pytest.mark.parametrize("case", ["overflowing", "non-monotone"])
+def test_oracle_backward_sum_matches_the_recurrence(case):
+    g = build_grid(Circle(), 256)
+    if case == "overflowing":
+        eps = 0.05
+        drift = builtin_catalog("circle-positive", g).drift
+        nf = unit_noise(g, [eps])
+        a0, ai = nf.a0(eps), nf.ai(eps)
+    else:
+        # B = 2 + sin 2 pi x > 0, but B + eps^2 b < 0 on an arc
+        eps = 0.9
+        drift = VectorField([Trig("sin", 0, 1, 1.0, 2.0, 1.0)])
+        a0, ai = VectorField.zero(1), [VectorField([Trig("cos", 0, 1, 0.9, 1.0, 1.0)])]
+    quad = 8 * 256
+    delta = 1.0 / quad
+    *_, phi, phi_mid = _exponent(drift, a0, ai, eps, g, quad)
+    if case == "overflowing":
+        assert phi[-1] > 710.0  # e^{Phi(L)} overflows a double
+    else:
+        assert np.min(np.diff(phi)) < 0.0
+    local = (delta / 6.0) * (1.0 + 4.0 * np.exp(phi[:-1] - phi_mid) + np.exp(phi[:-1] - phi[1:]))
+    ref = reference_j1(local, phi)
+    assert np.max(np.abs(_backward_sum(local, phi) - ref)) <= 1e-12 * np.max(ref)
+    u, c_eps = oracle_1d_circle(drift, a0, ai, eps, g)  # raises unless the self-check passes
+    assert np.all(u > 0.0) and c_eps < 0.0
 
 
 # ---------------------------------------------------------------------------
