@@ -9,6 +9,16 @@ column sums rather than of the LU solve.  Crank-Nicolson is available
 behind a flag for rate-accuracy studies (halved temporal bias, no
 positivity guarantee).
 
+:func:`evolve` advances one density or a block of them with one
+factorization of the step matrix, one multi-RHS triangular solve per
+solve and one sparse product per product; the decay study sends both
+of its perturbation modes through one call per eps.  The refinement
+pass doubles the cost of a step and stays for a measured reason:
+without it the 40^2 Crank-Nicolson decay benchmark takes about half
+the CPU time, but the 32-cell zero-drift circle decay (eps 0.5 and
+0.25, implicit Euler, horizon factor 40) drifts in mass by 1.35e-12,
+over the decay study's 1e-12 gate; with the pass it drifts by 6.7e-13.
+
 The chi^2 distance is measured against the operator's own discrete
 stationary density.  With that pairing the distance is provably
 non-increasing along both continuous time and implicit Euler steps for
@@ -18,6 +28,7 @@ test suite asserts step by step.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +46,12 @@ CHI2_FLOOR = 1e-13
 
 @dataclass
 class EvolutionTrace:
-    """Per-step record of a Cauchy evolution."""
+    """Per-step record of a Cauchy evolution, or of a block of them.
+
+    ``times`` is 1D and shared.  The other arrays have shape
+    (nsteps + 1,) for one evolution and (k, nsteps + 1) for a block of k,
+    whose member j is ``trace[j]``.
+    """
 
     times: np.ndarray
     chi2: np.ndarray
@@ -43,12 +59,17 @@ class EvolutionTrace:
     min_v: np.ndarray
     eps: float | None = None
 
+    def __getitem__(self, j: int) -> "EvolutionTrace":
+        """The trace of block member ``j``."""
+        return EvolutionTrace(times=self.times, chi2=self.chi2[j], mass_drift=self.mass_drift[j],
+                              min_v=self.min_v[j], eps=self.eps)
+
     def prefix(self, nsteps: int) -> "EvolutionTrace":
         """The record of the first ``nsteps`` steps."""
         keep = slice(0, nsteps + 1)
-        return EvolutionTrace(times=self.times[keep], chi2=self.chi2[keep],
-                              mass_drift=self.mass_drift[keep], min_v=self.min_v[keep],
-                              eps=self.eps)
+        return EvolutionTrace(times=self.times[keep], chi2=self.chi2[..., keep],
+                              mass_drift=self.mass_drift[..., keep],
+                              min_v=self.min_v[..., keep], eps=self.eps)
 
 
 @dataclass
@@ -60,34 +81,53 @@ class DecayFit:
     samples: int
 
 
-def chi_squared(v: Density, u: Density) -> float:
-    """chi^2 divergence sum (v_i/u_i - 1)^2 u_i vol_i; zero iff v == u."""
+def _require_positive(u: Density) -> None:
     if np.any(u.values <= 0.0):
         raise PositivityError("chi^2 reference density must be strictly positive")
+
+
+def chi_squared(v: Density, u: Density) -> float:
+    """chi^2 divergence sum (v_i/u_i - 1)^2 u_i vol_i; zero iff v == u."""
+    _require_positive(u)
     ratio = v.values / u.values - 1.0
     return float(np.sum(ratio * ratio * u.values) * u.grid.cell_volume)
 
 
-def evolve(op: FokkerPlanckOperator, v0: Density, horizon: float, dt: float,
-           scheme: str = "implicit-euler", stationary: Density | None = None):
-    """Integrate dv/dt = M v to the horizon; returns (trace, final density).
+def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: float,
+           dt: float, scheme: str = "implicit-euler", stationary: Density | None = None):
+    """Integrate dv/dt = M v to the horizon; returns (trace, final).
 
-    The step matrix is factorized once, by :func:`stationary.factorize`
-    (fill-reducing ordering, diagonal pivots: (I - dt M) is strictly
-    column diagonally dominant), and reused across all steps.  chi^2
-    against the stationary density, the mass drift |sum v vol - 1| and
-    min v are recorded at every step including t = 0.
+    ``v0`` is one density or a block of k of them.  A block is advanced
+    together: the step matrix (I - dt M), or (I - dt/2 M) under
+    Crank-Nicolson, is factorized once by :func:`stationary.factorize`
+    (fill-reducing ordering, diagonal pivots: it is strictly column
+    diagonally dominant), and every step costs one multi-RHS solve per
+    solve and one sparse product per product, for all k columns at once.  The trace then holds (k, nsteps + 1) arrays
+    of chi^2, mass drift and min v, ``trace[j]`` is member j's own trace,
+    and ``final`` is the list of the k final densities.  A single density
+    is the k = 1 block, returned as a 1D trace and one density.  Each
+    column is bitwise what its own single run gives: the solves and the
+    products treat the columns independently, and the per-step statistics
+    are reduced along contiguous rows.
+
+    chi^2 against the stationary density, the mass drift |sum v vol - 1|
+    and min v are recorded at every step including t = 0.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if v0.grid is not op.grid:
+    single = isinstance(v0, Density)
+    members = [v0] if single else list(v0)
+    if not members:
+        raise ValueError("empty block of initial densities")
+    if any(member.grid is not op.grid for member in members):
         raise ValueError("initial density lives on a different grid")
     if scheme not in ("implicit-euler", "crank-nicolson"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if stationary is None:
         stationary = solve_stationary(op).density
+    _require_positive(stationary)
 
     grid = op.grid
     m = op.matrix
@@ -104,38 +144,44 @@ def evolve(op: FokkerPlanckOperator, v0: Density, horizon: float, dt: float,
         raise SolveError(f"time-step factorization failed: {exc}") from exc
 
     nsteps = max(1, int(round(horizon / dt)))
+    k = len(members)
     times = dt * np.arange(nsteps + 1)
-    chi2 = np.empty(nsteps + 1)
-    mass_drift = np.empty(nsteps + 1)
-    min_v = np.empty(nsteps + 1)
-
-    v = v0.values.copy()
+    chi2 = np.empty((k, nsteps + 1))
+    mass_drift = np.empty((k, nsteps + 1))
+    min_v = np.empty((k, nsteps + 1))
+    u = stationary.values
     vol = grid.cell_volume
-    chi2[0] = chi_squared(v0, stationary)
-    mass_drift[0] = abs(np.sum(v) * vol - 1.0)
-    min_v[0] = v.min()
 
+    def record(step, v):
+        # statistics on the C-contiguous (k, n) rows: a reduction along a
+        # contiguous row sums exactly as the 1D reduction of that member
+        rows = np.ascontiguousarray(v.T)
+        lowest = rows.min(axis=1)
+        if lowest.min() < -1e-10:
+            raise SolveError(
+                f"negative component {float(lowest.min())} at step {step} "
+                "(cross-diffusion or an unstable scheme choice)"
+            )
+        ratio = rows / u - 1.0
+        chi2[:, step] = np.sum(ratio * ratio * u, axis=1) * vol
+        mass_drift[:, step] = np.abs(np.sum(rows, axis=1) * vol - 1.0)
+        min_v[:, step] = lowest
+        return rows
+
+    v = np.array([member.values for member in members]).T  # (n, k), one column per member
+    rows = record(0, v)
     for step in range(1, nsteps + 1):
         rhs = v if rhs_mat is None else rhs_mat @ v
         v = lu.solve(rhs)
         # one refinement pass: residual is re-solved so the algebraic error
         # (and with it the mass drift) sits at column-sum roundoff
         v += lu.solve(rhs - (lhs @ v))
-        lowest = float(v.min())
-        if lowest < -1e-10:
-            raise SolveError(
-                f"negative component {lowest} at step {step} "
-                "(cross-diffusion or an unstable scheme choice)"
-            )
-        ratio = v / stationary.values - 1.0
-        chi2[step] = float(np.sum(ratio * ratio * stationary.values) * vol)
-        mass_drift[step] = abs(float(np.sum(v)) * vol - 1.0)
-        min_v[step] = lowest
+        rows = record(step, v)
 
     trace = EvolutionTrace(times=times, chi2=chi2, mass_drift=mass_drift,
                            min_v=min_v, eps=op.eps)
-    final = Density.normalized(np.clip(v, 0.0, None), grid)
-    return trace, final
+    finals = [Density.normalized(np.clip(row, 0.0, None), grid) for row in rows]
+    return (trace[0], finals[0]) if single else (trace, finals)
 
 
 def fit_decay_rate(trace: EvolutionTrace, window: tuple[float, float] = (0.2, 0.8)) -> DecayFit:

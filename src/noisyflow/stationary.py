@@ -167,12 +167,16 @@ def _inverse_iteration(matrix: sp.csr_matrix, grid: Grid, tol: float, maxiter: i
         lu = factorize(matrix + jitter * sp.identity(grid.ncells, format="csr"), grid.dim)
     v = np.full(grid.ncells, 1.0 / grid.total_measure())
     for it in range(1, maxiter + 1):
+        previous = v
         v = lu.solve(v)
         v /= np.sum(np.abs(v)) * grid.cell_volume
         if np.sum(v) < 0:
             v = -v
-        residual = float(np.max(np.abs(matrix @ v))) / (mat_norm * float(np.max(np.abs(v))))
-        if residual <= tol:
+        # the residual alone can pass while v is still ~1e-10 off (zero drift
+        # on an interval), so the step must have settled as well
+        scale = float(np.max(np.abs(v)))
+        residual = float(np.max(np.abs(matrix @ v))) / (mat_norm * scale)
+        if residual <= tol and float(np.max(np.abs(v - previous))) <= tol * scale:
             return v, it
     raise SolveError(f"inverse iteration did not reach tolerance {tol} in {maxiter} iterations")
 
@@ -184,7 +188,9 @@ def solve_stationary(op: FokkerPlanckOperator, method: str = "direct",
     ``method`` is "direct" (pinned row + sparse LU, with inverse
     iteration as automatic fallback) or "inverse-iteration" (the
     independent cross-check path).  The residual is measured against the
-    unmodified matrix as ||M u||_inf / (||M||_inf ||u||_inf).
+    unmodified matrix as ||M u||_inf / (||M||_inf ||u||_inf).  Inverse
+    iteration stops once that residual and the relative step change
+    ||u - u_prev||_inf / ||u||_inf are both at most ``tol``.
     """
     if not op.is_irreducible():
         raise SolveError("operator is reducible; the stationary density is not unique")

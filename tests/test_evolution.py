@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisyflow.errors import FitError, PositivityError
 from noisyflow.evolution import (
@@ -14,7 +16,7 @@ from noisyflow.evolution import (
     poincare_quotient,
 )
 from noisyflow.fields import builtin_catalog, coordinate_noise
-from noisyflow.geometry import Circle, build_grid
+from noisyflow.geometry import Circle, Torus2, build_grid
 from noisyflow.operator import assemble_for
 from noisyflow.stationary import Density, solve_stationary
 
@@ -123,6 +125,90 @@ def test_evolve_validation():
         evolve(op, Density.uniform(other), horizon=1.0, dt=0.1)
     with pytest.raises(ValueError):
         evolve(op, stat, horizon=1.0, dt=0.1, scheme="leapfrog")
+
+
+# ---------------------------------------------------------------------------
+# block evolution
+# ---------------------------------------------------------------------------
+
+
+def catalog_setup(kind, n, name, eps):
+    g = build_grid(kind, n)
+    op = assemble_for(builtin_catalog(name, g), coordinate_noise(g, [eps]), eps)
+    return op, solve_stationary(op).density
+
+
+def assert_block_matches_singles(op, stat, v0, horizon, dt, scheme):
+    block, finals = evolve(op, v0, horizon, dt, scheme=scheme, stationary=stat)
+    nsteps = len(block.times) - 1
+    assert block.chi2.shape == block.mass_drift.shape == block.min_v.shape == (len(v0), nsteps + 1)
+    assert len(finals) == len(v0)
+    for j, member in enumerate(v0):
+        trace, final = evolve(op, member, horizon, dt, scheme=scheme, stationary=stat)
+        assert np.array_equal(block.times, trace.times)
+        for name in ("chi2", "mass_drift", "min_v"):
+            assert np.array_equal(getattr(block, name)[j], getattr(trace, name)), name
+            assert np.array_equal(getattr(block[j], name), getattr(trace, name)), name
+        assert np.array_equal(finals[j].values, final.values)
+
+
+BLOCK_CASES = [
+    (Circle(), 48, "circle-positive", 0.4),
+    (Torus2(), (12, 10), "torus-shear", 0.3),
+]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+@pytest.mark.parametrize("kind, n, name, eps", BLOCK_CASES)
+def test_block_evolve_is_bitwise_k_single_evolves(kind, n, name, eps, scheme, k):
+    op, stat = catalog_setup(kind, n, name, eps)
+    v0 = [perturbed_initial(stat, mode=mode) for mode in range(1, k + 1)]
+    assert_block_matches_singles(op, stat, v0, horizon=0.4, dt=0.01, scheme=scheme)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=40),
+    st.integers(min_value=1, max_value=4),
+    st.floats(min_value=0.05, max_value=0.95),
+    st.sampled_from(["implicit-euler", "crank-nicolson"]),
+)
+def test_block_evolve_is_bitwise_singles_on_random_blocks(n, k, amplitude, scheme):
+    op, stat = catalog_setup(Circle(), n, "circle-positive", 0.5)
+    v0 = [perturbed_initial(stat, mode=mode, amplitude=amplitude) for mode in range(1, k + 1)]
+    assert_block_matches_singles(op, stat, v0, horizon=0.1, dt=0.01, scheme=scheme)
+
+
+def test_block_trace_members_and_prefix():
+    op, stat = catalog_setup(Circle(), 32, "circle-positive", 0.4)
+    v0 = [perturbed_initial(stat, mode=1), perturbed_initial(stat, mode=2)]
+    block, _ = evolve(op, v0, horizon=0.2, dt=0.01, stationary=stat)
+    head = block.prefix(5)
+    assert head.times.shape == (6,) and head.chi2.shape == (2, 6)
+    for j in range(2):
+        member = block[j]
+        assert member.eps == block.eps and member.times is block.times
+        assert member.chi2.shape == (21,)
+        for name in ("times", "chi2", "mass_drift", "min_v"):
+            assert np.array_equal(getattr(head[j], name), getattr(member.prefix(5), name))
+    # a single density is the squeezed k = 1 block
+    one, finals = evolve(op, v0[:1], horizon=0.2, dt=0.01, stationary=stat)
+    single, final = evolve(op, v0[0], horizon=0.2, dt=0.01, stationary=stat)
+    assert one.chi2.shape == (1, 21) and single.chi2.shape == (21,)
+    assert np.array_equal(one[0].chi2, single.chi2)
+    assert np.array_equal(finals[0].values, final.values)
+
+
+def test_block_validation():
+    _, op, stat = laplacian_setup(n=64)
+    other = Density.uniform(build_grid(Circle(), 64))
+    for block in ([other], [stat, other], [stat, stat, other]):
+        with pytest.raises(ValueError, match="different grid"):
+            evolve(op, block, horizon=1.0, dt=0.1, stationary=stat)
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="empty"):
+            evolve(op, empty, horizon=1.0, dt=0.1, stationary=stat)
 
 
 # ---------------------------------------------------------------------------

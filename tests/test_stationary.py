@@ -126,10 +126,17 @@ def selecting_noise(grid, epsilons):
     return construct_selecting_noise(Trig("cos", 0, 1, 0.5, 1.0, 1.0), grid, epsilons)
 
 
+def constant_noise(grid, epsilons):
+    """A_0 = A_1 = 1: the residual of inverse iteration passes 1e-12 a step before its density."""
+    return NoiseFamily(1, VectorField([Const(1.0)]), [VectorField([Const(1.0)])], epsilons)
+
+
 SOLVER_CASES = [
     (Torus2(), (48, 48), "hamiltonian-cellular", 0.2, unit_noise),
     (Circle(), 256, "circle-positive", 0.1, unit_noise),
     (Interval(), 256, "zero-drift", 0.2, selecting_noise),
+    (Interval(), 256, "zero-drift", 0.5, constant_noise),
+    (Interval(), 256, "zero-drift", 0.3, constant_noise),
 ]
 
 
