@@ -17,7 +17,7 @@ from noisyflow.evolution import (
 )
 from noisyflow.fields import builtin_catalog, coordinate_noise
 from noisyflow.geometry import Circle, Torus2, build_grid
-from noisyflow.operator import assemble_for
+from noisyflow.operator import FokkerPlanckOperator, assemble_for
 from noisyflow.stationary import Density, solve_stationary
 
 
@@ -209,6 +209,56 @@ def test_block_validation():
     for empty in ([], ()):
         with pytest.raises(ValueError, match="empty"):
             evolve(op, empty, horizon=1.0, dt=0.1, stationary=stat)
+
+
+# ---------------------------------------------------------------------------
+# mass restoration and step accuracy
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+def test_mass_drift_still_shows_a_nonconservative_operator(scheme):
+    # the residual step restores the mass only as far as the columns of M
+    # sum to zero: it must never turn into a projection onto unit mass
+    op, stat = catalog_setup(Circle(), 32, "circle-positive", 0.5)
+    m = op.matrix.copy()
+    m.data[1] *= 1.0 + 1e-9
+    leaky = FokkerPlanckOperator(m, op.grid, op.eps, op.bc, op.has_cross_diffusion,
+                                 op.min_offdiagonal)
+    v0 = perturbed_initial(stat, mode=1)
+    exact, _ = evolve(op, v0, horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)
+    leaked, _ = evolve(leaky, v0, horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)
+    assert len(leaked.times) == 501
+    assert np.max(exact.mass_drift) <= 1e-13
+    assert np.max(leaked.mass_drift) >= 1e-10
+
+
+DENSE_CASES = [
+    (Circle(), 64, "circle-positive"),
+    (Torus2(), (24, 24), "torus-shear"),
+]
+
+
+@pytest.mark.parametrize("stiffness, rtol", [(0.1, 1e-13), (10.0, 1e-13), (1000.0, 1e-11)])
+@pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+@pytest.mark.parametrize("kind, n, name", DENSE_CASES)
+def test_evolve_matches_dense_propagation(kind, n, name, scheme, stiffness, rtol):
+    # the residual step multiplies the solve's error by up to theta ||M||,
+    # hence the wider tolerance at dt ||M||_1 = 1000
+    op, stat = catalog_setup(kind, n, name, 0.3)
+    m = op.matrix.toarray()
+    dt = stiffness / np.max(np.sum(np.abs(m), axis=0))
+    theta = dt if scheme == "implicit-euler" else 0.5 * dt
+    eye = np.eye(len(m))
+    step = np.linalg.solve(eye - theta * m, eye + (dt - theta) * m)
+    v0 = perturbed_initial(stat, mode=1)
+    trace, final = evolve(op, v0, horizon=50 * dt, dt=dt, scheme=scheme, stationary=stat)
+    assert len(trace.times) == 51
+    v = v0.values
+    for _ in range(50):
+        v = step @ v
+    v = v / (np.sum(v) * op.grid.cell_volume)
+    assert np.max(np.abs(final.values - v)) <= rtol * np.max(v)
 
 
 # ---------------------------------------------------------------------------

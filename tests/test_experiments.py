@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noisyflow.experiments as experiments
 from noisyflow.errors import BoundaryError, FitError
@@ -190,6 +195,16 @@ def test_decay_study_zero_drift(tmp_path):
     assert (tmp_path / "trace_eps0.5_mode1.csv").exists()
 
 
+def test_decay_study_conserves_mass_over_a_long_horizon():
+    # 12000 implicit Euler steps per eps on a uniform diagonal: a per-step
+    # mass error that every column shares would add up past the 1e-12 gate
+    cfg = SweepConfig(kind="decay", domain=Circle(), n=(32,), epsilons=(0.5, 0.25),
+                      system=SystemSpec(catalog="zero-drift"), horizon_factor=60.0)
+    report = run_decay_study(cfg)
+    assert report.verdicts["mass conserved"]
+    assert max(r.max_mass_drift for r in report.rows) <= 1e-13
+
+
 def test_decay_study_bounded_interval():
     # zero-flux decay: the slowest Neumann mode cos(pi x) relaxes chi^2
     # at eps^2 pi^2, a quarter of the periodic guess
@@ -286,6 +301,28 @@ def test_worker_count_leaves_artifacts_byte_identical(kind, tmp_path):
         run(SweepConfig(kind=kind, out_dir=str(out), workers=workers, **WORKER_CASES[kind]))
         artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert f"{kind}.csv" in artifacts[0]
+    assert artifacts[0] == artifacts[1]
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.integers(min_value=8, max_value=24),
+    st.lists(st.sampled_from([0.5, 0.4, 0.3, 0.25]), min_size=2, max_size=3, unique=True),
+    st.sampled_from(["circle-positive", "zero-drift"]),
+    st.sampled_from(["implicit-euler", "crank-nicolson"]),
+)
+def test_decay_worker_count_leaves_artifacts_byte_identical_on_random_circles(
+        n, epsilons, catalog, scheme):
+    case = dict(kind="decay", domain=Circle(), n=(n,),
+                epsilons=tuple(sorted(epsilons, reverse=True)),
+                system=SystemSpec(catalog=catalog), scheme=scheme, dt_factor=0.02)
+    artifacts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for workers in (1, 2):
+            out = Path(tmp, f"workers{workers}")
+            run(SweepConfig(out_dir=str(out), workers=workers, **case))
+            artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert "decay.csv" in artifacts[0]
     assert artifacts[0] == artifacts[1]
 
 
