@@ -120,6 +120,14 @@ SETTINGS = {
     "assert_l1_limit": _boolean,
     "scheme": _choice("scheme", ("implicit-euler", "crank-nicolson")),
 }
+#: [experiment] keys that only some kinds read -> those kinds; every other
+#: key is legal under any kind (``evolve`` reads scheme and the step
+#: factors from a configuration of any kind)
+KIND_KEYS = {
+    "target": ("selection",),
+    "refine_factor": ("selection",),
+    "assert_l1_limit": ("stability",),
+}
 #: [experiment] key -> reader, one per Thresholds field
 THRESHOLDS = {f.name: float for f in fields(Thresholds)}
 
@@ -379,6 +387,11 @@ def parse_config(text: str) -> SweepConfig:
 
     exp = sections.get("experiment", {})
     kind = _read(exp, "kind", _choice("experiment kind", EXPERIMENT_KINDS), problems, "stability")
+    if kind is not None:
+        for key, kinds in KIND_KEYS.items():
+            if key in exp and kind not in kinds:
+                problems.append((exp[key][1], key, f"not read by [experiment] kind = {kind} "
+                                                   f"(only {', '.join(kinds)} reads it)"))
     target = _read(exp, "target", lambda value: parse_expression(value, lengths) if lengths else None,
                    problems)
     thresholds = _read_table(exp, THRESHOLDS, problems)

@@ -3,7 +3,8 @@ import os
 import pytest
 
 from noisyflow.cli import main
-from noisyflow.config import parse_config, parse_expression, serialize_config, serialize_expression
+from noisyflow.config import (EXPERIMENT_KINDS, parse_config, parse_expression, serialize_config,
+                              serialize_expression)
 from noisyflow.errors import ConfigError
 from noisyflow.evolution import evolve, perturbed_initial
 from noisyflow.experiments import TRACE_HEADER, SweepConfig, SystemSpec, NoiseSpec, Thresholds, trace_cells
@@ -131,7 +132,7 @@ def test_expression_errors():
         parse_expression("affine:axis=3,slope=1", (1.0, 1.0))  # axis out of range
 
 
-ROUND_TRIP_SETTINGS = dict(refine_factor=3, horizon_factor=7.5, rate_guess=12.25, assert_l1_limit=False)
+ROUND_TRIP_SETTINGS = dict(refine_factor=3, horizon_factor=7.5, rate_guess=12.25)
 
 
 @pytest.mark.parametrize("domain, n, system, settings", [
@@ -273,6 +274,16 @@ def test_cli_check_passes_for_coordinate_noise(tmp_path):
                  id="axis-out-of-range"),
     pytest.param(MINIMAL, "kind = coordinate", "kind = explicit\na1 = const:1\na3 = const:1", 12, "a3",
                  id="gap-in-diffusion-fields"),
+    pytest.param(ROTATION, "kind = stability", "kind = stability\ntarget = cos:axis=1,freq=1,offset=2", 15,
+                 "target", id="target-under-stability"),
+    pytest.param(MINIMAL, "kind = stability", "kind = decay\nrefine_factor = 3", 15, "refine_factor",
+                 id="refine-factor-under-decay"),
+    pytest.param(MINIMAL, "kind = stability", "kind = transform\ntarget = const:1", 15, "target",
+                 id="target-under-transform"),
+    pytest.param(MINIMAL, "kind = stability", "kind = selection\nassert_l1_limit = false", 15,
+                 "assert_l1_limit", id="assert-l1-limit-under-selection"),
+    pytest.param(MINIMAL, "kind = stability", "kind = bounded\nassert_l1_limit = true", 15,
+                 "assert_l1_limit", id="assert-l1-limit-under-bounded"),
 ])
 def test_keys_read_other_than_written_are_errors(tmp_path, capsys, text, old, new, line, key):
     text = text.replace(old, new)
@@ -291,11 +302,30 @@ def test_gap_in_diffusion_fields_names_the_missing_key():
     assert "a1 is missing" in str(info.value)
 
 
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_step_settings_are_legal_under_every_kind(kind):
+    # `evolve` reads the scheme and the step factors from a config of any kind
+    text = MINIMAL.replace("kind = stability", f"kind = {kind}\nscheme = crank-nicolson\ndt_factor = 0.01\n"
+                                               "horizon_factor = 2\nrate_guess = 3")
+    cfg = parse_config(text)
+    assert (cfg.kind, cfg.scheme, cfg.dt_factor, cfg.horizon_factor, cfg.rate_guess) == (
+        kind, "crank-nicolson", 0.01, 2.0, 3.0)
+
+
+def test_kind_keys_round_trip_under_their_kind():
+    stability = parse_config(MINIMAL + "assert_l1_limit = false\n")
+    selection = parse_config(MINIMAL.replace("kind = stability", "kind = selection")
+                             + "target = const:1\nrefine_factor = 3\n")
+    assert (stability.assert_l1_limit, selection.target, selection.refine_factor) == (False, Const(1.0), 3)
+    for cfg in (stability, selection):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_bad_domain_kind_reports_only_the_domain_error():
     text = (ROTATION.replace("kind = torus2", "kind = toruss")
             .replace("catalog = torus-rotation", "bx = cos:axis=1,freq=1\nby = const:0\nu0 = const:1")
             .replace("kind = coordinate", "kind = explicit\na1 = const:1; const:0\na2 = const:0; const:1")
-            .replace("kind = stability", "kind = stability\ntarget = cos:axis=1,freq=1,offset=2"))
+            .replace("kind = stability", "kind = selection\ntarget = cos:axis=1,freq=1,offset=2"))
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert [(line, key) for line, key, _ in info.value.locations] == [(2, "kind")]

@@ -152,19 +152,25 @@ def test_direct_solve_matches_inverse_iteration_and_dense_row(kind, n, name, eps
         assert np.max(np.abs(u - other)) <= 1e-12 * np.max(np.abs(other))
 
 
+def catalog_pairs():
+    """Every (domain, catalog system) pair the catalog builds, at 12-16 cells per axis."""
+    for kind, n in ((Circle(), (16,)), (Interval(), (16,)), (Torus2(1.0, 0.75), (14, 12)),
+                    (Rectangle(), (12, 16))):
+        g = build_grid(kind, n)
+        for name in CATALOG_NAMES:
+            try:
+                yield g, builtin_catalog(name, g)
+            except CatalogError:
+                continue
+
+
 @pytest.mark.parametrize("eps", [0.5, 0.05])
 def test_direct_solve_never_falls_back_on_the_catalog(eps):
     solved = 0
-    for name in CATALOG_NAMES:
-        for kind in (Circle(), Interval(), Torus2(), Rectangle()):
-            g = build_grid(kind, (12,) * len(kind.lengths))
-            try:
-                system = builtin_catalog(name, g)
-            except CatalogError:
-                continue
-            rep = solve_stationary(assemble_for(system, unit_noise(g, [eps]), eps))
-            assert rep.method == "direct", (name, type(kind).__name__)
-            solved += 1
+    for g, system in catalog_pairs():
+        rep = solve_stationary(assemble_for(system, unit_noise(g, [eps]), eps))
+        assert rep.method == "direct", (system.name, type(g.kind).__name__)
+        solved += 1
     assert solved == 8  # circle-positive, three torus systems, zero-drift on four domains
 
 
@@ -191,6 +197,35 @@ def test_factorize_fills_less_than_colamd_with_partial_pivoting(kind, name):
             assert ours < colamd
     if isinstance(kind, Circle):  # on an interval minimum degree finds the fill-free order too
         assert fill(factorize(pinned, 1)) < fill(factorize(pinned, 2))
+
+
+def default_superlu(matrix, dim):
+    """``factorize``'s ordering and diagonal pivots with SuperLU's default relax and panel size."""
+    ordering = "NATURAL" if dim == 1 else "MMD_AT_PLUS_A"
+    return spla.splu(matrix.tocsc(), permc_spec=ordering, diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.05])
+def test_factorize_agrees_with_default_supernodes_on_the_catalog(eps):
+    rng = np.random.default_rng(7)
+    pairs = 0
+    for g, system in catalog_pairs():
+        op = assemble_for(system, unit_noise(g, [eps]), eps)
+        pinned, rhs = pinned_system(op.matrix)
+        block = rng.random((g.ncells, 2))
+        identity = sp.identity(g.ncells, format="csr")
+        dt = 0.2 / op.inf_norm()
+        cases = [(pinned, rhs), (identity - dt * op.matrix, block), (identity - 0.5 * dt * op.matrix, block)]
+        for matrix, b in cases:
+            ours, reference = factorize(matrix, g.dim), default_superlu(matrix, g.dim)
+            assert np.array_equal(ours.perm_c, reference.perm_c)
+            assert fill(ours) == fill(reference)
+            x, x_ref = ours.solve(b), reference.solve(b)
+            assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
+            assert np.array_equal(factorize(matrix, g.dim).solve(b), x)
+        pairs += 1
+    assert pairs == 8  # circle-positive, three torus systems, zero-drift on four domains
 
 
 # ---------------------------------------------------------------------------
