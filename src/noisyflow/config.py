@@ -6,7 +6,9 @@ The format is a strict INI dialect with four sections: [domain],
 ``Thresholds``) are the one list of keys: ``SECTION_KEYS``,
 ``parse_config`` and ``serialize_config`` all iterate them.  Unknown
 keys are hard errors (naming the nearest valid key), and so is a known
-key that the chosen kind does not read, because silently ignored
+key that the chosen kind does not read (``experiments.KIND_KEYS``, which
+``SweepConfig`` enforces as well, so every config that constructs also
+serializes to a file that parses back), because silently ignored
 configuration is the classic failure mode of experiment harnesses.
 Parse and validation problems are aggregated and reported with line
 numbers.
@@ -36,7 +38,7 @@ from dataclasses import fields
 from .errors import ConfigError, DomainError
 from .fields import Affine, Const, Power, Product, ScalarForm, Sum, Trig
 from .geometry import Circle, Interval, Rectangle, Torus2
-from .experiments import NoiseSpec, SweepConfig, SystemSpec, Thresholds
+from .experiments import KIND_KEYS, NoiseSpec, SweepConfig, SystemSpec, Thresholds
 
 
 def _choice(what: str, options):
@@ -119,14 +121,6 @@ SETTINGS = {
     "workers": _workers,
     "assert_l1_limit": _boolean,
     "scheme": _choice("scheme", ("implicit-euler", "crank-nicolson")),
-}
-#: [experiment] keys that only some kinds read -> those kinds; every other
-#: key is legal under any kind (``evolve`` reads scheme and the step
-#: factors from a configuration of any kind)
-KIND_KEYS = {
-    "target": ("selection",),
-    "refine_factor": ("selection",),
-    "assert_l1_limit": ("stability",),
 }
 #: [experiment] key -> reader, one per Thresholds field
 THRESHOLDS = {f.name: float for f in fields(Thresholds)}

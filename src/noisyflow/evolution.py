@@ -7,24 +7,29 @@ is available behind a flag for rate-accuracy studies (halved temporal
 bias, no positivity guarantee).
 
 Mass is conserved by the zero-column-sum structure, and each step keeps
-it at the column-sum roundoff of M with one triangular solve.  The step
-matrix is (I - theta M) with theta = dt (implicit Euler) or dt/2
-(Crank-Nicolson); after the solve the step adds the solve's residual
-taken against M itself.  Since 1^T (I - theta M) = 1^T, that residual
-returns the mass the solve lost.  A residual taken against the assembled
-step matrix, even one re-solved as a refinement pass, keeps the rounding
-of its diagonal 1 - theta M_jj, and where the diagonal is uniform (zero
-drift) every column rounds alike: the mass drift then grows linearly
-with the number of steps.  On the 32-cell zero-drift circle decay
-(eps 0.5 and 0.25, implicit Euler) the drift is 4.9e-15 after 8000
-steps and 1.3e-14 after 12000, where the refinement pass gave 6.7e-13
-and 1.0e-12, the latter over the decay study's 1e-12 gate.
+it at the column-sum roundoff of M with one triangular solve and one
+sparse product.  The step matrix is (I - theta M) with theta = dt
+(implicit Euler) or dt/2 (Crank-Nicolson).  A step solves
+(I - theta M) x = r and takes v = r + theta M x, which is x plus the
+solve's residual r - (x - theta M x) taken against M itself.  Since
+1^T (I - theta M) = 1^T, that residual returns the mass the solve lost.
+A residual taken against the assembled step matrix, even one re-solved
+as a refinement pass, keeps the rounding of its diagonal 1 - theta M_jj,
+and where the diagonal is uniform (zero drift) every column rounds
+alike: the mass drift then grows linearly with the number of steps.  On
+the 32-cell zero-drift circle decay (eps 0.5 and 0.25, implicit Euler)
+the drift is 4.9e-15 after 8000 steps and 1.3e-14 after 12000, where the
+refinement pass gave 6.7e-13 and 1.0e-12, the latter over the decay
+study's 1e-12 gate.
+
+The product also carries the Crank-Nicolson right-hand side: the next
+r = (I + theta M) v is v + theta M x, because v = x in exact arithmetic,
+so it costs no second product; under implicit Euler the next r is v.
 
 :func:`evolve` advances one density or a block of them with one
 factorization of the step matrix, and per step one multi-RHS triangular
-solve and one (implicit Euler) or two (Crank-Nicolson) sparse products;
-the decay study sends both of its perturbation modes through one call
-per eps.
+solve and one sparse product; the decay study sends both of its
+perturbation modes through one call per eps.
 
 The chi^2 distance is measured against the operator's own discrete
 stationary density.  With that pairing the distance is provably
@@ -109,22 +114,25 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
     Crank-Nicolson, is factorized once by :func:`stationary.factorize`
     (fill-reducing ordering, diagonal pivots: it is strictly column
     diagonally dominant), and every step costs one multi-RHS solve and
-    one or two sparse products with M, for all k columns at once.  The
-    trace then holds (k, nsteps + 1) arrays of chi^2, mass drift and
-    min v, ``trace[j]`` is member j's own trace, and ``final`` is the
-    list of the k final densities.  A single density is the k = 1 block,
-    returned as a 1D trace and one density.  Each column is bitwise what
-    its own single run gives: the solves and the products treat the
-    columns independently, and the per-step statistics are reduced along
-    contiguous rows.
+    one sparse product, for all k columns at once.  The trace then holds
+    (k, nsteps + 1) arrays of chi^2, mass drift and min v, ``trace[j]``
+    is member j's own trace, and ``final`` is the list of the k final
+    densities.  A single density is the k = 1 block, returned as a 1D
+    trace and one density.  Each column is bitwise what its own single
+    run gives: the solves treat the columns independently, the product
+    is one row of the block-diagonal diag(M, ..., M) per cell and member,
+    and the per-step statistics are reduced along contiguous rows.
 
-    A step solves (I - theta M) v' = r for r = v, or r = v + theta M v
-    under Crank-Nicolson, then adds r - (v' - theta M v'): one Richardson
+    A step solves (I - theta M) x = r, takes w = theta M x and moves to
+    v = r + w: x plus the residual r - (x - theta M x), one Richardson
     step with the identity as approximate inverse.  It puts the mass back
     to the column-sum roundoff of M but multiplies the solve's own error
-    by up to theta ||M||.  Against dense ``numpy.linalg.solve``
-    propagation the final density agrees to ~1e-14 relative up to
-    dt ||M||_1 = 10, and to ~1e-12 at dt ||M||_1 = 1000.
+    by up to theta ||M||.  The next r is v under implicit Euler and
+    v + w under Crank-Nicolson, which is (I + theta M) v up to that same
+    error; only the first r needs a product of its own.  Against dense
+    ``numpy.linalg.solve`` propagation the final density agrees to
+    ~1e-14 relative up to dt ||M||_1 = 10, also after 2000 steps, and to
+    ~1e-12 at dt ||M||_1 = 1000.
 
     chi^2 against the stationary density, the mass drift |sum v vol - 1|
     and min v are recorded at every step including t = 0.
@@ -163,31 +171,44 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
     u = stationary.values
     vol = grid.cell_volume
 
-    def record(step, v):
-        # statistics on the C-contiguous (k, n) rows: a reduction along a
-        # contiguous row sums exactly as the 1D reduction of that member
-        rows = np.ascontiguousarray(v.T)
+    # the block is held as C-contiguous (k, n) rows, so the product reads
+    # it as one vector against diag(M, ..., M) and the solve gets its
+    # Fortran-order (n, k) view
+    diag_m = sp.block_diag([m] * k, format="csr")
+
+    def product(rows):
+        w = (diag_m @ rows.reshape(-1)).reshape(k, -1)
+        w *= theta
+        return w
+
+    def record(step, rows):
+        # a reduction along a contiguous row sums exactly as the 1D
+        # reduction of that member
         lowest = rows.min(axis=1)
         if lowest.min() < -1e-10:
             raise SolveError(
                 f"negative component {float(lowest.min())} at step {step} "
                 "(cross-diffusion or an unstable scheme choice)"
             )
-        ratio = rows / u - 1.0
-        chi2[:, step] = np.sum(ratio * ratio * u, axis=1) * vol
+        ratio = rows / u
+        ratio -= 1.0
+        ratio *= ratio
+        ratio *= u
+        chi2[:, step] = np.sum(ratio, axis=1) * vol
         mass_drift[:, step] = np.abs(np.sum(rows, axis=1) * vol - 1.0)
         min_v[:, step] = lowest
-        return rows
 
-    v = np.array([member.values for member in members]).T  # (n, k), one column per member
-    rows = record(0, v)
+    rows = np.array([member.values for member in members])  # (k, n), one row per member
+    record(0, rows)
+    rhs = rows + product(rows) if scheme == "crank-nicolson" else rows
     for step in range(1, nsteps + 1):
-        rhs = v + theta * (m @ v) if scheme == "crank-nicolson" else v
-        v = lu.solve(rhs)
-        # add the residual against the generator itself: 1^T (I - theta M)
-        # = 1^T, so this restores the mass to column-sum roundoff of M
-        v += rhs - (v - theta * (m @ v))
-        rows = record(step, v)
+        w = product(lu.solve(rhs.T).T)
+        # r + theta M x is x plus its residual against the generator itself:
+        # 1^T (I - theta M) = 1^T, so this restores the mass to column-sum
+        # roundoff of M
+        rows = rhs + w
+        record(step, rows)
+        rhs = rows + w if scheme == "crank-nicolson" else rows
 
     trace = EvolutionTrace(times=times, chi2=chi2, mass_drift=mass_drift,
                            min_v=min_v, eps=op.eps)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -87,6 +88,18 @@ class NoiseSpec:
         raise ValueError(f"noise spec kind {self.kind!r} cannot be built directly")
 
 
+#: SweepConfig fields that only some experiment kinds read -> those kinds;
+#: every other field applies under any kind (``evolve`` reads scheme and
+#: the step factors from a configuration of any kind).  The config file's
+#: [experiment] keys share the names, and ``config.parse_config`` reads
+#: this table too.
+KIND_KEYS = {
+    "target": ("selection",),
+    "refine_factor": ("selection",),
+    "assert_l1_limit": ("stability",),
+}
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Pass/fail knobs; recorded in every report for auditability.
@@ -137,6 +150,11 @@ class SweepConfig:
             raise ValueError("epsilons must be strictly decreasing")
         if any(k < 4 for k in self.n):
             raise ValueError("grid resolution must be at least 4 cells per axis")
+        defaults = {f.name: f.default for f in fields(self)}
+        for key, kinds in KIND_KEYS.items():
+            if self.kind not in kinds and getattr(self, key) != defaults[key]:
+                raise ValueError(f"{key} is not read by experiment kind {self.kind!r} "
+                                 f"(only {', '.join(kinds)} reads it)")
 
     def grid(self) -> Grid:
         return build_grid(self.domain, self.n)
@@ -380,9 +398,15 @@ DECAY_HEADER = ["eps", "rate", "rate_over_eps2", "r2", "t_lo", "t_hi"]
 TRACE_HEADER = ["t", "chi2", "mass_drift", "min_v"]
 
 
-def trace_cells(trace) -> list[tuple]:
-    """The rows of a ``TRACE_HEADER`` CSV for one evolution trace."""
-    return list(zip(trace.times, trace.chi2, trace.mass_drift, trace.min_v))
+def trace_cells(trace) -> Iterator[tuple]:
+    """The rows of a ``TRACE_HEADER`` CSV for one evolution trace, for one pass.
+
+    The columns go out as Python floats, which format faster than numpy
+    scalars and to the same text; each row is made as it is written, so
+    the rows never all exist at once.
+    """
+    return zip(trace.times.tolist(), trace.chi2.tolist(), trace.mass_drift.tolist(),
+               trace.min_v.tolist())
 
 
 def run_decay_study(cfg: SweepConfig) -> Report:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterable
 
 
 def fmt(value) -> str:
@@ -32,7 +33,7 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path: str, header: list[str], rows: Iterable[tuple]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))

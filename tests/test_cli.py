@@ -1,10 +1,11 @@
+import itertools
 import os
 
 import pytest
 
 from noisyflow.cli import main
-from noisyflow.config import (EXPERIMENT_KINDS, parse_config, parse_expression, serialize_config,
-                              serialize_expression)
+from noisyflow.config import (EXPERIMENT_KINDS, KIND_KEYS, parse_config, parse_expression,
+                              serialize_config, serialize_expression)
 from noisyflow.errors import ConfigError
 from noisyflow.evolution import evolve, perturbed_initial
 from noisyflow.experiments import TRACE_HEADER, SweepConfig, SystemSpec, NoiseSpec, Thresholds, trace_cells
@@ -321,6 +322,41 @@ def test_kind_keys_round_trip_under_their_kind():
         assert parse_config(serialize_config(cfg)) == cfg
 
 
+# one non-default value for each field of KIND_KEYS
+KIND_ONLY_VALUES = {"target": Const(1.0), "refine_factor": 3, "assert_l1_limit": False}
+
+
+@pytest.mark.parametrize("key, value", KIND_ONLY_VALUES.items())
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_sweep_config_rejects_another_kinds_field(kind, key, value):
+    # a field the kind never reads would serialize to a file parse_config rejects
+    base = dict(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5,))
+    if kind in KIND_KEYS[key]:
+        assert getattr(SweepConfig(**base, **{key: value}), key) == value
+    else:
+        with pytest.raises(ValueError, match=f"{key} is not read by experiment kind '{kind}'"):
+            SweepConfig(**base, **{key: value})
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_every_constructible_config_round_trips(kind):
+    # every mix of default and non-default kind-only fields that SweepConfig
+    # accepts comes back unchanged from its file form
+    built = 0
+    for chosen in itertools.product((False, True), repeat=len(KIND_ONLY_VALUES)):
+        changes = {key: value for (key, value), on in zip(KIND_ONLY_VALUES.items(), chosen) if on}
+        try:
+            cfg = SweepConfig(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5, 0.25),
+                              scheme="crank-nicolson", **changes)
+        except ValueError:
+            assert any(kind not in KIND_KEYS[key] for key in changes)
+            continue
+        built += 1
+        assert parse_config(serialize_config(cfg)) == cfg
+    kind_only = sum(kind in kinds for kinds in KIND_KEYS.values())
+    assert built == 2 ** kind_only
+
+
 def test_bad_domain_kind_reports_only_the_domain_error():
     text = (ROTATION.replace("kind = torus2", "kind = toruss")
             .replace("catalog = torus-rotation", "bx = cos:axis=1,freq=1\nby = const:0\nu0 = const:1")
@@ -383,6 +419,23 @@ def test_cli_decay_writes_rates_and_traces(tmp_path):
             trace = (out / f"trace_eps{eps}_mode{mode}.csv").read_text().splitlines()
             assert trace[0] == "t,chi2,mass_drift,min_v" and len(trace) > 2
     assert "overall: PASS" in (out / "summary.txt").read_text()
+
+
+def test_trace_cells_write_the_text_of_the_numpy_values(tmp_path):
+    # the trace rows go out as Python floats; the CSV must read exactly as
+    # it does with the numpy scalars of the trace arrays
+    cfg = parse_config(MINIMAL)
+    _, system, family = cfg.build()
+    op = assemble_for(system, family, cfg.epsilons[0])
+    stationary = solve_stationary(op).density
+    trace, _ = evolve(op, perturbed_initial(stationary), 0.5, 0.005, scheme="crank-nicolson",
+                      stationary=stationary)
+    cells = list(trace_cells(trace))
+    assert all(type(value) is float for row in cells for value in row)
+    numpy_rows = list(zip(trace.times, trace.chi2, trace.mass_drift, trace.min_v))
+    write_csv(str(tmp_path / "python.csv"), TRACE_HEADER, cells)
+    write_csv(str(tmp_path / "numpy.csv"), TRACE_HEADER, numpy_rows)
+    assert (tmp_path / "python.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
 
 
 def test_cli_evolve_steps_the_configured_scheme(tmp_path):

@@ -239,12 +239,7 @@ DENSE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("stiffness, rtol", [(0.1, 1e-13), (10.0, 1e-13), (1000.0, 1e-11)])
-@pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
-@pytest.mark.parametrize("kind, n, name", DENSE_CASES)
-def test_evolve_matches_dense_propagation(kind, n, name, scheme, stiffness, rtol):
-    # the residual step multiplies the solve's error by up to theta ||M||,
-    # hence the wider tolerance at dt ||M||_1 = 1000
+def assert_matches_dense_propagation(kind, n, name, scheme, stiffness, rtol, nsteps):
     op, stat = catalog_setup(kind, n, name, 0.3)
     m = op.matrix.toarray()
     dt = stiffness / np.max(np.sum(np.abs(m), axis=0))
@@ -252,13 +247,30 @@ def test_evolve_matches_dense_propagation(kind, n, name, scheme, stiffness, rtol
     eye = np.eye(len(m))
     step = np.linalg.solve(eye - theta * m, eye + (dt - theta) * m)
     v0 = perturbed_initial(stat, mode=1)
-    trace, final = evolve(op, v0, horizon=50 * dt, dt=dt, scheme=scheme, stationary=stat)
-    assert len(trace.times) == 51
+    trace, final = evolve(op, v0, horizon=nsteps * dt, dt=dt, scheme=scheme, stationary=stat)
+    assert len(trace.times) == nsteps + 1
     v = v0.values
-    for _ in range(50):
+    for _ in range(nsteps):
         v = step @ v
     v = v / (np.sum(v) * op.grid.cell_volume)
     assert np.max(np.abs(final.values - v)) <= rtol * np.max(v)
+
+
+@pytest.mark.parametrize("stiffness, rtol", [(0.1, 1e-13), (10.0, 1e-13), (1000.0, 1e-11)])
+@pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+@pytest.mark.parametrize("kind, n, name", DENSE_CASES)
+def test_evolve_matches_dense_propagation(kind, n, name, scheme, stiffness, rtol):
+    # the residual step multiplies the solve's error by up to theta ||M||,
+    # hence the wider tolerance at dt ||M||_1 = 1000
+    assert_matches_dense_propagation(kind, n, name, scheme, stiffness, rtol, nsteps=50)
+
+
+@pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+@pytest.mark.parametrize("kind, n, name", DENSE_CASES)
+def test_evolve_matches_dense_propagation_over_2000_steps(kind, n, name, scheme):
+    # the Crank-Nicolson right-hand side is carried from step to step as
+    # v + theta M x rather than recomputed from v: its error must not add up
+    assert_matches_dense_propagation(kind, n, name, scheme, 10.0, 1e-13, nsteps=2000)
 
 
 # ---------------------------------------------------------------------------

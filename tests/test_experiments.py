@@ -195,14 +195,25 @@ def test_decay_study_zero_drift(tmp_path):
     assert (tmp_path / "trace_eps0.5_mode1.csv").exists()
 
 
-def test_decay_study_conserves_mass_over_a_long_horizon():
-    # 12000 implicit Euler steps per eps on a uniform diagonal: a per-step
-    # mass error that every column shares would add up past the 1e-12 gate
+def assert_long_horizon_mass(scheme):
     cfg = SweepConfig(kind="decay", domain=Circle(), n=(32,), epsilons=(0.5, 0.25),
-                      system=SystemSpec(catalog="zero-drift"), horizon_factor=60.0)
+                      system=SystemSpec(catalog="zero-drift"), horizon_factor=60.0,
+                      scheme=scheme)
     report = run_decay_study(cfg)
     assert report.verdicts["mass conserved"]
     assert max(r.max_mass_drift for r in report.rows) <= 1e-13
+
+
+def test_decay_study_conserves_mass_over_a_long_horizon():
+    # 12000 implicit Euler steps per eps on a uniform diagonal: a per-step
+    # mass error that every column shares would add up past the 1e-12 gate
+    assert_long_horizon_mass("implicit-euler")
+
+
+def test_decay_study_conserves_mass_over_a_long_horizon_crank_nicolson():
+    # the same 12000 steps with the right-hand side carried from step to
+    # step: a mass error it passes on would add up the same way
+    assert_long_horizon_mass("crank-nicolson")
 
 
 def test_decay_study_bounded_interval():
