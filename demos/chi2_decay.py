@@ -30,8 +30,7 @@ from noisyflow.stationary import solve_stationary
 eps = 0.5
 grid = build_grid(Circle(), 256)
 system = builtin_catalog("zero-drift", grid)
-family = coordinate_noise(grid, [eps])
-op = assemble_for(system, family, eps)
+op = assemble_for(system, coordinate_noise(grid), eps)
 stationary = solve_stationary(op).density
 
 rate_true = 4.0 * math.pi ** 2 * eps ** 2
@@ -59,13 +58,13 @@ cfg = SweepConfig(
     scheme="crank-nicolson",
 )
 report = run_decay_study(cfg)
-grid, system, family = cfg.build()
+grid, system, noise = cfg.build()
 
 print("\nadvective circle benchmark")
 print("eps      rate       rate/eps^2   r^2       Poincare quotient")
 for row in report.rows:
-    stationary = solve_stationary(assemble_for(system, family, row.eps)).density
-    poincare = poincare_quotient(family, row.eps, stationary, grid)
+    stationary = solve_stationary(assemble_for(system, noise, row.eps)).density
+    poincare = poincare_quotient(noise, stationary, grid)
     print(f"{row.eps:<8g} {row.fit.rate:<10.4f} {row.fit.rate_over_eps2:<12.2f} "
           f"{row.fit.r_squared:<9.6f} {poincare:.3f}")
 for name, ok in report.verdicts.items():

@@ -28,9 +28,9 @@ errors = []
 for n in (256, 512, 1024, 2048):
     grid = build_grid(Circle(), n)
     system = builtin_catalog("circle-positive", grid)
-    family = coordinate_noise(grid, [eps])
-    rep = solve_stationary(assemble_for(system, family, eps))
-    u_oracle, c_eps = oracle_1d_circle(system.drift, family.a0(eps), family.ai(eps), eps, grid)
+    noise = coordinate_noise(grid)
+    rep = solve_stationary(assemble_for(system, noise, eps))
+    u_oracle, c_eps = oracle_1d_circle(system.drift, noise.a0_field, noise.ai_fields, eps, grid)
     err = np.max(np.abs(rep.density.values - u_oracle)) / np.max(np.abs(u_oracle))
     errors.append(err)
     print(f"{n:<8d} {err:<40.3e} {c_eps:.12f}")
@@ -41,9 +41,9 @@ print(f"\nobserved convergence orders: {', '.join(f'{o:.3f}' for o in orders)}")
 # as eps -> 0 the oracle homes in on the invariant density gamma / B
 grid = build_grid(Circle(), 512)
 system = builtin_catalog("circle-positive", grid)
+noise = coordinate_noise(grid)
 u0 = np.sqrt(3.0) / (2.0 + np.sin(2 * np.pi * grid.cell_centers()[:, 0]))
 print("\neps      sup|u_eps - u0|")
 for eps in (0.4, 0.2, 0.1, 0.05):
-    family = coordinate_noise(grid, [eps])
-    u, _ = oracle_1d_circle(system.drift, family.a0(eps), family.ai(eps), eps, grid)
+    u, _ = oracle_1d_circle(system.drift, noise.a0_field, noise.ai_fields, eps, grid)
     print(f"{eps:<8g} {np.max(np.abs(u - u0)):.3e}")

@@ -20,8 +20,7 @@ from noisyflow.geometry import build_grid
 
 grid = build_grid(Circle(), 512)
 system = builtin_catalog("circle-positive", grid)
-family = coordinate_noise(grid, [0.3])
-new_drift, new_family = transform_div_free(system, family)
+new_drift, _ = transform_div_free(system, coordinate_noise(grid))
 
 b_tilde = new_drift.at_centers(grid)[:, 0]
 print(f"u0 B is constant: value {b_tilde[0]:.12f} (sqrt(3) = {np.sqrt(3):.12f}), "

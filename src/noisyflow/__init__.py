@@ -11,7 +11,7 @@ from .fields import (
     Affine,
     Const,
     ConservativeSystem,
-    NoiseFamily,
+    Noise,
     Power,
     Product,
     Sum,

@@ -91,12 +91,12 @@ def _run_evolve(cfg: SweepConfig, args) -> int:
         raise NoisyflowError("dt must be positive")
     if args.horizon is not None and args.horizon <= 0:
         raise NoisyflowError("horizon must be positive")
-    _, system, family = cfg.build()
+    _, system, noise = cfg.build()
     eps = cfg.epsilons[0]
     scale = 1.0 / (eps * eps * cfg.rate_guess)
     dt = args.dt if args.dt is not None else cfg.dt_factor * scale
     horizon = args.horizon if args.horizon is not None else cfg.horizon_factor * scale
-    op = assemble_for(system, family, eps)
+    op = assemble_for(system, noise, eps)
     stationary = solve_stationary(op).density
     trace, _ = evolve(op, perturbed_initial(stationary), horizon, dt, scheme=cfg.scheme,
                       stationary=stationary)
@@ -109,13 +109,13 @@ def _run_evolve(cfg: SweepConfig, args) -> int:
 
 
 def _run_oracle1d(cfg: SweepConfig, args) -> int:
-    grid, system, family = cfg.build()
+    grid, system, noise = cfg.build()
     eps = cfg.epsilons[0]
     if isinstance(grid.kind, Circle):
-        u, c_eps = oracle_1d_circle(system.drift, family.a0(eps), family.ai(eps), eps, grid)
+        u, c_eps = oracle_1d_circle(system.drift, noise.a0_field, noise.ai_fields, eps, grid)
         summary = f"oracle1d circle: eps={eps:g} C_eps={fmt(float(c_eps))}\n"
     elif isinstance(grid.kind, Interval):
-        u = oracle_1d_interval(system.drift, family.a0(eps), family.ai(eps), eps, grid)
+        u = oracle_1d_interval(system.drift, noise.a0_field, noise.ai_fields, eps, grid)
         summary = f"oracle1d interval: eps={eps:g} (zero stationary flux)\n"
     else:
         raise NoisyflowError("oracle1d needs a circle or interval domain")
@@ -130,9 +130,8 @@ def _run_oracle1d(cfg: SweepConfig, args) -> int:
 
 def _run_check(cfg: SweepConfig, args) -> int:
     grid = cfg.grid()
-    family = cfg.noise.build(grid, cfg.epsilons)
     p = cfg.admissibility_p if cfg.admissibility_p is not None else float(grid.dim + 2)
-    report = check_admissible(family, grid, p=p)
+    report = check_admissible(cfg.noise.build(grid), grid, p=p)
     _say(args.quiet, f"sup norm bound: {report.sup_norm_bound:.6g}")
     _say(args.quiet, f"ellipticity constant: {report.lam:.6g} "
                      f"(threshold {report.lambda_threshold:g})")

@@ -6,9 +6,10 @@ The format is a strict INI dialect with four sections: [domain],
 ``Thresholds``) are the one list of keys: ``SECTION_KEYS``,
 ``parse_config`` and ``serialize_config`` all iterate them.  Unknown
 keys are hard errors (naming the nearest valid key), and so is a known
-key that the chosen kind does not read (``experiments.KIND_KEYS``, which
-``SweepConfig`` enforces as well, so every config that constructs also
-serializes to a file that parses back), because silently ignored
+key that the chosen kind does not read (``experiments.KIND_KEYS``, and
+``[noise] kind = selection`` outside the selection experiment; both are
+enforced by ``SweepConfig`` as well, so every config that constructs
+also serializes to a file that parses back), because silently ignored
 configuration is the classic failure mode of experiment harnesses.
 Parse and validation problems are aggregated and reported with line
 numbers.
@@ -38,7 +39,7 @@ from dataclasses import fields
 from .errors import ConfigError, DomainError
 from .fields import Affine, Const, Power, Product, ScalarForm, Sum, Trig
 from .geometry import Circle, Interval, Rectangle, Torus2
-from .experiments import KIND_KEYS, NoiseSpec, SweepConfig, SystemSpec, Thresholds
+from .experiments import KIND_KEYS, NoiseSpec, SweepConfig, SystemSpec, Thresholds, check_epsilons
 
 
 def _choice(what: str, options):
@@ -88,14 +89,9 @@ def read_counts(text: str, dim: int) -> tuple[int, ...]:
 
 
 def read_epsilons(text: str) -> tuple[float, ...]:
-    """Noise intensities: at least one, all in (0, 1), strictly descending."""
+    """Noise intensities, by the rule of ``experiments.check_epsilons``."""
     eps = tuple(_floats(text))
-    if not eps:
-        raise ValueError("expected at least one epsilon")
-    if any(not (0.0 < e < 1.0) for e in eps):
-        raise ValueError("all epsilons must lie in (0, 1)")
-    if any(a <= b for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilons must be descending")
+    check_epsilons(eps)
     return eps
 
 
@@ -386,6 +382,10 @@ def parse_config(text: str) -> SweepConfig:
             if key in exp and kind not in kinds:
                 problems.append((exp[key][1], key, f"not read by [experiment] kind = {kind} "
                                                    f"(only {', '.join(kinds)} reads it)"))
+        if noise.kind == "selection" and kind != "selection":
+            problems.append((noise_sec["kind"][1], "kind", "[noise] kind = selection is not read by "
+                                                           f"[experiment] kind = {kind} "
+                                                           "(only selection reads it)"))
     target = _read(exp, "target", lambda value: parse_expression(value, lengths) if lengths else None,
                    problems)
     thresholds = _read_table(exp, THRESHOLDS, problems)

@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import FitError, PositivityError, SolveError
-from .fields import NoiseFamily, Trig, diffusion_matrix
+from .fields import Noise, Trig, diffusion_matrix
 from .geometry import Grid
 from .operator import FokkerPlanckOperator
 from .stationary import Density, factorize, solve_stationary
@@ -267,8 +267,8 @@ def perturbed_initial(stationary: Density, mode: int = 1, amplitude: float = 0.5
     return Density.normalized(np.clip(v, 0.0, None), grid)
 
 
-def poincare_quotient(nf: NoiseFamily, eps: float, stationary: Density,
-                      grid: Grid, max_modes: int = 3) -> float:
+def poincare_quotient(noise: Noise, stationary: Density, grid: Grid,
+                      max_modes: int = 3) -> float:
     """Weighted Poincare quotient over a basis of low Fourier modes.
 
     For each probe f the quotient is
@@ -276,9 +276,10 @@ def poincare_quotient(nf: NoiseFamily, eps: float, stationary: Density,
     fbar the u-weighted mean; the reported value is the minimum over the
     probes.  A uniform-in-eps positive lower bound is the discrete
     shadow of the uniform Poincare inequality behind the eps^2 decay
-    rate.
+    rate.  The noise level enters only through ``stationary``: the
+    diffusion matrix a of ``noise`` does not depend on eps.
     """
-    a = diffusion_matrix(nf.ai(eps), grid)
+    a = diffusion_matrix(noise.ai_fields, grid)
     u = stationary.values
     vol = grid.cell_volume
     centers = grid.cell_centers()

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import BoundaryError, FitError
 from .fields import (
     ConservativeSystem,
-    NoiseFamily,
+    Noise,
     ScalarForm,
     VectorField,
     builtin_catalog,
@@ -67,24 +67,25 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Recipe for a noise family.
+    """Recipe for the noise fields, rebuildable at any resolution.
 
     kind "coordinate" takes the coordinate fields with zero drift
     correction; "explicit" uses the supplied closed forms; "selection"
-    defers to the experiment target density.
+    defers to the experiment target density, so only the selection
+    experiment accepts it.
     """
 
     kind: str = "coordinate"
     a0_forms: tuple[ScalarForm, ...] | None = None
     ai_forms: tuple[tuple[ScalarForm, ...], ...] | None = None
 
-    def build(self, grid: Grid, epsilons) -> NoiseFamily:
+    # for the benchmark only: bench/workloads.py still passes ``epsilons``, which is ignored
+    def build(self, grid: Grid, epsilons=None) -> Noise:
         if self.kind == "coordinate":
-            return coordinate_noise(grid, epsilons)
+            return coordinate_noise(grid)
         if self.kind == "explicit":
             a0 = VectorField(self.a0_forms) if self.a0_forms else VectorField.zero(grid.dim)
-            ai = [VectorField(c) for c in (self.ai_forms or ())]
-            return NoiseFamily(len(ai), a0, ai, epsilons)
+            return Noise(a0, tuple(VectorField(c) for c in (self.ai_forms or ())))
         raise ValueError(f"noise spec kind {self.kind!r} cannot be built directly")
 
 
@@ -144,10 +145,7 @@ class SweepConfig:
     admissibility_p: float | None = None
 
     def __post_init__(self):
-        if not self.epsilons:
-            raise ValueError("epsilons must be nonempty")
-        if any(a <= b for a, b in zip(self.epsilons, self.epsilons[1:])):
-            raise ValueError("epsilons must be strictly decreasing")
+        check_epsilons(self.epsilons)
         if any(k < 4 for k in self.n):
             raise ValueError("grid resolution must be at least 4 cells per axis")
         defaults = {f.name: f.default for f in fields(self)}
@@ -155,14 +153,27 @@ class SweepConfig:
             if self.kind not in kinds and getattr(self, key) != defaults[key]:
                 raise ValueError(f"{key} is not read by experiment kind {self.kind!r} "
                                  f"(only {', '.join(kinds)} reads it)")
+        if self.noise.kind == "selection" and self.kind != "selection":
+            raise ValueError(f"noise kind 'selection' is not read by experiment kind {self.kind!r} "
+                             "(only selection reads it)")
 
     def grid(self) -> Grid:
         return build_grid(self.domain, self.n)
 
-    def build(self) -> tuple[Grid, ConservativeSystem, NoiseFamily]:
-        """The configured grid with its conservative system and noise family."""
+    def build(self) -> tuple[Grid, ConservativeSystem, Noise]:
+        """The configured grid with its conservative system and noise."""
         grid = self.grid()
-        return grid, self.system.build(grid), self.noise.build(grid, self.epsilons)
+        return grid, self.system.build(grid), self.noise.build(grid)
+
+
+def check_epsilons(eps) -> None:
+    """Noise intensities: at least one, all in (0, 1), strictly descending."""
+    if not eps:
+        raise ValueError("expected at least one epsilon")
+    if any(not (0.0 < e < 1.0) for e in eps):
+        raise ValueError("all epsilons must lie in (0, 1)")
+    if any(a <= b for a, b in zip(eps, eps[1:])):
+        raise ValueError("epsilons must be descending")
 
 
 def _n_label(n) -> str:
@@ -227,10 +238,10 @@ STABILITY_HEADER = ["eps", "n", "min_u", "max_u", "w12", "residual", "l1_dist_to
 
 def stability_rows(cfg: SweepConfig) -> tuple[list[StationaryRow], ConservativeSystem]:
     """One stationary solve per epsilon with its L1 distance to u0, and the system."""
-    grid, system, family = cfg.build()
+    grid, system, noise = cfg.build()
 
     def solve_one(eps):
-        rep = solve_stationary(assemble_for(system, family, eps))
+        rep = solve_stationary(assemble_for(system, noise, eps))
         l1 = float(np.sum(np.abs(rep.density.values - system.u0)) * grid.cell_volume)
         return StationaryRow(eps=eps, n=grid.n, report=rep, l1_to_u0=l1)
 
@@ -303,14 +314,12 @@ def run_selection(cfg: SweepConfig) -> Report:
 
     fine = refine_grid(grid, cfg.refine_factor)
     fine_system = cfg.system.build(fine)
-    families = {
-        g: construct_selecting_noise(cfg.target, g, cfg.epsilons) for g in (grid, fine)
-    }
+    noises = {g: construct_selecting_noise(cfg.target, g) for g in (grid, fine)}
 
     def solve_one(eps):
         errs = {}
         for g, s in ((grid, system), (fine, fine_system)):
-            rep = solve_stationary(assemble_for(s, families[g], eps))
+            rep = solve_stationary(assemble_for(s, noises[g], eps))
             target = cfg.target(g.cell_centers())
             target /= np.sum(target) * g.cell_volume
             errs[g] = float(np.max(np.abs(rep.density.values - target)))
@@ -358,14 +367,14 @@ def run_transform_consistency(cfg: SweepConfig) -> Report:
     to unit mass; the raw ratio integrates to 1 + O(eps^2)) up to a
     discretization-level tolerance.
     """
-    grid, system, family = cfg.build()
-    new_drift, new_family = transform_div_free(system, family)
+    grid, system, noise = cfg.build()
+    new_drift, new_noise = transform_div_free(system, noise)
     transformed = ConservativeSystem(new_drift, Const(1.0), grid,
                                      name=f"{system.name or 'system'}-transformed")
 
     def solve_one(eps):
-        u = solve_stationary(assemble_for(system, family, eps)).density
-        u_t = solve_stationary(assemble_for(transformed, new_family, eps)).density
+        u = solve_stationary(assemble_for(system, noise, eps)).density
+        u_t = solve_stationary(assemble_for(transformed, new_noise, eps)).density
         ratio = u.values / system.u0
         ratio /= np.sum(ratio) * grid.cell_volume
         return TransformRow(eps=eps, n=grid.n, sup_diff=float(np.max(np.abs(u_t.values - ratio))))
@@ -426,10 +435,10 @@ def run_decay_study(cfg: SweepConfig) -> Report:
     Euler damps the rotational part of the spectrum by about omega^2 dt,
     which pollutes the fitted rate well before it violates stability.
     """
-    grid, system, family = cfg.build()
+    grid, system, noise = cfg.build()
 
     def study_one(eps):
-        op = assemble_for(system, family, eps)
+        op = assemble_for(system, noise, eps)
         stationary = solve_stationary(op).density
         scale = 1.0 / (eps * eps * cfg.rate_guess)
         horizon = cfg.horizon_factor * scale
@@ -498,7 +507,7 @@ def run_bounded_domain(cfg: SweepConfig) -> Report:
     dimension each solve is cross-checked against the closed-form
     interval oracle.
     """
-    grid, system, family = cfg.build()
+    grid, system, noise = cfg.build()
     if all(grid.periodic):
         raise ValueError("bounded-domain experiment needs an interval or rectangle")
     for axis in range(grid.dim):
@@ -511,10 +520,10 @@ def run_bounded_domain(cfg: SweepConfig) -> Report:
             raise BoundaryError(f"drift normal component reaches {worst} on the axis-{axis} boundary")
 
     def solve_one(eps):
-        rep = solve_stationary(assemble_for(system, family, eps))
+        rep = solve_stationary(assemble_for(system, noise, eps))
         oracle_sup = None
         if grid.dim == 1:
-            oracle = oracle_1d_interval(system.drift, family.a0(eps), family.ai(eps), eps, grid)
+            oracle = oracle_1d_interval(system.drift, noise.a0_field, noise.ai_fields, eps, grid)
             oracle_sup = float(np.max(np.abs(rep.density.values - oracle)) / np.max(np.abs(oracle)))
         return BoundedRow(eps=eps, n=grid.n, report=rep, oracle_sup=oracle_sup)
 

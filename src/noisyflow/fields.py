@@ -8,6 +8,10 @@ and the directional derivatives of sqrt(u0) in the divergence-free
 transform, neither of which should pick up first-order finite-difference
 bias.
 
+:class:`Noise` holds one set of noise fields {A_0, A_1..A_m}; the noise
+level eps is not part of it, since it only scales the fields where the
+operator is built.
+
 The module also houses the two explicit constructions exercised by the
 test suite: the transform to a divergence-free drift (u0 B with rescaled
 noise) and the symmetric selecting noise that pins an arbitrary positive
@@ -17,7 +21,7 @@ density as the exact stationary measure at every noise level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -286,43 +290,33 @@ def divergence(f: VectorField, grid: Grid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# noise families and conservative systems
+# noise and conservative systems
 # ---------------------------------------------------------------------------
 
 
-class NoiseFamily:
-    """Epsilon-indexed collection {A_0, A_1..A_m} of vector fields.
+@dataclass(frozen=True)
+class Noise:
+    """The noise fields {A_0, A_1..A_m} of the perturbed flow.
 
-    The drift correction A_0 and the diffusion fields A_i are the same
-    at every epsilon; the noise level enters the operator only through
-    its eps^2 scaling.  ``epsilons`` must be strictly decreasing and lie
-    in (0, 1).
+    The drift correction A_0 and the diffusion fields A_i do not depend
+    on the noise level: eps enters only where the operator is built, as
+    eps^2 A_0 in the drift and eps A_i in the diffusion.
     """
 
-    def __init__(self, m: int, a0: VectorField, ai: Sequence[VectorField],
-                 epsilons: Sequence[float]):
-        eps = tuple(float(e) for e in epsilons)
-        if not eps:
-            raise ValueError("epsilons must be nonempty")
-        if any(not (0.0 < e < 1.0) for e in eps):
-            raise ValueError(f"epsilons must lie in (0, 1), got {eps}")
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise ValueError(f"epsilons must be strictly decreasing, got {eps}")
-        if m < 1 or len(ai) != m:
-            raise ValueError(f"need m >= 1 diffusion fields, got m={m}, len(ai)={len(ai)}")
-        self.m = int(m)
-        self.epsilons = eps
-        self._a0 = a0
-        self._ai = list(ai)
+    a0_field: VectorField
+    ai_fields: tuple[VectorField, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "ai_fields", tuple(self.ai_fields))
+        if not self.ai_fields:
+            raise ValueError("noise needs at least one diffusion field")
+
+    # for the benchmark only: bench/workloads.py still asks for the fields per eps
     def a0(self, eps: float) -> VectorField:
-        return self._a0
+        return self.a0_field
 
-    def ai(self, eps: float) -> list[VectorField]:
-        return list(self._ai)
-
-    def __repr__(self):
-        return f"NoiseFamily(m={self.m}, epsilons={self.epsilons})"
+    def ai(self, eps: float) -> tuple[VectorField, ...]:
+        return self.ai_fields
 
 
 class ConservativeSystem:
@@ -403,36 +397,34 @@ def smallest_eigenvalue(a: np.ndarray) -> np.ndarray:
     return 0.5 * (tr - gap)
 
 
-def check_admissible(nf: NoiseFamily, grid: Grid, p: float, lambda_threshold: float = 1e-6) -> AdmissibilityReport:
-    """Discrete admissibility diagnostics for a noise family.
+def check_admissible(noise: Noise, grid: Grid, p: float, lambda_threshold: float = 1e-6) -> AdmissibilityReport:
+    """Discrete admissibility diagnostics for the noise fields.
 
     Norms use midpoint quadrature over cells with centered differences
     for the gradient part; the ellipticity constant is the exact minimum
-    over cells and epsilons of the smallest eigenvalue of sum_i A_i A_i^T.
+    over cells of the smallest eigenvalue of sum_i A_i A_i^T.  Neither
+    depends on eps, which only scales the fields.
     """
     if p <= grid.dim:
         raise ValueError(f"integrability exponent must exceed the dimension, got p={p}, d={grid.dim}")
-    if nf.m < grid.dim:
-        raise ValueError(f"family has m={nf.m} < d={grid.dim} diffusion fields")
+    m = len(noise.ai_fields)
+    if m < grid.dim:
+        raise ValueError(f"family has m={m} < d={grid.dim} diffusion fields")
     vol = grid.cell_volume
-    sup = 0.0
-    lam = math.inf
-    for eps in nf.epsilons:
-        a0 = nf.a0(eps).at_centers(grid)
-        norm_a0 = float(np.sum(np.linalg.norm(a0, axis=1) ** p * vol) ** (1.0 / p))
-        worst = 0.0
-        ai_fields = nf.ai(eps)
-        for f in ai_fields:
-            vals = f.at_centers(grid)
-            grad_sq = np.zeros(grid.ncells)
-            for j in range(grid.dim):
-                for k in range(grid.dim):
-                    grad_sq += _centered_diff(vals[:, j], grid, k) ** 2
-            lp = np.sum(np.linalg.norm(vals, axis=1) ** p * vol)
-            wp = np.sum(grad_sq ** (p / 2.0) * vol)
-            worst = max(worst, float((lp + wp) ** (1.0 / p)))
-        sup = max(sup, norm_a0 + worst)
-        lam = min(lam, float(np.min(smallest_eigenvalue(diffusion_matrix(ai_fields, grid)))))
+    a0 = noise.a0_field.at_centers(grid)
+    norm_a0 = float(np.sum(np.linalg.norm(a0, axis=1) ** p * vol) ** (1.0 / p))
+    worst = 0.0
+    for f in noise.ai_fields:
+        vals = f.at_centers(grid)
+        grad_sq = np.zeros(grid.ncells)
+        for j in range(grid.dim):
+            for k in range(grid.dim):
+                grad_sq += _centered_diff(vals[:, j], grid, k) ** 2
+        lp = np.sum(np.linalg.norm(vals, axis=1) ** p * vol)
+        wp = np.sum(grad_sq ** (p / 2.0) * vol)
+        worst = max(worst, float((lp + wp) ** (1.0 / p)))
+    sup = norm_a0 + worst
+    lam = float(np.min(smallest_eigenvalue(diffusion_matrix(noise.ai_fields, grid))))
     return AdmissibilityReport(
         p=p,
         sup_norm_bound=sup,
@@ -448,11 +440,11 @@ def check_admissible(nf: NoiseFamily, grid: Grid, p: float, lambda_threshold: fl
 # ---------------------------------------------------------------------------
 
 
-def transform_div_free(sys: ConservativeSystem, nf: NoiseFamily):
+def transform_div_free(sys: ConservativeSystem, noise: Noise):
     """Convert to a system whose drift u0*B is divergence-free.
 
-    Returns (new drift, new noise family) where the diffusion fields are
-    scaled by sqrt(u0) and the drift correction absorbs the directional
+    Returns (new drift, new noise) where the diffusion fields are scaled
+    by sqrt(u0) and the drift correction absorbs the directional
     derivatives of sqrt(u0).  The stationary density of the transformed
     system equals u_eps / u0 of the original, which the consistency
     experiment verifies numerically.
@@ -462,24 +454,21 @@ def transform_div_free(sys: ConservativeSystem, nf: NoiseFamily):
     u0 = sys.u0_form
     sqrt_u0 = Power(u0, 0.5)
     new_drift = VectorField([mul(u0, c) for c in sys.drift.components])
-    eps = nf.epsilons[0]
-    ai = nf.ai(eps)
-    comps = [mul(u0, c) for c in nf.a0(eps).components]
-    for f in ai:
+    comps = [mul(u0, c) for c in noise.a0_field.components]
+    for f in noise.ai_fields:
         corr = mul(Const(-0.5), mul(sqrt_u0, f.directional_derivative(sqrt_u0)))
         comps = [add(c, mul(corr, fc)) for c, fc in zip(comps, f.components)]
-    return new_drift, NoiseFamily(nf.m, VectorField(comps), [f.scaled(sqrt_u0) for f in ai],
-                                  nf.epsilons)
+    return new_drift, Noise(VectorField(comps), tuple(f.scaled(sqrt_u0) for f in noise.ai_fields))
 
 
-def construct_selecting_noise(u_form: ScalarForm, grid: Grid, epsilons) -> NoiseFamily:
-    """Noise family whose unique stationary density is ``u_form`` exactly.
+def construct_selecting_noise(u_form: ScalarForm, grid: Grid) -> Noise:
+    """Noise whose unique stationary density is ``u_form`` exactly.
 
     Takes the coordinate fields as the generating frame (on flat domains
     the sum of their squares is the Laplacian), giving m = d with
-    A_i = u^{-1/2} e_i and A_0 = (1/(4 u^2)) sum_i (d_i u) e_i, the same
-    family at every epsilon.  Satisfies the ellipticity condition with
-    constant 1 / max(u).
+    A_i = u^{-1/2} e_i and A_0 = (1/(4 u^2)) sum_i (d_i u) e_i, so the
+    selection holds at every epsilon.  Satisfies the ellipticity
+    condition with constant 1 / max(u).
     """
     samples = u_form(grid.cell_centers())
     if np.any(samples <= 0.0) or not np.all(np.isfinite(samples)):
@@ -487,9 +476,9 @@ def construct_selecting_noise(u_form: ScalarForm, grid: Grid, epsilons) -> Noise
     d = grid.dim
     inv_sqrt = Power(u_form, -0.5)
     quarter_inv_sq = mul(Const(0.25), Power(u_form, -2.0))
-    ai = [coordinate_field(d, k).scaled(inv_sqrt) for k in range(d)]
+    ai = tuple(coordinate_field(d, k).scaled(inv_sqrt) for k in range(d))
     a0 = VectorField([mul(quarter_inv_sq, u_form.grad(k)) for k in range(d)])
-    return NoiseFamily(d, a0, ai, epsilons)
+    return Noise(a0, ai)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +542,7 @@ def _require(kind, expected, name):
         raise CatalogError(f"{name} requires a {expected.__name__} domain, got {type(kind).__name__}")
 
 
-def coordinate_noise(grid: Grid, epsilons) -> NoiseFamily:
+def coordinate_noise(grid: Grid) -> Noise:
     """Homogeneous noise from the coordinate fields (a = identity)."""
     d = grid.dim
-    ai = [coordinate_field(d, k) for k in range(d)]
-    return NoiseFamily(d, VectorField.zero(d), ai, epsilons)
+    return Noise(VectorField.zero(d), tuple(coordinate_field(d, k) for k in range(d)))

@@ -135,8 +135,10 @@ class Grid:
     h : tuple of float
         Spacing per axis (axis length / n).
     periodic : tuple of bool
+    dim : int
     ncells : int
-    cell_volumes : ndarray, shape (ncells,)
+    cell_volume : float
+        The volume of every cell (product of the spacings).
     lattice : ndarray of int64, shape n[::-1]
     """
 
@@ -148,7 +150,6 @@ class Grid:
         self.h = tuple(L / k for L, k in zip(kind.lengths, self.n))
         self.ncells = int(np.prod(self.n))
         self.cell_volume = float(np.prod(self.h))
-        self.cell_volumes = np.full(self.ncells, self.cell_volume)
         self.lattice = np.arange(self.ncells, dtype=np.int64).reshape(self.n[::-1])
         self.lattice.setflags(write=False)
         self._centers = None

@@ -36,7 +36,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AssemblyError
-from .fields import ConservativeSystem, NoiseFamily, diffusion_matrix, smallest_eigenvalue
+from .fields import ConservativeSystem, Noise, diffusion_matrix, smallest_eigenvalue
 from .geometry import Grid
 
 #: Below this |z| the Bernoulli function switches to its Taylor series.
@@ -82,7 +82,7 @@ class DriftDiffusionData:
     grid: Grid
 
 
-def derive_drift_diffusion(sys: ConservativeSystem, nf: NoiseFamily, eps: float) -> DriftDiffusionData:
+def derive_drift_diffusion(sys: ConservativeSystem, noise: Noise, eps: float) -> DriftDiffusionData:
     """Sample the flux-form coefficients of the operator at one epsilon.
 
     The drift part eps^2 A0 + B is sampled at face centers from the
@@ -90,23 +90,19 @@ def derive_drift_diffusion(sys: ConservativeSystem, nf: NoiseFamily, eps: float)
     value is the arithmetic mean of the adjacent cells, second order and
     symmetric).
     """
-    if eps not in nf.epsilons:
-        raise ValueError(f"eps={eps} is not a member of the family's epsilons {nf.epsilons}")
     grid = sys.grid
     d = grid.dim
-    ai_fields = nf.ai(eps)
-    a0_field = nf.a0(eps)
-    a = diffusion_matrix(ai_fields, grid)
+    a = diffusion_matrix(noise.ai_fields, grid)
     dcorr = np.zeros((grid.ncells, d))
     centers = grid.cell_centers()
-    for f in ai_fields:
+    for f in noise.ai_fields:
         div_vals = f.div_form()(centers)
         dcorr += f.at_centers(grid) * div_vals[:, None]
     ceff = {}
     e2 = eps * eps
     for axis in range(d):
         left, right, _ = grid.interior_faces(axis)
-        drift_n = e2 * a0_field.normal_at_faces(grid, axis) + sys.drift.normal_at_faces(grid, axis)
+        drift_n = e2 * noise.a0_field.normal_at_faces(grid, axis) + sys.drift.normal_at_faces(grid, axis)
         corr_face = 0.5 * (dcorr[left, axis] + dcorr[right, axis])
         ceff[axis] = drift_n - 0.5 * e2 * corr_face
     for arr in (a, dcorr, *ceff.values()):
@@ -247,6 +243,6 @@ def assemble_fp_operator(dd: DriftDiffusionData, grid: Grid) -> FokkerPlanckOper
     return op
 
 
-def assemble_for(sys: ConservativeSystem, nf: NoiseFamily, eps: float) -> FokkerPlanckOperator:
+def assemble_for(sys: ConservativeSystem, noise: Noise, eps: float) -> FokkerPlanckOperator:
     """Convenience wrapper: derive coefficients and assemble in one call."""
-    return assemble_fp_operator(derive_drift_diffusion(sys, nf, eps), sys.grid)
+    return assemble_fp_operator(derive_drift_diffusion(sys, noise, eps), sys.grid)

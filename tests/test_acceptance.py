@@ -38,9 +38,9 @@ def test_criterion_1_oracle_equivalence():
     for n in (512, 1024, 2048):
         g = build_grid(Circle(), n)
         sys = builtin_catalog("circle-positive", g)
-        nf = coordinate_noise(g, [0.3])
+        nf = coordinate_noise(g)
         rep = solve_stationary(assemble_for(sys, nf, 0.3))
-        u_oracle, _ = oracle_1d_circle(sys.drift, nf.a0(0.3), nf.ai(0.3), 0.3, g)
+        u_oracle, _ = oracle_1d_circle(sys.drift, nf.a0_field, nf.ai_fields, 0.3, g)
         errs.append(np.max(np.abs(rep.density.values - u_oracle)) / np.max(np.abs(u_oracle)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     elapsed = time.perf_counter() - start
@@ -55,7 +55,7 @@ def test_criterion_2_exact_uniform_stationarity():
     for name in ("torus-rotation", "torus-shear"):
         g = build_grid(Torus2(), (64, 64))
         sys = builtin_catalog(name, g)
-        nf = coordinate_noise(g, (0.5, 0.1))
+        nf = coordinate_noise(g)
         for eps in (0.5, 0.1):
             rep = solve_stationary(assemble_for(sys, nf, eps))
             worst = max(worst, float(np.max(np.abs(rep.density.values - 1.0))))
@@ -72,7 +72,7 @@ def test_criterion_3_selection_by_noise():
     for n in (64, 128):
         g = build_grid(Torus2(), (n, n))
         sys = builtin_catalog("torus-shear", g)
-        nf = construct_selecting_noise(target, g, (0.5, 0.1))
+        nf = construct_selecting_noise(target, g)
         per_eps = []
         for eps in (0.5, 0.1):
             rep = solve_stationary(assemble_for(sys, nf, eps))
@@ -95,7 +95,7 @@ def test_criterion_4_zero_noise_limit():
     g = build_grid(Circle(), 1024)
     sys = builtin_catalog("circle-positive", g)
     eps_list = (0.4, 0.2, 0.1, 0.05)
-    nf = coordinate_noise(g, eps_list)
+    nf = coordinate_noise(g)
     l1s, max_us, min_us = [], [], []
     for eps in eps_list:
         rep = solve_stationary(assemble_for(sys, nf, eps))
@@ -116,7 +116,7 @@ def test_criterion_5_chi2_decay_rate():
     g = build_grid(Circle(), 256)
     sys = builtin_catalog("zero-drift", g)
     eps = 0.5
-    nf = coordinate_noise(g, [eps])
+    nf = coordinate_noise(g)
     op = assemble_for(sys, nf, eps)
     stationary = solve_stationary(op).density
     rate_true = 4.0 * math.pi ** 2 * eps ** 2
@@ -194,17 +194,17 @@ def test_criterion_9_structural_invariants(tmp_path):
         out = []
         g1 = build_grid(Circle(), 512)
         s1 = builtin_catalog("circle-positive", g1)
-        out.append(assemble_for(s1, coordinate_noise(g1, [0.3]), 0.3))
+        out.append(assemble_for(s1, coordinate_noise(g1), 0.3))
         g2 = build_grid(Torus2(), (64, 64))
         for name in ("torus-rotation", "torus-shear", "hamiltonian-cellular"):
-            out.append(assemble_for(builtin_catalog(name, g2), coordinate_noise(g2, [0.1]), 0.1))
+            out.append(assemble_for(builtin_catalog(name, g2), coordinate_noise(g2), 0.1))
         target = Trig("cos", 1, 1, 0.5, 1.0, 1.0)
         out.append(assemble_for(builtin_catalog("torus-shear", g2),
-                                construct_selecting_noise(target, g2, [0.1]), 0.1))
+                                construct_selecting_noise(target, g2), 0.1))
         g3 = build_grid(Interval(), 256)
-        out.append(assemble_for(builtin_catalog("zero-drift", g3), coordinate_noise(g3, [0.5]), 0.5))
+        out.append(assemble_for(builtin_catalog("zero-drift", g3), coordinate_noise(g3), 0.5))
         g4 = build_grid(Rectangle(), (32, 32))
-        out.append(assemble_for(builtin_catalog("zero-drift", g4), coordinate_noise(g4, [0.5]), 0.5))
+        out.append(assemble_for(builtin_catalog("zero-drift", g4), coordinate_noise(g4), 0.5))
         return out
 
     first, second = roster(), roster()

@@ -357,6 +357,28 @@ def test_every_constructible_config_round_trips(kind):
     assert built == 2 ** kind_only
 
 
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_selection_noise_is_read_only_by_the_selection_experiment(tmp_path, capsys, kind):
+    text = MINIMAL.replace("kind = coordinate", "kind = selection").replace("kind = stability",
+                                                                            f"kind = {kind}")
+    base = dict(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5,), noise=NoiseSpec(kind="selection"))
+    if kind == "selection":
+        cfg = parse_config(text)
+        assert parse_config(serialize_config(cfg)) == cfg
+        assert SweepConfig(**base).noise.kind == "selection"
+        return
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [(line, key) for line, key, _ in info.value.locations] == [(10, "kind")]
+    assert f"[noise] kind = selection is not read by [experiment] kind = {kind}" in str(info.value)
+    with pytest.raises(ValueError, match=f"noise kind 'selection' is not read by experiment kind '{kind}'"):
+        SweepConfig(**base)
+    path = write_config(tmp_path, text)
+    for command in ("check", "stationary"):
+        assert main([command, "--config", path, "--quiet"]) == 1
+        assert "line 10, kind: [noise] kind = selection" in capsys.readouterr().err
+
+
 def test_bad_domain_kind_reports_only_the_domain_error():
     text = (ROTATION.replace("kind = torus2", "kind = toruss")
             .replace("catalog = torus-rotation", "bx = cos:axis=1,freq=1\nby = const:0\nu0 = const:1")

@@ -24,7 +24,7 @@ from noisyflow.stationary import Density, solve_stationary
 def laplacian_setup(n=128, eps=0.5):
     g = build_grid(Circle(), n)
     sys = builtin_catalog("zero-drift", g)
-    nf = coordinate_noise(g, [eps])
+    nf = coordinate_noise(g)
     op = assemble_for(sys, nf, eps)
     return g, op, solve_stationary(op).density
 
@@ -134,7 +134,7 @@ def test_evolve_validation():
 
 def catalog_setup(kind, n, name, eps):
     g = build_grid(kind, n)
-    op = assemble_for(builtin_catalog(name, g), coordinate_noise(g, [eps]), eps)
+    op = assemble_for(builtin_catalog(name, g), coordinate_noise(g), eps)
     return op, solve_stationary(op).density
 
 
@@ -327,8 +327,8 @@ def test_poincare_quotient_flat_case():
     # uniform density, identity diffusion: the minimizing probe is the
     # first Fourier mode with quotient exactly 4 pi^2
     g, op, stat = laplacian_setup(n=128, eps=0.5)
-    nf = coordinate_noise(g, [0.5])
-    q = poincare_quotient(nf, 0.5, stat, g)
+    nf = coordinate_noise(g)
+    q = poincare_quotient(nf, stat, g)
     assert abs(q - 4 * math.pi ** 2) <= 1e-6
 
 
@@ -336,10 +336,10 @@ def test_poincare_quotient_uniform_in_eps():
     g = build_grid(Circle(), 256)
     sys = builtin_catalog("circle-positive", g)
     eps_list = (0.4, 0.2, 0.1)
-    nf = coordinate_noise(g, eps_list)
+    nf = coordinate_noise(g)
     values = []
     for eps in eps_list:
         stat = solve_stationary(assemble_for(sys, nf, eps)).density
-        values.append(poincare_quotient(nf, eps, stat, g))
+        values.append(poincare_quotient(nf, stat, g))
     assert min(values) > 1.0  # bounded below uniformly across the sweep
     assert max(values) / min(values) <= 3.0

@@ -28,6 +28,19 @@ from noisyflow.reporting import write_csv
 from noisyflow.stationary import solve_stationary
 
 
+@pytest.mark.parametrize("epsilons, message", [
+    ((0.1, 0.5), "descending"),
+    ((0.5, 0.5), "descending"),
+    ((), "at least one epsilon"),
+    ((1.5,), r"lie in \(0, 1\)"),
+    ((0.5, 0.0), r"lie in \(0, 1\)"),
+    ((1.0, 0.5), r"lie in \(0, 1\)"),
+])
+def test_sweep_config_eps_validation(epsilons, message):
+    with pytest.raises(ValueError, match=message):
+        SweepConfig(kind="stability", domain=Circle(), n=(64,), epsilons=epsilons)
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(kind="stability", domain=Circle(), n=(64,), epsilons=())
@@ -159,7 +172,7 @@ def test_transform_identity_for_uniform_density():
 
     g = build_grid(Torus2(), (16, 16))
     sys = builtin_catalog("torus-rotation", g)
-    nf = coordinate_noise(g, [0.5])
+    nf = coordinate_noise(g)
     drift2, nf2 = transform_div_free(sys, nf)
     sys2 = ConservativeSystem(drift2, Const(1.0), g)
     m1 = assemble_for(sys, nf, 0.5).matrix

@@ -9,7 +9,7 @@ from noisyflow.fields import (
     Affine,
     Const,
     ConservativeSystem,
-    NoiseFamily,
+    Noise,
     Power,
     Trig,
     VectorField,
@@ -71,7 +71,7 @@ def test_power_derivative_closed_form():
 
 def test_admissible_constant_circle():
     g = build_grid(Circle(), 32)
-    nf = coordinate_noise(g, [0.5])
+    nf = coordinate_noise(g)
     report = check_admissible(nf, g, p=3.0)
     assert report.passes_A1 and report.passes_A2
     assert abs(report.lam - 1.0) <= 1e-14
@@ -79,7 +79,7 @@ def test_admissible_constant_circle():
 
 def test_admissible_coordinate_torus():
     g = build_grid(Torus2(), (16, 16))
-    nf = coordinate_noise(g, [0.5])
+    nf = coordinate_noise(g)
     report = check_admissible(nf, g, p=4.0)
     assert abs(report.lam - 1.0) <= 1e-14
     assert report.passes_A2
@@ -89,7 +89,7 @@ def test_admissible_vanishing_field_fails_A2():
     # odd cell count puts a midpoint exactly on the zero of sin(2 pi x)
     g = build_grid(Circle(), 65)
     a1 = VectorField([Trig("sin", 0, 1, 1.0, 0.0, 1.0)])
-    nf = NoiseFamily(1, VectorField.zero(1), [a1], [0.5])
+    nf = Noise(VectorField.zero(1), (a1,))
     report = check_admissible(nf, g, p=3.0)
     assert report.lam <= 1e-12
     assert not report.passes_A2
@@ -101,7 +101,7 @@ def test_admissible_non_square_rectangle_differentiates_along_each_axis():
     g = build_grid(Rectangle(0.0, 2.0, -1.0, 0.0), (8, 5))
     a1 = VectorField([Affine(0, 2.0, 1.0), Const(0.0)])
     a2 = VectorField([Const(0.0), Affine(1, 3.0, 4.0)])
-    nf = NoiseFamily(2, VectorField.zero(2), [a1, a2], [0.5])
+    nf = Noise(VectorField.zero(2), (a1, a2))
     p = 4.0
     x, y = g.cell_centers().T
     vol = g.cell_volume
@@ -118,7 +118,7 @@ def test_admissible_non_square_rectangle_differentiates_along_each_axis():
 def test_admissible_p_must_exceed_dimension():
     g = build_grid(Torus2(), (8, 8))
     with pytest.raises(ValueError):
-        check_admissible(coordinate_noise(g, [0.5]), g, p=2.0)
+        check_admissible(coordinate_noise(g), g, p=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +232,15 @@ def test_field_samples_follow_the_grid_even_at_a_reused_address():
 
 
 # ---------------------------------------------------------------------------
-# noise family validation
+# noise validation
 # ---------------------------------------------------------------------------
 
 
-def test_noise_family_eps_validation():
+def test_noise_needs_a_diffusion_field():
+    with pytest.raises(ValueError, match="at least one diffusion field"):
+        Noise(VectorField.zero(1), ())
     a = VectorField.constant([1.0])
-    with pytest.raises(ValueError):
-        NoiseFamily(1, VectorField.zero(1), [a], [0.1, 0.5])  # ascending
-    with pytest.raises(ValueError):
-        NoiseFamily(1, VectorField.zero(1), [a], [1.5])  # out of range
-    with pytest.raises(ValueError):
-        NoiseFamily(1, VectorField.zero(1), [a], [])
+    assert Noise(VectorField.zero(1), [a]).ai_fields == (a,)
 
 
 # ---------------------------------------------------------------------------
@@ -254,27 +251,27 @@ def test_noise_family_eps_validation():
 def test_transform_identity_when_u0_is_one():
     g = build_grid(Torus2(), (16, 16))
     sys = builtin_catalog("torus-rotation", g)
-    nf = coordinate_noise(g, [0.5, 0.25])
+    nf = coordinate_noise(g)
     drift, nf2 = transform_div_free(sys, nf)
     assert np.array_equal(drift.at_centers(g), sys.drift.at_centers(g))
-    for f_old, f_new in zip(nf.ai(0.5), nf2.ai(0.5)):
+    for f_old, f_new in zip(nf.ai_fields, nf2.ai_fields):
         assert np.array_equal(f_old.at_centers(g), f_new.at_centers(g))
-    assert np.max(np.abs(nf2.a0(0.5).at_centers(g))) == 0.0
+    assert np.max(np.abs(nf2.a0_field.at_centers(g))) == 0.0
 
 
 def test_transform_circle_positive_gives_constant_drift():
     g = build_grid(Circle(), 512)
     sys = builtin_catalog("circle-positive", g)
-    nf = coordinate_noise(g, [0.3])
+    nf = coordinate_noise(g)
     drift, nf2 = transform_div_free(sys, nf)
     vals = drift.at_centers(g)[:, 0]
     assert np.ptp(vals) <= 1e-13
     assert abs(vals[0] - GAMMA) <= 1e-4
     # A0-tilde = -(1/4) u0' in closed form
     u0p = sys.u0_form.grad(0)(g.cell_centers())
-    a0 = nf2.a0(0.3).at_centers(g)[:, 0]
+    a0 = nf2.a0_field.at_centers(g)[:, 0]
     assert np.allclose(a0, -0.25 * u0p, atol=1e-12)
-    assert nf2.epsilons == nf.epsilons
+    assert len(nf2.ai_fields) == len(nf.ai_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +281,23 @@ def test_transform_circle_positive_gives_constant_drift():
 
 def test_selection_uniform_target_is_coordinate_noise():
     g = build_grid(Torus2(), (8, 8))
-    nf = construct_selecting_noise(Const(1.0), g, [0.5])
-    assert np.max(np.abs(nf.a0(0.5).at_centers(g))) == 0.0
-    for k, f in enumerate(nf.ai(0.5)):
+    nf = construct_selecting_noise(Const(1.0), g)
+    assert np.max(np.abs(nf.a0_field.at_centers(g))) == 0.0
+    for k, f in enumerate(nf.ai_fields):
         assert np.array_equal(f.at_centers(g), coordinate_field(2, k).at_centers(g))
 
 
 def test_selection_circle_closed_forms():
     g = build_grid(Circle(), 256)
     u = Trig("cos", 0, 1, 0.5, 1.0, 1.0)  # 1 + cos(2 pi x)/2
-    nf = construct_selecting_noise(u, g, [0.3])
+    nf = construct_selecting_noise(u, g)
     x = g.cell_centers()[:, 0]
     uu = 1.0 + 0.5 * np.cos(2 * np.pi * x)
-    a1 = nf.ai(0.3)[0].at_centers(g)[:, 0]
+    a1 = nf.ai_fields[0].at_centers(g)[:, 0]
     assert np.allclose(a1, uu ** -0.5, atol=1e-13)
     # A0 = u' / (4 u^2); the 1/4 is what cancels the Stratonovich
     # correction (b = A0 + A1 A1'/2 = 0) and makes the selection exact
-    a0 = nf.a0(0.3).at_centers(g)[:, 0]
+    a0 = nf.a0_field.at_centers(g)[:, 0]
     expected = -np.pi * np.sin(2 * np.pi * x) / (4.0 * uu ** 2)
     assert np.allclose(a0, expected, atol=1e-12)
 
@@ -308,8 +305,8 @@ def test_selection_circle_closed_forms():
 def test_selection_ellipticity_equals_inverse_max():
     g = build_grid(Circle(), 128)
     u = Trig("cos", 0, 1, 0.5, 1.0, 1.0)
-    nf = construct_selecting_noise(u, g, [0.5])
-    lam = np.min(smallest_eigenvalue(diffusion_matrix(nf.ai(0.5), g)))
+    nf = construct_selecting_noise(u, g)
+    lam = np.min(smallest_eigenvalue(diffusion_matrix(nf.ai_fields, g)))
     u_samples = u(g.cell_centers())
     assert lam >= 1.0 / u_samples.max() - 1e-12
 
@@ -317,4 +314,4 @@ def test_selection_ellipticity_equals_inverse_max():
 def test_selection_requires_positive_target():
     g = build_grid(Circle(), 16)
     with pytest.raises(PositivityError):
-        construct_selecting_noise(Trig("cos", 0, 1, 2.0, 1.0, 1.0), g, [0.5])
+        construct_selecting_noise(Trig("cos", 0, 1, 2.0, 1.0, 1.0), g)

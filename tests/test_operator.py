@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from noisyflow.errors import AssemblyError
 from noisyflow.fields import (
     Const,
-    NoiseFamily,
+    Noise,
     Trig,
     VectorField,
     builtin_catalog,
@@ -53,7 +53,7 @@ def test_bernoulli_limits_and_series():
 def test_pure_laplacian_matrix():
     g = build_grid(Circle(), 8)
     sys = builtin_catalog("zero-drift", g)
-    nf = coordinate_noise(g, [0.9])
+    nf = coordinate_noise(g)
     op = assemble_for(sys, nf, 0.9)
     h = g.h[0]
     d = 0.5 * 0.9 ** 2
@@ -64,7 +64,7 @@ def test_pure_laplacian_matrix():
 def test_uniform_in_kernel_for_rotation():
     g = build_grid(Torus2(), (16, 16))
     sys = builtin_catalog("torus-rotation", g)
-    nf = coordinate_noise(g, [0.5])
+    nf = coordinate_noise(g)
     op = assemble_for(sys, nf, 0.5)
     ones = np.ones(g.ncells)
     assert np.max(np.abs(op.apply(ones))) <= 1e-13 * op.inf_norm()
@@ -73,7 +73,7 @@ def test_uniform_in_kernel_for_rotation():
 def test_column_sums_and_irreducibility():
     g = build_grid(Circle(), 64)
     sys = builtin_catalog("circle-positive", g)
-    nf = coordinate_noise(g, [0.3])
+    nf = coordinate_noise(g)
     op = assemble_for(sys, nf, 0.3)
     assert op.column_sum_max() <= 1e-13 * op.inf_norm()
     assert op.is_irreducible()
@@ -84,7 +84,7 @@ def test_column_sums_and_irreducibility():
 def test_derive_coefficients_constant_diffusion():
     g = build_grid(Circle(), 32)
     sys = builtin_catalog("circle-positive", g)
-    nf = coordinate_noise(g, [0.3])
+    nf = coordinate_noise(g)
     dd = derive_drift_diffusion(sys, nf, 0.3)
     assert np.allclose(dd.a[:, 0, 0], 1.0)
     assert np.max(np.abs(dd.dcorr)) == 0.0
@@ -93,26 +93,18 @@ def test_derive_coefficients_constant_diffusion():
     assert np.allclose(dd.ceff[0], expected, atol=1e-14)
 
 
-def test_derive_rejects_foreign_eps():
-    g = build_grid(Circle(), 16)
-    sys = builtin_catalog("zero-drift", g)
-    nf = coordinate_noise(g, [0.5])
-    with pytest.raises(ValueError):
-        derive_drift_diffusion(sys, nf, 0.25)
-
-
 def test_selection_family_flux_vanishes_symbolically():
     # for the selecting family, a u* = 1 and b = A0 + sum A_i A_i'/2 = 0,
     # so the exact density carries zero flux pointwise
     g = build_grid(Circle(), 64)
     u = Trig("cos", 0, 1, 0.5, 1.0, 1.0)
-    nf = construct_selecting_noise(u, g, [0.3])
+    nf = construct_selecting_noise(u, g)
     x = np.linspace(0, 1, 257)[:, None]
-    a1 = nf.ai(0.3)[0].components[0]
+    a1 = nf.ai_fields[0].components[0]
     a_total = a1(x) ** 2
     u_vals = u(x)
     assert np.allclose(a_total * u_vals, 1.0, atol=1e-13)
-    b = nf.a0(0.3).components[0](x) + 0.5 * a1(x) * a1.grad(0)(x)
+    b = nf.a0_field.components[0](x) + 0.5 * a1(x) * a1.grad(0)(x)
     assert np.max(np.abs(b)) <= 1e-13
 
 
@@ -125,7 +117,7 @@ def test_apply_laplacian_eigenfunction():
     for n in (64, 128):
         g = build_grid(Circle(), n)
         sys = builtin_catalog("zero-drift", g)
-        nf = coordinate_noise(g, [eps])
+        nf = coordinate_noise(g)
         op = assemble_for(sys, nf, eps)
         v = np.cos(2 * np.pi * g.cell_centers()[:, 0])
         target = -2 * np.pi ** 2 * eps ** 2 * v
@@ -141,7 +133,7 @@ def test_apply_advection_diffusion_refinement_consistency():
     for n in (128, 256):
         g = build_grid(Circle(), n)
         sys = builtin_catalog("circle-positive", g)
-        op = assemble_for(sys, coordinate_noise(g, [eps]), eps)
+        op = assemble_for(sys, coordinate_noise(g), eps)
         x = g.cell_centers()[:, 0]
         v = 1.0 + 0.5 * np.cos(2 * np.pi * x)
         vpp = -0.5 * (2 * np.pi) ** 2 * np.cos(2 * np.pi * x)
@@ -156,7 +148,7 @@ def test_apply_advection_diffusion_refinement_consistency():
 def test_apply_constant_is_zero_and_dimension_check():
     g = build_grid(Circle(), 32)
     sys = builtin_catalog("zero-drift", g)
-    op = assemble_for(sys, coordinate_noise(g, [0.5]), 0.5)
+    op = assemble_for(sys, coordinate_noise(g), 0.5)
     assert np.max(np.abs(op.apply(np.ones(32)))) == 0.0
     with pytest.raises(ValueError):
         op.apply(np.ones(31))
@@ -165,7 +157,7 @@ def test_apply_constant_is_zero_and_dimension_check():
 def test_apply_conserves_mass():
     g = build_grid(Circle(), 64)
     sys = builtin_catalog("circle-positive", g)
-    op = assemble_for(sys, coordinate_noise(g, [0.3]), 0.3)
+    op = assemble_for(sys, coordinate_noise(g), 0.3)
     rng = np.random.default_rng(7)
     v = rng.random(64)
     assert abs(np.sum(op.apply(v)) * g.cell_volume) <= 1e-12 * np.max(np.abs(v)) * op.inf_norm() * g.cell_volume
@@ -174,7 +166,7 @@ def test_apply_conserves_mass():
 def test_zero_flux_assembly_drops_boundary():
     g = build_grid(Interval(), 16)
     sys = builtin_catalog("zero-drift", g)
-    op = assemble_for(sys, coordinate_noise(g, [0.5]), 0.5)
+    op = assemble_for(sys, coordinate_noise(g), 0.5)
     assert op.bc == "zero-flux"
     # first row couples only to the single interior neighbor
     row0 = op.matrix.getrow(0)
@@ -187,7 +179,7 @@ def test_cross_diffusion_flagged_and_conservative():
     sys = builtin_catalog("zero-drift", g)
     a1 = VectorField.constant([1.0, 0.5])
     a2 = VectorField.constant([0.0, 1.0])
-    nf = NoiseFamily(2, VectorField.zero(2), [a1, a2], [0.5])
+    nf = Noise(VectorField.zero(2), (a1, a2))
     op = assemble_for(sys, nf, 0.5)
     assert op.has_cross_diffusion
     assert op.column_sum_max() <= 1e-13 * op.inf_norm()
@@ -207,7 +199,7 @@ def test_cross_diffusion_on_a_non_square_torus_is_conservative_and_second_order(
     errors = []
     for n in ((12, 10), (24, 20)):
         g = build_grid(Torus2(lx, ly), n)
-        nf = NoiseFamily(2, VectorField.zero(2), [a1, a2], [eps])
+        nf = Noise(VectorField.zero(2), (a1, a2))
         op = assemble_for(builtin_catalog("zero-drift", g), nf, eps)
         assert op.has_cross_diffusion
         assert op.column_sum_max() <= 1e-13 * op.inf_norm()
@@ -220,7 +212,7 @@ def test_cross_diffusion_requires_spd():
     g = build_grid(Torus2(), (8, 8))
     sys = builtin_catalog("zero-drift", g)
     a1 = VectorField.constant([1.0, 1.0])  # rank-one diffusion matrix
-    nf = NoiseFamily(2, VectorField.zero(2), [a1, a1], [0.5])
+    nf = Noise(VectorField.zero(2), (a1, a1))
     with pytest.raises(AssemblyError):
         assemble_for(sys, nf, 0.5)
 
@@ -228,7 +220,7 @@ def test_cross_diffusion_requires_spd():
 def test_matrix_dump_format(tmp_path):
     g = build_grid(Circle(), 8)
     sys = builtin_catalog("zero-drift", g)
-    op = assemble_for(sys, coordinate_noise(g, [0.5]), 0.5)
+    op = assemble_for(sys, coordinate_noise(g), 0.5)
     path = tmp_path / "matrix.txt"
     op.write_coordinate_text(path)
     lines = path.read_text().splitlines()
@@ -242,7 +234,7 @@ def test_assembly_bit_identical():
     def build():
         g = build_grid(Torus2(), (32, 32))
         sys = builtin_catalog("torus-shear", g)
-        return assemble_for(sys, coordinate_noise(g, [0.3]), 0.3)
+        return assemble_for(sys, coordinate_noise(g), 0.3)
 
     a, b = build(), build()
     assert np.array_equal(a.matrix.data, b.matrix.data)
@@ -276,7 +268,7 @@ def catalog_operators(draw):
     n = draw(st.lists(st.integers(4, 14), min_size=dim, max_size=dim))
     eps = draw(st.floats(0.05, 0.95))
     g = build_grid(kind, n)
-    return assemble_for(builtin_catalog(name, g), coordinate_noise(g, [eps]), eps)
+    return assemble_for(builtin_catalog(name, g), coordinate_noise(g), eps)
 
 
 def column_margins(matrix):

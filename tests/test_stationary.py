@@ -10,7 +10,7 @@ from noisyflow.errors import BoundaryError, CatalogError, PositivityError
 from noisyflow.fields import (
     CATALOG_NAMES,
     Const,
-    NoiseFamily,
+    Noise,
     Trig,
     VectorField,
     builtin_catalog,
@@ -32,8 +32,8 @@ from noisyflow.stationary import (
 )
 
 
-def unit_noise(grid, epsilons):
-    return coordinate_noise(grid, epsilons)
+def unit_noise(grid):
+    return coordinate_noise(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def unit_noise(grid, epsilons):
 
 def test_uniform_stationary_zero_drift():
     g = build_grid(Circle(), 64)
-    op = assemble_for(builtin_catalog("zero-drift", g), unit_noise(g, [0.5]), 0.5)
+    op = assemble_for(builtin_catalog("zero-drift", g), unit_noise(g), 0.5)
     rep = solve_stationary(op)
     assert rep.residual <= 1e-13
     assert np.max(np.abs(rep.density.values - 1.0)) <= 1e-12
@@ -53,16 +53,16 @@ def test_uniform_stationary_zero_drift():
 def test_torus_shear_uniform(eps):
     g = build_grid(Torus2(), (32, 32))
     sys = builtin_catalog("torus-shear", g)
-    rep = solve_stationary(assemble_for(sys, unit_noise(g, [0.5, 0.1]), eps))
+    rep = solve_stationary(assemble_for(sys, unit_noise(g), eps))
     assert np.max(np.abs(rep.density.values - 1.0)) <= 1e-10
 
 
 def test_circle_positive_matches_oracle():
     g = build_grid(Circle(), 256)
     sys = builtin_catalog("circle-positive", g)
-    nf = unit_noise(g, [0.3])
+    nf = unit_noise(g)
     rep = solve_stationary(assemble_for(sys, nf, 0.3))
-    u_oracle, _ = oracle_1d_circle(sys.drift, nf.a0(0.3), nf.ai(0.3), 0.3, g)
+    u_oracle, _ = oracle_1d_circle(sys.drift, nf.a0_field, nf.ai_fields, 0.3, g)
     err = np.max(np.abs(rep.density.values - u_oracle)) / np.max(np.abs(u_oracle))
     assert err <= 5e-4
 
@@ -70,7 +70,7 @@ def test_circle_positive_matches_oracle():
 def test_direct_and_inverse_iteration_agree():
     g = build_grid(Circle(), 256)
     sys = builtin_catalog("circle-positive", g)
-    op = assemble_for(sys, unit_noise(g, [0.3]), 0.3)
+    op = assemble_for(sys, unit_noise(g), 0.3)
     direct = solve_stationary(op, method="direct")
     inverse = solve_stationary(op, method="inverse-iteration")
     assert np.max(np.abs(direct.density.values - inverse.density.values)) <= 1e-10
@@ -81,7 +81,7 @@ def test_positivity_on_catalog():
     g = build_grid(Torus2(), (24, 24))
     for name in ("torus-rotation", "torus-shear", "hamiltonian-cellular"):
         sys = builtin_catalog(name, g)
-        rep = solve_stationary(assemble_for(sys, unit_noise(g, [0.2]), 0.2))
+        rep = solve_stationary(assemble_for(sys, unit_noise(g), 0.2))
         assert rep.min_u > 0.0
 
 
@@ -98,7 +98,7 @@ def test_random_positive_drift_properties(offset, amp, eps):
     g = build_grid(Circle(), 64)
     drift = VectorField([Trig("sin", 0, 1, amp, offset, 1.0)])
     sys = ConservativeSystem(drift, Const(1.0), g, "random")
-    nf = unit_noise(g, [eps])
+    nf = unit_noise(g)
     rep = solve_stationary(assemble_for(sys, nf, eps))
     assert rep.min_u > 0.0
     assert abs(rep.density.mass() - 1.0) <= 1e-12
@@ -115,20 +115,20 @@ def dense_row_reference(op):
     m, g = op.matrix, op.grid
     row = int(np.argmax(np.abs(m.diagonal())))
     replaced = m.tolil(copy=True)
-    replaced[row, :] = g.cell_volumes
+    replaced[row, :] = g.cell_volume
     rhs = np.zeros(g.ncells)
     rhs[row] = 1.0
     return spla.splu(replaced.tocsc(), permc_spec="COLAMD").solve(rhs)
 
 
-def selecting_noise(grid, epsilons):
+def selecting_noise(grid):
     """Noise under which zero drift has the stationary density 1 + cos(2 pi x) / 2."""
-    return construct_selecting_noise(Trig("cos", 0, 1, 0.5, 1.0, 1.0), grid, epsilons)
+    return construct_selecting_noise(Trig("cos", 0, 1, 0.5, 1.0, 1.0), grid)
 
 
-def constant_noise(grid, epsilons):
+def constant_noise(grid):
     """A_0 = A_1 = 1: the residual of inverse iteration passes 1e-12 a step before its density."""
-    return NoiseFamily(1, VectorField([Const(1.0)]), [VectorField([Const(1.0)])], epsilons)
+    return Noise(VectorField([Const(1.0)]), (VectorField([Const(1.0)]),))
 
 
 SOLVER_CASES = [
@@ -143,7 +143,7 @@ SOLVER_CASES = [
 @pytest.mark.parametrize("kind, n, name, eps, noise", SOLVER_CASES)
 def test_direct_solve_matches_inverse_iteration_and_dense_row(kind, n, name, eps, noise):
     g = build_grid(kind, n)
-    op = assemble_for(builtin_catalog(name, g), noise(g, [eps]), eps)
+    op = assemble_for(builtin_catalog(name, g), noise(g), eps)
     direct = solve_stationary(op)
     assert direct.method == "direct"
     u = direct.density.values
@@ -168,7 +168,7 @@ def catalog_pairs():
 def test_direct_solve_never_falls_back_on_the_catalog(eps):
     solved = 0
     for g, system in catalog_pairs():
-        rep = solve_stationary(assemble_for(system, unit_noise(g, [eps]), eps))
+        rep = solve_stationary(assemble_for(system, unit_noise(g), eps))
         assert rep.method == "direct", (system.name, type(g.kind).__name__)
         solved += 1
     assert solved == 8  # circle-positive, three torus systems, zero-drift on four domains
@@ -183,7 +183,7 @@ def fill(lu):
 def test_factorize_fills_less_than_colamd_with_partial_pivoting(kind, name):
     g = build_grid(kind, (48,) * len(kind.lengths))
     eps = 0.2
-    op = assemble_for(builtin_catalog(name, g), unit_noise(g, [eps]), eps)
+    op = assemble_for(builtin_catalog(name, g), unit_noise(g), eps)
     pinned, _ = pinned_system(op.matrix)
     step = sp.identity(g.ncells, format="csr") - 0.01 * op.matrix
     for matrix in (pinned, step):
@@ -211,7 +211,7 @@ def test_factorize_agrees_with_default_supernodes_on_the_catalog(eps):
     rng = np.random.default_rng(7)
     pairs = 0
     for g, system in catalog_pairs():
-        op = assemble_for(system, unit_noise(g, [eps]), eps)
+        op = assemble_for(system, unit_noise(g), eps)
         pinned, rhs = pinned_system(op.matrix)
         block = rng.random((g.ncells, 2))
         identity = sp.identity(g.ncells, format="csr")
@@ -236,8 +236,8 @@ def test_factorize_agrees_with_default_supernodes_on_the_catalog(eps):
 def test_oracle_constant_coefficients():
     g = build_grid(Circle(), 64)
     drift = VectorField([Const(1.0)])
-    nf = unit_noise(g, [0.4])
-    u, c_eps = oracle_1d_circle(drift, nf.a0(0.4), nf.ai(0.4), 0.4, g, quad_n=64 * 64)
+    nf = unit_noise(g)
+    u, c_eps = oracle_1d_circle(drift, nf.a0_field, nf.ai_fields, 0.4, g, quad_n=64 * 64)
     assert np.ptp(u) <= 1e-12
     assert abs(c_eps + 1.0) <= 1e-10
 
@@ -245,17 +245,17 @@ def test_oracle_constant_coefficients():
 def test_oracle_requires_positive_drift():
     g = build_grid(Circle(), 64)
     drift = VectorField([Trig("sin", 0, 1, 1.0, 0.0, 1.0)])
-    nf = unit_noise(g, [0.4])
+    nf = unit_noise(g)
     with pytest.raises(PositivityError):
-        oracle_1d_circle(drift, nf.a0(0.4), nf.ai(0.4), 0.4, g)
+        oracle_1d_circle(drift, nf.a0_field, nf.ai_fields, 0.4, g)
 
 
 def test_oracle_quad_resolution_validation():
     g = build_grid(Circle(), 64)
     drift = VectorField([Const(1.0)])
-    nf = unit_noise(g, [0.4])
+    nf = unit_noise(g)
     with pytest.raises(ValueError):
-        oracle_1d_circle(drift, nf.a0(0.4), nf.ai(0.4), 0.4, g, quad_n=100)
+        oracle_1d_circle(drift, nf.a0_field, nf.ai_fields, 0.4, g, quad_n=100)
 
 
 def test_oracle_converges_to_invariant_density():
@@ -263,10 +263,10 @@ def test_oracle_converges_to_invariant_density():
     sys = builtin_catalog("circle-positive", g)
     u0 = math.sqrt(3.0) / (2.0 + np.sin(2 * np.pi * g.cell_centers()[:, 0]))
     eps_list = (0.4, 0.2, 0.1, 0.05)
-    nf = unit_noise(g, eps_list)
+    nf = unit_noise(g)
     dists = []
     for eps in eps_list:
-        u, _ = oracle_1d_circle(sys.drift, nf.a0(eps), nf.ai(eps), eps, g)
+        u, _ = oracle_1d_circle(sys.drift, nf.a0_field, nf.ai_fields, eps, g)
         dists.append(np.max(np.abs(u - u0)))
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert dists[-1] <= 0.01
@@ -278,9 +278,9 @@ def test_oracle_selection_family_small_drift():
     g = build_grid(Circle(), 128)
     delta = 1e-6
     u_target = Trig("cos", 0, 1, 0.5, 1.0, 1.0)
-    nf = construct_selecting_noise(u_target, g, [0.3])
+    nf = construct_selecting_noise(u_target, g)
     drift = VectorField([Const(delta)])
-    u, c_eps = oracle_1d_circle(drift, nf.a0(0.3), nf.ai(0.3), 0.3, g)
+    u, c_eps = oracle_1d_circle(drift, nf.a0_field, nf.ai_fields, 0.3, g)
     target = u_target(g.cell_centers())
     assert abs(c_eps + delta) <= 1e-12
     assert np.max(np.abs(u - target)) <= 1e-4
@@ -291,8 +291,8 @@ def test_oracle_self_consistency_across_eps():
     g = build_grid(Circle(), 256)
     sys = builtin_catalog("circle-positive", g)
     for eps in (0.4, 0.1, 0.05):
-        nf = unit_noise(g, [eps])
-        u, c_eps = oracle_1d_circle(sys.drift, nf.a0(eps), nf.ai(eps), eps, g)
+        nf = unit_noise(g)
+        u, c_eps = oracle_1d_circle(sys.drift, nf.a0_field, nf.ai_fields, eps, g)
         assert np.all(u > 0.0)
         assert c_eps < 0.0
 
@@ -311,8 +311,8 @@ def test_oracle_backward_sum_matches_the_recurrence(case):
     if case == "overflowing":
         eps = 0.05
         drift = builtin_catalog("circle-positive", g).drift
-        nf = unit_noise(g, [eps])
-        a0, ai = nf.a0(eps), nf.ai(eps)
+        nf = unit_noise(g)
+        a0, ai = nf.a0_field, nf.ai_fields
     else:
         # B = 2 + sin 2 pi x > 0, but B + eps^2 b < 0 on an arc
         eps = 0.9
@@ -339,8 +339,8 @@ def test_oracle_backward_sum_matches_the_recurrence(case):
 
 def test_interval_oracle_uniform():
     g = build_grid(Interval(), 64)
-    nf = unit_noise(g, [0.5])
-    u = oracle_1d_interval(VectorField.zero(1), nf.a0(0.5), nf.ai(0.5), 0.5, g)
+    nf = unit_noise(g)
+    u = oracle_1d_interval(VectorField.zero(1), nf.a0_field, nf.ai_fields, 0.5, g)
     assert np.allclose(u, 1.0, atol=1e-12)
 
 
@@ -350,20 +350,20 @@ def test_interval_oracle_exponential_tilt():
     g = build_grid(Interval(), 256)
     a0 = VectorField([Const(1.0)])
     a1 = VectorField([Const(1.0)])
-    nf = NoiseFamily(1, a0, [a1], [0.3])
-    u = oracle_1d_interval(VectorField.zero(1), nf.a0(0.3), nf.ai(0.3), 0.3, g)
+    nf = Noise(a0, (a1,))
+    u = oracle_1d_interval(VectorField.zero(1), nf.a0_field, nf.ai_fields, 0.3, g)
     x = g.cell_centers()[:, 0]
     exact = 2.0 * np.exp(2.0 * x) / (math.e ** 2 - 1.0)
     assert np.max(np.abs(u - exact)) <= 1e-10
-    u2 = oracle_1d_interval(VectorField.zero(1), nf.a0(0.3), nf.ai(0.3), 0.9, g)
+    u2 = oracle_1d_interval(VectorField.zero(1), nf.a0_field, nf.ai_fields, 0.9, g)
     assert np.allclose(u, u2, atol=1e-13)
 
 
 def test_interval_oracle_selection_family():
     g = build_grid(Interval(), 128)
     u_target = Trig("cos", 0, 1, 0.5, 1.0, 1.0)
-    nf = construct_selecting_noise(u_target, g, [0.4])
-    u = oracle_1d_interval(VectorField.zero(1), nf.a0(0.4), nf.ai(0.4), 0.4, g)
+    nf = construct_selecting_noise(u_target, g)
+    u = oracle_1d_interval(VectorField.zero(1), nf.a0_field, nf.ai_fields, 0.4, g)
     target = u_target(g.cell_centers())
     target /= np.sum(target) * g.cell_volume
     assert np.max(np.abs(u - target)) <= 1e-10
@@ -371,9 +371,9 @@ def test_interval_oracle_selection_family():
 
 def test_interval_oracle_boundary_compatibility():
     g = build_grid(Interval(), 64)
-    nf = unit_noise(g, [0.5])
+    nf = unit_noise(g)
     with pytest.raises(BoundaryError):
-        oracle_1d_interval(VectorField([Const(1.0)]), nf.a0(0.5), nf.ai(0.5), 0.5, g)
+        oracle_1d_interval(VectorField([Const(1.0)]), nf.a0_field, nf.ai_fields, 0.5, g)
 
 
 # ---------------------------------------------------------------------------
