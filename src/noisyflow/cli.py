@@ -129,9 +129,9 @@ def _run_oracle1d(cfg: SweepConfig, args) -> int:
 
 
 def _run_check(cfg: SweepConfig, args) -> int:
-    grid = cfg.grid()
+    grid, _, noise = cfg.build()
     p = cfg.admissibility_p if cfg.admissibility_p is not None else float(grid.dim + 2)
-    report = check_admissible(cfg.noise.build(grid), grid, p=p)
+    report = check_admissible(noise, grid, p=p)
     _say(args.quiet, f"sup norm bound: {report.sup_norm_bound:.6g}")
     _say(args.quiet, f"ellipticity constant: {report.lam:.6g} "
                      f"(threshold {report.lambda_threshold:g})")

@@ -29,7 +29,10 @@ so it costs no second product; under implicit Euler the next r is v.
 :func:`evolve` advances one density or a block of them with one
 factorization of the step matrix, and per step one multi-RHS triangular
 solve and one sparse product; the decay study sends both of its
-perturbation modes through one call per eps.
+perturbation modes through one call per eps.  The statistics are not
+taken step by step: the blocks of s consecutive steps go into one
+(s, k, n) buffer, s = max(1, STATS_CHUNK_BYTES // (8 k n)), which is
+reduced in one pass once full and once after the last step.
 
 The chi^2 distance is measured against the operator's own discrete
 stationary density.  With that pairing the distance is provably
@@ -54,6 +57,10 @@ from .stationary import Density, factorize, solve_stationary
 
 #: chi^2 values below this are treated as roundoff and excluded from fits.
 CHI2_FLOOR = 1e-13
+
+#: bytes of the step blocks that :func:`evolve` holds before it reduces
+#: their statistics in one pass
+STATS_CHUNK_BYTES = 1 << 17
 
 
 @dataclass
@@ -121,7 +128,7 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
     trace and one density.  Each column is bitwise what its own single
     run gives: the solves treat the columns independently, the product
     is one row of the block-diagonal diag(M, ..., M) per cell and member,
-    and the per-step statistics are reduced along contiguous rows.
+    and the statistics are reduced along contiguous rows.
 
     A step solves (I - theta M) x = r, takes w = theta M x and moves to
     v = r + w: x plus the residual r - (x - theta M x), one Richardson
@@ -135,7 +142,14 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
     ~1e-12 at dt ||M||_1 = 1000.
 
     chi^2 against the stationary density, the mass drift |sum v vol - 1|
-    and min v are recorded at every step including t = 0.
+    and min v are recorded at every step including t = 0, and reduced
+    over chunks of s steps: the step blocks go into an (s, k, n) buffer,
+    s = max(1, STATS_CHUNK_BYTES // (8 k n)), so at most 128 KiB unless
+    one step's block is larger, and each full buffer, and the partial one
+    after the last step, is reduced in one pass along its contiguous
+    rows.  A component below -1e-10 raises :class:`SolveError` naming the
+    first such step and its block's lowest value, up to s - 1 steps
+    after that step was taken.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -163,7 +177,7 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
         raise SolveError(f"time-step factorization failed: {exc}") from exc
 
     nsteps = max(1, int(round(horizon / dt)))
-    k = len(members)
+    k, n = len(members), grid.ncells
     times = dt * np.arange(nsteps + 1)
     chi2 = np.empty((k, nsteps + 1))
     mass_drift = np.empty((k, nsteps + 1))
@@ -181,34 +195,51 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
         w *= theta
         return w
 
-    def record(step, rows):
-        # a reduction along a contiguous row sums exactly as the 1D
-        # reduction of that member
-        lowest = rows.min(axis=1)
-        if lowest.min() < -1e-10:
+    # the blocks of the last s steps, whose statistics are reduced together
+    s = max(1, STATS_CHUNK_BYTES // (8 * k * n))
+    held = np.empty((s, k, n))
+    scratch = np.empty_like(held)
+
+    def reduce_held(first, count):
+        # steps first .. first + count - 1 sit in held[:count]; a reduction
+        # along a contiguous row sums exactly as the 1D reduction of that
+        # member
+        block = held[:count]
+        lowest = block.min(axis=2)
+        # per step, not over the chunk: np.min propagates NaN, so a later
+        # NaN step would hide an earlier negative one
+        bad = np.flatnonzero(lowest.min(axis=1) < -1e-10)
+        if bad.size:
             raise SolveError(
-                f"negative component {float(lowest.min())} at step {step} "
+                f"negative component {float(lowest[bad[0]].min())} at step {first + bad[0]} "
                 "(cross-diffusion or an unstable scheme choice)"
             )
-        ratio = rows / u
+        ratio = np.divide(block, u, out=scratch[:count])
         ratio -= 1.0
         ratio *= ratio
         ratio *= u
-        chi2[:, step] = np.sum(ratio, axis=1) * vol
-        mass_drift[:, step] = np.abs(np.sum(rows, axis=1) * vol - 1.0)
-        min_v[:, step] = lowest
+        steps = slice(first, first + count)
+        chi2[:, steps] = (np.sum(ratio, axis=2) * vol).T
+        mass_drift[:, steps] = np.abs(np.sum(block, axis=2) * vol - 1.0).T
+        min_v[:, steps] = lowest.T
 
-    rows = np.array([member.values for member in members])  # (k, n), one row per member
-    record(0, rows)
-    rhs = rows + product(rows) if scheme == "crank-nicolson" else rows
+    held[0] = [member.values for member in members]  # (k, n), one row per member
+    rhs = held[0] + product(held[0]) if scheme == "crank-nicolson" else held[0]
+    filled = 1
     for step in range(1, nsteps + 1):
+        # under implicit Euler rhs is the last filled held[i]; reduce_held
+        # only reads held, and with s = 1 the add below runs in place
+        if filled == s:
+            reduce_held(step - s, s)
+            filled = 0
         w = product(lu.solve(rhs.T).T)
         # r + theta M x is x plus its residual against the generator itself:
         # 1^T (I - theta M) = 1^T, so this restores the mass to column-sum
         # roundoff of M
-        rows = rhs + w
-        record(step, rows)
+        rows = np.add(rhs, w, out=held[filled])
+        filled += 1
         rhs = rows + w if scheme == "crank-nicolson" else rows
+    reduce_held(nsteps + 1 - filled, filled)
 
     trace = EvolutionTrace(times=times, chi2=chi2, mass_drift=mass_drift,
                            min_v=min_v, eps=op.eps)

@@ -72,7 +72,7 @@ class NoiseSpec:
     kind "coordinate" takes the coordinate fields with zero drift
     correction; "explicit" uses the supplied closed forms; "selection"
     defers to the experiment target density, so only the selection
-    experiment accepts it.
+    experiment accepts it and :meth:`SweepConfig.build` builds it.
     """
 
     kind: str = "coordinate"
@@ -161,9 +161,18 @@ class SweepConfig:
         return build_grid(self.domain, self.n)
 
     def build(self) -> tuple[Grid, ConservativeSystem, Noise]:
-        """The configured grid with its conservative system and noise."""
+        """The configured grid with its conservative system and noise.
+
+        Selection noise is the noise that selects ``target`` on the grid.
+        """
         grid = self.grid()
-        return grid, self.system.build(grid), self.noise.build(grid)
+        if self.noise.kind != "selection":
+            noise = self.noise.build(grid)
+        elif self.target is None:
+            raise ValueError("selection noise needs a target density form")
+        else:
+            noise = construct_selecting_noise(self.target, grid)
+        return grid, self.system.build(grid), noise
 
 
 def check_epsilons(eps) -> None:

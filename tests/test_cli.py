@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 
 import pytest
@@ -480,3 +481,70 @@ def test_cli_evolve_steps_the_configured_scheme(tmp_path):
     written = (out / "trace.csv").read_bytes()
     assert written == expected["crank-nicolson"]
     assert written != expected["implicit-euler"]
+
+
+# the selection-circle configuration of tools/artifact_hashes.py: zero drift,
+# noise that selects u* = 1 + cos(2 pi x) / 2
+SELECTION = """\
+[domain]
+kind = circle
+length = 1.0
+n = 64
+
+[drift]
+catalog = zero-drift
+
+[noise]
+kind = selection
+eps = 0.5, 0.25
+
+[experiment]
+kind = selection
+target = cos:axis=0,freq=1,amp=0.5,offset=1.0
+"""
+
+
+def test_stationary_runs_a_selection_config(tmp_path):
+    out = tmp_path / "out"
+    assert main(["stationary", "--config", write_config(tmp_path, SELECTION), "--out", str(out),
+                 "--quiet"]) == 0
+    header, *rows = [line.split(",") for line in (out / "stationary.csv").read_text().splitlines()]
+    assert len(rows) == 2
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert abs(float(cells["min_u"]) - 0.5) <= 5e-3 and abs(float(cells["max_u"]) - 1.5) <= 5e-3
+
+
+def test_evolve_runs_a_selection_config(tmp_path):
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", write_config(tmp_path, SELECTION), "--out", str(out),
+                 "--quiet"]) == 0
+    header, *rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()]
+    chi2 = [float(row[header.index("chi2")]) for row in rows]
+    # implicit Euler against the discrete stationary density: chi^2 never rises
+    assert len(chi2) > 100 and all(b <= a for a, b in zip(chi2, chi2[1:]))
+    assert 0.0 < chi2[-1] < 1e-2 * chi2[0]
+
+
+def test_oracle1d_runs_a_selection_config(tmp_path, capsys):
+    interval = SELECTION.replace("kind = circle\nlength = 1.0", "kind = interval\nbounds = 0.0, 1.0")
+    out = tmp_path / "out"
+    assert main(["oracle1d", "--config", write_config(tmp_path, interval), "--out", str(out),
+                 "--quiet"]) == 0
+    header, *rows = [line.split(",") for line in (out / "oracle.csv").read_text().splitlines()]
+    x = [float(row[header.index("x")]) for row in rows]
+    u = [float(row[header.index("u")]) for row in rows]
+    assert len(u) == 64
+    assert max(abs(ui - (1.0 + 0.5 * math.cos(2 * math.pi * xi))) for xi, ui in zip(x, u)) <= 1e-3
+    # on the circle the noise builds; the zero drift is what the oracle refuses
+    assert main(["oracle1d", "--config", write_config(tmp_path, SELECTION), "--quiet"]) == 1
+    assert "circle oracle requires B > 0 everywhere" in capsys.readouterr().err
+
+
+def test_check_runs_a_selection_config(tmp_path, capsys):
+    assert main(["check", "--config", write_config(tmp_path, SELECTION)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the selecting noise is elliptic with constant 1 / max u* = 2/3
+    lam = float(lines[1].split()[2])
+    assert abs(lam - 2.0 / 3.0) <= 1e-3
+    assert lines[2:] == ["(A1) integrability: PASS", "(A2) ellipticity:  PASS"]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisyflow.errors import FitError, PositivityError
+from noisyflow import evolution
+from noisyflow.errors import FitError, PositivityError, SolveError
 from noisyflow.evolution import (
     CHI2_FLOOR,
     EvolutionTrace,
@@ -209,6 +210,58 @@ def test_block_validation():
     for empty in ([], ()):
         with pytest.raises(ValueError, match="empty"):
             evolve(op, empty, horizon=1.0, dt=0.1, stationary=stat)
+
+
+# ---------------------------------------------------------------------------
+# chunked statistics
+# ---------------------------------------------------------------------------
+
+
+def chunk_bytes(op, k, steps):
+    """A STATS_CHUNK_BYTES whose chunks hold ``steps`` steps of a k-block."""
+    return 8 * k * op.grid.ncells * steps
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+@pytest.mark.parametrize("kind, n, name, eps", BLOCK_CASES)
+def test_chunked_statistics_are_bitwise_the_default_chunk(kind, n, name, eps, scheme, k, monkeypatch):
+    op, stat = catalog_setup(kind, n, name, eps)
+    v0 = [perturbed_initial(stat, mode=mode) for mode in range(1, k + 1)]
+
+    def run():
+        # k = 1 goes in as a single density, the squeezed block
+        trace, finals = evolve(op, v0[0] if k == 1 else v0, horizon=0.43, dt=0.01, scheme=scheme,
+                               stationary=stat)
+        return trace, np.array([final.values for final in ([finals] if k == 1 else finals)])
+
+    # 43 steps and 44 records: a multiple of neither 3 nor 7
+    reference, reference_finals = run()
+    assert len(reference.times) == 44
+    for steps in (1, 3, 7):
+        monkeypatch.setattr(evolution, "STATS_CHUNK_BYTES", chunk_bytes(op, k, steps))
+        trace, finals = run()
+        for field in ("times", "chi2", "mass_drift", "min_v"):
+            assert np.array_equal(getattr(trace, field), getattr(reference, field)), (steps, field)
+        assert np.array_equal(finals, reference_finals), steps
+
+
+def test_negative_component_names_its_step_in_any_chunk(monkeypatch):
+    # Crank-Nicolson at dt ||M||_1 = 1000 has no positivity guarantee: this
+    # block first goes negative at step 4, inside a chunk of 3, of 7 and of
+    # the default size alike
+    op, stat = catalog_setup(Circle(), 48, "circle-positive", 0.3)
+    dt = 1000.0 / np.max(np.sum(np.abs(op.matrix.toarray()), axis=0))
+    v0 = [perturbed_initial(stat, mode=mode, amplitude=0.9) for mode in (1, 3)]
+    messages = {}
+    for steps in (None, 1, 3, 7):
+        if steps is not None:
+            monkeypatch.setattr(evolution, "STATS_CHUNK_BYTES", chunk_bytes(op, 2, steps))
+        with pytest.raises(SolveError) as info:
+            evolve(op, v0, horizon=60 * dt, dt=dt, scheme="crank-nicolson", stationary=stat)
+        messages[steps] = str(info.value)
+    assert " at step 4 " in messages[1]
+    assert all(text == messages[1] for text in messages.values()), messages
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from noisyflow.experiments import (
     run_stability_sweep,
     run_transform_consistency,
 )
-from noisyflow.fields import Const, Trig
+from noisyflow.fields import Const, Trig, construct_selecting_noise
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2
 from noisyflow.operator import assemble_for
 from noisyflow.reporting import write_csv
@@ -48,6 +48,21 @@ def test_sweep_config_validation():
         SweepConfig(kind="stability", domain=Circle(), n=(64,), epsilons=(0.1, 0.5))
     with pytest.raises(ValueError):
         SweepConfig(kind="stability", domain=Circle(), n=(2,), epsilons=(0.5,))
+
+
+def test_sweep_config_builds_the_selecting_noise():
+    target = Trig("cos", 0, 1, 0.5, 1.0, 1.0)
+    base = dict(kind="selection", domain=Circle(), n=(32,), epsilons=(0.5,),
+                noise=NoiseSpec(kind="selection"))
+    grid, _, noise = SweepConfig(**base, target=target).build()
+    expected = construct_selecting_noise(target, grid)
+    x = grid.cell_centers()
+    pairs = [(noise.a0_field, expected.a0_field), *zip(noise.ai_fields, expected.ai_fields)]
+    assert len(pairs) == 2
+    for built, direct in pairs:
+        assert np.array_equal(built.at_points(x), direct.at_points(x))
+    with pytest.raises(ValueError, match="selection noise needs a target density form"):
+        SweepConfig(**base).build()
 
 
 def test_stability_sweep_circle_positive():
