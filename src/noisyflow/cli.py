@@ -19,7 +19,8 @@ from dataclasses import replace
 from .config import parse_config, read_counts, read_epsilons
 from .errors import ConfigError, NoisyflowError
 from .evolution import evolve, fit_decay_rate, perturbed_initial
-from .experiments import STABILITY_HEADER, TRACE_HEADER, SweepConfig, run, stability_rows, trace_cells
+from .experiments import (FOUR_PI_SQ, STABILITY_HEADER, TRACE_HEADER, SweepConfig, run, stability_rows,
+                          trace_cells)
 from .fields import check_admissible
 from .geometry import Circle, Interval
 from .operator import assemble_for
@@ -93,7 +94,7 @@ def _run_evolve(cfg: SweepConfig, args) -> int:
         raise NoisyflowError("horizon must be positive")
     _, system, noise = cfg.build()
     eps = cfg.epsilons[0]
-    scale = 1.0 / (eps * eps * cfg.rate_guess)
+    scale = 1.0 / (eps * eps * FOUR_PI_SQ)
     dt = args.dt if args.dt is not None else cfg.dt_factor * scale
     horizon = args.horizon if args.horizon is not None else cfg.horizon_factor * scale
     op = assemble_for(system, noise, eps)

@@ -6,10 +6,11 @@ The format is a strict INI dialect with four sections: [domain],
 ``Thresholds``) are the one list of keys: ``SECTION_KEYS``,
 ``parse_config`` and ``serialize_config`` all iterate them.  Unknown
 keys are hard errors (naming the nearest valid key), and so is a known
-key that the chosen kind does not read (``experiments.KIND_KEYS``, and
-``[noise] kind = selection`` outside the selection experiment; both are
-enforced by ``SweepConfig`` as well, so every config that constructs
-also serializes to a file that parses back), because silently ignored
+key that the chosen kind does not read (``experiments.KIND_KEYS``,
+``[noise] kind = selection`` outside the selection experiment, and
+``[noise] kind = explicit`` inside it; all are enforced by
+``SweepConfig`` as well, so every config that constructs also
+serializes to a file that parses back), because silently ignored
 configuration is the classic failure mode of experiment harnesses.
 Parse and validation problems are aggregated and reported with line
 numbers.
@@ -39,7 +40,8 @@ from dataclasses import fields
 from .errors import ConfigError, DomainError
 from .fields import Affine, Const, Power, Product, ScalarForm, Sum, Trig
 from .geometry import Circle, Interval, Rectangle, Torus2
-from .experiments import KIND_KEYS, NoiseSpec, SweepConfig, SystemSpec, Thresholds, check_epsilons
+from .evolution import SCHEMES
+from .experiments import KIND_KEYS, RUNNERS, NoiseSpec, SweepConfig, SystemSpec, Thresholds, check_epsilons
 
 
 def _choice(what: str, options):
@@ -107,16 +109,14 @@ DRIFT_AXES = ("bx", "by")
 #: explicit noise: a0 is the drift correction, a1..a8 the diffusion fields
 NOISE_FIELDS = tuple(f"a{i}" for i in range(9))
 NOISE_KINDS = ("coordinate", "explicit", "selection")
-EXPERIMENT_KINDS = ("stability", "selection", "transform", "decay", "bounded")
+EXPERIMENT_KINDS = tuple(RUNNERS)
 #: [experiment] key -> reader, for the keys that set a SweepConfig field
 SETTINGS = {
     "dt_factor": float,
     "horizon_factor": float,
-    "rate_guess": float,
-    "refine_factor": int,
     "workers": _workers,
     "assert_l1_limit": _boolean,
-    "scheme": _choice("scheme", ("implicit-euler", "crank-nicolson")),
+    "scheme": _choice("scheme", SCHEMES),
 }
 #: [experiment] key -> reader, one per Thresholds field
 THRESHOLDS = {f.name: float for f in fields(Thresholds)}
@@ -386,6 +386,10 @@ def parse_config(text: str) -> SweepConfig:
             problems.append((noise_sec["kind"][1], "kind", "[noise] kind = selection is not read by "
                                                            f"[experiment] kind = {kind} "
                                                            "(only selection reads it)"))
+        if noise.kind == "explicit" and kind == "selection":
+            problems.append((noise_sec["kind"][1], "kind", "[noise] kind = explicit is not read by "
+                                                           "[experiment] kind = selection (it builds "
+                                                           "the noise that selects target)"))
     target = _read(exp, "target", lambda value: parse_expression(value, lengths) if lengths else None,
                    problems)
     thresholds = _read_table(exp, THRESHOLDS, problems)

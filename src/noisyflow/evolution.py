@@ -58,6 +58,12 @@ from .stationary import Density, factorize, solve_stationary
 #: chi^2 values below this are treated as roundoff and excluded from fits.
 CHI2_FLOOR = 1e-13
 
+#: the time steppers of :func:`evolve`
+SCHEMES = ("implicit-euler", "crank-nicolson")
+
+#: Fourier modes per axis that :func:`poincare_quotient` probes
+POINCARE_MODES = 3
+
 #: bytes of the step blocks that :func:`evolve` holds before it reduces
 #: their statistics in one pass
 STATS_CHUNK_BYTES = 1 << 17
@@ -97,7 +103,6 @@ class DecayFit:
     rate_over_eps2: float | None
     fit_window: tuple[float, float]
     r_squared: float
-    samples: int
 
 
 def _require_positive(u: Density) -> None:
@@ -161,7 +166,7 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
         raise ValueError("empty block of initial densities")
     if any(member.grid is not op.grid for member in members):
         raise ValueError("initial density lives on a different grid")
-    if scheme not in ("implicit-euler", "crank-nicolson"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if stationary is None:
         stationary = solve_stationary(op).density
@@ -275,7 +280,7 @@ def fit_decay_rate(trace: EvolutionTrace, window: tuple[float, float] = (0.2, 0.
     rate = float(-slope)
     over = rate / trace.eps ** 2 if trace.eps else None
     return DecayFit(rate=rate, rate_over_eps2=over, fit_window=(float(t_lo), float(t_hi)),
-                    r_squared=float(min(r2, 1.0)), samples=int(np.count_nonzero(usable)))
+                    r_squared=float(min(r2, 1.0)))
 
 
 def perturbed_initial(stationary: Density, mode: int = 1, amplitude: float = 0.5) -> Density:
@@ -298,9 +303,8 @@ def perturbed_initial(stationary: Density, mode: int = 1, amplitude: float = 0.5
     return Density.normalized(np.clip(v, 0.0, None), grid)
 
 
-def poincare_quotient(noise: Noise, stationary: Density, grid: Grid,
-                      max_modes: int = 3) -> float:
-    """Weighted Poincare quotient over a basis of low Fourier modes.
+def poincare_quotient(noise: Noise, stationary: Density, grid: Grid) -> float:
+    """Weighted Poincare quotient over the lowest ``POINCARE_MODES`` Fourier modes per axis.
 
     For each probe f the quotient is
     sum (grad f)^T a (grad f) u vol / sum (f - fbar)^2 u vol with
@@ -319,7 +323,7 @@ def poincare_quotient(noise: Noise, stationary: Density, grid: Grid,
         L = grid.kind.lengths[axis]
         o = grid.kind.origin[axis]
         x = centers[:, axis]
-        for k in range(1, max_modes + 1):
+        for k in range(1, POINCARE_MODES + 1):
             if grid.periodic[axis]:
                 probes = [(np.cos(2 * np.pi * k * x / L), -2 * np.pi * k / L * np.sin(2 * np.pi * k * x / L)),
                           (np.sin(2 * np.pi * k * x / L), 2 * np.pi * k / L * np.cos(2 * np.pi * k * x / L))]

@@ -36,12 +36,15 @@ from .fields import (
     Const,
 )
 from .geometry import DomainKind, Grid, build_grid, refine_grid
-from .evolution import DecayFit, evolve, fit_decay_rate, perturbed_initial
+from .evolution import SCHEMES, DecayFit, evolve, fit_decay_rate, perturbed_initial
 from .operator import assemble_for
 from .reporting import atomic_write_text, verdict_block, write_csv
 from .stationary import StationaryReport, oracle_1d_interval, solve_stationary
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
+
+#: the selection experiment's second grid has this many times the cells per axis
+REFINE_FACTOR = 2
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +75,10 @@ class NoiseSpec:
     kind "coordinate" takes the coordinate fields with zero drift
     correction; "explicit" uses the supplied closed forms; "selection"
     defers to the experiment target density, so only the selection
-    experiment accepts it and :meth:`SweepConfig.build` builds it.
+    experiment accepts it and :meth:`SweepConfig.build` builds it.  The
+    selection experiment takes no other noise: :class:`SweepConfig`
+    turns the default spec into the selection one there and rejects
+    explicit noise.
     """
 
     kind: str = "coordinate"
@@ -96,7 +102,6 @@ class NoiseSpec:
 #: this table too.
 KIND_KEYS = {
     "target": ("selection",),
-    "refine_factor": ("selection",),
     "assert_l1_limit": ("stability",),
 }
 
@@ -137,8 +142,6 @@ class SweepConfig:
     thresholds: Thresholds = Thresholds()
     dt_factor: float = 5e-3
     horizon_factor: float = 5.0
-    rate_guess: float = FOUR_PI_SQ
-    refine_factor: int = 2
     assert_l1_limit: bool = True
     scheme: str = "implicit-euler"
     workers: int = 1
@@ -148,6 +151,12 @@ class SweepConfig:
         check_epsilons(self.epsilons)
         if any(k < 4 for k in self.n):
             raise ValueError("grid resolution must be at least 4 cells per axis")
+        if self.kind not in RUNNERS:
+            raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {', '.join(RUNNERS)}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {', '.join(SCHEMES)}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         defaults = {f.name: f.default for f in fields(self)}
         for key, kinds in KIND_KEYS.items():
             if self.kind not in kinds and getattr(self, key) != defaults[key]:
@@ -156,16 +165,21 @@ class SweepConfig:
         if self.noise.kind == "selection" and self.kind != "selection":
             raise ValueError(f"noise kind 'selection' is not read by experiment kind {self.kind!r} "
                              "(only selection reads it)")
+        if self.kind == "selection":
+            if self.noise.kind == "explicit":
+                raise ValueError("explicit noise is not read by experiment kind 'selection', "
+                                 "which builds the noise that selects its target")
+            object.__setattr__(self, "noise", NoiseSpec(kind="selection"))
 
     def grid(self) -> Grid:
         return build_grid(self.domain, self.n)
 
-    def build(self) -> tuple[Grid, ConservativeSystem, Noise]:
-        """The configured grid with its conservative system and noise.
+    def build(self, grid: Grid | None = None) -> tuple[Grid, ConservativeSystem, Noise]:
+        """The configured grid, or ``grid``, with its conservative system and noise.
 
         Selection noise is the noise that selects ``target`` on the grid.
         """
-        grid = self.grid()
+        grid = self.grid() if grid is None else grid
         if self.noise.kind != "selection":
             noise = self.noise.build(grid)
         elif self.target is None:
@@ -276,7 +290,7 @@ def run_stability_sweep(cfg: SweepConfig) -> Report:
         "uniform upper bound":
             max(r.report.max_u for r in rows) <= thr.bound_factor * float(system.u0.max()),
         "uniform lower bound":
-            max(1.0 / r.report.min_u for r in rows) <= thr.bound_factor / float(system.u0.min()),
+            thr.bound_factor * min(r.report.min_u for r in rows) >= float(system.u0.min()),
     }
     if cfg.assert_l1_limit:
         verdicts["final l1 distance"] = l1s[-1] <= thr.l1_final
@@ -308,12 +322,13 @@ def run_selection(cfg: SweepConfig) -> Report:
 
     The target must make u* B discretely divergence-free on faces.  The
     residual against the target is pure discretization, so it must be
-    epsilon-uniform and shrink about fourfold under one refinement.
+    epsilon-uniform and shrink about fourfold when ``cfg.build`` refines
+    the grid by ``REFINE_FACTOR``.
     """
     if cfg.target is None:
         raise ValueError("selection experiment needs a target density form")
-    grid = cfg.grid()
-    system = cfg.system.build(grid)
+    coarse = cfg.build()
+    grid, system, _ = coarse
     flux = VectorField([mul(cfg.target, c) for c in system.drift.components])
     div_sup = float(np.max(np.abs(divergence(flux, grid))))
     if div_sup > cfg.thresholds.div_target_tol:
@@ -321,31 +336,28 @@ def run_selection(cfg: SweepConfig) -> Report:
             f"target is invalid: div(u* B) reaches {div_sup}, above {cfg.thresholds.div_target_tol}"
         )
 
-    fine = refine_grid(grid, cfg.refine_factor)
-    fine_system = cfg.system.build(fine)
-    noises = {g: construct_selecting_noise(cfg.target, g) for g in (grid, fine)}
+    fine = cfg.build(refine_grid(grid, REFINE_FACTOR))
 
     def solve_one(eps):
-        errs = {}
-        for g, s in ((grid, system), (fine, fine_system)):
-            rep = solve_stationary(assemble_for(s, noises[g], eps))
+        errs = []
+        for g, s, noise in (coarse, fine):
+            rep = solve_stationary(assemble_for(s, noise, eps))
             target = cfg.target(g.cell_centers())
             target /= np.sum(target) * g.cell_volume
-            errs[g] = float(np.max(np.abs(rep.density.values - target)))
-        ratio = errs[grid] / errs[fine] if errs[fine] > 0 else math.inf
-        return SelectionRow(eps=eps, n=grid.n, err_sup=errs[grid],
-                            err_sup_refined=errs[fine], ratio=ratio)
+            errs.append(float(np.max(np.abs(rep.density.values - target))))
+        err, err_fine = errs
+        ratio = err / err_fine if err_fine > 0 else math.inf
+        return SelectionRow(eps=eps, n=grid.n, err_sup=err, err_sup_refined=err_fine, ratio=ratio)
 
     rows = _map_over_eps(solve_one, cfg.epsilons, cfg.workers)
     thr = cfg.thresholds
     sups = [r.err_sup for r in rows]
     spread = (max(sups) - min(sups)) / max(min(sups), 1e-300)
-    expected_ratio = float(cfg.refine_factor ** 2)
-    lo = thr.selection_ratio_lo * expected_ratio / 4.0
-    hi = thr.selection_ratio_hi * expected_ratio / 4.0
     verdicts = {
         "sup error within tolerance": max(sups) <= thr.selection_sup,
-        "h^2 refinement ratio": all(lo <= r.ratio <= hi for r in rows),
+        # one refinement by REFINE_FACTOR = 2 shrinks an h^2 error about fourfold
+        "h^2 refinement ratio": all(thr.selection_ratio_lo <= r.ratio <= thr.selection_ratio_hi
+                                    for r in rows),
         "eps-uniform residual": spread <= thr.selection_eps_spread,
     }
     return _report(cfg, "selection by noise", "selection.csv", SELECTION_HEADER, rows, verdicts)
@@ -430,7 +442,7 @@ def trace_cells(trace) -> Iterator[tuple]:
 def run_decay_study(cfg: SweepConfig) -> Report:
     """Fit chi^2 decay rates across the sweep and check the eps^2 scaling.
 
-    Horizons scale like 1/(eps^2 rate_guess) so every run decays through
+    Horizons scale like 1/(4 pi^2 eps^2) so every run decays through
     the same number of e-folds.  Initial-data independence is probed with
     two perturbation modes; the reported rate is the slower one.  Both
     modes are advanced as one block by :func:`evolve`: each eps factorizes
@@ -449,7 +461,7 @@ def run_decay_study(cfg: SweepConfig) -> Report:
     def study_one(eps):
         op = assemble_for(system, noise, eps)
         stationary = solve_stationary(op).density
-        scale = 1.0 / (eps * eps * cfg.rate_guess)
+        scale = 1.0 / (eps * eps * FOUR_PI_SQ)
         horizon = cfg.horizon_factor * scale
         dt = cfg.dt_factor * scale
         fits = {}
@@ -549,15 +561,16 @@ def run_bounded_domain(cfg: SweepConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
+#: [experiment] kind -> its runner; the one list of experiment kinds
+RUNNERS = {
+    "stability": run_stability_sweep,
+    "selection": run_selection,
+    "transform": run_transform_consistency,
+    "decay": run_decay_study,
+    "bounded": run_bounded_domain,
+}
+
+
 def run(cfg: SweepConfig) -> Report:
     """Run the study that ``cfg.kind`` names."""
-    runners = {
-        "stability": run_stability_sweep,
-        "selection": run_selection,
-        "transform": run_transform_consistency,
-        "decay": run_decay_study,
-        "bounded": run_bounded_domain,
-    }
-    if cfg.kind not in runners:
-        raise ValueError(f"unknown experiment kind {cfg.kind!r}; choose from {', '.join(runners)}")
-    return runners[cfg.kind](cfg)
+    return RUNNERS[cfg.kind](cfg)

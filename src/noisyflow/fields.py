@@ -324,8 +324,9 @@ class ConservativeSystem:
 
     The per-cell samples of u0 are renormalized so that the discrete mass
     sum(u0 * vol) is exactly 1; the closed form keeps the same scaling.
-    The discrete divergence of the face-sampled flux u0*B is computed at
-    construction and reported as ``div_residual``.
+    Construction does not check that u0 B is divergence-free; on the
+    faces that residual is :func:`divergence` of the flux
+    ``VectorField([mul(system.u0_form, c) for c in system.drift.components])``.
     """
 
     def __init__(self, drift: VectorField, u0_form: ScalarForm, grid: Grid, name: str = ""):
@@ -340,8 +341,6 @@ class ConservativeSystem:
         self.u0_form = mul(Const(1.0 / mass), u0_form)
         self.u0 = samples / mass
         self.drift = drift
-        flux = VectorField([mul(self.u0_form, c) for c in drift.components])
-        self.div_residual = float(np.max(np.abs(divergence(flux, grid))))
 
     def __repr__(self):
         tag = self.name or "custom"
@@ -351,6 +350,10 @@ class ConservativeSystem:
 # ---------------------------------------------------------------------------
 # admissibility diagnostics
 # ---------------------------------------------------------------------------
+
+
+#: least ellipticity constant with which :func:`check_admissible` passes (A2)
+LAMBDA_THRESHOLD = 1e-6
 
 
 @dataclass
@@ -397,13 +400,14 @@ def smallest_eigenvalue(a: np.ndarray) -> np.ndarray:
     return 0.5 * (tr - gap)
 
 
-def check_admissible(noise: Noise, grid: Grid, p: float, lambda_threshold: float = 1e-6) -> AdmissibilityReport:
+def check_admissible(noise: Noise, grid: Grid, p: float) -> AdmissibilityReport:
     """Discrete admissibility diagnostics for the noise fields.
 
     Norms use midpoint quadrature over cells with centered differences
     for the gradient part; the ellipticity constant is the exact minimum
-    over cells of the smallest eigenvalue of sum_i A_i A_i^T.  Neither
-    depends on eps, which only scales the fields.
+    over cells of the smallest eigenvalue of sum_i A_i A_i^T, and (A2)
+    passes when it is at least ``LAMBDA_THRESHOLD``.  Neither depends on
+    eps, which only scales the fields.
     """
     if p <= grid.dim:
         raise ValueError(f"integrability exponent must exceed the dimension, got p={p}, d={grid.dim}")
@@ -430,8 +434,8 @@ def check_admissible(noise: Noise, grid: Grid, p: float, lambda_threshold: float
         sup_norm_bound=sup,
         lam=lam,
         passes_A1=math.isfinite(sup),
-        passes_A2=lam >= lambda_threshold,
-        lambda_threshold=lambda_threshold,
+        passes_A2=lam >= LAMBDA_THRESHOLD,
+        lambda_threshold=LAMBDA_THRESHOLD,
     )
 
 

@@ -228,24 +228,6 @@ class Grid:
         """Measure of a face normal to ``axis``: the product of the other spacings."""
         return math.prod((h for k, h in enumerate(self.h) if k != axis), start=1.0)
 
-    @property
-    def faces(self):
-        """Canonical face list: tuples (cell, neighbor `or` None, axis, orientation).
-
-        ``orientation`` is +1 for the face on the cell's positive side,
-        -1 for a low boundary face.  Interior faces appear exactly once,
-        attached to their left cell.  Intended for inspection and tests;
-        the assembler consumes the array form from :meth:`interior_faces`.
-        """
-        out = []
-        for axis in range(self.dim):
-            left, right, _ = self.interior_faces(axis)
-            out.extend((int(l), int(r), axis, +1) for l, r in zip(left, right))
-            low, _, high, _ = self.boundary_faces(axis)
-            out.extend((int(c), None, axis, -1) for c in low)
-            out.extend((int(c), None, axis, +1) for c in high)
-        return out
-
     def total_measure(self) -> float:
         return self.kind.measure
 

@@ -120,13 +120,12 @@ class FokkerPlanckOperator:
     """
 
     def __init__(self, matrix: sp.csr_matrix, grid: Grid, eps: float, bc: str,
-                 has_cross_diffusion: bool, min_offdiagonal: float):
+                 has_cross_diffusion: bool):
         self.matrix = matrix
         self.grid = grid
         self.eps = eps
         self.bc = bc
         self.has_cross_diffusion = has_cross_diffusion
-        self.min_offdiagonal = min_offdiagonal
         self._irreducible = None
 
     @property
@@ -157,27 +156,18 @@ class FokkerPlanckOperator:
     def inf_norm(self) -> float:
         return float(np.max(np.abs(self.matrix).sum(axis=1)))
 
-    def write_coordinate_text(self, path) -> None:
-        """Dump in coordinate format: 'row col value', 17 significant digits."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"# noisyflow operator: {self.shape[0]} cells, eps={self.eps!r}, "
-                     f"bc={self.bc}; columns: row col value\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v:.17g}\n")
-
     def __repr__(self):
         return f"FokkerPlanckOperator(n={self.shape[0]}, eps={self.eps}, bc={self.bc})"
 
 
-def assemble_fp_operator(dd: DriftDiffusionData, grid: Grid) -> FokkerPlanckOperator:
+def assemble_fp_operator(dd: DriftDiffusionData) -> FokkerPlanckOperator:
     """Assemble the finite-volume matrix from flux-form coefficients.
 
-    Faces are processed per axis in their canonical order, so repeated
-    assemblies are bit-identical.
+    The matrix lives on ``dd.grid``, the grid the coefficients were
+    sampled on.  Faces are processed per axis in their canonical order,
+    so repeated assemblies are bit-identical.
     """
-    if dd.grid is not grid:
-        raise AssemblyError("drift-diffusion data was derived on a different grid")
+    grid = dd.grid
     d = grid.dim
     e2half = 0.5 * dd.eps * dd.eps
     vol = grid.cell_volume
@@ -234,15 +224,12 @@ def assemble_fp_operator(dd: DriftDiffusionData, grid: Grid) -> FokkerPlanckOper
     ).tocsr()
     mat.sum_duplicates()
 
-    offdiag = mat.copy()
-    offdiag.setdiag(0.0)
-    min_off = float(offdiag.data.min()) if offdiag.nnz else 0.0
     bc = "periodic" if all(grid.periodic) else "zero-flux"
-    op = FokkerPlanckOperator(mat, grid, dd.eps, bc, has_cross, min_off)
+    op = FokkerPlanckOperator(mat, grid, dd.eps, bc, has_cross)
     op.is_irreducible()  # connectivity is verified once per assembly
     return op
 
 
 def assemble_for(sys: ConservativeSystem, noise: Noise, eps: float) -> FokkerPlanckOperator:
     """Convenience wrapper: derive coefficients and assemble in one call."""
-    return assemble_fp_operator(derive_drift_diffusion(sys, noise, eps), sys.grid)
+    return assemble_fp_operator(derive_drift_diffusion(sys, noise, eps))

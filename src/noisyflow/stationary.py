@@ -58,8 +58,14 @@ from .operator import FokkerPlanckOperator
 #: Components of a solved density may undershoot zero by at most this.
 POSITIVITY_SLACK = 1e-10
 
-#: Quadrature panels per finite-volume cell used by the oracles.
+#: Quadrature panels per finite-volume cell used by the oracles; even, so
+#: that every cell center is a panel edge.
 ORACLE_QUAD_FACTOR = 8
+
+#: Inverse iteration's bound on the residual and on the relative step
+#: change, and the iterations it may take to get under it.
+INVERSE_ITERATION_TOL = 1e-12
+INVERSE_ITERATION_MAXITER = 500
 
 #: SuperLU's ``relax``: elimination subtrees below this many columns are
 #: merged into one dense supernode; 1 merges none.  See :func:`factorize`.
@@ -181,7 +187,7 @@ def pinned_system(matrix: sp.csr_matrix):
     return pinned, rhs
 
 
-def _inverse_iteration(matrix: sp.csr_matrix, grid: Grid, tol: float, maxiter: int):
+def _inverse_iteration(matrix: sp.csr_matrix, grid: Grid):
     mat_norm = float(np.max(np.abs(matrix).sum(axis=1)))
     try:
         lu = factorize(matrix, grid.dim)
@@ -189,7 +195,8 @@ def _inverse_iteration(matrix: sp.csr_matrix, grid: Grid, tol: float, maxiter: i
         jitter = 1e-14 * mat_norm
         lu = factorize(matrix + jitter * sp.identity(grid.ncells, format="csr"), grid.dim)
     v = np.full(grid.ncells, 1.0 / grid.total_measure())
-    for it in range(1, maxiter + 1):
+    tol = INVERSE_ITERATION_TOL
+    for it in range(1, INVERSE_ITERATION_MAXITER + 1):
         previous = v
         v = lu.solve(v)
         v /= np.sum(np.abs(v)) * grid.cell_volume
@@ -201,11 +208,10 @@ def _inverse_iteration(matrix: sp.csr_matrix, grid: Grid, tol: float, maxiter: i
         residual = float(np.max(np.abs(matrix @ v))) / (mat_norm * scale)
         if residual <= tol and float(np.max(np.abs(v - previous))) <= tol * scale:
             return v, it
-    raise SolveError(f"inverse iteration did not reach tolerance {tol} in {maxiter} iterations")
+    raise SolveError(f"inverse iteration did not reach tolerance {tol} in {INVERSE_ITERATION_MAXITER} iterations")
 
 
-def solve_stationary(op: FokkerPlanckOperator, method: str = "direct",
-                     tol: float = 1e-12, maxiter: int = 500) -> StationaryReport:
+def solve_stationary(op: FokkerPlanckOperator, method: str = "direct") -> StationaryReport:
     """Solve M u = 0 for the unique unit-mass stationary density.
 
     ``method`` is "direct" (pinned row + sparse LU, with inverse
@@ -213,7 +219,7 @@ def solve_stationary(op: FokkerPlanckOperator, method: str = "direct",
     independent cross-check path).  The residual is measured against the
     unmodified matrix as ||M u||_inf / (||M||_inf ||u||_inf).  Inverse
     iteration stops once that residual and the relative step change
-    ||u - u_prev||_inf / ||u||_inf are both at most ``tol``.
+    ||u - u_prev||_inf / ||u||_inf are both at most ``INVERSE_ITERATION_TOL``.
     """
     if not op.is_irreducible():
         raise SolveError("operator is reducible; the stationary density is not unique")
@@ -226,10 +232,10 @@ def solve_stationary(op: FokkerPlanckOperator, method: str = "direct",
             u = factorize(pinned, grid.dim).solve(rhs)
             u /= np.sum(u) * grid.cell_volume  # unit mass, the scale the positivity slack assumes
         except RuntimeError:
-            u, iterations = _inverse_iteration(op.matrix, grid, tol, maxiter)
+            u, iterations = _inverse_iteration(op.matrix, grid)
             used = "direct+fallback"
     elif method == "inverse-iteration":
-        u, iterations = _inverse_iteration(op.matrix, grid, tol, maxiter)
+        u, iterations = _inverse_iteration(op.matrix, grid)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -327,16 +333,6 @@ def _simpson_on_edges(values, delta):
     )
 
 
-def _resolve_quad(grid: Grid, quad_n):
-    n = grid.n[0]
-    if quad_n is None:
-        quad_n = ORACLE_QUAD_FACTOR * n
-    quad_n = int(quad_n)
-    if quad_n % (2 * n) != 0:
-        raise ValueError(f"quad_n must be a multiple of 2*n = {2 * n}, got {quad_n}")
-    return quad_n
-
-
 def _exponent(drift: VectorField, a0: VectorField, ai: list[VectorField], eps: float,
               grid: Grid, quad: int):
     """The oracles' exponent on ``quad`` Simpson panels over the 1D domain of ``grid``.
@@ -405,10 +401,11 @@ def _backward_sum(local: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
-                     eps: float, grid: Grid, quad_n: int | None = None):
+                     eps: float, grid: Grid):
     """Closed-form stationary density on the circle; returns (u, C_eps).
 
-    ``u`` holds cell-center samples on ``grid``.  Requires B > 0 on the
+    ``u`` holds cell-center samples on ``grid``, from
+    ``ORACLE_QUAD_FACTOR`` Simpson panels per cell.  Requires B > 0 on the
     whole circle and positive total diffusion a; B + eps^2 b may change
     sign, so Phi need not be monotone.  J1 is the backward sum of
     :func:`_backward_sum`, which keeps every exponent within a bounded
@@ -418,7 +415,7 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     """
     if not isinstance(grid.kind, Circle):
         raise ValueError("circle oracle needs a Circle grid")
-    quad = _resolve_quad(grid, quad_n)
+    quad = ORACLE_QUAD_FACTOR * grid.n[0]
     delta = grid.kind.length / quad
     e2 = eps * eps
     b_min, a_edges, psi_edges, psi_mids, phi, phi_mid = _exponent(drift, a0, ai, eps, grid, quad)
@@ -467,11 +464,12 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
 
 
 def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField],
-                       eps: float, grid: Grid, quad_n: int | None = None) -> np.ndarray:
+                       eps: float, grid: Grid) -> np.ndarray:
     """Closed-form stationary density on an interval with reflecting ends.
 
     The stationary flux constant is zero, so u = e^Phi / (Z a) with the
-    same Phi as the circle case.  Requires B to vanish at both endpoints
+    same Phi as the circle case, on the same ``ORACLE_QUAD_FACTOR``
+    panels per cell.  Requires B to vanish at both endpoints
     (compatibility with the zero normal flux of the reflecting SDE).
     """
     if not isinstance(grid.kind, Interval):
@@ -481,7 +479,7 @@ def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField
     b_ends = drift.components[0](ends)
     if np.max(np.abs(b_ends)) > 1e-12:
         raise BoundaryError(f"drift must vanish at the endpoints, got B(a), B(b) = {tuple(b_ends)}")
-    quad = _resolve_quad(grid, quad_n)
+    quad = ORACLE_QUAD_FACTOR * grid.n[0]
     _, a_edges, _, _, phi, _ = _exponent(drift, a0, ai, eps, grid, quad)
     phi -= phi.max()
     u_unnorm = np.exp(phi) / a_edges

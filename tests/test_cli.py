@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,9 @@ from noisyflow.config import (EXPERIMENT_KINDS, KIND_KEYS, parse_config, parse_e
                               serialize_config, serialize_expression)
 from noisyflow.errors import ConfigError
 from noisyflow.evolution import evolve, perturbed_initial
-from noisyflow.experiments import TRACE_HEADER, SweepConfig, SystemSpec, NoiseSpec, Thresholds, trace_cells
+import noisyflow.experiments as experiments
+from noisyflow.experiments import (FOUR_PI_SQ, TRACE_HEADER, SweepConfig, SystemSpec, NoiseSpec, Thresholds,
+                                   trace_cells)
 from noisyflow.fields import Affine, Const, Power, Product, Trig
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2
 from noisyflow.operator import assemble_for
@@ -64,6 +67,15 @@ def test_removed_uniform_sup_threshold_is_an_unknown_key():
     text = MINIMAL.replace("kind = stability", "kind = stability\nuniform_sup = 1e-10")
     with pytest.raises(ConfigError, match=r"uniform_sup: unknown key in \[experiment\] \(nearest valid key"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("key", ["rate_guess", "refine_factor"])
+def test_constant_settings_are_unknown_keys(key):
+    # the decay time scale is 1/(4 pi^2 eps^2) and selection refines by 2
+    with pytest.raises(ConfigError) as info:
+        parse_config(MINIMAL.replace("kind = stability", f"kind = selection\ntarget = const:1\n{key} = 3"))
+    assert [(line, k) for line, k, _ in info.value.locations] == [(16, key)]
+    assert f"line 16, {key}: unknown key in [experiment]" in str(info.value)
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -134,7 +146,7 @@ def test_expression_errors():
         parse_expression("affine:axis=3,slope=1", (1.0, 1.0))  # axis out of range
 
 
-ROUND_TRIP_SETTINGS = dict(refine_factor=3, horizon_factor=7.5, rate_guess=12.25)
+ROUND_TRIP_SETTINGS = dict(horizon_factor=7.5)
 
 
 @pytest.mark.parametrize("domain, n, system, settings", [
@@ -152,16 +164,11 @@ ROUND_TRIP_SETTINGS = dict(refine_factor=3, horizon_factor=7.5, rate_guess=12.25
 ])
 def test_config_round_trip_rich(domain, n, system, settings):
     axes = range(domain.dim)
-    cfg = SweepConfig(
-        kind="selection",
+    common = dict(
         domain=domain,
         n=n,
         epsilons=(0.5, 0.1),
         system=system,
-        noise=NoiseSpec(kind="explicit",
-                        a0_forms=tuple(Const(0.0) for _ in axes),
-                        ai_forms=tuple(tuple(Const(float(i == j)) for j in axes) for i in axes)),
-        target=Trig("cos", domain.dim - 1, 1, 0.5, 1.0, domain.lengths[-1]),
         out_dir="results",
         thresholds=Thresholds(selection_sup=1e-3),
         dt_factor=1e-3,
@@ -170,7 +177,18 @@ def test_config_round_trip_rich(domain, n, system, settings):
         admissibility_p=3.5,
         **settings,
     )
-    assert parse_config(serialize_config(cfg)) == cfg
+    explicit = SweepConfig(
+        kind="stability",
+        noise=NoiseSpec(kind="explicit",
+                        a0_forms=tuple(Const(0.0) for _ in axes),
+                        ai_forms=tuple(tuple(Const(float(i == j)) for j in axes) for i in axes)),
+        assert_l1_limit=False,
+        **common,
+    )
+    target = Trig("cos", domain.dim - 1, 1, 0.5, 1.0, domain.lengths[-1])
+    selection = SweepConfig(kind="selection", target=target, **common)
+    for cfg in (explicit, selection):
+        assert parse_config(serialize_config(cfg)) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +296,6 @@ def test_cli_check_passes_for_coordinate_noise(tmp_path):
                  id="gap-in-diffusion-fields"),
     pytest.param(ROTATION, "kind = stability", "kind = stability\ntarget = cos:axis=1,freq=1,offset=2", 15,
                  "target", id="target-under-stability"),
-    pytest.param(MINIMAL, "kind = stability", "kind = decay\nrefine_factor = 3", 15, "refine_factor",
-                 id="refine-factor-under-decay"),
     pytest.param(MINIMAL, "kind = stability", "kind = transform\ntarget = const:1", 15, "target",
                  id="target-under-transform"),
     pytest.param(MINIMAL, "kind = stability", "kind = selection\nassert_l1_limit = false", 15,
@@ -308,23 +324,21 @@ def test_gap_in_diffusion_fields_names_the_missing_key():
 def test_step_settings_are_legal_under_every_kind(kind):
     # `evolve` reads the scheme and the step factors from a config of any kind
     text = MINIMAL.replace("kind = stability", f"kind = {kind}\nscheme = crank-nicolson\ndt_factor = 0.01\n"
-                                               "horizon_factor = 2\nrate_guess = 3")
+                                               "horizon_factor = 2")
     cfg = parse_config(text)
-    assert (cfg.kind, cfg.scheme, cfg.dt_factor, cfg.horizon_factor, cfg.rate_guess) == (
-        kind, "crank-nicolson", 0.01, 2.0, 3.0)
+    assert (cfg.kind, cfg.scheme, cfg.dt_factor, cfg.horizon_factor) == (kind, "crank-nicolson", 0.01, 2.0)
 
 
 def test_kind_keys_round_trip_under_their_kind():
     stability = parse_config(MINIMAL + "assert_l1_limit = false\n")
-    selection = parse_config(MINIMAL.replace("kind = stability", "kind = selection")
-                             + "target = const:1\nrefine_factor = 3\n")
-    assert (stability.assert_l1_limit, selection.target, selection.refine_factor) == (False, Const(1.0), 3)
+    selection = parse_config(MINIMAL.replace("kind = stability", "kind = selection") + "target = const:1\n")
+    assert (stability.assert_l1_limit, selection.target) == (False, Const(1.0))
     for cfg in (stability, selection):
         assert parse_config(serialize_config(cfg)) == cfg
 
 
 # one non-default value for each field of KIND_KEYS
-KIND_ONLY_VALUES = {"target": Const(1.0), "refine_factor": 3, "assert_l1_limit": False}
+KIND_ONLY_VALUES = {"target": Const(1.0), "assert_l1_limit": False}
 
 
 @pytest.mark.parametrize("key, value", KIND_ONLY_VALUES.items())
@@ -381,13 +395,15 @@ def test_selection_noise_is_read_only_by_the_selection_experiment(tmp_path, caps
 
 
 def test_bad_domain_kind_reports_only_the_domain_error():
-    text = (ROTATION.replace("kind = torus2", "kind = toruss")
-            .replace("catalog = torus-rotation", "bx = cos:axis=1,freq=1\nby = const:0\nu0 = const:1")
-            .replace("kind = coordinate", "kind = explicit\na1 = const:1; const:0\na2 = const:0; const:1")
-            .replace("kind = stability", "kind = selection\ntarget = cos:axis=1,freq=1,offset=2"))
-    with pytest.raises(ConfigError) as info:
-        parse_config(text)
-    assert [(line, key) for line, key, _ in info.value.locations] == [(2, "kind")]
+    base = (ROTATION.replace("kind = torus2", "kind = toruss")
+            .replace("catalog = torus-rotation", "bx = cos:axis=1,freq=1\nby = const:0\nu0 = const:1"))
+    # explicit noise fields, and a selection target (whose experiment builds its own noise)
+    texts = [base.replace("kind = coordinate", "kind = explicit\na1 = const:1; const:0\na2 = const:0; const:1"),
+             base.replace("kind = stability", "kind = selection\ntarget = cos:axis=1,freq=1,offset=2")]
+    for text in texts:
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert [(line, key) for line, key, _ in info.value.locations] == [(2, "kind")]
 
 
 def test_omitted_drift_component_is_zero_on_its_own_axis():
@@ -468,7 +484,7 @@ def test_cli_evolve_steps_the_configured_scheme(tmp_path):
     cfg = parse_config(text)
     _, system, family = cfg.build()
     eps = cfg.epsilons[0]
-    scale = 1.0 / (eps * eps * cfg.rate_guess)
+    scale = 1.0 / (eps * eps * FOUR_PI_SQ)
     op = assemble_for(system, family, eps)
     stationary = solve_stationary(op).density
     expected = {}
@@ -548,3 +564,45 @@ def test_check_runs_a_selection_config(tmp_path, capsys):
     lam = float(lines[1].split()[2])
     assert abs(lam - 2.0 / 3.0) <= 1e-3
     assert lines[2:] == ["(A1) integrability: PASS", "(A2) ellipticity:  PASS"]
+
+
+@pytest.mark.parametrize("noise_kind", ["", "kind = coordinate\n"], ids=["default", "coordinate"])
+def test_selection_experiment_always_builds_the_selecting_noise(tmp_path, noise_kind):
+    # the selection experiment reads no other noise, so the default noise of
+    # the file is the selecting one for every command
+    text = SELECTION.replace("kind = selection\neps", f"{noise_kind}eps")
+    cfg = parse_config(text)
+    assert cfg.noise == NoiseSpec(kind="selection")
+    assert parse_config(serialize_config(cfg)) == cfg
+    csv = {}
+    for name, config in (("default", text), ("selection", SELECTION)):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(config)
+        assert main(["stationary", "--config", str(path), "--out", str(tmp_path / name), "--quiet"]) == 0
+        csv[name] = (tmp_path / name / "stationary.csv").read_bytes()
+    assert csv["default"] == csv["selection"]
+
+
+def test_explicit_noise_is_not_read_by_the_selection_experiment(tmp_path, capsys):
+    text = SELECTION.replace("kind = selection\neps", "kind = explicit\na1 = const:2\neps")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [(line, key) for line, key, _ in info.value.locations] == [(10, "kind")]
+    assert "[noise] kind = explicit is not read by [experiment] kind = selection" in str(info.value)
+    with pytest.raises(ValueError, match="explicit noise is not read by experiment kind 'selection'"):
+        SweepConfig(kind="selection", domain=Circle(), n=(16,), epsilons=(0.5,), target=Const(1.0),
+                    noise=NoiseSpec(kind="explicit", ai_forms=((Const(2.0),),)))
+    path = write_config(tmp_path, text)
+    for command in ("select", "stationary"):
+        assert main([command, "--config", path, "--quiet"]) == 1
+        assert "line 10, kind: [noise] kind = explicit" in capsys.readouterr().err
+
+
+def test_zero_min_u_fails_the_uniform_lower_bound(tmp_path, monkeypatch, capsys):
+    # the solve clips undershoots to exactly 0; the verdict fails instead of dividing by it
+    solve = experiments.solve_stationary
+    monkeypatch.setattr(experiments, "solve_stationary", lambda op: replace(solve(op), min_u=0.0))
+    report = experiments.run_stability_sweep(parse_config(ROTATION))
+    assert report.verdicts["uniform lower bound"] is False
+    assert main(["sweep", "--config", write_config(tmp_path, ROTATION), "--quiet"]) == 2
+    assert "verdict failure: uniform lower bound" in capsys.readouterr().err

@@ -276,8 +276,7 @@ def test_mass_drift_still_shows_a_nonconservative_operator(scheme):
     op, stat = catalog_setup(Circle(), 32, "circle-positive", 0.5)
     m = op.matrix.copy()
     m.data[1] *= 1.0 + 1e-9
-    leaky = FokkerPlanckOperator(m, op.grid, op.eps, op.bc, op.has_cross_diffusion,
-                                 op.min_offdiagonal)
+    leaky = FokkerPlanckOperator(m, op.grid, op.eps, op.bc, op.has_cross_diffusion)
     v0 = perturbed_initial(stat, mode=1)
     exact, _ = evolve(op, v0, horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)
     leaked, _ = evolve(leaky, v0, horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)

@@ -10,6 +10,7 @@ import noisyflow.experiments as experiments
 from noisyflow.errors import BoundaryError, FitError
 from noisyflow.evolution import fit_decay_rate, perturbed_initial
 from noisyflow.experiments import (
+    FOUR_PI_SQ,
     NoiseSpec,
     SweepConfig,
     SystemSpec,
@@ -48,6 +49,17 @@ def test_sweep_config_validation():
         SweepConfig(kind="stability", domain=Circle(), n=(64,), epsilons=(0.1, 0.5))
     with pytest.raises(ValueError):
         SweepConfig(kind="stability", domain=Circle(), n=(2,), epsilons=(0.5,))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("workers", 0, "workers must be at least 1, got 0"),
+    ("scheme", "bogus", "unknown scheme 'bogus'"),
+    ("kind", "bogus", "unknown experiment kind 'bogus'"),
+], ids=["workers", "scheme", "kind"])
+def test_sweep_config_rejects_what_would_not_parse_back(field, value, message):
+    base = dict(kind="stability", domain=Circle(), n=(16,), epsilons=(0.5,))
+    with pytest.raises(ValueError, match=message):
+        SweepConfig(**{**base, field: value})
 
 
 def test_sweep_config_builds_the_selecting_noise():
@@ -397,7 +409,7 @@ def test_decay_retry_refits_the_prefix_without_reintegrating(tmp_path, monkeypat
     for row in report.rows:
         op = assemble_for(system, family, row.eps)
         stationary = solve_stationary(op).density
-        scale = 1.0 / (row.eps ** 2 * cfg.rate_guess)
+        scale = 1.0 / (row.eps ** 2 * FOUR_PI_SQ)
         for mode in (1, 2):
             v0 = perturbed_initial(stationary, mode=mode)
             horizon = cfg.horizon_factor * scale

@@ -17,38 +17,34 @@ from noisyflow.geometry import (
 )
 
 
+def face_counts(g):
+    """Numbers of interior and boundary faces over all axes."""
+    interior = sum(len(g.interior_faces(axis)[0]) for axis in range(g.dim))
+    boundary = sum(len(low) + len(high) for low, _, high, _ in map(g.boundary_faces, range(g.dim)))
+    return interior, boundary
+
+
 def test_circle_grid_counts():
     g = build_grid(Circle(1.0), 8)
     assert g.ncells == 8
     assert g.h == (0.125,)
-    faces = g.faces
-    assert len(faces) == 8
-    assert all(nbr is not None for _, nbr, _, _ in faces)
+    assert face_counts(g) == (8, 0)
 
 
 def test_torus_grid_counts():
     g = build_grid(Torus2(1.0, 1.0), (4, 4))
     assert g.ncells == 16
-    interior = [f for f in g.faces if f[1] is not None]
-    boundary = [f for f in g.faces if f[1] is None]
-    assert len(interior) == 32
-    assert len(boundary) == 0
+    assert face_counts(g) == (32, 0)
 
 
 def test_interval_grid_counts():
     g = build_grid(Interval(0.0, 1.0), 4)
-    interior = [f for f in g.faces if f[1] is not None]
-    boundary = [f for f in g.faces if f[1] is None]
-    assert len(interior) == 3
-    assert len(boundary) == 2
+    assert face_counts(g) == (3, 2)
 
 
 def test_rectangle_counts():
     g = build_grid(Rectangle(0, 2, 0, 1), (8, 4))
-    interior = [f for f in g.faces if f[1] is not None]
-    boundary = [f for f in g.faces if f[1] is None]
-    assert len(interior) == 7 * 4 + 8 * 3
-    assert len(boundary) == 2 * 4 + 2 * 8
+    assert face_counts(g) == (7 * 4 + 8 * 3, 2 * 4 + 2 * 8)
 
 
 def test_interior_faces_appear_once():

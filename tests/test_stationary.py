@@ -19,6 +19,7 @@ from noisyflow.fields import (
 )
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
 from noisyflow.operator import assemble_for
+import noisyflow.stationary as stationary
 from noisyflow.stationary import (
     Density,
     _backward_sum,
@@ -233,11 +234,12 @@ def test_factorize_agrees_with_default_supernodes_on_the_catalog(eps):
 # ---------------------------------------------------------------------------
 
 
-def test_oracle_constant_coefficients():
+def test_oracle_constant_coefficients(monkeypatch):
+    monkeypatch.setattr(stationary, "ORACLE_QUAD_FACTOR", 64)
     g = build_grid(Circle(), 64)
     drift = VectorField([Const(1.0)])
     nf = unit_noise(g)
-    u, c_eps = oracle_1d_circle(drift, nf.a0_field, nf.ai_fields, 0.4, g, quad_n=64 * 64)
+    u, c_eps = oracle_1d_circle(drift, nf.a0_field, nf.ai_fields, 0.4, g)
     assert np.ptp(u) <= 1e-12
     assert abs(c_eps + 1.0) <= 1e-10
 
@@ -248,14 +250,6 @@ def test_oracle_requires_positive_drift():
     nf = unit_noise(g)
     with pytest.raises(PositivityError):
         oracle_1d_circle(drift, nf.a0_field, nf.ai_fields, 0.4, g)
-
-
-def test_oracle_quad_resolution_validation():
-    g = build_grid(Circle(), 64)
-    drift = VectorField([Const(1.0)])
-    nf = unit_noise(g)
-    with pytest.raises(ValueError):
-        oracle_1d_circle(drift, nf.a0_field, nf.ai_fields, 0.4, g, quad_n=100)
 
 
 def test_oracle_converges_to_invariant_density():

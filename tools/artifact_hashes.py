@@ -1,6 +1,6 @@
 """Hash every artifact and message of a fixed set of CLI runs and demos.
 
-Writes seven small configuration files, runs all nine CLI commands on
+Writes eight small configuration files, runs all nine CLI commands on
 each of them (in this process, through ``noisyflow.cli.main``, so the
 package is imported once), runs every script under ``demos/`` in its own
 process, and prints one ``sha256  path`` line per file: every artifact a
@@ -63,6 +63,23 @@ catalog = zero-drift
 
 [noise]
 kind = selection
+eps = 0.5, 0.25
+
+[experiment]
+kind = selection
+target = cos:axis=0,freq=1,amp=0.5,offset=1.0
+""",
+    # the same without [noise] kind: the selection experiment builds its own noise
+    "selection-circle-default-noise": """\
+[domain]
+kind = circle
+length = 1.0
+n = 64
+
+[drift]
+catalog = zero-drift
+
+[noise]
 eps = 0.5, 0.25
 
 [experiment]
