@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Commands: stationary, evolve, sweep, select, oracle1d, check, transform,
-bounded, decay.  Every command reads an experiment configuration file; a
-few flags override the obvious knobs.  The experiment commands (sweep,
-select, transform, bounded, decay) each run one ``[experiment] kind``
-and refuse a configuration of another kind.  Exit status: 0 when all
-verdicts pass, 2 on a verdict failure (the failing assertion is named),
-1 on an operational error.
+bounded, decay.  Every command reads an experiment configuration file,
+the one place that sets every value; ``--out`` only redirects the
+artifacts.  The experiment commands (sweep, select, transform, bounded,
+decay) each run one ``[experiment] kind`` and refuse a configuration of
+another kind.  Exit status: 0 when all verdicts pass (and for
+``--help``), 2 on a verdict failure (the failing assertion is named), 1
+on an operational or usage error.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import parse_config, read_counts, read_epsilons
-from .errors import ConfigError, NoisyflowError
+from .config import parse_config
+from .errors import NoisyflowError
 from .evolution import evolve, fit_decay_rate, perturbed_initial
-from .experiments import (FOUR_PI_SQ, STABILITY_HEADER, TRACE_HEADER, SweepConfig, run, stability_rows,
-                          trace_cells)
+from .experiments import STABILITY_HEADER, TRACE_HEADER, SweepConfig, run, stability_rows, trace_cells
 from .fields import check_admissible
 from .geometry import Circle, Interval
 from .operator import assemble_for
@@ -46,28 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="experiment configuration file")
     parser.add_argument("--out", default=None, help="output directory (overrides the config)")
-    parser.add_argument("--eps", default=None, help="comma-separated descending epsilon override")
-    parser.add_argument("--n", default=None, help="cells per axis override (int or 'nx,ny')")
-    parser.add_argument("--dt", type=float, default=None, help="time step for evolve")
-    parser.add_argument("--horizon", type=float, default=None, help="time horizon for evolve")
     parser.add_argument("--quiet", action="store_true", help="suppress non-error output")
     return parser
-
-
-def _apply_overrides(cfg: SweepConfig, args) -> SweepConfig:
-    """Apply --out, --eps and --n; each flag is read like the file key it overrides."""
-    readers = {"out": ("out_dir", str), "eps": ("epsilons", read_epsilons),
-               "n": ("n", lambda text: read_counts(text, cfg.domain.dim))}
-    changes = {}
-    for flag, (field, read) in readers.items():
-        text = getattr(args, flag)
-        if text is not None:
-            try:
-                changes[field] = read(text)
-            except ValueError as exc:
-                raise ConfigError(f"invalid configuration: --{flag}: {exc}",
-                                  [(0, f"--{flag}", str(exc))]) from None
-    return replace(cfg, **changes)
 
 
 def _say(quiet, *parts):
@@ -88,15 +68,9 @@ def _run_stationary(cfg: SweepConfig, args) -> int:
 
 
 def _run_evolve(cfg: SweepConfig, args) -> int:
-    if args.dt is not None and args.dt <= 0:
-        raise NoisyflowError("dt must be positive")
-    if args.horizon is not None and args.horizon <= 0:
-        raise NoisyflowError("horizon must be positive")
     _, system, noise = cfg.build()
     eps = cfg.epsilons[0]
-    scale = 1.0 / (eps * eps * FOUR_PI_SQ)
-    dt = args.dt if args.dt is not None else cfg.dt_factor * scale
-    horizon = args.horizon if args.horizon is not None else cfg.horizon_factor * scale
+    dt, horizon = cfg.time_steps(eps)
     op = assemble_for(system, noise, eps)
     stationary = solve_stationary(op).density
     trace, _ = evolve(op, perturbed_initial(stationary), horizon, dt, scheme=cfg.scheme,
@@ -131,8 +105,7 @@ def _run_oracle1d(cfg: SweepConfig, args) -> int:
 
 def _run_check(cfg: SweepConfig, args) -> int:
     grid, _, noise = cfg.build()
-    p = cfg.admissibility_p if cfg.admissibility_p is not None else float(grid.dim + 2)
-    report = check_admissible(noise, grid, p=p)
+    report = check_admissible(noise, grid)
     _say(args.quiet, f"sup norm bound: {report.sup_norm_bound:.6g}")
     _say(args.quiet, f"ellipticity constant: {report.lam:.6g} "
                      f"(threshold {report.lambda_threshold:g})")
@@ -157,11 +130,15 @@ def _run_experiment(cfg: SweepConfig, args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or the usage and the error
+        return 1 if exc.code else 0
     try:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
-        cfg = _apply_overrides(cfg, args)
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
         if args.command in EXPERIMENT_COMMANDS:
             return _run_experiment(cfg, args)
         tools = {"stationary": _run_stationary, "evolve": _run_evolve,

@@ -34,6 +34,7 @@ semicolons at the top level.
 from __future__ import annotations
 
 import difflib
+import math
 import re
 from dataclasses import fields
 
@@ -62,6 +63,13 @@ def _list(text: str) -> list[str]:
 
 def _floats(text: str) -> list[float]:
     return [float(part) for part in _list(text)]
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"must be positive and finite, got {text.strip()}")
+    return value
 
 
 def _workers(text: str) -> int:
@@ -112,8 +120,8 @@ NOISE_KINDS = ("coordinate", "explicit", "selection")
 EXPERIMENT_KINDS = tuple(RUNNERS)
 #: [experiment] key -> reader, for the keys that set a SweepConfig field
 SETTINGS = {
-    "dt_factor": float,
-    "horizon_factor": float,
+    "dt_factor": _positive,
+    "horizon_factor": _positive,
     "workers": _workers,
     "assert_l1_limit": _boolean,
     "scheme": _choice("scheme", SCHEMES),
@@ -124,7 +132,7 @@ THRESHOLDS = {f.name: float for f in fields(Thresholds)}
 SECTION_KEYS = {
     "domain": {"kind", "n", *(key for _, key in DOMAINS.values())},
     "drift": {"catalog", "u0", *DRIFT_AXES},
-    "noise": {"kind", "eps", "p", *NOISE_FIELDS},
+    "noise": {"kind", "eps", *NOISE_FIELDS},
     "experiment": {"kind", "out", "target", *SETTINGS, *THRESHOLDS},
 }
 
@@ -343,7 +351,7 @@ def _parse_noise(section, lengths, problems) -> tuple[NoiseSpec, tuple[float, ..
     kind = _read(section, "kind", _choice("noise kind", NOISE_KINDS), problems, "coordinate")
     if kind != "explicit":
         if kind is not None:
-            _unread(section, {"kind", "eps", "p"}, f"by [noise] kind = {kind}", problems)
+            _unread(section, {"kind", "eps"}, f"by [noise] kind = {kind}", problems)
         return NoiseSpec(kind=kind or "coordinate"), epsilons
     def vector(text):
         return _vector(text, lengths) if lengths else None
@@ -390,11 +398,12 @@ def parse_config(text: str) -> SweepConfig:
             problems.append((noise_sec["kind"][1], "kind", "[noise] kind = explicit is not read by "
                                                            "[experiment] kind = selection (it builds "
                                                            "the noise that selects target)"))
+    if kind == "selection" and "target" not in exp:
+        problems.append((0, "target", "missing [experiment] target"))
     target = _read(exp, "target", lambda value: parse_expression(value, lengths) if lengths else None,
                    problems)
     thresholds = _read_table(exp, THRESHOLDS, problems)
     settings = _read_table(exp, SETTINGS, problems)
-    admissibility_p = _read(noise_sec, "p", float, problems)
     if problems:
         details = "; ".join(f"line {ln}, {key}: {msg}" for ln, key, msg in problems)
         raise ConfigError(f"invalid configuration: {details}", problems)
@@ -409,7 +418,6 @@ def parse_config(text: str) -> SweepConfig:
             target=target,
             out_dir=exp.get("out", (None, 0))[0],
             thresholds=Thresholds(**thresholds),
-            admissibility_p=admissibility_p,
             **settings,
         )
     except ValueError as exc:
@@ -447,8 +455,6 @@ def serialize_config(cfg: SweepConfig) -> str:
             if vector:
                 lines.append(f"{k} = " + "; ".join(map(serialize_expression, vector)))
     lines.append("eps = " + ", ".join(map(_format, cfg.epsilons)))
-    if cfg.admissibility_p is not None:
-        lines.append(f"p = {_format(cfg.admissibility_p)}")
 
     lines += ["", "[experiment]", f"kind = {cfg.kind}"]
     if cfg.out_dir:

@@ -9,8 +9,8 @@ class DomainError(NoisyflowError):
     """Invalid domain geometry (nonpositive lengths, bad bounds)."""
 
 
-class ResolutionError(NoisyflowError):
-    """Grid resolution below the minimum or above the configured cap."""
+class ResolutionError(NoisyflowError, ValueError):
+    """Grid resolution below the minimum or above the cap; a ValueError for SweepConfig.n."""
 
 
 class FieldEvaluationError(NoisyflowError):

@@ -43,6 +43,7 @@ test suite asserts step by step.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -156,10 +157,9 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
     first such step and its block's lowest value, up to s - 1 steps
     after that step was taken.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    for name, value in (("dt", dt), ("horizon", horizon)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     single = isinstance(v0, Density)
     members = [v0] if single else list(v0)
     if not members:

@@ -35,7 +35,7 @@ from .fields import (
     transform_div_free,
     Const,
 )
-from .geometry import DomainKind, Grid, build_grid, refine_grid
+from .geometry import DomainKind, Grid, build_grid, check_counts, refine_grid
 from .evolution import SCHEMES, DecayFit, evolve, fit_decay_rate, perturbed_initial
 from .operator import assemble_for
 from .reporting import atomic_write_text, verdict_block, write_csv
@@ -95,14 +95,20 @@ class NoiseSpec:
         raise ValueError(f"noise spec kind {self.kind!r} cannot be built directly")
 
 
-#: SweepConfig fields that only some experiment kinds read -> those kinds;
-#: every other field applies under any kind (``evolve`` reads scheme and
-#: the step factors from a configuration of any kind).  The config file's
-#: [experiment] keys share the names, and ``config.parse_config`` reads
-#: this table too.
+#: SweepConfig and Thresholds fields that only some experiment kinds read
+#: -> those kinds; every other field applies under any kind (``evolve``
+#: reads scheme and the step factors from a configuration of any kind).
+#: The config file's [experiment] keys share the names, and
+#: ``config.parse_config`` reads this table too.
 KIND_KEYS = {
     "target": ("selection",),
     "assert_l1_limit": ("stability",),
+    **dict.fromkeys(["l1_final", "l1_floor", "bound_factor"], ("stability",)),
+    **dict.fromkeys(["selection_sup", "selection_ratio_lo", "selection_ratio_hi",
+                     "selection_eps_spread", "div_target_tol"], ("selection",)),
+    "transform_sup": ("transform",),
+    **dict.fromkeys(["c_floor", "rate_spread"], ("decay",)),
+    "oracle_sup": ("bounded",),
 }
 
 
@@ -145,27 +151,32 @@ class SweepConfig:
     assert_l1_limit: bool = True
     scheme: str = "implicit-euler"
     workers: int = 1
-    admissibility_p: float | None = None
 
     def __post_init__(self):
         check_epsilons(self.epsilons)
-        if any(k < 4 for k in self.n):
-            raise ValueError("grid resolution must be at least 4 cells per axis")
+        check_counts(self.domain, self.n)
+        for key in ("dt_factor", "horizon_factor"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{key} must be positive and finite, got {value}")
         if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {', '.join(RUNNERS)}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {', '.join(SCHEMES)}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        defaults = {f.name: f.default for f in fields(self)}
+        changed = {f.name for obj in (self, self.thresholds) for f in fields(obj)
+                   if getattr(obj, f.name) != f.default}
         for key, kinds in KIND_KEYS.items():
-            if self.kind not in kinds and getattr(self, key) != defaults[key]:
+            if self.kind not in kinds and key in changed:
                 raise ValueError(f"{key} is not read by experiment kind {self.kind!r} "
                                  f"(only {', '.join(kinds)} reads it)")
         if self.noise.kind == "selection" and self.kind != "selection":
             raise ValueError(f"noise kind 'selection' is not read by experiment kind {self.kind!r} "
                              "(only selection reads it)")
         if self.kind == "selection":
+            if self.target is None:
+                raise ValueError("the selection experiment needs a target density form")
             if self.noise.kind == "explicit":
                 raise ValueError("explicit noise is not read by experiment kind 'selection', "
                                  "which builds the noise that selects its target")
@@ -174,18 +185,21 @@ class SweepConfig:
     def grid(self) -> Grid:
         return build_grid(self.domain, self.n)
 
+    def time_steps(self, eps: float) -> tuple[float, float]:
+        """(dt, horizon) at ``eps``: the step factors times the time scale 1/(4 pi^2 eps^2)."""
+        scale = 1.0 / (eps * eps * FOUR_PI_SQ)
+        return self.dt_factor * scale, self.horizon_factor * scale
+
     def build(self, grid: Grid | None = None) -> tuple[Grid, ConservativeSystem, Noise]:
         """The configured grid, or ``grid``, with its conservative system and noise.
 
         Selection noise is the noise that selects ``target`` on the grid.
         """
         grid = self.grid() if grid is None else grid
-        if self.noise.kind != "selection":
-            noise = self.noise.build(grid)
-        elif self.target is None:
-            raise ValueError("selection noise needs a target density form")
-        else:
+        if self.noise.kind == "selection":
             noise = construct_selecting_noise(self.target, grid)
+        else:
+            noise = self.noise.build(grid)
         return grid, self.system.build(grid), noise
 
 
@@ -325,8 +339,6 @@ def run_selection(cfg: SweepConfig) -> Report:
     epsilon-uniform and shrink about fourfold when ``cfg.build`` refines
     the grid by ``REFINE_FACTOR``.
     """
-    if cfg.target is None:
-        raise ValueError("selection experiment needs a target density form")
     coarse = cfg.build()
     grid, system, _ = coarse
     flux = VectorField([mul(cfg.target, c) for c in system.drift.components])
@@ -461,9 +473,7 @@ def run_decay_study(cfg: SweepConfig) -> Report:
     def study_one(eps):
         op = assemble_for(system, noise, eps)
         stationary = solve_stationary(op).density
-        scale = 1.0 / (eps * eps * FOUR_PI_SQ)
-        horizon = cfg.horizon_factor * scale
-        dt = cfg.dt_factor * scale
+        dt, horizon = cfg.time_steps(eps)
         fits = {}
         monotone = True
         drift_max = 0.0

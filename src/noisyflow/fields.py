@@ -400,17 +400,17 @@ def smallest_eigenvalue(a: np.ndarray) -> np.ndarray:
     return 0.5 * (tr - gap)
 
 
-def check_admissible(noise: Noise, grid: Grid, p: float) -> AdmissibilityReport:
+def check_admissible(noise: Noise, grid: Grid) -> AdmissibilityReport:
     """Discrete admissibility diagnostics for the noise fields.
 
+    The integrability exponent is p = d + 2, above the dimension d.
     Norms use midpoint quadrature over cells with centered differences
     for the gradient part; the ellipticity constant is the exact minimum
     over cells of the smallest eigenvalue of sum_i A_i A_i^T, and (A2)
     passes when it is at least ``LAMBDA_THRESHOLD``.  Neither depends on
     eps, which only scales the fields.
     """
-    if p <= grid.dim:
-        raise ValueError(f"integrability exponent must exceed the dimension, got p={p}, d={grid.dim}")
+    p = float(grid.dim + 2)
     m = len(noise.ai_fields)
     if m < grid.dim:
         raise ValueError(f"family has m={m} < d={grid.dim} diffusion fields")

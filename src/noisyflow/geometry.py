@@ -238,13 +238,8 @@ class Grid:
         return f"Grid({self.describe()})"
 
 
-def build_grid(kind: DomainKind, n) -> Grid:
-    """Build a uniform grid with ``n`` cells per axis.
-
-    ``n`` is an int for 1D kinds, a pair for 2D kinds.  Every count must
-    be at least 4.
-    """
-    counts = (int(n),) if np.isscalar(n) else tuple(int(k) for k in n)
+def check_counts(kind: DomainKind, counts: tuple[int, ...]) -> None:
+    """One cell count per axis, each >= ``MIN_CELLS_PER_AXIS``, at most ``MAX_CELLS`` cells in all."""
     if len(counts) != kind.dim:
         raise ResolutionError(
             f"{type(kind).__name__} needs {kind.dim} cell counts, got {len(counts)}"
@@ -252,8 +247,18 @@ def build_grid(kind: DomainKind, n) -> Grid:
     for k in counts:
         if k < MIN_CELLS_PER_AXIS:
             raise ResolutionError(f"cells per axis must be >= {MIN_CELLS_PER_AXIS}, got {k}")
-    if int(np.prod(counts)) > MAX_CELLS:
-        raise ResolutionError(f"total cell count {np.prod(counts)} exceeds cap {MAX_CELLS}")
+    if math.prod(counts) > MAX_CELLS:
+        raise ResolutionError(f"total cell count {math.prod(counts)} exceeds cap {MAX_CELLS}")
+
+
+def build_grid(kind: DomainKind, n) -> Grid:
+    """Build a uniform grid with ``n`` cells per axis.
+
+    ``n`` is an int for 1D kinds, a pair for 2D kinds; the counts follow
+    :func:`check_counts`.
+    """
+    counts = (int(n),) if np.isscalar(n) else tuple(int(k) for k in n)
+    check_counts(kind, counts)
     return Grid(kind, counts)
 
 
@@ -267,6 +272,5 @@ def refine_grid(g: Grid, factor: int) -> Grid:
     if int(factor) != factor or factor < 2:
         raise ResolutionError(f"refinement factor must be an integer >= 2, got {factor}")
     counts = tuple(k * int(factor) for k in g.n)
-    if int(np.prod(counts)) > MAX_CELLS:
-        raise ResolutionError(f"refined cell count {np.prod(counts)} exceeds cap {MAX_CELLS}")
+    check_counts(g.kind, counts)
     return Grid(g.kind, counts)

@@ -1,7 +1,7 @@
 import itertools
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -170,11 +170,9 @@ def test_config_round_trip_rich(domain, n, system, settings):
         epsilons=(0.5, 0.1),
         system=system,
         out_dir="results",
-        thresholds=Thresholds(selection_sup=1e-3),
         dt_factor=1e-3,
         scheme="crank-nicolson",
         workers=4,
-        admissibility_p=3.5,
         **settings,
     )
     explicit = SweepConfig(
@@ -186,7 +184,8 @@ def test_config_round_trip_rich(domain, n, system, settings):
         **common,
     )
     target = Trig("cos", domain.dim - 1, 1, 0.5, 1.0, domain.lengths[-1])
-    selection = SweepConfig(kind="selection", target=target, **common)
+    selection = SweepConfig(kind="selection", target=target, thresholds=Thresholds(selection_sup=1e-3),
+                            **common)
     for cfg in (explicit, selection):
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -237,10 +236,42 @@ def test_cli_verdict_failure_exits_2(tmp_path, capsys):
     assert "verdict failure" in capsys.readouterr().err
 
 
-def test_cli_evolve_rejects_bad_dt(tmp_path, capsys):
-    code = main(["evolve", "--config", write_config(tmp_path, ROTATION), "--dt", "-0.5"])
-    assert code == 1
-    assert "dt must be positive" in capsys.readouterr().err
+@pytest.mark.parametrize("value", ["-0.5", "0", "nan", "inf"])
+@pytest.mark.parametrize("key", ["dt_factor", "horizon_factor"])
+def test_step_factors_must_be_positive_and_finite(tmp_path, capsys, key, value):
+    text = ROTATION.replace("kind = stability", f"kind = decay\n{key} = {value}")  # line 15
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [(line, k) for line, k, _ in info.value.locations] == [(15, key)]
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        SweepConfig(kind="decay", domain=Circle(), n=(16,), epsilons=(0.5,), **{key: float(value)})
+    path = write_config(tmp_path, text)
+    for command in ("evolve", "decay"):
+        assert main([command, "--config", path, "--quiet"]) == 1
+        assert f"line 15, {key}: must be positive and finite, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep"],
+    ["bogus", "--config", "exp.ini"],
+    ["sweep", "--config", "exp.ini", "--bogus", "1"],
+    ["sweep", "--config", "exp.ini", "--eps", "0.3"],
+], ids=["no-config", "unknown-command", "unknown-flag", "removed-flag"])
+def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
+    # 2 is the verdict-failure status, so a usage error must not exit with it
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, ROTATION)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: noisyflow") and not captured.out
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: noisyflow")
+    assert [flag for flag in ("--config", "--out", "--quiet", "--eps", "--n", "--dt", "--horizon")
+            if flag in out.split()] == ["--config", "--out", "--quiet"]
 
 
 def test_cli_bad_config_exits_1(tmp_path, capsys):
@@ -252,8 +283,8 @@ def test_cli_bad_config_exits_1(tmp_path, capsys):
 def test_cli_oracle1d_artifacts(tmp_path):
     circle = MINIMAL.replace("n = 64", "n = 128")
     out = tmp_path / "out"
-    code = main(["oracle1d", "--config", write_config(tmp_path, circle),
-                 "--eps", "0.3", "--out", str(out), "--quiet"])
+    code = main(["oracle1d", "--config", write_config(tmp_path, circle.replace("eps = 0.2", "eps = 0.3")),
+                 "--out", str(out), "--quiet"])
     assert code == 0
     lines = (out / "oracle.csv").read_text().splitlines()
     assert lines[0] == "x,u,u0"
@@ -298,7 +329,7 @@ def test_cli_check_passes_for_coordinate_noise(tmp_path):
                  "target", id="target-under-stability"),
     pytest.param(MINIMAL, "kind = stability", "kind = transform\ntarget = const:1", 15, "target",
                  id="target-under-transform"),
-    pytest.param(MINIMAL, "kind = stability", "kind = selection\nassert_l1_limit = false", 15,
+    pytest.param(MINIMAL, "kind = stability", "kind = selection\ntarget = const:1\nassert_l1_limit = false", 16,
                  "assert_l1_limit", id="assert-l1-limit-under-selection"),
     pytest.param(MINIMAL, "kind = stability", "kind = bounded\nassert_l1_limit = true", 15,
                  "assert_l1_limit", id="assert-l1-limit-under-bounded"),
@@ -325,6 +356,8 @@ def test_step_settings_are_legal_under_every_kind(kind):
     # `evolve` reads the scheme and the step factors from a config of any kind
     text = MINIMAL.replace("kind = stability", f"kind = {kind}\nscheme = crank-nicolson\ndt_factor = 0.01\n"
                                                "horizon_factor = 2")
+    if kind == "selection":
+        text += "target = const:1\n"
     cfg = parse_config(text)
     assert (cfg.kind, cfg.scheme, cfg.dt_factor, cfg.horizon_factor) == (kind, "crank-nicolson", 0.01, 2.0)
 
@@ -364,12 +397,75 @@ def test_every_constructible_config_round_trips(kind):
             cfg = SweepConfig(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5, 0.25),
                               scheme="crank-nicolson", **changes)
         except ValueError:
-            assert any(kind not in KIND_KEYS[key] for key in changes)
+            # another kind's field, or a selection experiment without its target
+            assert (any(kind not in KIND_KEYS[key] for key in changes)
+                    or (kind == "selection" and "target" not in changes))
             continue
         built += 1
         assert parse_config(serialize_config(cfg)) == cfg
-    kind_only = sum(kind in kinds for kinds in KIND_KEYS.values())
-    assert built == 2 ** kind_only
+    readable = sum(kind in KIND_KEYS[key] for key in KIND_ONLY_VALUES)
+    # the selection experiment always needs its target
+    assert built == 2 ** readable // (2 if kind == "selection" else 1)
+
+
+THRESHOLD_NAMES = [f.name for f in fields(Thresholds)]
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+@pytest.mark.parametrize("key", THRESHOLD_NAMES)
+def test_thresholds_are_read_only_by_their_kind(tmp_path, capsys, key, kind):
+    target = "\ntarget = const:1" if kind == "selection" else ""
+    text = MINIMAL.replace("kind = stability", f"kind = {kind}{target}") + f"{key} = 0.25\n"
+    line = len(text.splitlines())
+    base = dict(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5,),
+                target=Const(1.0) if kind == "selection" else None)
+    thresholds = Thresholds(**{key: 0.25})
+    if kind in KIND_KEYS[key]:
+        assert getattr(parse_config(text).thresholds, key) == 0.25
+        assert SweepConfig(**base, thresholds=thresholds).thresholds == thresholds
+        return
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [(ln, k) for ln, k, _ in info.value.locations] == [(line, key)]
+    assert f"not read by [experiment] kind = {kind}" in str(info.value)
+    with pytest.raises(ValueError, match=f"{key} is not read by experiment kind '{kind}'"):
+        SweepConfig(**base, thresholds=thresholds)
+    assert main(["stationary", "--config", write_config(tmp_path, text), "--quiet"]) == 1
+    assert f"line {line}, {key}: " in capsys.readouterr().err
+
+
+def test_selection_experiment_needs_its_target(tmp_path, capsys):
+    text = SELECTION.replace("target = cos:axis=0,freq=1,amp=0.5,offset=1.0\n", "")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [(line, key) for line, key, _ in info.value.locations] == [(0, "target")]
+    assert "missing [experiment] target" in str(info.value)
+    with pytest.raises(ValueError, match="the selection experiment needs a target density form"):
+        SweepConfig(kind="selection", domain=Circle(), n=(16,), epsilons=(0.5,))
+    path = write_config(tmp_path, text)
+    for command in ("select", "check"):
+        assert main([command, "--config", path, "--quiet"]) == 1
+        assert "line 0, target: missing [experiment] target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain, n, message", [
+    (Torus2(), (16,), "Torus2 needs 2 cell counts, got 1"),
+    (Circle(), (16, 16), "Circle needs 1 cell counts, got 2"),
+    (Rectangle(), (16, 3), "cells per axis must be >= 4, got 3"),
+    (Torus2(), (8192, 4096), "total cell count 33554432 exceeds cap"),
+])
+def test_sweep_config_checks_cell_counts_like_the_grid(domain, n, message):
+    # each of these would otherwise construct and then not parse back or not build
+    with pytest.raises(ValueError, match=message):
+        SweepConfig(kind="stability", domain=domain, n=n, epsilons=(0.5,))
+
+
+def test_p_is_an_unknown_noise_key():
+    # check uses the integrability exponent p = d + 2
+    with pytest.raises(ConfigError) as info:
+        parse_config(MINIMAL.replace("eps = 0.2", "eps = 0.2\np = 3"))
+    assert [(line, key) for line, key, _ in info.value.locations] == [(12, "p")]
+    assert "line 12, p: unknown key in [noise]" in str(info.value)
 
 
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
@@ -378,6 +474,8 @@ def test_selection_noise_is_read_only_by_the_selection_experiment(tmp_path, caps
                                                                             f"kind = {kind}")
     base = dict(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5,), noise=NoiseSpec(kind="selection"))
     if kind == "selection":
+        text += "target = const:1\n"
+        base["target"] = Const(1.0)
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
         assert SweepConfig(**base).noise.kind == "selection"
@@ -409,23 +507,6 @@ def test_bad_domain_kind_reports_only_the_domain_error():
 def test_omitted_drift_component_is_zero_on_its_own_axis():
     cfg = parse_config(ROTATION.replace("catalog = torus-rotation", "by = const:1\nu0 = const:1"))
     assert cfg.system.drift_forms == (Const(0.0), Const(1.0))
-
-
-def test_cli_n_is_read_like_the_file_key(tmp_path, capsys):
-    with pytest.raises(ConfigError) as info:
-        parse_config(MINIMAL.replace("n = 64", "n = 8.5"))
-    (line, key, message), = info.value.locations
-    assert (line, key) == (4, "n")
-    assert main(["stationary", "--config", write_config(tmp_path, MINIMAL), "--n", "8.5"]) == 1
-    assert f"--n: {message}" in capsys.readouterr().err
-
-
-def test_cli_n_and_eps_overrides(tmp_path, capsys):
-    code = main(["stationary", "--config", write_config(tmp_path, MINIMAL),
-                 "--n", "128", "--eps", "0.4,0.2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "eps=0.4" in out and "eps=0.2" in out
 
 
 def test_cli_stationary_csv_equals_sweep_stability_csv(tmp_path):

@@ -128,6 +128,16 @@ def test_evolve_validation():
         evolve(op, stat, horizon=1.0, dt=0.1, scheme="leapfrog")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_evolve_rejects_non_finite_dt_and_horizon(value):
+    # nan passes a bare dt <= 0 test and used to fail only in the step count
+    _, op, stat = laplacian_setup(n=16)
+    with pytest.raises(ValueError, match=f"dt must be positive and finite, got {value}"):
+        evolve(op, stat, horizon=1.0, dt=value)
+    with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {value}"):
+        evolve(op, stat, horizon=value, dt=0.1)
+
+
 # ---------------------------------------------------------------------------
 # block evolution
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +74,8 @@ def test_sweep_config_builds_the_selecting_noise():
     assert len(pairs) == 2
     for built, direct in pairs:
         assert np.array_equal(built.at_points(x), direct.at_points(x))
-    with pytest.raises(ValueError, match="selection noise needs a target density form"):
-        SweepConfig(**base).build()
+    with pytest.raises(ValueError, match="the selection experiment needs a target density form"):
+        SweepConfig(**base)
 
 
 def test_stability_sweep_circle_positive():
@@ -382,6 +383,31 @@ def test_run_dispatches_on_kind_and_rejects_unknown_kinds():
     assert run(cfg).verdicts == run_bounded_domain(cfg).verdicts
     with pytest.raises(ValueError, match="unknown experiment kind 'sweep'"):
         run(SweepConfig(kind="sweep", domain=Circle(), n=(32,), epsilons=(0.5,)))
+
+
+@pytest.mark.parametrize("kind, domain, system, target", [
+    ("stability", Circle(), "circle-positive", None),
+    ("selection", Circle(), "zero-drift", Trig("cos", 0, 1, 0.5, 1.0, 1.0)),
+    ("transform", Circle(), "circle-positive", None),
+    ("decay", Circle(), "zero-drift", None),
+    ("bounded", Interval(), "zero-drift", None),
+])
+def test_each_kind_reads_exactly_its_thresholds(kind, domain, system, target):
+    # KIND_KEYS names, for each threshold, the kinds whose runner reads it
+    names = {f.name for f in fields(Thresholds)}
+    reads = set()
+
+    class Recording(Thresholds):
+        def __getattribute__(self, name):
+            if name in names:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    cfg = SweepConfig(kind=kind, domain=domain, n=(16,), epsilons=(0.5, 0.25),
+                      system=SystemSpec(catalog=system), target=target)
+    object.__setattr__(cfg, "thresholds", Recording())
+    run(cfg)
+    assert reads == {key for key, kinds in experiments.KIND_KEYS.items() if key in names and kind in kinds}
 
 
 def test_decay_retry_refits_the_prefix_without_reintegrating(tmp_path, monkeypatch):

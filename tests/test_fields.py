@@ -78,7 +78,7 @@ def test_power_derivative_closed_form():
 def test_admissible_constant_circle():
     g = build_grid(Circle(), 32)
     nf = coordinate_noise(g)
-    report = check_admissible(nf, g, p=3.0)
+    report = check_admissible(nf, g)
     assert report.passes_A1 and report.passes_A2
     assert abs(report.lam - 1.0) <= 1e-14
 
@@ -86,7 +86,7 @@ def test_admissible_constant_circle():
 def test_admissible_coordinate_torus():
     g = build_grid(Torus2(), (16, 16))
     nf = coordinate_noise(g)
-    report = check_admissible(nf, g, p=4.0)
+    report = check_admissible(nf, g)
     assert abs(report.lam - 1.0) <= 1e-14
     assert report.passes_A2
 
@@ -96,7 +96,7 @@ def test_admissible_vanishing_field_fails_A2():
     g = build_grid(Circle(), 65)
     a1 = VectorField([Trig("sin", 0, 1, 1.0, 0.0, 1.0)])
     nf = Noise(VectorField.zero(1), (a1,))
-    report = check_admissible(nf, g, p=3.0)
+    report = check_admissible(nf, g)
     assert report.lam <= 1e-12
     assert not report.passes_A2
 
@@ -108,23 +108,18 @@ def test_admissible_non_square_rectangle_differentiates_along_each_axis():
     a1 = VectorField([Affine(0, 2.0, 1.0), Const(0.0)])
     a2 = VectorField([Const(0.0), Affine(1, 3.0, 4.0)])
     nf = Noise(VectorField.zero(2), (a1, a2))
-    p = 4.0
+    p = 4.0  # d + 2
     x, y = g.cell_centers().T
     vol = g.cell_volume
     expected = max(
         (np.sum(np.abs(2 * x + 1) ** p * vol) + 4.0 ** (p / 2) * 2.0) ** (1 / p),
         (np.sum(np.abs(3 * y + 4) ** p * vol) + 9.0 ** (p / 2) * 2.0) ** (1 / p),
     )
-    report = check_admissible(nf, g, p=p)
+    report = check_admissible(nf, g)
+    assert report.p == p
     assert abs(report.sup_norm_bound - expected) <= 1e-12 * expected
     lam = min(np.min((2 * x + 1) ** 2), np.min((3 * y + 4) ** 2))
     assert abs(report.lam - lam) <= 1e-12 * lam
-
-
-def test_admissible_p_must_exceed_dimension():
-    g = build_grid(Torus2(), (8, 8))
-    with pytest.raises(ValueError):
-        check_admissible(coordinate_noise(g), g, p=2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Hash every artifact and message of a fixed set of CLI runs and demos.
 
-Writes eight small configuration files, runs all nine CLI commands on
-each of them (in this process, through ``noisyflow.cli.main``, so the
-package is imported once), runs every script under ``demos/`` in its own
-process, and prints one ``sha256  path`` line per file: every artifact a
+Writes ten small configuration files (three of them invalid, so their
+error messages are audited too), runs all nine CLI commands on each of
+them (in this process, through ``noisyflow.cli.main``, so the package is
+imported once), runs every script under ``demos/`` in its own process, and prints one ``sha256  path`` line per file: every artifact a
 command wrote, plus the stdout, stderr and exit code of every command
 and demo.  Paths are relative to the work directory, so two runs print
 the same text exactly when they produced the same bytes.
@@ -172,6 +172,40 @@ eps = 0.5
 
 [experiment]
 kind = stability
+""",
+    # a threshold under a kind that does not read it
+    "threshold-of-another-kind": """\
+[domain]
+kind = circle
+length = 1.0
+n = 32
+
+[drift]
+catalog = zero-drift
+
+[noise]
+kind = coordinate
+eps = 0.5
+
+[experiment]
+kind = stability
+selection_sup = 1e-3
+""",
+    # a selection experiment without its target
+    "selection-without-target": """\
+[domain]
+kind = circle
+length = 1.0
+n = 32
+
+[drift]
+catalog = zero-drift
+
+[noise]
+eps = 0.5
+
+[experiment]
+kind = selection
 """,
 }
 
