@@ -4,16 +4,16 @@ The format is a strict INI dialect with four sections: [domain],
 [drift], [noise], [experiment].  The tables below (``DOMAINS``,
 ``DRIFT_AXES``, ``NOISE_FIELDS``, ``SETTINGS`` and the fields of
 ``Thresholds``) are the one list of keys: ``SECTION_KEYS``,
-``parse_config`` and ``serialize_config`` all iterate them.  Unknown
-keys are hard errors (naming the nearest valid key), and so is a known
-key that the chosen kind does not read (``experiments.KIND_KEYS``,
-``[noise] kind = selection`` outside the selection experiment, and
-``[noise] kind = explicit`` inside it; all are enforced by
-``SweepConfig`` as well, so every config that constructs also
-serializes to a file that parses back), because silently ignored
-configuration is the classic failure mode of experiment harnesses.
-Parse and validation problems are aggregated and reported with line
-numbers.
+``parse_config`` and ``serialize_config`` all iterate them.
+
+This module reads syntax: numbers, booleans, expressions, and unknown
+(naming the nearest valid key), duplicate and unread keys.  The field
+rules live in ``experiments.config_problems``, which ``SweepConfig``
+checks too; the reader only attaches each of its problems to the line
+of its key (line 0 for a missing key), so a file and a SweepConfig
+refuse the same things.  Silently ignored configuration is the classic
+failure mode of experiment harnesses, so every problem is an error, and
+all of them are reported at once.
 
 Field expressions use the closed-form registry::
 
@@ -34,49 +34,25 @@ semicolons at the top level.
 from __future__ import annotations
 
 import difflib
-import math
 import re
 from dataclasses import fields
 
 from .errors import ConfigError, DomainError
 from .fields import Affine, Const, Power, Product, ScalarForm, Sum, Trig
 from .geometry import Circle, Interval, Rectangle, Torus2
-from .evolution import SCHEMES
-from .experiments import KIND_KEYS, RUNNERS, NoiseSpec, SweepConfig, SystemSpec, Thresholds, check_epsilons
+from .experiments import NoiseSpec, SweepConfig, SystemSpec, Thresholds, check_name, config_problems
 
 
-def _choice(what: str, options):
-    """Reader of one of ``options``, naming the nearest one on a miss."""
-    def read(text: str) -> str:
-        value = text.strip().lower()
-        if value not in options:
-            near = difflib.get_close_matches(value, options, n=1)
-            hint = f" (nearest: {near[0]})" if near else ""
-            raise ValueError(f"unknown {what} {value!r}{hint}")
-        return value
-    return read
+def _name(text: str) -> str:
+    return text.strip().lower()
 
 
 def _list(text: str) -> list[str]:
     return [part for part in re.split(r"[,\s]+", text.strip()) if part]
 
 
-def _floats(text: str) -> list[float]:
-    return [float(part) for part in _list(text)]
-
-
-def _positive(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"must be positive and finite, got {text.strip()}")
-    return value
-
-
-def _workers(text: str) -> int:
-    workers = int(text)
-    if workers < 1:
-        raise ValueError(f"must be at least 1, got {workers}")
-    return workers
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in _list(text))
 
 
 def _boolean(text: str) -> bool:
@@ -89,20 +65,9 @@ def _boolean(text: str) -> bool:
 
 
 def read_counts(text: str, dim: int) -> tuple[int, ...]:
-    """Cells per axis: ``dim`` integers, or one integer for every axis."""
+    """Cells per axis: integers, one integer standing for all ``dim`` axes."""
     counts = tuple(int(part) for part in _list(text))
-    if len(counts) == 1:
-        counts *= dim
-    if len(counts) != dim:
-        raise ValueError(f"expected one cell count per axis ({dim}), got {len(counts)}")
-    return counts
-
-
-def read_epsilons(text: str) -> tuple[float, ...]:
-    """Noise intensities, by the rule of ``experiments.check_epsilons``."""
-    eps = tuple(_floats(text))
-    check_epsilons(eps)
-    return eps
+    return counts * dim if len(counts) == 1 else counts
 
 
 #: [domain] kind -> (domain class, the one key that lists its fields in order)
@@ -116,15 +81,13 @@ DOMAINS = {
 DRIFT_AXES = ("bx", "by")
 #: explicit noise: a0 is the drift correction, a1..a8 the diffusion fields
 NOISE_FIELDS = tuple(f"a{i}" for i in range(9))
-NOISE_KINDS = ("coordinate", "explicit", "selection")
-EXPERIMENT_KINDS = tuple(RUNNERS)
 #: [experiment] key -> reader, for the keys that set a SweepConfig field
 SETTINGS = {
-    "dt_factor": _positive,
-    "horizon_factor": _positive,
-    "workers": _workers,
+    "dt_factor": float,
+    "horizon_factor": float,
+    "workers": int,
     "assert_l1_limit": _boolean,
-    "scheme": _choice("scheme", SCHEMES),
+    "scheme": _name,
 }
 #: [experiment] key -> reader, one per Thresholds field
 THRESHOLDS = {f.name: float for f in fields(Thresholds)}
@@ -134,6 +97,16 @@ SECTION_KEYS = {
     "drift": {"catalog", "u0", *DRIFT_AXES},
     "noise": {"kind", "eps", *NOISE_FIELDS},
     "experiment": {"kind", "out", "target", *SETTINGS, *THRESHOLDS},
+}
+#: field named by ``experiments.config_problems`` -> its section and the keys
+#: that state it (a problem goes to each one the file holds); default: [experiment]
+FIELD_KEYS = {
+    "n": ("domain", ("n",)),
+    "epsilons": ("noise", ("eps",)),
+    "noise.kind": ("noise", ("kind",)),
+    "noise.a0_forms": ("noise", ("a0",)),
+    "noise.ai_forms": ("noise", NOISE_FIELDS[1:]),
+    "system.catalog": ("drift", ("catalog",)),
 }
 
 
@@ -311,17 +284,17 @@ def _domain(cls, text: str):
 def _parse_domain(section, problems):
     if "kind" not in section:
         problems.append((0, "kind", "missing [domain] kind"))
-        return None, ()
-    name = _read(section, "kind", _choice("domain kind", DOMAINS), problems)
+        return None, None
+    name = _read(section, "kind", lambda text: check_name("domain kind", _name(text), DOMAINS), problems)
     if name is None:
-        return None, ()
+        return None, None
     cls, key = DOMAINS[name]
     _unread(section, {"kind", "n", key}, f"by [domain] kind = {name} (it reads {key})", problems)
     domain = _read(section, key, lambda text: _domain(cls, text), problems, cls())
     if "n" not in section:
         problems.append((0, "n", "missing [domain] n"))
     dim = cls.dim
-    return domain, _read(section, "n", lambda text: read_counts(text, dim), problems, ())
+    return domain, _read(section, "n", lambda text: read_counts(text, dim), problems)
 
 
 def _parse_drift(section, lengths, problems) -> SystemSpec:
@@ -347,25 +320,28 @@ def _parse_drift(section, lengths, problems) -> SystemSpec:
 def _parse_noise(section, lengths, problems) -> tuple[NoiseSpec, tuple[float, ...]]:
     if "eps" not in section:
         problems.append((0, "eps", "missing [noise] eps list"))
-    epsilons = _read(section, "eps", read_epsilons, problems, ())
-    kind = _read(section, "kind", _choice("noise kind", NOISE_KINDS), problems, "coordinate")
-    if kind != "explicit":
-        if kind is not None:
-            _unread(section, {"kind", "eps"}, f"by [noise] kind = {kind}", problems)
-        return NoiseSpec(kind=kind or "coordinate"), epsilons
+    epsilons = _read(section, "eps", _floats, problems)
+    kind = _read(section, "kind", _name, problems, "coordinate")
+
     def vector(text):
         return _vector(text, lengths) if lengths else None
 
     vectors = _read_table(section, dict.fromkeys(NOISE_FIELDS, vector), problems)
     a0 = vectors.pop("a0", None)
-    if not vectors:
-        problems.append((0, "a1", "explicit noise needs at least one diffusion field"))
-    for expected, key in zip(NOISE_FIELDS[1:], vectors):
+    # explicit noise reads the diffusion fields, so only there are they numbered
+    for expected, key in zip(NOISE_FIELDS[1:], vectors if kind == "explicit" else ()):
         if key != expected:
             problems.append((section[key][1], key, f"{expected} is missing: diffusion fields are a1..ak "
                                                    "without gaps"))
             break
-    return NoiseSpec(kind="explicit", a0_forms=a0, ai_forms=tuple(vectors.values())), epsilons
+    return NoiseSpec(kind=kind, a0_forms=a0, ai_forms=tuple(vectors.values()) or None), epsilons
+
+
+def _locate(sections, field) -> list[tuple[int, str]]:
+    """(line, key) of each key that states ``field``; line 0 and its first key when the file holds none."""
+    name, keys = FIELD_KEYS.get(field, ("experiment", (field,)))
+    section = sections.get(name, {})
+    return [(section[key][1], key) for key in keys if key in section] or [(0, keys[0])]
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -375,53 +351,28 @@ def parse_config(text: str) -> SweepConfig:
     domain_sec = sections.get("domain", {})
     if not domain_sec:
         problems.append((0, "domain", "missing [domain] section"))
-    domain, counts = _parse_domain(domain_sec, problems) if domain_sec else (None, ())
+    domain, counts = _parse_domain(domain_sec, problems) if domain_sec else (None, None)
     # unknown without a domain: then the keys read against its axes are not checked
     lengths = domain.lengths if domain is not None else None
 
     system = _parse_drift(sections.get("drift", {}), lengths, problems)
-    noise_sec = sections.get("noise", {})
-    noise, epsilons = _parse_noise(noise_sec, lengths, problems)
-
+    noise, epsilons = _parse_noise(sections.get("noise", {}), lengths, problems)
     exp = sections.get("experiment", {})
-    kind = _read(exp, "kind", _choice("experiment kind", EXPERIMENT_KINDS), problems, "stability")
-    if kind is not None:
-        for key, kinds in KIND_KEYS.items():
-            if key in exp and kind not in kinds:
-                problems.append((exp[key][1], key, f"not read by [experiment] kind = {kind} "
-                                                   f"(only {', '.join(kinds)} reads it)"))
-        if noise.kind == "selection" and kind != "selection":
-            problems.append((noise_sec["kind"][1], "kind", "[noise] kind = selection is not read by "
-                                                           f"[experiment] kind = {kind} "
-                                                           "(only selection reads it)"))
-        if noise.kind == "explicit" and kind == "selection":
-            problems.append((noise_sec["kind"][1], "kind", "[noise] kind = explicit is not read by "
-                                                           "[experiment] kind = selection (it builds "
-                                                           "the noise that selects target)"))
-    if kind == "selection" and "target" not in exp:
-        problems.append((0, "target", "missing [experiment] target"))
-    target = _read(exp, "target", lambda value: parse_expression(value, lengths) if lengths else None,
-                   problems)
-    thresholds = _read_table(exp, THRESHOLDS, problems)
-    settings = _read_table(exp, SETTINGS, problems)
+
+    def target(value):
+        return parse_expression(value, lengths) if lengths else None
+
+    values = dict(kind=_read(exp, "kind", _name, problems, "stability"), domain=domain, n=counts,
+                  epsilons=epsilons, system=system, noise=noise,
+                  **_read_table(exp, {"target": target, **THRESHOLDS, **SETTINGS}, problems))
+    problems += [(line, key, message) for field, message in config_problems(values)
+                 for line, key in _locate(sections, field)]
+    problems.sort(key=lambda problem: problem[0])  # in file order, missing keys first
     if problems:
         details = "; ".join(f"line {ln}, {key}: {msg}" for ln, key, msg in problems)
         raise ConfigError(f"invalid configuration: {details}", problems)
-    try:
-        return SweepConfig(
-            kind=kind,
-            domain=domain,
-            n=counts,
-            epsilons=epsilons,
-            system=system,
-            noise=noise,
-            target=target,
-            out_dir=exp.get("out", (None, 0))[0],
-            thresholds=Thresholds(**thresholds),
-            **settings,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    thresholds = Thresholds(**{key: values.pop(key) for key in THRESHOLDS if key in values})
+    return SweepConfig(**values, out_dir=exp.get("out", (None, 0))[0], thresholds=thresholds)
 
 
 def _format(value) -> str:

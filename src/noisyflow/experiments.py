@@ -13,6 +13,7 @@ artifacts.
 
 from __future__ import annotations
 
+import difflib
 import math
 import os
 from collections.abc import Iterator
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import BoundaryError, FitError
 from .fields import (
+    CATALOG_NAMES,
     ConservativeSystem,
     Noise,
     ScalarForm,
@@ -95,11 +97,14 @@ class NoiseSpec:
         raise ValueError(f"noise spec kind {self.kind!r} cannot be built directly")
 
 
+NOISE_KINDS = ("coordinate", "explicit", "selection")
+
+
 #: SweepConfig and Thresholds fields that only some experiment kinds read
 #: -> those kinds; every other field applies under any kind (``evolve``
 #: reads scheme and the step factors from a configuration of any kind).
-#: The config file's [experiment] keys share the names, and
-#: ``config.parse_config`` reads this table too.
+#: The config file's [experiment] keys share the names; ``config_problems``
+#: holds both to this table.
 KIND_KEYS = {
     "target": ("selection",),
     "assert_l1_limit": ("stability",),
@@ -153,33 +158,13 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        check_epsilons(self.epsilons)
-        check_counts(self.domain, self.n)
-        for key in ("dt_factor", "horizon_factor"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{key} must be positive and finite, got {value}")
-        if self.kind not in RUNNERS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {', '.join(RUNNERS)}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {', '.join(SCHEMES)}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
-        changed = {f.name for obj in (self, self.thresholds) for f in fields(obj)
-                   if getattr(obj, f.name) != f.default}
-        for key, kinds in KIND_KEYS.items():
-            if self.kind not in kinds and key in changed:
-                raise ValueError(f"{key} is not read by experiment kind {self.kind!r} "
-                                 f"(only {', '.join(kinds)} reads it)")
-        if self.noise.kind == "selection" and self.kind != "selection":
-            raise ValueError(f"noise kind 'selection' is not read by experiment kind {self.kind!r} "
-                             "(only selection reads it)")
+        # the required fields and those that differ from their defaults
+        stated = {f.name: getattr(obj, f.name) for obj in (self, self.thresholds) for f in fields(obj)
+                  if getattr(obj, f.name) != f.default}
+        problems = config_problems(stated)
+        if problems:
+            raise ValueError("; ".join(f"{field}: {message}" for field, message in problems))
         if self.kind == "selection":
-            if self.target is None:
-                raise ValueError("the selection experiment needs a target density form")
-            if self.noise.kind == "explicit":
-                raise ValueError("explicit noise is not read by experiment kind 'selection', "
-                                 "which builds the noise that selects its target")
             object.__setattr__(self, "noise", NoiseSpec(kind="selection"))
 
     def grid(self) -> Grid:
@@ -211,6 +196,66 @@ def check_epsilons(eps) -> None:
         raise ValueError("all epsilons must lie in (0, 1)")
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be descending")
+
+
+def check_name(what: str, value: str, options) -> str:
+    """``value`` if it is one of ``options``; otherwise a ValueError naming the nearest one."""
+    if value not in options:
+        near = difflib.get_close_matches(value, options, n=1)
+        hint = f" (nearest: {near[0]})" if near else ""
+        raise ValueError(f"unknown {what} {value!r}{hint}")
+    return value
+
+
+def config_problems(values: dict) -> list[tuple[str, str]]:
+    """Every field rule of a :class:`SweepConfig` that ``values`` breaks, as (field, message).
+
+    ``values`` maps the fields a caller states (those of SweepConfig and
+    Thresholds) to their values; None is a stated value that could not
+    be read, which only the rules on presence see.  SweepConfig and
+    ``config.parse_config`` both check here, so a configuration that
+    constructs is one that parses back.  Spec parts are named
+    ``noise.kind``, ``noise.a0_forms``, ``noise.ai_forms`` and ``system.catalog``.
+    """
+    problems = []
+    kind, noise, system = values.get("kind"), values.get("noise"), values.get("system")
+    noise_kind = noise.kind if noise else None
+    checks = [("kind", check_name, "experiment kind", kind, RUNNERS),
+              ("scheme", check_name, "scheme", values.get("scheme"), SCHEMES),
+              ("noise.kind", check_name, "noise kind", noise_kind, NOISE_KINDS),
+              ("system.catalog", check_name, "catalog system", system and system.catalog, CATALOG_NAMES),
+              ("epsilons", check_epsilons, values.get("epsilons")),
+              ("n", check_counts, values.get("domain"), values.get("n"))]
+    for field, check, *args in checks:
+        try:
+            if all(arg is not None for arg in args):
+                check(*args)
+        except ValueError as exc:
+            problems.append((field, str(exc)))
+    for field in ("dt_factor", "horizon_factor"):
+        value = values.get(field)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            problems.append((field, f"must be positive and finite, got {value:g}"))
+    if values.get("workers") is not None and values["workers"] < 1:
+        problems.append(("workers", f"must be at least 1, got {values['workers']}"))
+    if noise_kind == "explicit" and not noise.ai_forms:
+        problems.append(("noise.ai_forms", "explicit noise needs at least one diffusion field"))
+    if noise_kind in ("coordinate", "selection"):
+        problems += [(f"noise.{field}", f"not read by [noise] kind = {noise_kind}")
+                     for field in ("a0_forms", "ai_forms") if getattr(noise, field)]
+    if kind not in RUNNERS:
+        return problems
+    problems += [(key, f"not read by [experiment] kind = {kind} (only {', '.join(kinds)} reads it)")
+                 for key, kinds in KIND_KEYS.items() if key in values and kind not in kinds]
+    if noise_kind == "selection" and kind != "selection":
+        problems.append(("noise.kind", f"[noise] kind = selection is not read by [experiment] kind = {kind} "
+                                       "(only selection reads it)"))
+    if noise_kind == "explicit" and kind == "selection":
+        problems.append(("noise.kind", "[noise] kind = explicit is not read by [experiment] kind = selection "
+                                       "(it builds the noise that selects target)"))
+    if kind == "selection" and "target" not in values:
+        problems.append(("target", "missing [experiment] target"))
+    return problems
 
 
 def _n_label(n) -> str:

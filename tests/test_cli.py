@@ -1,23 +1,25 @@
 import itertools
 import math
 import os
+import re
 from dataclasses import fields, replace
 
 import pytest
 
 from noisyflow.cli import main
-from noisyflow.config import (EXPERIMENT_KINDS, KIND_KEYS, parse_config, parse_expression,
-                              serialize_config, serialize_expression)
+from noisyflow.config import parse_config, parse_expression, serialize_config, serialize_expression
 from noisyflow.errors import ConfigError
 from noisyflow.evolution import evolve, perturbed_initial
 import noisyflow.experiments as experiments
-from noisyflow.experiments import (FOUR_PI_SQ, TRACE_HEADER, SweepConfig, SystemSpec, NoiseSpec, Thresholds,
-                                   trace_cells)
+from noisyflow.experiments import (FOUR_PI_SQ, KIND_KEYS, RUNNERS, TRACE_HEADER, SweepConfig, SystemSpec,
+                                   NoiseSpec, Thresholds, trace_cells)
 from noisyflow.fields import Affine, Const, Power, Product, Trig
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2
 from noisyflow.operator import assemble_for
 from noisyflow.reporting import write_csv
 from noisyflow.stationary import solve_stationary
+
+EXPERIMENT_KINDS = tuple(RUNNERS)
 
 MINIMAL = """\
 [domain]
@@ -243,7 +245,7 @@ def test_step_factors_must_be_positive_and_finite(tmp_path, capsys, key, value):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert [(line, k) for line, k, _ in info.value.locations] == [(15, key)]
-    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+    with pytest.raises(ValueError, match=re.escape(f"{key}: must be positive and finite, got {value}")):
         SweepConfig(kind="decay", domain=Circle(), n=(16,), epsilons=(0.5,), **{key: float(value)})
     path = write_config(tmp_path, text)
     for command in ("evolve", "decay"):
@@ -382,7 +384,7 @@ def test_sweep_config_rejects_another_kinds_field(kind, key, value):
     if kind in KIND_KEYS[key]:
         assert getattr(SweepConfig(**base, **{key: value}), key) == value
     else:
-        with pytest.raises(ValueError, match=f"{key} is not read by experiment kind '{kind}'"):
+        with pytest.raises(ValueError, match=re.escape(f"{key}: not read by [experiment] kind = {kind}")):
             SweepConfig(**base, **{key: value})
 
 
@@ -428,7 +430,7 @@ def test_thresholds_are_read_only_by_their_kind(tmp_path, capsys, key, kind):
         parse_config(text)
     assert [(ln, k) for ln, k, _ in info.value.locations] == [(line, key)]
     assert f"not read by [experiment] kind = {kind}" in str(info.value)
-    with pytest.raises(ValueError, match=f"{key} is not read by experiment kind '{kind}'"):
+    with pytest.raises(ValueError, match=re.escape(f"{key}: not read by [experiment] kind = {kind}")):
         SweepConfig(**base, thresholds=thresholds)
     assert main(["stationary", "--config", write_config(tmp_path, text), "--quiet"]) == 1
     assert f"line {line}, {key}: " in capsys.readouterr().err
@@ -440,12 +442,86 @@ def test_selection_experiment_needs_its_target(tmp_path, capsys):
         parse_config(text)
     assert [(line, key) for line, key, _ in info.value.locations] == [(0, "target")]
     assert "missing [experiment] target" in str(info.value)
-    with pytest.raises(ValueError, match="the selection experiment needs a target density form"):
+    with pytest.raises(ValueError, match=re.escape("target: missing [experiment] target")):
         SweepConfig(kind="selection", domain=Circle(), n=(16,), epsilons=(0.5,))
     path = write_config(tmp_path, text)
     for command in ("select", "check"):
         assert main([command, "--config", path, "--quiet"]) == 1
         assert "line 0, target: missing [experiment] target" in capsys.readouterr().err
+
+
+#: MINIMAL as SweepConfig fields
+MINIMAL_FIELDS = dict(kind="stability", domain=Circle(), n=(64,), epsilons=(0.2,),
+                      system=SystemSpec(catalog="circle-positive"))
+
+
+# one case per rule of experiments.config_problems: (old, new) edits MINIMAL,
+# (line, key) is where the file reports it, and changes give SweepConfig the same value
+@pytest.mark.parametrize("old, new, line, key, changes", [
+    pytest.param("kind = stability", "kind = stabilty", 14, "kind", dict(kind="stabilty"), id="experiment-kind"),
+    pytest.param("kind = stability", "kind = stability\nscheme = crank-nicholson", 15, "scheme",
+                 dict(scheme="crank-nicholson"), id="scheme"),
+    pytest.param("kind = coordinate", "kind = coordinates", 10, "kind", dict(noise=NoiseSpec(kind="coordinates")),
+                 id="noise-kind"),
+    pytest.param("catalog = circle-positive", "catalog = circle-positve", 7, "catalog",
+                 dict(system=SystemSpec(catalog="circle-positve")), id="catalog"),
+    pytest.param("eps = 0.2", "eps = 0.2, 0.5", 11, "eps", dict(epsilons=(0.2, 0.5)), id="eps-ascending"),
+    pytest.param("eps = 0.2", "eps = 1.5", 11, "eps", dict(epsilons=(1.5,)), id="eps-range"),
+    pytest.param("n = 64", "n = 2", 4, "n", dict(n=(2,)), id="cells-below-minimum"),
+    pytest.param("n = 64", "n = 64, 64", 4, "n", dict(n=(64, 64)), id="cells-per-axis"),
+    pytest.param("n = 64", "n = 20000000", 4, "n", dict(n=(20000000,)), id="cells-above-cap"),
+    pytest.param("kind = stability", "kind = stability\ndt_factor = 0", 15, "dt_factor", dict(dt_factor=0.0),
+                 id="dt-factor"),
+    pytest.param("kind = stability", "kind = stability\nhorizon_factor = -inf", 15, "horizon_factor",
+                 dict(horizon_factor=-math.inf), id="horizon-factor"),
+    pytest.param("kind = stability", "kind = stability\nworkers = 0", 15, "workers", dict(workers=0),
+                 id="workers"),
+    pytest.param("kind = stability", "kind = stability\ntarget = const:1", 15, "target",
+                 dict(target=Const(1.0)), id="target-of-another-kind"),
+    pytest.param("kind = stability", "kind = stability\noracle_sup = 0.1", 15, "oracle_sup",
+                 dict(thresholds=Thresholds(oracle_sup=0.1)), id="threshold-of-another-kind"),
+    pytest.param("kind = stability", "kind = selection\ntarget = const:1\nassert_l1_limit = false", 16,
+                 "assert_l1_limit", dict(kind="selection", target=Const(1.0), assert_l1_limit=False),
+                 id="setting-of-another-kind"),
+    pytest.param("kind = coordinate", "kind = selection", 10, "kind", dict(noise=NoiseSpec(kind="selection")),
+                 id="selection-noise-of-another-kind"),
+    pytest.param("kind = coordinate\neps = 0.2\n\n[experiment]\nkind = stability",
+                 "kind = explicit\na1 = const:2\neps = 0.2\n\n[experiment]\nkind = selection\ntarget = const:1", 10,
+                 "kind", dict(kind="selection", target=Const(1.0), noise=NoiseSpec(kind="explicit",
+                                                                                   ai_forms=((Const(2.0),),))),
+                 id="explicit-noise-under-selection"),
+    pytest.param("kind = stability", "kind = selection", 0, "target", dict(kind="selection"),
+                 id="selection-without-target"),
+    pytest.param("kind = coordinate", "kind = explicit", 0, "a1", dict(noise=NoiseSpec(kind="explicit")),
+                 id="explicit-without-diffusion-field"),
+    pytest.param("kind = coordinate", "kind = coordinate\na1 = const:1", 11, "a1",
+                 dict(noise=NoiseSpec(ai_forms=((Const(1.0),),))), id="diffusion-field-of-coordinate-noise"),
+    pytest.param("kind = coordinate", "kind = coordinate\na0 = const:1", 11, "a0",
+                 dict(noise=NoiseSpec(a0_forms=(Const(1.0),))), id="drift-correction-of-coordinate-noise"),
+])
+def test_file_and_sweep_config_refuse_alike(tmp_path, capsys, old, new, line, key, changes):
+    assert parse_config(MINIMAL) == SweepConfig(**MINIMAL_FIELDS)
+    text = MINIMAL.replace(old, new)
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    (ln, k, message), = info.value.locations
+    assert (ln, k) == (line, key)
+    assert str(info.value) == f"invalid configuration: line {line}, {key}: {message}"
+    assert main(["stationary", "--config", write_config(tmp_path, text), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    with pytest.raises(ValueError) as raised:
+        SweepConfig(**{**MINIMAL_FIELDS, **changes})
+    assert str(raised.value).endswith(": " + message)
+
+
+def test_problems_are_reported_in_file_order():
+    # syntax problems and field rules come from two passes; the report merges them by line
+    text = (MINIMAL.replace("n = 64", "n = 2").replace("eps = 0.2", "eps = x")
+            .replace("kind = stability", "kind = selection\nworkers = 0"))
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [(line, key) for line, key, _ in info.value.locations] == [(0, "target"), (4, "n"), (11, "eps"),
+                                                                      (15, "workers")]
 
 
 @pytest.mark.parametrize("domain, n, message", [
@@ -456,7 +532,7 @@ def test_selection_experiment_needs_its_target(tmp_path, capsys):
 ])
 def test_sweep_config_checks_cell_counts_like_the_grid(domain, n, message):
     # each of these would otherwise construct and then not parse back or not build
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="n: " + message):
         SweepConfig(kind="stability", domain=domain, n=n, epsilons=(0.5,))
 
 
@@ -484,7 +560,8 @@ def test_selection_noise_is_read_only_by_the_selection_experiment(tmp_path, caps
         parse_config(text)
     assert [(line, key) for line, key, _ in info.value.locations] == [(10, "kind")]
     assert f"[noise] kind = selection is not read by [experiment] kind = {kind}" in str(info.value)
-    with pytest.raises(ValueError, match=f"noise kind 'selection' is not read by experiment kind '{kind}'"):
+    with pytest.raises(ValueError, match=re.escape(f"noise.kind: [noise] kind = selection is not read by "
+                                                   f"[experiment] kind = {kind}")):
         SweepConfig(**base)
     path = write_config(tmp_path, text)
     for command in ("check", "stationary"):
@@ -670,7 +747,8 @@ def test_explicit_noise_is_not_read_by_the_selection_experiment(tmp_path, capsys
         parse_config(text)
     assert [(line, key) for line, key, _ in info.value.locations] == [(10, "kind")]
     assert "[noise] kind = explicit is not read by [experiment] kind = selection" in str(info.value)
-    with pytest.raises(ValueError, match="explicit noise is not read by experiment kind 'selection'"):
+    with pytest.raises(ValueError, match=re.escape("noise.kind: [noise] kind = explicit is not read by "
+                                                   "[experiment] kind = selection")):
         SweepConfig(kind="selection", domain=Circle(), n=(16,), epsilons=(0.5,), target=Const(1.0),
                     noise=NoiseSpec(kind="explicit", ai_forms=((Const(2.0),),)))
     path = write_config(tmp_path, text)

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -53,10 +54,17 @@ def test_sweep_config_validation():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("workers", 0, "workers must be at least 1, got 0"),
-    ("scheme", "bogus", "unknown scheme 'bogus'"),
-    ("kind", "bogus", "unknown experiment kind 'bogus'"),
-], ids=["workers", "scheme", "kind"])
+    ("workers", 0, "workers: must be at least 1, got 0"),
+    ("scheme", "bogus", "scheme: unknown scheme 'bogus'"),
+    ("kind", "bogus", "kind: unknown experiment kind 'bogus'"),
+    ("noise", NoiseSpec(kind="bogus"), "noise.kind: unknown noise kind 'bogus'"),
+    ("noise", NoiseSpec(kind="explicit"), "noise.ai_forms: explicit noise needs at least one diffusion field"),
+    ("noise", NoiseSpec(ai_forms=((Const(1.0),),)), re.escape("noise.ai_forms: not read by [noise] kind = "
+                                                              "coordinate")),
+    ("system", SystemSpec(catalog="torus-rotaton"), re.escape("system.catalog: unknown catalog system "
+                                                              "'torus-rotaton' (nearest: torus-rotation)")),
+], ids=["workers", "scheme", "kind", "noise-kind", "explicit-without-diffusion-field",
+        "coordinate-with-diffusion-fields", "catalog"])
 def test_sweep_config_rejects_what_would_not_parse_back(field, value, message):
     base = dict(kind="stability", domain=Circle(), n=(16,), epsilons=(0.5,))
     with pytest.raises(ValueError, match=message):
@@ -74,7 +82,7 @@ def test_sweep_config_builds_the_selecting_noise():
     assert len(pairs) == 2
     for built, direct in pairs:
         assert np.array_equal(built.at_points(x), direct.at_points(x))
-    with pytest.raises(ValueError, match="the selection experiment needs a target density form"):
+    with pytest.raises(ValueError, match=re.escape("target: missing [experiment] target")):
         SweepConfig(**base)
 
 

@@ -1,6 +1,6 @@
 """Hash every artifact and message of a fixed set of CLI runs and demos.
 
-Writes ten small configuration files (three of them invalid, so their
+Writes twelve small configuration files (five of them invalid, so their
 error messages are audited too), runs all nine CLI commands on each of
 them (in this process, through ``noisyflow.cli.main``, so the package is
 imported once), runs every script under ``demos/`` in its own process, and prints one ``sha256  path`` line per file: every artifact a
@@ -206,6 +206,38 @@ eps = 0.5
 
 [experiment]
 kind = selection
+""",
+    # a cell count below the minimum of 4 per axis
+    "cells-below-minimum": """\
+[domain]
+kind = circle
+length = 1.0
+n = 2
+
+[drift]
+catalog = zero-drift
+
+[noise]
+eps = 0.5
+
+[experiment]
+kind = stability
+""",
+    # a misspelt catalog system
+    "unknown-catalog": """\
+[domain]
+kind = torus2
+lengths = 1.0, 1.0
+n = 16
+
+[drift]
+catalog = torus-rotaton
+
+[noise]
+eps = 0.5
+
+[experiment]
+kind = stability
 """,
 }
 
