@@ -30,12 +30,12 @@ report = run_bounded_domain(tilt)
 print("interval, B = 0, A0 = 1, A1 = 1 (stationary profile e^{2x})")
 print("eps      min u      max u      rel sup err vs oracle")
 for row in report.rows:
-    print(f"{row.eps:<8g} {row.report.min_u:<10.6f} {row.report.max_u:<10.6f} {row.oracle_sup:.3e}")
+    print(f"{row['eps']:<8g} {row['min_u']:<10.6f} {row['max_u']:<10.6f} {row['oracle_sup']:.3e}")
 
 grid = tilt.grid()
 x = grid.cell_centers()[:, 0]
 exact = 2.0 * np.exp(2.0 * x) / (math.e ** 2 - 1.0)
-best = report.rows[0].report.density.values
+best = report.rows[0]["report"].density.values
 print(f"against the analytic profile: {np.max(np.abs(best - exact)) / exact.max():.3e}")
 print("note the eps-independence: the tilt 2 c x survives the eps^2 scaling of both terms")
 
@@ -43,5 +43,5 @@ flat = SweepConfig(kind="bounded", domain=Rectangle(), n=(64, 64), epsilons=(0.5
 rect = run_bounded_domain(flat)
 print("\nrectangle, pure diffusion")
 for row in rect.rows:
-    dev = np.max(np.abs(row.report.density.values - 1.0))
-    print(f"eps = {row.eps:g}: sup deviation from uniform {dev:.2e}")
+    dev = np.max(np.abs(row["report"].density.values - 1.0))
+    print(f"eps = {row['eps']:g}: sup deviation from uniform {dev:.2e}")

@@ -63,9 +63,9 @@ grid, system, noise = cfg.build()
 print("\nadvective circle benchmark")
 print("eps      rate       rate/eps^2   r^2       Poincare quotient")
 for row in report.rows:
-    stationary = solve_stationary(assemble_for(system, noise, row.eps)).density
+    stationary = solve_stationary(assemble_for(system, noise, row["eps"])).density
     poincare = poincare_quotient(noise, stationary, grid)
-    print(f"{row.eps:<8g} {row.fit.rate:<10.4f} {row.fit.rate_over_eps2:<12.2f} "
-          f"{row.fit.r_squared:<9.6f} {poincare:.3f}")
+    print(f"{row['eps']:<8g} {row['rate']:<10.4f} {row['rate_over_eps2']:<12.2f} "
+          f"{row['r2']:<9.6f} {poincare:.3f}")
 for name, ok in report.verdicts.items():
     print(f"  [{'PASS' if ok else 'FAIL'}] {name}")

@@ -34,9 +34,9 @@ report = run_selection(cfg)
 
 print("eps      sup|u_eps - u*|   same at 2x mesh    ratio")
 for row in report.rows:
-    print(f"{row.eps:<8g} {row.err_sup:<18.3e} {row.err_sup_refined:<18.3e} {row.ratio:.2f}")
+    print(f"{row['eps']:<8g} {row['err_sup']:<18.3e} {row['err_sup_refined']:<18.3e} {row['ratio']:.2f}")
 
-k_constant = report.rows[0].err_sup / max(cfg.grid().h) ** 2
+k_constant = report.rows[0]["err_sup"] / max(cfg.grid().h) ** 2
 print(f"\ndiscretization constant K = err / h^2 = {k_constant:.3f}")
 for name, ok in report.verdicts.items():
     print(f"  [{'PASS' if ok else 'FAIL'}] {name}")

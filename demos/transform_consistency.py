@@ -33,6 +33,6 @@ for n in (128, 256, 512):
         system=SystemSpec(catalog="circle-positive"),
     )
     report = run_transform_consistency(cfg)
-    print(f"{n:<8d} {report.rows[0].sup_diff:.3e}")
+    print(f"{n:<8d} {report.rows[0]['sup_diff']:.3e}")
 
 print("\nthe mismatch is O(h^2): both solves discretize the same measure")

@@ -27,12 +27,12 @@ report = run_stability_sweep(cfg)
 
 print("eps      min u_eps  max u_eps  ||u_eps - u0||_1")
 for row in report.rows:
-    print(f"{row.eps:<8g} {row.report.min_u:<10.6f} {row.report.max_u:<10.6f} {row.l1_to_u0:.3e}")
+    print(f"{row['eps']:<8g} {row['min_u']:<10.6f} {row['max_u']:<10.6f} {row['l1_dist_to_u0']:.3e}")
 
 u0 = cfg.system.build(cfg.grid()).u0
-sup_max_u = max(row.report.max_u for row in report.rows)
-sup_inv_min_u = max(1.0 / row.report.min_u for row in report.rows)
-sup_w12 = max(row.report.w12_seminorm for row in report.rows)
+sup_max_u = max(row["max_u"] for row in report.rows)
+sup_inv_min_u = max(1.0 / row["min_u"] for row in report.rows)
+sup_w12 = max(row["w12"] for row in report.rows)
 print()
 print(f"invariant density bounds: [{u0.min():.6f}, {u0.max():.6f}]")
 print(f"sweep suprema: max u = {sup_max_u:.6f}, 1/min u = {sup_inv_min_u:.6f}")
@@ -42,7 +42,7 @@ for name, ok in report.verdicts.items():
     print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
 
 # the distances shrink like eps^2: quadratic contraction of the noise term
-l1 = np.array([row.l1_to_u0 for row in report.rows])
-eps = np.array([row.eps for row in report.rows])
+l1 = np.array([row["l1_dist_to_u0"] for row in report.rows])
+eps = np.array([row["eps"] for row in report.rows])
 slope = np.polyfit(np.log(eps), np.log(l1), 1)[0]
 print(f"\nobserved scaling ||u_eps - u0||_1 ~ eps^{slope:.2f}")

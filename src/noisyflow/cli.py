@@ -20,7 +20,7 @@ from dataclasses import replace
 from .config import parse_config
 from .errors import NoisyflowError
 from .evolution import evolve, fit_decay_rate, perturbed_initial
-from .experiments import STABILITY_HEADER, TRACE_HEADER, SweepConfig, run, stability_rows, trace_cells
+from .experiments import TRACE_HEADER, SweepConfig, run, stability_rows, trace_cells, write_rows
 from .fields import check_admissible
 from .geometry import Circle, Interval
 from .operator import assemble_for
@@ -58,12 +58,10 @@ def _say(quiet, *parts):
 def _run_stationary(cfg: SweepConfig, args) -> int:
     rows, _ = stability_rows(cfg)
     for r in rows:
-        rep = r.report
-        _say(args.quiet, f"eps={r.eps:g}: min={rep.min_u:.6g} max={rep.max_u:.6g} "
-                         f"residual={rep.residual:.3g} l1_to_u0={r.l1_to_u0:.6g}")
+        _say(args.quiet, f"eps={r['eps']:g}: min={r['min_u']:.6g} max={r['max_u']:.6g} "
+                         f"residual={r['residual']:.3g} l1_to_u0={r['l1_dist_to_u0']:.6g}")
     if cfg.out_dir:
-        write_csv(os.path.join(cfg.out_dir, "stationary.csv"), STABILITY_HEADER,
-                  [r.cells() for r in rows])
+        write_rows(os.path.join(cfg.out_dir, "stationary.csv"), rows)
     return 0
 
 

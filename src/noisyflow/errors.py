@@ -21,8 +21,8 @@ class PositivityError(NoisyflowError):
     """A quantity required to be strictly positive is not."""
 
 
-class CatalogError(NoisyflowError):
-    """Unknown builtin system name or incompatible grid kind."""
+class CatalogError(NoisyflowError, ValueError):
+    """Unknown builtin system name or incompatible grid kind; a ValueError for SweepConfig.system."""
 
 
 class AssemblyError(NoisyflowError):

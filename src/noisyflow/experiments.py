@@ -3,12 +3,14 @@
 :func:`run` dispatches a :class:`SweepConfig` on its ``kind`` to one
 runner.  Each runner performs the study on the configured grid(s) and
 returns a :class:`Report` whose ``verdicts`` dictionary is recomputable
-from the stored rows and thresholds.  When ``out_dir`` is set the runner
-also writes a fixed-column CSV file plus a human-readable summary with
-one line per verdict.  Runs are deterministic: assembly order, the
-solver's fixed ordering and diagonal pivots, and CSV formatting are all
-fixed, so a rerun with the same configuration yields byte-identical
-artifacts.
+from the stored rows and thresholds.  A row is one dict per epsilon:
+its leading keys are the study's CSV columns in file order, and the
+objects that are not columns (``ROW_OBJECTS``) follow them.  When
+``out_dir`` is set the runner also writes those columns as a CSV file
+plus a human-readable summary with one line per verdict.  Runs are
+deterministic: assembly order, the solver's fixed ordering and diagonal
+pivots, and CSV formatting are all fixed, so a rerun with the same
+configuration yields byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .fields import (
     ScalarForm,
     VectorField,
     builtin_catalog,
+    check_catalog_domain,
     construct_selecting_noise,
     coordinate_noise,
     divergence,
@@ -38,7 +41,7 @@ from .fields import (
     Const,
 )
 from .geometry import DomainKind, Grid, build_grid, check_counts, refine_grid
-from .evolution import SCHEMES, DecayFit, evolve, fit_decay_rate, perturbed_initial
+from .evolution import SCHEMES, evolve, fit_decay_rate, perturbed_initial
 from .operator import assemble_for
 from .reporting import atomic_write_text, verdict_block, write_csv
 from .stationary import StationaryReport, oracle_1d_interval, solve_stationary
@@ -100,44 +103,29 @@ class NoiseSpec:
 NOISE_KINDS = ("coordinate", "explicit", "selection")
 
 
-#: SweepConfig and Thresholds fields that only some experiment kinds read
-#: -> those kinds; every other field applies under any kind (``evolve``
-#: reads scheme and the step factors from a configuration of any kind).
-#: The config file's [experiment] keys share the names; ``config_problems``
-#: holds both to this table.
-KIND_KEYS = {
-    "target": ("selection",),
-    "assert_l1_limit": ("stability",),
-    **dict.fromkeys(["l1_final", "l1_floor", "bound_factor"], ("stability",)),
-    **dict.fromkeys(["selection_sup", "selection_ratio_lo", "selection_ratio_hi",
-                     "selection_eps_spread", "div_target_tol"], ("selection",)),
-    "transform_sup": ("transform",),
-    **dict.fromkeys(["c_floor", "rate_spread"], ("decay",)),
-    "oracle_sup": ("bounded",),
-}
-
-
 @dataclass(frozen=True)
 class Thresholds:
     """Pass/fail knobs; recorded in every report for auditability.
 
-    The decay floor (rates >= c_floor * eps^2) and the bound factors are
-    artifact calibration choices, not constants from the theory, which
-    only guarantees existence of such constants.
+    Each knob names the one experiment kind whose runner reads it in its
+    field's ``metadata["kind"]`` (see ``KIND_KEYS``).  The decay floor
+    (rates >= c_floor * eps^2) and the bound factors are artifact
+    calibration choices, not constants from the theory, which only
+    guarantees existence of such constants.
     """
 
-    l1_final: float = 0.02
-    l1_floor: float = 1e-9
-    bound_factor: float = 2.0
-    selection_sup: float = 5e-3
-    selection_ratio_lo: float = 3.0
-    selection_ratio_hi: float = 5.0
-    selection_eps_spread: float = 0.10
-    transform_sup: float = 5e-3
-    c_floor: float = 1.0
-    rate_spread: float = 0.5
-    oracle_sup: float = 1e-3
-    div_target_tol: float = 1e-10
+    l1_final: float = field(default=0.02, metadata={"kind": "stability"})
+    l1_floor: float = field(default=1e-9, metadata={"kind": "stability"})
+    bound_factor: float = field(default=2.0, metadata={"kind": "stability"})
+    selection_sup: float = field(default=5e-3, metadata={"kind": "selection"})
+    selection_ratio_lo: float = field(default=3.0, metadata={"kind": "selection"})
+    selection_ratio_hi: float = field(default=5.0, metadata={"kind": "selection"})
+    selection_eps_spread: float = field(default=0.10, metadata={"kind": "selection"})
+    transform_sup: float = field(default=5e-3, metadata={"kind": "transform"})
+    c_floor: float = field(default=1.0, metadata={"kind": "decay"})
+    rate_spread: float = field(default=0.5, metadata={"kind": "decay"})
+    oracle_sup: float = field(default=1e-3, metadata={"kind": "bounded"})
+    div_target_tol: float = field(default=1e-10, metadata={"kind": "selection"})
 
 
 @dataclass(frozen=True)
@@ -148,12 +136,12 @@ class SweepConfig:
     epsilons: tuple[float, ...]
     system: SystemSpec = SystemSpec(catalog="zero-drift")
     noise: NoiseSpec = NoiseSpec()
-    target: ScalarForm | None = None
+    target: ScalarForm | None = field(default=None, metadata={"kind": "selection"})
     out_dir: str | None = None
     thresholds: Thresholds = Thresholds()
     dt_factor: float = 5e-3
     horizon_factor: float = 5.0
-    assert_l1_limit: bool = True
+    assert_l1_limit: bool = field(default=True, metadata={"kind": "stability"})
     scheme: str = "implicit-euler"
     workers: int = 1
 
@@ -163,7 +151,7 @@ class SweepConfig:
                   if getattr(obj, f.name) != f.default}
         problems = config_problems(stated)
         if problems:
-            raise ValueError("; ".join(f"{field}: {message}" for field, message in problems))
+            raise ValueError("; ".join(f"{name}: {message}" for name, message in problems))
         if self.kind == "selection":
             object.__setattr__(self, "noise", NoiseSpec(kind="selection"))
 
@@ -186,6 +174,15 @@ class SweepConfig:
         else:
             noise = self.noise.build(grid)
         return grid, self.system.build(grid), noise
+
+
+#: SweepConfig and Thresholds fields that only one experiment kind reads -> that
+#: kind, as each field's ``metadata["kind"]`` declares it; every other field
+#: applies under any kind (``evolve`` reads scheme and the step factors from a
+#: configuration of any kind).  The config file's [experiment] keys share the
+#: names; ``config_problems`` holds both to this table.
+KIND_KEYS = {f.name: f.metadata["kind"] for cls in (SweepConfig, Thresholds) for f in fields(cls)
+             if "kind" in f.metadata}
 
 
 def check_epsilons(eps) -> None:
@@ -224,29 +221,30 @@ def config_problems(values: dict) -> list[tuple[str, str]]:
               ("scheme", check_name, "scheme", values.get("scheme"), SCHEMES),
               ("noise.kind", check_name, "noise kind", noise_kind, NOISE_KINDS),
               ("system.catalog", check_name, "catalog system", system and system.catalog, CATALOG_NAMES),
+              ("system.catalog", check_catalog_domain, system and system.catalog, values.get("domain")),
               ("epsilons", check_epsilons, values.get("epsilons")),
               ("n", check_counts, values.get("domain"), values.get("n"))]
-    for field, check, *args in checks:
+    for name, check, *args in checks:
         try:
             if all(arg is not None for arg in args):
                 check(*args)
         except ValueError as exc:
-            problems.append((field, str(exc)))
-    for field in ("dt_factor", "horizon_factor"):
-        value = values.get(field)
+            problems.append((name, str(exc)))
+    for name in ("dt_factor", "horizon_factor"):
+        value = values.get(name)
         if value is not None and not (math.isfinite(value) and value > 0.0):
-            problems.append((field, f"must be positive and finite, got {value:g}"))
+            problems.append((name, f"must be positive and finite, got {value:g}"))
     if values.get("workers") is not None and values["workers"] < 1:
         problems.append(("workers", f"must be at least 1, got {values['workers']}"))
     if noise_kind == "explicit" and not noise.ai_forms:
         problems.append(("noise.ai_forms", "explicit noise needs at least one diffusion field"))
     if noise_kind in ("coordinate", "selection"):
-        problems += [(f"noise.{field}", f"not read by [noise] kind = {noise_kind}")
-                     for field in ("a0_forms", "ai_forms") if getattr(noise, field)]
+        problems += [(f"noise.{name}", f"not read by [noise] kind = {noise_kind}")
+                     for name in ("a0_forms", "ai_forms") if getattr(noise, name)]
     if kind not in RUNNERS:
         return problems
-    problems += [(key, f"not read by [experiment] kind = {kind} (only {', '.join(kinds)} reads it)")
-                 for key, kinds in KIND_KEYS.items() if key in values and kind not in kinds]
+    problems += [(key, f"not read by [experiment] kind = {kind} (only {reader} reads it)")
+                 for key, reader in KIND_KEYS.items() if key in values and kind != reader]
     if noise_kind == "selection" and kind != "selection":
         problems.append(("noise.kind", f"[noise] kind = selection is not read by [experiment] kind = {kind} "
                                        "(only selection reads it)"))
@@ -277,9 +275,13 @@ def _map_over_eps(fn, epsilons, workers: int):
 
 @dataclass
 class Report:
-    """Per-epsilon rows of one study, its thresholds and its named verdicts."""
+    """Per-epsilon rows of one study, its thresholds and its named verdicts.
 
-    rows: list
+    Each row is a dict: the study's CSV columns by name in file order
+    (``row["l1_dist_to_u0"]``), then its objects (``ROW_OBJECTS``).
+    """
+
+    rows: list[dict]
     thresholds: Thresholds
     verdicts: dict
 
@@ -287,11 +289,20 @@ class Report:
         return all(self.verdicts.values())
 
 
-def _report(cfg: SweepConfig, title: str, csv_name: str, header: list[str],
-            rows: list, verdicts: dict) -> Report:
+#: the row keys that hold objects rather than CSV columns; they follow the columns
+ROW_OBJECTS = ("report", "fits", "chi2_monotone", "max_mass_drift")
+
+
+def write_rows(path: str, rows: list[dict]) -> None:
+    """The CSV of ``rows``: one column per key that is not in ``ROW_OBJECTS``, in key order."""
+    columns = [key for key in rows[0] if key not in ROW_OBJECTS]
+    write_csv(path, columns, ([row[c] for c in columns] for row in rows))
+
+
+def _report(cfg: SweepConfig, title: str, csv_name: str, rows: list[dict], verdicts: dict) -> Report:
     """The study's report; with ``out_dir`` set, also its CSV and summary."""
     if cfg.out_dir:
-        write_csv(os.path.join(cfg.out_dir, csv_name), header, [r.cells() for r in rows])
+        write_rows(os.path.join(cfg.out_dir, csv_name), rows)
         atomic_write_text(os.path.join(cfg.out_dir, "summary.txt"),
                           verdict_block(f"{title} ({_n_label(cfg.n)} cells)", verdicts))
     return Report(rows=rows, thresholds=cfg.thresholds, verdicts=verdicts)
@@ -302,30 +313,20 @@ def _report(cfg: SweepConfig, title: str, csv_name: str, header: list[str],
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StationaryRow:
-    eps: float
-    n: tuple[int, ...]
-    report: StationaryReport
-    l1_to_u0: float
-
-    def cells(self) -> tuple:
-        r = self.report
-        return (self.eps, _n_label(self.n), r.min_u, r.max_u, r.w12_seminorm, r.residual,
-                self.l1_to_u0)
+def _stationary_row(eps: float, grid: Grid, rep: StationaryReport, **columns) -> dict:
+    """A stationary solve's row: the six shared columns, then ``columns``, then ``report``."""
+    return dict(eps=eps, n=_n_label(grid.n), min_u=rep.min_u, max_u=rep.max_u, w12=rep.w12_seminorm,
+                residual=rep.residual, **columns, report=rep)
 
 
-STABILITY_HEADER = ["eps", "n", "min_u", "max_u", "w12", "residual", "l1_dist_to_u0"]
-
-
-def stability_rows(cfg: SweepConfig) -> tuple[list[StationaryRow], ConservativeSystem]:
+def stability_rows(cfg: SweepConfig) -> tuple[list[dict], ConservativeSystem]:
     """One stationary solve per epsilon with its L1 distance to u0, and the system."""
     grid, system, noise = cfg.build()
 
     def solve_one(eps):
         rep = solve_stationary(assemble_for(system, noise, eps))
         l1 = float(np.sum(np.abs(rep.density.values - system.u0)) * grid.cell_volume)
-        return StationaryRow(eps=eps, n=grid.n, report=rep, l1_to_u0=l1)
+        return _stationary_row(eps, grid, rep, l1_dist_to_u0=l1)
 
     return _map_over_eps(solve_one, cfg.epsilons, cfg.workers), system
 
@@ -341,39 +342,24 @@ def run_stability_sweep(cfg: SweepConfig) -> Report:
     """
     rows, system = stability_rows(cfg)
     thr = cfg.thresholds
-    l1s = [r.l1_to_u0 for r in rows]
+    l1s = [r["l1_dist_to_u0"] for r in rows]
     verdicts = {
         "l1 trend non-increasing (up to floor)": all(
             b <= max(a, thr.l1_floor) for a, b in zip(l1s, l1s[1:])
         ),
         "uniform upper bound":
-            max(r.report.max_u for r in rows) <= thr.bound_factor * float(system.u0.max()),
+            max(r["max_u"] for r in rows) <= thr.bound_factor * float(system.u0.max()),
         "uniform lower bound":
-            thr.bound_factor * min(r.report.min_u for r in rows) >= float(system.u0.min()),
+            thr.bound_factor * min(r["min_u"] for r in rows) >= float(system.u0.min()),
     }
     if cfg.assert_l1_limit:
         verdicts["final l1 distance"] = l1s[-1] <= thr.l1_final
-    return _report(cfg, "stability sweep", "stability.csv", STABILITY_HEADER, rows, verdicts)
+    return _report(cfg, "stability sweep", "stability.csv", rows, verdicts)
 
 
 # ---------------------------------------------------------------------------
 # selection by noise
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SelectionRow:
-    eps: float
-    n: tuple[int, ...]
-    err_sup: float
-    err_sup_refined: float
-    ratio: float
-
-    def cells(self) -> tuple:
-        return (self.eps, _n_label(self.n), self.err_sup, self.err_sup_refined, self.ratio)
-
-
-SELECTION_HEADER = ["eps", "n", "err_sup", "err_sup_refined", "ratio"]
 
 
 def run_selection(cfg: SweepConfig) -> Report:
@@ -404,38 +390,25 @@ def run_selection(cfg: SweepConfig) -> Report:
             errs.append(float(np.max(np.abs(rep.density.values - target))))
         err, err_fine = errs
         ratio = err / err_fine if err_fine > 0 else math.inf
-        return SelectionRow(eps=eps, n=grid.n, err_sup=err, err_sup_refined=err_fine, ratio=ratio)
+        return dict(eps=eps, n=_n_label(grid.n), err_sup=err, err_sup_refined=err_fine, ratio=ratio)
 
     rows = _map_over_eps(solve_one, cfg.epsilons, cfg.workers)
     thr = cfg.thresholds
-    sups = [r.err_sup for r in rows]
+    sups = [r["err_sup"] for r in rows]
     spread = (max(sups) - min(sups)) / max(min(sups), 1e-300)
     verdicts = {
         "sup error within tolerance": max(sups) <= thr.selection_sup,
         # one refinement by REFINE_FACTOR = 2 shrinks an h^2 error about fourfold
-        "h^2 refinement ratio": all(thr.selection_ratio_lo <= r.ratio <= thr.selection_ratio_hi
+        "h^2 refinement ratio": all(thr.selection_ratio_lo <= r["ratio"] <= thr.selection_ratio_hi
                                     for r in rows),
         "eps-uniform residual": spread <= thr.selection_eps_spread,
     }
-    return _report(cfg, "selection by noise", "selection.csv", SELECTION_HEADER, rows, verdicts)
+    return _report(cfg, "selection by noise", "selection.csv", rows, verdicts)
 
 
 # ---------------------------------------------------------------------------
 # transform consistency
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TransformRow:
-    eps: float
-    n: tuple[int, ...]
-    sup_diff: float
-
-    def cells(self) -> tuple:
-        return (self.eps, _n_label(self.n), self.sup_diff)
-
-
-TRANSFORM_HEADER = ["eps", "n", "sup_diff"]
 
 
 def run_transform_consistency(cfg: SweepConfig) -> Report:
@@ -455,12 +428,12 @@ def run_transform_consistency(cfg: SweepConfig) -> Report:
         u_t = solve_stationary(assemble_for(transformed, new_noise, eps)).density
         ratio = u.values / system.u0
         ratio /= np.sum(ratio) * grid.cell_volume
-        return TransformRow(eps=eps, n=grid.n, sup_diff=float(np.max(np.abs(u_t.values - ratio))))
+        return dict(eps=eps, n=_n_label(grid.n), sup_diff=float(np.max(np.abs(u_t.values - ratio))))
 
     rows = _map_over_eps(solve_one, cfg.epsilons, cfg.workers)
     verdicts = {"transformed density matches u_eps/u0":
-                max(r.sup_diff for r in rows) <= cfg.thresholds.transform_sup}
-    return _report(cfg, "transform consistency", "transform.csv", TRANSFORM_HEADER, rows, verdicts)
+                max(r["sup_diff"] for r in rows) <= cfg.thresholds.transform_sup}
+    return _report(cfg, "transform consistency", "transform.csv", rows, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +441,6 @@ def run_transform_consistency(cfg: SweepConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DecayStudyRow:
-    eps: float
-    fit: DecayFit
-    fits_by_mode: dict
-    chi2_monotone: bool
-    max_mass_drift: float
-
-    def cells(self) -> tuple:
-        f = self.fit
-        return (self.eps, f.rate, f.rate_over_eps2, f.r_squared, f.fit_window[0], f.fit_window[1])
-
-
-DECAY_HEADER = ["eps", "rate", "rate_over_eps2", "r2", "t_lo", "t_hi"]
 TRACE_HEADER = ["t", "chi2", "mass_drift", "min_v"]
 
 
@@ -539,41 +498,26 @@ def run_decay_study(cfg: SweepConfig) -> Report:
                 write_csv(os.path.join(cfg.out_dir, f"trace_eps{eps:g}_mode{mode}.csv"),
                           TRACE_HEADER, trace_cells(trace))
         slower = min(fits.values(), key=lambda f: f.rate)
-        return DecayStudyRow(eps=eps, fit=slower, fits_by_mode=fits,
-                             chi2_monotone=monotone, max_mass_drift=drift_max)
+        t_lo, t_hi = slower.fit_window
+        return dict(eps=eps, rate=slower.rate, rate_over_eps2=slower.rate_over_eps2, r2=slower.r_squared,
+                    t_lo=t_lo, t_hi=t_hi, fits=fits, chi2_monotone=monotone, max_mass_drift=drift_max)
 
     rows = _map_over_eps(study_one, cfg.epsilons, cfg.workers)
     thr = cfg.thresholds
-    over = [r.fit.rate_over_eps2 for r in rows]
+    over = [r["rate_over_eps2"] for r in rows]
     spread = (max(over) - min(over)) / min(over) if min(over) > 0 else math.inf
     verdicts = {
-        "rates above the eps^2 floor": all(r.fit.rate >= thr.c_floor * r.eps ** 2 for r in rows),
+        "rates above the eps^2 floor": all(r["rate"] >= thr.c_floor * r["eps"] ** 2 for r in rows),
         "rate/eps^2 spread": spread <= thr.rate_spread,
-        "chi^2 monotone": all(r.chi2_monotone for r in rows),
-        "mass conserved": all(r.max_mass_drift <= 1e-12 for r in rows),
+        "chi^2 monotone": all(r["chi2_monotone"] for r in rows),
+        "mass conserved": all(r["max_mass_drift"] <= 1e-12 for r in rows),
     }
-    return _report(cfg, "decay study", "decay.csv", DECAY_HEADER, rows, verdicts)
+    return _report(cfg, "decay study", "decay.csv", rows, verdicts)
 
 
 # ---------------------------------------------------------------------------
 # bounded domains
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BoundedRow:
-    eps: float
-    n: tuple[int, ...]
-    report: StationaryReport
-    oracle_sup: float | None
-
-    def cells(self) -> tuple:
-        r = self.report
-        return (self.eps, _n_label(self.n), r.min_u, r.max_u, r.w12_seminorm, r.residual,
-                self.oracle_sup if self.oracle_sup is not None else "")
-
-
-BOUNDED_HEADER = ["eps", "n", "min_u", "max_u", "w12", "residual", "oracle_sup"]
 
 
 def run_bounded_domain(cfg: SweepConfig) -> Report:
@@ -597,18 +541,18 @@ def run_bounded_domain(cfg: SweepConfig) -> Report:
 
     def solve_one(eps):
         rep = solve_stationary(assemble_for(system, noise, eps))
-        oracle_sup = None
+        oracle_sup = ""  # no oracle off the interval: an empty cell
         if grid.dim == 1:
             oracle = oracle_1d_interval(system.drift, noise.a0_field, noise.ai_fields, eps, grid)
             oracle_sup = float(np.max(np.abs(rep.density.values - oracle)) / np.max(np.abs(oracle)))
-        return BoundedRow(eps=eps, n=grid.n, report=rep, oracle_sup=oracle_sup)
+        return _stationary_row(eps, grid, rep, oracle_sup=oracle_sup)
 
     rows = _map_over_eps(solve_one, cfg.epsilons, cfg.workers)
-    verdicts = {"positive density": all(r.report.min_u > 0 for r in rows)}
+    verdicts = {"positive density": all(r["min_u"] > 0 for r in rows)}
     if grid.dim == 1:
         verdicts["matches interval oracle"] = all(
-            r.oracle_sup <= cfg.thresholds.oracle_sup for r in rows)
-    return _report(cfg, "bounded domain", "bounded.csv", BOUNDED_HEADER, rows, verdicts)
+            r["oracle_sup"] <= cfg.thresholds.oracle_sup for r in rows)
+    return _report(cfg, "bounded domain", "bounded.csv", rows, verdicts)
 
 
 # ---------------------------------------------------------------------------

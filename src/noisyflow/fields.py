@@ -489,13 +489,15 @@ def construct_selecting_noise(u_form: ScalarForm, grid: Grid) -> Noise:
 # builtin catalog
 # ---------------------------------------------------------------------------
 
-CATALOG_NAMES = (
-    "circle-positive",
-    "torus-rotation",
-    "torus-shear",
-    "hamiltonian-cellular",
-    "zero-drift",
-)
+#: builtin system -> the domain kind it is built on (None: any kind)
+CATALOG_DOMAINS = {
+    "circle-positive": Circle,
+    "torus-rotation": Torus2,
+    "torus-shear": Torus2,
+    "hamiltonian-cellular": Torus2,
+    "zero-drift": None,
+}
+CATALOG_NAMES = tuple(CATALOG_DOMAINS)
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -513,9 +515,11 @@ def builtin_catalog(name: str, grid: Grid) -> ConservativeSystem:
     midpoint sum of 1/B, which makes the discrete mass of u0 exactly one
     and keeps u0 * B exactly constant on every sample.
     """
+    if name not in CATALOG_DOMAINS:
+        raise CatalogError(f"unknown system {name!r}; choose from {', '.join(CATALOG_NAMES)}")
     kind = grid.kind
+    check_catalog_domain(name, kind)
     if name == "circle-positive":
-        _require(kind, Circle, name)
         L = kind.length
         drift = VectorField([Trig("sin", 0, 1, 1.0, 2.0, L)])
         inv_b = Power(drift.components[0], -1.0)
@@ -523,27 +527,24 @@ def builtin_catalog(name: str, grid: Grid) -> ConservativeSystem:
         u0 = mul(Const(gamma), inv_b)
         return ConservativeSystem(drift, u0, grid, name)
     if name == "torus-rotation":
-        _require(kind, Torus2, name)
         drift = VectorField.constant([1.0, GOLDEN_RATIO])
         return ConservativeSystem(drift, ONE, grid, name)
     if name == "torus-shear":
-        _require(kind, Torus2, name)
         drift = VectorField([Trig("cos", 1, 1, 1.0, 2.0, kind.ly), ZERO])
         return ConservativeSystem(drift, ONE, grid, name)
     if name == "hamiltonian-cellular":
-        _require(kind, Torus2, name)
         # stream function (1/2pi) sin(2 pi x) sin(2 pi y); drift is its curl
         bx = mul(Const(-1.0), mul(Trig("sin", 0, 1, 1.0, 0.0, kind.lx), Trig("cos", 1, 1, 1.0, 0.0, kind.ly)))
         by = mul(Trig("cos", 0, 1, 1.0, 0.0, kind.lx), Trig("sin", 1, 1, 1.0, 0.0, kind.ly))
         return ConservativeSystem(VectorField([bx, by]), ONE, grid, name)
-    if name == "zero-drift":
-        return ConservativeSystem(VectorField.zero(grid.dim), ONE, grid, name)
-    raise CatalogError(f"unknown system {name!r}; choose from {', '.join(CATALOG_NAMES)}")
+    return ConservativeSystem(VectorField.zero(grid.dim), ONE, grid, name)  # zero-drift
 
 
-def _require(kind, expected, name):
-    if not isinstance(kind, expected):
-        raise CatalogError(f"{name} requires a {expected.__name__} domain, got {type(kind).__name__}")
+def check_catalog_domain(name: str, kind) -> None:
+    """A CatalogError if builtin system ``name`` is not built on domain ``kind``; unknown names pass."""
+    required = CATALOG_DOMAINS.get(name)
+    if required is not None and not isinstance(kind, required):
+        raise CatalogError(f"{name} requires a {required.__name__} domain, got {type(kind).__name__}")
 
 
 def coordinate_noise(grid: Grid) -> Noise:

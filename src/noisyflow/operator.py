@@ -142,17 +142,6 @@ class FokkerPlanckOperator:
             self._irreducible = ncomp == 1
         return self._irreducible
 
-    def apply(self, v) -> np.ndarray:
-        """Matrix-vector product against per-cell values (or a Density)."""
-        values = getattr(v, "values", v)
-        values = np.asarray(values, float)
-        if values.shape != (self.grid.ncells,):
-            raise ValueError(f"dimension mismatch: operator has {self.grid.ncells} cells, vector has {values.shape}")
-        return self.matrix @ values
-
-    def column_sum_max(self) -> float:
-        return float(np.max(np.abs(np.asarray(self.matrix.sum(axis=0)).ravel())))
-
     def inf_norm(self) -> float:
         return float(np.max(np.abs(self.matrix).sum(axis=1)))
 

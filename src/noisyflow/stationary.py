@@ -5,8 +5,9 @@ the row of the cell with the largest diagonal magnitude (lowest index on
 ties) becomes d u_r = d with d its diagonal magnitude.  The pinned
 matrix stays sparse; it is factorized by :func:`factorize` and the
 solution is normalized to unit mass afterwards.  An inverse-power
-iteration is kept as an independent cross-check and as a fallback when
-the factorization reports singularity.  :func:`factorize` is the one
+iteration (``_inverse_iteration``) is the fallback when the
+factorization reports singularity; the tests call it directly as an
+independent cross-check.  :func:`factorize` is the one
 place the package calls SuperLU, with diagonal pivots and an ordering
 chosen by the grid's dimension: minimum degree on A^T + A in 2D, the
 natural order in 1D, where the matrix is (cyclically) tridiagonal and
@@ -92,10 +93,6 @@ class Density:
         mass = self.mass()
         if abs(mass - 1.0) > 1e-12:
             raise ValueError(f"density mass is {mass!r}, expected 1 within 1e-12")
-
-    @classmethod
-    def uniform(cls, grid: Grid) -> "Density":
-        return cls(np.full(grid.ncells, 1.0 / grid.total_measure()), grid)
 
     @classmethod
     def normalized(cls, values, grid: Grid) -> "Density":
@@ -211,33 +208,28 @@ def _inverse_iteration(matrix: sp.csr_matrix, grid: Grid):
     raise SolveError(f"inverse iteration did not reach tolerance {tol} in {INVERSE_ITERATION_MAXITER} iterations")
 
 
-def solve_stationary(op: FokkerPlanckOperator, method: str = "direct") -> StationaryReport:
+def solve_stationary(op: FokkerPlanckOperator) -> StationaryReport:
     """Solve M u = 0 for the unique unit-mass stationary density.
 
-    ``method`` is "direct" (pinned row + sparse LU, with inverse
-    iteration as automatic fallback) or "inverse-iteration" (the
-    independent cross-check path).  The residual is measured against the
-    unmodified matrix as ||M u||_inf / (||M||_inf ||u||_inf).  Inverse
-    iteration stops once that residual and the relative step change
+    The pinned row and a sparse LU solve it directly; when the
+    factorization fails, inverse iteration takes over (``method`` is then
+    "direct+fallback").  The residual is measured against the unmodified
+    matrix as ||M u||_inf / (||M||_inf ||u||_inf).  Inverse iteration
+    stops once that residual and the relative step change
     ||u - u_prev||_inf / ||u||_inf are both at most ``INVERSE_ITERATION_TOL``.
     """
     if not op.is_irreducible():
         raise SolveError("operator is reducible; the stationary density is not unique")
     grid = op.grid
     iterations = 0
-    used = method
-    if method == "direct":
-        pinned, rhs = pinned_system(op.matrix)
-        try:
-            u = factorize(pinned, grid.dim).solve(rhs)
-            u /= np.sum(u) * grid.cell_volume  # unit mass, the scale the positivity slack assumes
-        except RuntimeError:
-            u, iterations = _inverse_iteration(op.matrix, grid)
-            used = "direct+fallback"
-    elif method == "inverse-iteration":
+    used = "direct"
+    pinned, rhs = pinned_system(op.matrix)
+    try:
+        u = factorize(pinned, grid.dim).solve(rhs)
+        u /= np.sum(u) * grid.cell_volume  # unit mass, the scale the positivity slack assumes
+    except RuntimeError:
         u, iterations = _inverse_iteration(op.matrix, grid)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        used = "direct+fallback"
 
     min_component = float(u.min())
     if min_component < -POSITIVITY_SLACK:

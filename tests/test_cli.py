@@ -1,8 +1,10 @@
+import fnmatch
 import itertools
 import math
 import os
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -381,7 +383,7 @@ KIND_ONLY_VALUES = {"target": Const(1.0), "assert_l1_limit": False}
 def test_sweep_config_rejects_another_kinds_field(kind, key, value):
     # a field the kind never reads would serialize to a file parse_config rejects
     base = dict(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5,))
-    if kind in KIND_KEYS[key]:
+    if kind == KIND_KEYS[key]:
         assert getattr(SweepConfig(**base, **{key: value}), key) == value
     else:
         with pytest.raises(ValueError, match=re.escape(f"{key}: not read by [experiment] kind = {kind}")):
@@ -400,12 +402,12 @@ def test_every_constructible_config_round_trips(kind):
                               scheme="crank-nicolson", **changes)
         except ValueError:
             # another kind's field, or a selection experiment without its target
-            assert (any(kind not in KIND_KEYS[key] for key in changes)
+            assert (any(kind != KIND_KEYS[key] for key in changes)
                     or (kind == "selection" and "target" not in changes))
             continue
         built += 1
         assert parse_config(serialize_config(cfg)) == cfg
-    readable = sum(kind in KIND_KEYS[key] for key in KIND_ONLY_VALUES)
+    readable = sum(kind == KIND_KEYS[key] for key in KIND_ONLY_VALUES)
     # the selection experiment always needs its target
     assert built == 2 ** readable // (2 if kind == "selection" else 1)
 
@@ -422,7 +424,7 @@ def test_thresholds_are_read_only_by_their_kind(tmp_path, capsys, key, kind):
     base = dict(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5,),
                 target=Const(1.0) if kind == "selection" else None)
     thresholds = Thresholds(**{key: 0.25})
-    if kind in KIND_KEYS[key]:
+    if kind == KIND_KEYS[key]:
         assert getattr(parse_config(text).thresholds, key) == 0.25
         assert SweepConfig(**base, thresholds=thresholds).thresholds == thresholds
         return
@@ -512,6 +514,21 @@ def test_file_and_sweep_config_refuse_alike(tmp_path, capsys, old, new, line, ke
     with pytest.raises(ValueError) as raised:
         SweepConfig(**{**MINIMAL_FIELDS, **changes})
     assert str(raised.value).endswith(": " + message)
+
+
+def test_catalog_on_another_domain_gets_its_line(tmp_path, capsys):
+    # the catalog's domain is a field rule: the file names the catalog line, not the build
+    text = MINIMAL.replace("kind = circle\nlength = 1.0", "kind = torus2\nlengths = 1.0, 1.0")
+    message = "circle-positive requires a Circle domain, got Torus2"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.locations == [(7, "catalog", message)]
+    assert str(info.value) == f"invalid configuration: line 7, catalog: {message}"
+    with pytest.raises(ValueError) as raised:
+        SweepConfig(**{**MINIMAL_FIELDS, "domain": Torus2(), "n": (64, 64)})
+    assert str(raised.value) == f"system.catalog: {message}"
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 def test_problems_are_reported_in_file_order():
@@ -765,3 +782,43 @@ def test_zero_min_u_fails_the_uniform_lower_bound(tmp_path, monkeypatch, capsys)
     assert report.verdicts["uniform lower bound"] is False
     assert main(["sweep", "--config", write_config(tmp_path, ROTATION), "--quiet"]) == 2
     assert "verdict failure: uniform lower bound" in capsys.readouterr().err
+
+
+def readme_csv_schemas() -> dict[str, str]:
+    """README's "CSV schemas" table: file name (or glob) -> the CSV's header line."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("### CSV schemas", 1)[1].split("\n\n")[1]
+    schemas = {}
+    for line in table.splitlines()[2:]:
+        files, columns = line.strip().strip("|").split("|")
+        for name in re.findall(r"`([^`]+)`", files):
+            schemas[name] = re.search(r"`([^`]+)`", columns).group(1)
+    return schemas
+
+
+def test_every_csv_header_matches_the_readme_schema_table(tmp_path):
+    # the column names live only in the runners' rows; this ties them to the README
+    tiny = MINIMAL.replace("n = 64", "n = 16")
+    configs = {
+        "sweep": tiny,
+        "select": SELECTION.replace("n = 64", "n = 16"),
+        "transform": tiny.replace("kind = stability", "kind = transform"),
+        "decay": tiny.replace("circle-positive", "zero-drift").replace("eps = 0.2", "eps = 0.5")
+                     .replace("kind = stability", "kind = decay"),
+        "bounded": tiny.replace("kind = circle\nlength = 1.0", "kind = interval\nbounds = 0.0, 1.0")
+                       .replace("circle-positive", "zero-drift").replace("kind = stability", "kind = bounded"),
+        "stationary": tiny,
+        "evolve": tiny,
+        "oracle1d": tiny,
+    }
+    for command, text in configs.items():
+        path = tmp_path / f"{command}.ini"
+        path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command), "--quiet"]) in (0, 2)
+    schemas = readme_csv_schemas()
+    matched = set()
+    for csv in sorted(tmp_path.glob("*/*.csv")):
+        pattern, = [name for name in schemas if fnmatch.fnmatch(csv.name, name)]
+        matched.add(pattern)
+        assert csv.read_text().splitlines()[0] == schemas[pattern], csv
+    assert matched == set(schemas)

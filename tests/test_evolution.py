@@ -37,21 +37,21 @@ def laplacian_setup(n=128, eps=0.5):
 
 def test_chi_squared_zero_iff_equal():
     g = build_grid(Circle(), 64)
-    u = Density.uniform(g)
+    u = Density.normalized(np.ones(g.ncells), g)
     assert chi_squared(u, u) == 0.0
 
 
 def test_chi_squared_cosine_mode():
     # midpoint sums of cos^2 are exact: chi^2(1 + cos, 1) = 1/2
     g = build_grid(Circle(), 64)
-    u = Density.uniform(g)
+    u = Density.normalized(np.ones(g.ncells), g)
     v = Density.normalized(1.0 + np.cos(2 * np.pi * g.cell_centers()[:, 0]), g)
     assert abs(chi_squared(v, u) - 0.5) <= 1e-13
 
 
 def test_chi_squared_indicator():
     g = build_grid(Circle(), 64)
-    u = Density.uniform(g)
+    u = Density.normalized(np.ones(g.ncells), g)
     values = np.zeros(64)
     values[:32] = 2.0
     v = Density(values, g)
@@ -60,7 +60,7 @@ def test_chi_squared_indicator():
 
 def test_chi_squared_requires_positive_reference():
     g = build_grid(Circle(), 16)
-    u = Density.uniform(g)
+    u = Density.normalized(np.ones(g.ncells), g)
     bad = Density(np.r_[np.zeros(1), np.full(15, 16.0 / 15.0)], g)
     with pytest.raises(PositivityError):
         chi_squared(u, bad)
@@ -123,7 +123,7 @@ def test_evolve_validation():
         evolve(op, stat, horizon=-1.0, dt=0.1)
     other = build_grid(Circle(), 32)
     with pytest.raises(ValueError):
-        evolve(op, Density.uniform(other), horizon=1.0, dt=0.1)
+        evolve(op, Density.normalized(np.ones(other.ncells), other), horizon=1.0, dt=0.1)
     with pytest.raises(ValueError):
         evolve(op, stat, horizon=1.0, dt=0.1, scheme="leapfrog")
 
@@ -213,7 +213,8 @@ def test_block_trace_members_and_prefix():
 
 def test_block_validation():
     _, op, stat = laplacian_setup(n=64)
-    other = Density.uniform(build_grid(Circle(), 64))
+    g = build_grid(Circle(), 64)
+    other = Density.normalized(np.ones(g.ncells), g)
     for block in ([other], [stat, other], [stat, stat, other]):
         with pytest.raises(ValueError, match="different grid"):
             evolve(op, block, horizon=1.0, dt=0.1, stationary=stat)

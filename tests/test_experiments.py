@@ -92,7 +92,7 @@ def test_stability_sweep_circle_positive():
         system=SystemSpec(catalog="circle-positive"),
     )
     report = run_stability_sweep(cfg)
-    l1s = [r.l1_to_u0 for r in report.rows]
+    l1s = [r["l1_dist_to_u0"] for r in report.rows]
     assert all(b < a for a, b in zip(l1s, l1s[1:]))
     assert report.passed()
     # verdicts recomputable from rows and thresholds
@@ -105,7 +105,7 @@ def test_stability_sweep_rotation_is_flat_and_tiny():
         system=SystemSpec(catalog="torus-rotation"),
     )
     report = run_stability_sweep(cfg)
-    assert all(r.l1_to_u0 <= 1e-10 for r in report.rows)
+    assert all(r["l1_dist_to_u0"] <= 1e-10 for r in report.rows)
     assert report.passed()
 
 
@@ -119,8 +119,8 @@ def test_stability_sweep_cellular_reports_bounds_without_limit_claim():
     )
     report = run_stability_sweep(cfg)
     assert "final l1 distance" not in report.verdicts
-    assert (np.isfinite(max(r.report.max_u for r in report.rows))
-            and np.isfinite(max(1.0 / r.report.min_u for r in report.rows)))
+    assert (np.isfinite(max(r["max_u"] for r in report.rows))
+            and np.isfinite(max(1.0 / r["min_u"] for r in report.rows)))
     assert report.passed()
 
 
@@ -134,7 +134,7 @@ def test_selection_torus_shear(tmp_path):
     report = run_selection(cfg)
     assert report.passed()
     for row in report.rows:
-        assert 3.0 <= row.ratio <= 5.0
+        assert 3.0 <= row["ratio"] <= 5.0
     assert (tmp_path / "selection.csv").exists()
     assert (tmp_path / "summary.txt").exists()
 
@@ -150,7 +150,7 @@ def test_selection_circle_zero_drift():
     )
     report = run_selection(cfg)
     assert report.passed()
-    errs = [r.err_sup for r in report.rows]
+    errs = [r["err_sup"] for r in report.rows]
     assert max(errs) <= 5e-3
     assert abs(errs[0] - errs[1]) <= 1e-10 * errs[0]  # identical across eps
 
@@ -197,7 +197,7 @@ def test_transform_consistency_circle():
     )
     report = run_transform_consistency(cfg)
     assert report.passed()
-    assert report.rows[0].sup_diff <= 5e-3
+    assert report.rows[0]["sup_diff"] <= 5e-3
 
 
 def test_transform_identity_for_uniform_density():
@@ -224,7 +224,7 @@ def test_transform_consistency_refines_at_second_order():
             kind="transform", domain=Circle(), n=(n,), epsilons=(0.3,),
             system=SystemSpec(catalog="circle-positive"),
         )
-        sups[n] = run_transform_consistency(cfg).rows[0].sup_diff
+        sups[n] = run_transform_consistency(cfg).rows[0]["sup_diff"]
     assert 3.0 <= sups[128] / sups[256] <= 5.0
 
 
@@ -237,9 +237,9 @@ def test_decay_study_zero_drift(tmp_path):
     report = run_decay_study(cfg)
     assert report.passed()
     row = report.rows[0]
-    assert abs(row.fit.rate - np.pi ** 2) <= 0.02 * np.pi ** 2
-    assert row.fits_by_mode[2].rate > row.fits_by_mode[1].rate  # slower mode wins
-    assert row.fit.rate == row.fits_by_mode[1].rate
+    assert abs(row["rate"] - np.pi ** 2) <= 0.02 * np.pi ** 2
+    assert row["fits"][2].rate > row["fits"][1].rate  # slower mode wins
+    assert row["rate"] == row["fits"][1].rate
     assert (tmp_path / "decay.csv").exists()
     assert (tmp_path / "trace_eps0.5_mode1.csv").exists()
 
@@ -250,7 +250,7 @@ def assert_long_horizon_mass(scheme):
                       scheme=scheme)
     report = run_decay_study(cfg)
     assert report.verdicts["mass conserved"]
-    assert max(r.max_mass_drift for r in report.rows) <= 1e-13
+    assert max(r["max_mass_drift"] for r in report.rows) <= 1e-13
 
 
 def test_decay_study_conserves_mass_over_a_long_horizon():
@@ -274,7 +274,7 @@ def test_decay_study_bounded_interval():
     )
     report = run_decay_study(cfg)
     assert report.passed()
-    rate = report.rows[0].fit.rate
+    rate = report.rows[0]["rate"]
     expected = np.pi ** 2 * 0.25
     assert abs(rate - expected) <= 0.02 * expected
 
@@ -283,7 +283,7 @@ def test_bounded_interval_uniform():
     cfg = SweepConfig(kind="bounded", domain=Interval(), n=(64,), epsilons=(0.5,))
     report = run_bounded_domain(cfg)
     assert report.passed()
-    assert np.max(np.abs(report.rows[0].report.density.values - 1.0)) <= 1e-10
+    assert np.max(np.abs(report.rows[0]["report"].density.values - 1.0)) <= 1e-10
 
 
 def test_bounded_interval_exponential_tilt():
@@ -294,7 +294,7 @@ def test_bounded_interval_exponential_tilt():
     report = run_bounded_domain(cfg)
     assert report.passed()
     for row in report.rows:
-        assert row.oracle_sup <= 1e-3
+        assert row["oracle_sup"] <= 1e-3
 
 
 def test_bounded_rejects_nonzero_normal_drift():
@@ -334,11 +334,11 @@ def test_summary_supremum_monotone_in_sweep_size():
         system=SystemSpec(catalog="circle-positive"),
     )
     r1, r2 = run_stability_sweep(base), run_stability_sweep(wider)
-    assert max(r.report.max_u for r in r2.rows) >= max(r.report.max_u for r in r1.rows)
-    assert (max(1.0 / r.report.min_u for r in r2.rows)
-            >= max(1.0 / r.report.min_u for r in r1.rows))
-    assert (max(r.report.w12_seminorm for r in r2.rows)
-            >= max(r.report.w12_seminorm for r in r1.rows))
+    assert max(r["max_u"] for r in r2.rows) >= max(r["max_u"] for r in r1.rows)
+    assert (max(1.0 / r["min_u"] for r in r2.rows)
+            >= max(1.0 / r["min_u"] for r in r1.rows))
+    assert (max(r["w12"] for r in r2.rows)
+            >= max(r["w12"] for r in r1.rows))
 
 
 WORKER_CASES = {
@@ -401,7 +401,7 @@ def test_run_dispatches_on_kind_and_rejects_unknown_kinds():
     ("bounded", Interval(), "zero-drift", None),
 ])
 def test_each_kind_reads_exactly_its_thresholds(kind, domain, system, target):
-    # KIND_KEYS names, for each threshold, the kinds whose runner reads it
+    # KIND_KEYS names, for each threshold, the kind whose runner reads it
     names = {f.name for f in fields(Thresholds)}
     reads = set()
 
@@ -415,7 +415,7 @@ def test_each_kind_reads_exactly_its_thresholds(kind, domain, system, target):
                       system=SystemSpec(catalog=system), target=target)
     object.__setattr__(cfg, "thresholds", Recording())
     run(cfg)
-    assert reads == {key for key, kinds in experiments.KIND_KEYS.items() if key in names and kind in kinds}
+    assert reads == {key for key, reader in experiments.KIND_KEYS.items() if key in names and kind == reader}
 
 
 def test_decay_retry_refits_the_prefix_without_reintegrating(tmp_path, monkeypatch):
@@ -441,9 +441,9 @@ def test_decay_retry_refits_the_prefix_without_reintegrating(tmp_path, monkeypat
     grid, system, family = cfg.build()
     retried = 0
     for row in report.rows:
-        op = assemble_for(system, family, row.eps)
+        op = assemble_for(system, family, row["eps"])
         stationary = solve_stationary(op).density
-        scale = 1.0 / (row.eps ** 2 * FOUR_PI_SQ)
+        scale = 1.0 / (row["eps"] ** 2 * FOUR_PI_SQ)
         for mode in (1, 2):
             v0 = perturbed_initial(stationary, mode=mode)
             horizon = cfg.horizon_factor * scale
@@ -455,8 +455,8 @@ def test_decay_retry_refits_the_prefix_without_reintegrating(tmp_path, monkeypat
                 trace, _ = evolve(op, v0, 0.5 * horizon, cfg.dt_factor * scale,
                                   stationary=stationary)
                 fit = fit_decay_rate(trace)
-            assert row.fits_by_mode[mode] == fit
-            name = f"trace_eps{row.eps:g}_mode{mode}.csv"
+            assert row["fits"][mode] == fit
+            name = f"trace_eps{row['eps']:g}_mode{mode}.csv"
             write_csv(str(tmp_path / name), experiments.TRACE_HEADER, experiments.trace_cells(trace))
             assert (tmp_path / "study" / name).read_bytes() == (tmp_path / name).read_bytes()
     assert retried == len(cfg.epsilons)

@@ -1,9 +1,10 @@
 """Hash every artifact and message of a fixed set of CLI runs and demos.
 
-Writes twelve small configuration files (five of them invalid, so their
+Writes fifteen small configuration files (six of them invalid, so their
 error messages are audited too), runs all nine CLI commands on each of
 them (in this process, through ``noisyflow.cli.main``, so the package is
-imported once), runs every script under ``demos/`` in its own process, and prints one ``sha256  path`` line per file: every artifact a
+imported once), runs every script under ``demos/`` in its own process,
+and prints one ``sha256  path`` line per file: every artifact a
 command wrote, plus the stdout, stderr and exit code of every command
 and demo.  Paths are relative to the work directory, so two runs print
 the same text exactly when they produced the same bytes.
@@ -85,6 +86,41 @@ eps = 0.5, 0.25
 [experiment]
 kind = selection
 target = cos:axis=0,freq=1,amp=0.5,offset=1.0
+""",
+    # a stability sweep on a 2D grid whose cells are not square
+    "cellular-torus-stability": """\
+[domain]
+kind = torus2
+lengths = 1.0, 0.75
+n = 16, 12
+
+[drift]
+catalog = hamiltonian-cellular
+
+[noise]
+kind = coordinate
+eps = 0.5, 0.25
+
+[experiment]
+kind = stability
+assert_l1_limit = false
+""",
+    "selection-torus": """\
+[domain]
+kind = torus2
+lengths = 1.0, 1.0
+n = 16
+
+[drift]
+catalog = torus-shear
+
+[noise]
+kind = selection
+eps = 0.5, 0.1
+
+[experiment]
+kind = selection
+target = cos:axis=1,freq=1,amp=0.5,offset=1.0
 """,
     "explicit-torus-decay": """\
 [domain]
@@ -216,6 +252,22 @@ n = 2
 
 [drift]
 catalog = zero-drift
+
+[noise]
+eps = 0.5
+
+[experiment]
+kind = stability
+""",
+    # a catalog system on a domain it is not built on
+    "catalog-on-another-domain": """\
+[domain]
+kind = torus2
+lengths = 1.0, 1.0
+n = 16
+
+[drift]
+catalog = circle-positive
 
 [noise]
 eps = 0.5
