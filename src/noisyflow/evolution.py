@@ -54,7 +54,7 @@ from .errors import FitError, PositivityError, SolveError
 from .fields import Noise, Trig, diffusion_matrix
 from .geometry import Grid
 from .operator import FokkerPlanckOperator
-from .stationary import Density, factorize, solve_stationary
+from .stationary import Density, factorize
 
 #: chi^2 values below this are treated as roundoff and excluded from fits.
 CHI2_FLOOR = 1e-13
@@ -119,7 +119,7 @@ def chi_squared(v: Density, u: Density) -> float:
 
 
 def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: float,
-           dt: float, scheme: str = "implicit-euler", stationary: Density | None = None):
+           dt: float, scheme: str = "implicit-euler", *, stationary: Density):
     """Integrate dv/dt = M v to the horizon; returns (trace, final).
 
     ``v0`` is one density or a block of k of them.  A block is advanced
@@ -147,7 +147,8 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
     ~1e-14 relative up to dt ||M||_1 = 10, also after 2000 steps, and to
     ~1e-12 at dt ||M||_1 = 1000.
 
-    chi^2 against the stationary density, the mass drift |sum v vol - 1|
+    chi^2 against ``stationary``, the operator's own stationary density
+    that the caller has solved for, the mass drift |sum v vol - 1|
     and min v are recorded at every step including t = 0, and reduced
     over chunks of s steps: the step blocks go into an (s, k, n) buffer,
     s = max(1, STATS_CHUNK_BYTES // (8 k n)), so at most 128 KiB unless
@@ -155,7 +156,7 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
     after the last step, is reduced in one pass along its contiguous
     rows.  A component below -1e-10 raises :class:`SolveError` naming the
     first such step and its block's lowest value, up to s - 1 steps
-    after that step was taken.
+    after that step was taken; so does a failed factorization.
     """
     for name, value in (("dt", dt), ("horizon", horizon)):
         if not (math.isfinite(value) and value > 0.0):
@@ -168,18 +169,13 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
         raise ValueError("initial density lives on a different grid")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if stationary is None:
-        stationary = solve_stationary(op).density
     _require_positive(stationary)
 
     grid = op.grid
     m = op.matrix
     theta = dt if scheme == "implicit-euler" else 0.5 * dt
     lhs = (sp.identity(grid.ncells, format="csr") - theta * m).tocsc()
-    try:
-        lu = factorize(lhs, grid.dim)
-    except RuntimeError as exc:
-        raise SolveError(f"time-step factorization failed: {exc}") from exc
+    lu = factorize(lhs, grid.dim)
 
     nsteps = max(1, int(round(horizon / dt)))
     k, n = len(members), grid.ncells
@@ -309,9 +305,12 @@ def poincare_quotient(noise: Noise, stationary: Density, grid: Grid) -> float:
     For each probe f the quotient is
     sum (grad f)^T a (grad f) u vol / sum (f - fbar)^2 u vol with
     fbar the u-weighted mean; the reported value is the minimum over the
-    probes.  A uniform-in-eps positive lower bound is the discrete
-    shadow of the uniform Poincare inequality behind the eps^2 decay
-    rate.  The noise level enters only through ``stationary``: the
+    probes.  The probes are :class:`Trig` forms along one axis: cos and
+    sin of period L on a periodic axis, cos(pi k (x - o) / L) on a
+    bounded one.  Their exact ``grad`` along that axis gives the
+    Dirichlet term a_jj (d_j f)^2.  A uniform-in-eps positive lower
+    bound is the discrete shadow of the uniform Poincare inequality
+    behind the eps^2 decay rate.  The noise level enters only through ``stationary``: the
     diffusion matrix a of ``noise`` does not depend on eps.
     """
     a = diffusion_matrix(noise.ai_fields, grid)
@@ -322,18 +321,16 @@ def poincare_quotient(noise: Noise, stationary: Density, grid: Grid) -> float:
     for axis in range(grid.dim):
         L = grid.kind.lengths[axis]
         o = grid.kind.origin[axis]
-        x = centers[:, axis]
         for k in range(1, POINCARE_MODES + 1):
             if grid.periodic[axis]:
-                probes = [(np.cos(2 * np.pi * k * x / L), -2 * np.pi * k / L * np.sin(2 * np.pi * k * x / L)),
-                          (np.sin(2 * np.pi * k * x / L), 2 * np.pi * k / L * np.cos(2 * np.pi * k * x / L))]
+                probes = [Trig("cos", axis, k, 1.0, 0.0, L), Trig("sin", axis, k, 1.0, 0.0, L)]
             else:
-                arg = np.pi * k * (x - o) / L
-                probes = [(np.cos(arg), -np.pi * k / L * np.sin(arg))]
-            for f, df in probes:
-                grad = np.zeros((grid.ncells, grid.dim))
-                grad[:, axis] = df
-                dirichlet = float(np.sum(np.einsum("nj,njk,nk->n", grad, a, grad) * u) * vol)
+                # cos(pi k (x - o) / L): zero normal derivative at both walls
+                probes = [Trig("cos", axis, k, 1.0, 0.0, 2.0 * L, -math.pi * k * o / L)]
+            for probe in probes:
+                f = probe(centers)
+                df = probe.grad(axis)(centers)
+                dirichlet = float(np.sum(a[:, axis, axis] * df * df * u) * vol)
                 fbar = float(np.sum(f * u) * vol)
                 variance = float(np.sum((f - fbar) ** 2 * u) * vol)
                 if variance > 0:

@@ -366,20 +366,6 @@ class AdmissibilityReport:
     lambda_threshold: float
 
 
-def _centered_diff(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Centered difference of a cell-sampled scalar along one axis.
-
-    Periodic axes wrap; bounded axes fall back to one-sided differences in
-    the first and last cell layer (diagnostic use only).
-    """
-    h = grid.h[axis]
-    if grid.periodic[axis]:
-        cells = np.arange(grid.ncells)
-        return (values[grid.shift(cells, axis, +1)] - values[grid.shift(cells, axis, -1)]) / (2 * h)
-    v = values.reshape(grid.lattice.shape)
-    return np.gradient(v, h, axis=grid.lattice_axis(axis)).reshape(-1)
-
-
 def diffusion_matrix(ai_fields: Sequence[VectorField], grid: Grid) -> np.ndarray:
     """Per-cell matrix a_jk = sum_i A_ij A_ik, shape (ncells, dim, dim)."""
     d = grid.dim
@@ -404,11 +390,12 @@ def check_admissible(noise: Noise, grid: Grid) -> AdmissibilityReport:
     """Discrete admissibility diagnostics for the noise fields.
 
     The integrability exponent is p = d + 2, above the dimension d.
-    Norms use midpoint quadrature over cells with centered differences
-    for the gradient part; the ellipticity constant is the exact minimum
-    over cells of the smallest eigenvalue of sum_i A_i A_i^T, and (A2)
-    passes when it is at least ``LAMBDA_THRESHOLD``.  Neither depends on
-    eps, which only scales the fields.
+    Norms use midpoint quadrature over cells, the gradient part on the
+    exact partial derivatives of the fields at the cell centers; the
+    ellipticity constant is the exact minimum over cells of the smallest
+    eigenvalue of sum_i A_i A_i^T, and (A2) passes when it is at least
+    ``LAMBDA_THRESHOLD``.  Neither depends on eps, which only scales the
+    fields.
     """
     p = float(grid.dim + 2)
     m = len(noise.ai_fields)
@@ -417,13 +404,14 @@ def check_admissible(noise: Noise, grid: Grid) -> AdmissibilityReport:
     vol = grid.cell_volume
     a0 = noise.a0_field.at_centers(grid)
     norm_a0 = float(np.sum(np.linalg.norm(a0, axis=1) ** p * vol) ** (1.0 / p))
+    centers = grid.cell_centers()
     worst = 0.0
     for f in noise.ai_fields:
         vals = f.at_centers(grid)
         grad_sq = np.zeros(grid.ncells)
-        for j in range(grid.dim):
+        for c in f.components:
             for k in range(grid.dim):
-                grad_sq += _centered_diff(vals[:, j], grid, k) ** 2
+                grad_sq += c.grad(k)(centers) ** 2
         lp = np.sum(np.linalg.norm(vals, axis=1) ** p * vol)
         wp = np.sum(grad_sq ** (p / 2.0) * vol)
         worst = max(worst, float((lp + wp) ** (1.0 / p)))
@@ -533,9 +521,11 @@ def builtin_catalog(name: str, grid: Grid) -> ConservativeSystem:
         drift = VectorField([Trig("cos", 1, 1, 1.0, 2.0, kind.ly), ZERO])
         return ConservativeSystem(drift, ONE, grid, name)
     if name == "hamiltonian-cellular":
-        # stream function (1/2pi) sin(2 pi x) sin(2 pi y); drift is its curl
+        # stream function (ly / 2pi) sin(2 pi x / lx) sin(2 pi y / ly); drift is
+        # its curl, whose y component carries ly / lx (exactly 1 on a square)
         bx = mul(Const(-1.0), mul(Trig("sin", 0, 1, 1.0, 0.0, kind.lx), Trig("cos", 1, 1, 1.0, 0.0, kind.ly)))
-        by = mul(Trig("cos", 0, 1, 1.0, 0.0, kind.lx), Trig("sin", 1, 1, 1.0, 0.0, kind.ly))
+        by = mul(Const(kind.ly / kind.lx),
+                 mul(Trig("cos", 0, 1, 1.0, 0.0, kind.lx), Trig("sin", 1, 1, 1.0, 0.0, kind.ly)))
         return ConservativeSystem(VectorField([bx, by]), ONE, grid, name)
     return ConservativeSystem(VectorField.zero(grid.dim), ONE, grid, name)  # zero-drift
 

@@ -228,9 +228,6 @@ class Grid:
         """Measure of a face normal to ``axis``: the product of the other spacings."""
         return math.prod((h for k, h in enumerate(self.h) if k != axis), start=1.0)
 
-    def total_measure(self) -> float:
-        return self.kind.measure
-
     def describe(self) -> str:
         return f"{type(self.kind).__name__.lower()} lengths={self.kind.lengths} n={self.n}"
 

@@ -126,21 +126,22 @@ class FokkerPlanckOperator:
         self.eps = eps
         self.bc = bc
         self.has_cross_diffusion = has_cross_diffusion
-        self._irreducible = None
 
     @property
     def shape(self):
         return self.matrix.shape
 
     def is_irreducible(self) -> bool:
-        """Strong connectivity of the off-diagonal coupling graph."""
-        if self._irreducible is None:
-            pattern = self.matrix.copy()
-            pattern.setdiag(0.0)
-            pattern.eliminate_zeros()
-            ncomp, _ = connected_components(pattern, directed=True, connection="strong")
-            self._irreducible = ncomp == 1
-        return self._irreducible
+        """Strong connectivity of the off-diagonal coupling graph.
+
+        Computed afresh on every call; :func:`stationary.solve_stationary`
+        checks it once per operator before it solves.
+        """
+        pattern = self.matrix.copy()
+        pattern.setdiag(0.0)
+        pattern.eliminate_zeros()
+        ncomp, _ = connected_components(pattern, directed=True, connection="strong")
+        return ncomp == 1
 
     def inf_norm(self) -> float:
         return float(np.max(np.abs(self.matrix).sum(axis=1)))
@@ -214,9 +215,7 @@ def assemble_fp_operator(dd: DriftDiffusionData) -> FokkerPlanckOperator:
     mat.sum_duplicates()
 
     bc = "periodic" if all(grid.periodic) else "zero-flux"
-    op = FokkerPlanckOperator(mat, grid, dd.eps, bc, has_cross)
-    op.is_irreducible()  # connectivity is verified once per assembly
-    return op
+    return FokkerPlanckOperator(mat, grid, dd.eps, bc, has_cross)
 
 
 def assemble_for(sys: ConservativeSystem, noise: Noise, eps: float) -> FokkerPlanckOperator:

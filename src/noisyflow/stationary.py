@@ -1,20 +1,19 @@
 """Stationary solves and the 1D closed-form quadrature oracle.
 
-The primary solve pins one cell of the singular conservative matrix:
+The stationary solve pins one cell of the singular conservative matrix:
 the row of the cell with the largest diagonal magnitude (lowest index on
 ties) becomes d u_r = d with d its diagonal magnitude.  The pinned
 matrix stays sparse; it is factorized by :func:`factorize` and the
-solution is normalized to unit mass afterwards.  An inverse-power
-iteration (``_inverse_iteration``) is the fallback when the
-factorization reports singularity; the tests call it directly as an
-independent cross-check.  :func:`factorize` is the one
-place the package calls SuperLU, with diagonal pivots and an ordering
-chosen by the grid's dimension: minimum degree on A^T + A in 2D, the
-natural order in 1D, where the matrix is (cyclically) tridiagonal and
-the natural order already fills least.  Its supernodes are not relaxed
-and its panels are three columns wide, which factorizes faster and in
-less memory than SuperLU's defaults with the same fill.  The time
-stepper uses it too.
+solution is normalized to unit mass afterwards.  That direct solve is
+the only one: the pinned matrix is nonsingular (see :func:`factorize`),
+and a factorization that fails all the same raises :class:`SolveError`.
+:func:`factorize` is the one place the package calls SuperLU, with
+diagonal pivots and an ordering chosen by the grid's dimension: minimum
+degree on A^T + A in 2D, the natural order in 1D, where the matrix is
+(cyclically) tridiagonal and the natural order already fills least.  Its
+supernodes are not relaxed and its panels are three columns wide, which
+factorizes faster and in less memory than SuperLU's defaults with the
+same fill.  The time stepper uses it too.
 
 The 1D oracles integrate the stationary balance
 
@@ -63,11 +62,6 @@ POSITIVITY_SLACK = 1e-10
 #: that every cell center is a panel edge.
 ORACLE_QUAD_FACTOR = 8
 
-#: Inverse iteration's bound on the residual and on the relative step
-#: change, and the iterations it may take to get under it.
-INVERSE_ITERATION_TOL = 1e-12
-INVERSE_ITERATION_MAXITER = 500
-
 #: SuperLU's ``relax``: elimination subtrees below this many columns are
 #: merged into one dense supernode; 1 merges none.  See :func:`factorize`.
 SUPERNODE_RELAX = 1
@@ -111,16 +105,15 @@ class StationaryReport:
     max_u: float
     w12_seminorm: float
     method: str
-    iterations: int
 
 
 def factorize(matrix: sp.spmatrix, dim: int) -> spla.SuperLU:
     """Sparse LU of ``matrix`` with a fill-reducing ordering and diagonal pivots.
 
     Every factorization in the package goes through here: the pinned
-    stationary matrix, the generator itself in inverse iteration, and the
-    time-step matrices (I - dt M) and (I - dt/2 M).  ``dim`` is the
-    dimension of the grid the matrix lives on.  In 2D the columns are
+    stationary matrix and the time-step matrices (I - dt M) and
+    (I - dt/2 M).  ``dim`` is the dimension of the grid the matrix lives
+    on.  In 2D the columns are
     ordered by minimum degree on the pattern of A^T + A, applied
     symmetrically, which halves the fill of the factor.  In 1D the
     matrix is tridiagonal on an interval and tridiagonal plus the two
@@ -158,11 +151,15 @@ def factorize(matrix: sp.spmatrix, dim: int) -> spla.SuperLU:
     diagonally dominant matrix is stable: every Schur complement stays
     column dominant and the growth factor is at most two.
 
-    Raises ``RuntimeError`` when SuperLU meets an exactly singular matrix.
+    Raises :class:`SolveError` when SuperLU fails, e.g. on an exactly
+    singular matrix; no caller retries another way.
     """
     ordering = "NATURAL" if dim == 1 else "MMD_AT_PLUS_A"
-    return spla.splu(matrix.tocsc(), permc_spec=ordering, diag_pivot_thresh=0.0,
-                     relax=SUPERNODE_RELAX, panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
+    try:
+        return spla.splu(matrix.tocsc(), permc_spec=ordering, diag_pivot_thresh=0.0,
+                         relax=SUPERNODE_RELAX, panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SolveError(f"sparse LU failed: {exc}") from exc
 
 
 def pinned_system(matrix: sp.csr_matrix):
@@ -184,52 +181,21 @@ def pinned_system(matrix: sp.csr_matrix):
     return pinned, rhs
 
 
-def _inverse_iteration(matrix: sp.csr_matrix, grid: Grid):
-    mat_norm = float(np.max(np.abs(matrix).sum(axis=1)))
-    try:
-        lu = factorize(matrix, grid.dim)
-    except RuntimeError:
-        jitter = 1e-14 * mat_norm
-        lu = factorize(matrix + jitter * sp.identity(grid.ncells, format="csr"), grid.dim)
-    v = np.full(grid.ncells, 1.0 / grid.total_measure())
-    tol = INVERSE_ITERATION_TOL
-    for it in range(1, INVERSE_ITERATION_MAXITER + 1):
-        previous = v
-        v = lu.solve(v)
-        v /= np.sum(np.abs(v)) * grid.cell_volume
-        if np.sum(v) < 0:
-            v = -v
-        # the residual alone can pass while v is still ~1e-10 off (zero drift
-        # on an interval), so the step must have settled as well
-        scale = float(np.max(np.abs(v)))
-        residual = float(np.max(np.abs(matrix @ v))) / (mat_norm * scale)
-        if residual <= tol and float(np.max(np.abs(v - previous))) <= tol * scale:
-            return v, it
-    raise SolveError(f"inverse iteration did not reach tolerance {tol} in {INVERSE_ITERATION_MAXITER} iterations")
-
-
 def solve_stationary(op: FokkerPlanckOperator) -> StationaryReport:
     """Solve M u = 0 for the unique unit-mass stationary density.
 
-    The pinned row and a sparse LU solve it directly; when the
-    factorization fails, inverse iteration takes over (``method`` is then
-    "direct+fallback").  The residual is measured against the unmodified
-    matrix as ||M u||_inf / (||M||_inf ||u||_inf).  Inverse iteration
-    stops once that residual and the relative step change
-    ||u - u_prev||_inf / ||u||_inf are both at most ``INVERSE_ITERATION_TOL``.
+    The operator's coupling graph must be strongly connected, or the
+    density is not unique.  The pinned row and one sparse LU solve it
+    directly (``method`` is "direct"); a failed factorization raises
+    :class:`SolveError`.  The residual is measured against the
+    unmodified matrix as ||M u||_inf / (||M||_inf ||u||_inf).
     """
     if not op.is_irreducible():
         raise SolveError("operator is reducible; the stationary density is not unique")
     grid = op.grid
-    iterations = 0
-    used = "direct"
     pinned, rhs = pinned_system(op.matrix)
-    try:
-        u = factorize(pinned, grid.dim).solve(rhs)
-        u /= np.sum(u) * grid.cell_volume  # unit mass, the scale the positivity slack assumes
-    except RuntimeError:
-        u, iterations = _inverse_iteration(op.matrix, grid)
-        used = "direct+fallback"
+    u = factorize(pinned, grid.dim).solve(rhs)
+    u /= np.sum(u) * grid.cell_volume  # unit mass, the scale the positivity slack assumes
 
     min_component = float(u.min())
     if min_component < -POSITIVITY_SLACK:
@@ -249,8 +215,7 @@ def solve_stationary(op: FokkerPlanckOperator) -> StationaryReport:
         min_u=float(u.min()),
         max_u=float(u.max()),
         w12_seminorm=discrete_w12_seminorm(density),
-        method=used,
-        iterations=iterations,
+        method="direct",
     )
 
 

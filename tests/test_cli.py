@@ -240,6 +240,16 @@ def test_cli_verdict_failure_exits_2(tmp_path, capsys):
     assert "verdict failure" in capsys.readouterr().err
 
 
+def test_a_failed_factorization_exits_1(tmp_path, monkeypatch, capsys):
+    # a solver error is an operational error: a message and exit 1, no traceback
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr("noisyflow.stationary.spla.splu", singular)
+    assert main(["sweep", "--config", write_config(tmp_path, ROTATION), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: sparse LU failed: Factor is exactly singular\n"
+
+
 @pytest.mark.parametrize("value", ["-0.5", "0", "nan", "inf"])
 @pytest.mark.parametrize("key", ["dt_factor", "horizon_factor"])
 def test_step_factors_must_be_positive_and_finite(tmp_path, capsys, key, value):

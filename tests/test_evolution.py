@@ -17,7 +17,7 @@ from noisyflow.evolution import (
     poincare_quotient,
 )
 from noisyflow.fields import builtin_catalog, coordinate_noise
-from noisyflow.geometry import Circle, Torus2, build_grid
+from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
 from noisyflow.operator import FokkerPlanckOperator, assemble_for
 from noisyflow.stationary import Density, solve_stationary
 
@@ -118,14 +118,25 @@ def test_semigroup_property():
 def test_evolve_validation():
     _, op, stat = laplacian_setup(n=64)
     with pytest.raises(ValueError):
-        evolve(op, stat, horizon=1.0, dt=0.0)
+        evolve(op, stat, horizon=1.0, dt=0.0, stationary=stat)
     with pytest.raises(ValueError):
-        evolve(op, stat, horizon=-1.0, dt=0.1)
+        evolve(op, stat, horizon=-1.0, dt=0.1, stationary=stat)
     other = build_grid(Circle(), 32)
     with pytest.raises(ValueError):
-        evolve(op, Density.normalized(np.ones(other.ncells), other), horizon=1.0, dt=0.1)
+        evolve(op, Density.normalized(np.ones(other.ncells), other), horizon=1.0, dt=0.1, stationary=stat)
     with pytest.raises(ValueError):
-        evolve(op, stat, horizon=1.0, dt=0.1, scheme="leapfrog")
+        evolve(op, stat, horizon=1.0, dt=0.1, scheme="leapfrog", stationary=stat)
+
+
+def test_evolve_raises_solve_error_on_a_failed_factorization(monkeypatch):
+    _, op, stat = laplacian_setup(n=16)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr("noisyflow.stationary.spla.splu", singular)
+    with pytest.raises(SolveError, match="^sparse LU failed: Factor is exactly singular$"):
+        evolve(op, stat, horizon=0.1, dt=0.01, stationary=stat)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -133,9 +144,9 @@ def test_evolve_rejects_non_finite_dt_and_horizon(value):
     # nan passes a bare dt <= 0 test and used to fail only in the step count
     _, op, stat = laplacian_setup(n=16)
     with pytest.raises(ValueError, match=f"dt must be positive and finite, got {value}"):
-        evolve(op, stat, horizon=1.0, dt=value)
+        evolve(op, stat, horizon=1.0, dt=value, stationary=stat)
     with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {value}"):
-        evolve(op, stat, horizon=value, dt=0.1)
+        evolve(op, stat, horizon=value, dt=0.1, stationary=stat)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +404,22 @@ def test_poincare_quotient_flat_case():
     nf = coordinate_noise(g)
     q = poincare_quotient(nf, stat, g)
     assert abs(q - 4 * math.pi ** 2) <= 1e-6
+
+
+@pytest.mark.parametrize("kind, n, longest", [
+    (Interval(-1.0, 3.0), 32, 4.0),
+    (Rectangle(-1.0, 1.0, 0.5, 3.5), (8, 12), 3.0),
+])
+def test_poincare_quotient_bounded_axes(kind, n, longest):
+    # uniform density, identity diffusion: on a bounded axis of length L
+    # the probe cos(pi k (x - o) / L) has zero mean over the cell centers,
+    # so the minimum is (pi / L)^2 on the longest axis.  A probe without
+    # the origin's phase has a nonzero mean there and a larger quotient
+    g = build_grid(kind, n)
+    nf = coordinate_noise(g)
+    stat = solve_stationary(assemble_for(builtin_catalog("zero-drift", g), nf, 0.5)).density
+    expected = (math.pi / longest) ** 2
+    assert abs(poincare_quotient(nf, stat, g) - expected) <= 1e-12 * expected
 
 
 def test_poincare_quotient_uniform_in_eps():

@@ -102,8 +102,8 @@ def test_admissible_vanishing_field_fails_A2():
 
 
 def test_admissible_non_square_rectangle_differentiates_along_each_axis():
-    # linear fields: the centered and one-sided differences are exact, so
-    # |grad A1|^2 = 4 and |grad A2|^2 = 9 in every cell, walls included
+    # linear fields: the exact partial derivatives give |grad A1|^2 = 4 and
+    # |grad A2|^2 = 9 in every cell, walls included
     g = build_grid(Rectangle(0.0, 2.0, -1.0, 0.0), (8, 5))
     a1 = VectorField([Affine(0, 2.0, 1.0), Const(0.0)])
     a2 = VectorField([Const(0.0), Affine(1, 3.0, 4.0)])
@@ -120,6 +120,19 @@ def test_admissible_non_square_rectangle_differentiates_along_each_axis():
     assert abs(report.sup_norm_bound - expected) <= 1e-12 * expected
     lam = min(np.min((2 * x + 1) ** 2), np.min((3 * y + 4) ** 2))
     assert abs(report.lam - lam) <= 1e-12 * lam
+
+
+def test_admissible_sup_norm_uses_exact_derivatives():
+    # A1 = 1 + cos(2 pi x) / 2: the midpoint rule on A1 and on the exact
+    # A1' = -pi sin(2 pi x), where centered differences are O(h^2) off
+    g = build_grid(Circle(), 16)
+    nf = Noise(VectorField.zero(1), (VectorField([Trig("cos", 0, 1, 0.5, 1.0, 1.0)]),))
+    x = g.cell_centers()[:, 0]
+    p = 3.0  # d + 2
+    lp = np.sum(np.abs(1 + 0.5 * np.cos(2 * np.pi * x)) ** p * g.cell_volume)
+    wp = np.sum(np.abs(np.pi * np.sin(2 * np.pi * x)) ** p * g.cell_volume)
+    expected = (lp + wp) ** (1 / p)
+    assert abs(check_admissible(nf, g).sup_norm_bound - expected) <= 1e-12 * expected
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +200,18 @@ def test_divergence_free_catalog_drifts(name):
     sys = builtin_catalog(name, g)
     assert div_residual(sys) <= 1e-12
     assert np.max(np.abs(divergence(sys.drift, g))) <= 1e-12
+
+
+def test_cellular_drift_is_divergence_free_on_a_non_square_torus():
+    # the y component carries ly / lx; without it the divergence tends to
+    # 2 pi (1/ly - 1/lx) cos cos, about 2.1, instead of to zero.  nx != ny
+    # leaves the face samples a second-order defect
+    errs = []
+    for n in ((16, 12), (32, 24)):
+        g = build_grid(Torus2(1.0, 0.75), n)
+        errs.append(np.max(np.abs(divergence(builtin_catalog("hamiltonian-cellular", g).drift, g))))
+    assert errs[0] <= 0.05
+    assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
 def test_zero_drift_any_domain():

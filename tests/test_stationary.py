@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from noisyflow.errors import BoundaryError, CatalogError, PositivityError
+from noisyflow.errors import BoundaryError, CatalogError, PositivityError, SolveError
 from noisyflow.fields import (
     CATALOG_NAMES,
     Const,
@@ -23,7 +23,6 @@ import noisyflow.stationary as stationary
 from noisyflow.stationary import (
     Density,
     _backward_sum,
-    _inverse_iteration,
     _exponent,
     discrete_w12_seminorm,
     factorize,
@@ -123,6 +122,44 @@ def dense_row_reference(op):
     return spla.splu(replaced.tocsc(), permc_spec="COLAMD").solve(rhs)
 
 
+#: Inverse iteration's bound on the residual and on the relative step
+#: change, and the iterations it may take to get under it.
+INVERSE_ITERATION_TOL = 1e-12
+INVERSE_ITERATION_MAXITER = 500
+
+
+def _inverse_iteration(matrix, grid):
+    """Inverse power iteration on M itself; returns (unit-mass u, iterations).
+
+    An independent reference for the pinned direct solve: it factorizes
+    the singular generator (shifted by a 1e-14 ||M|| jitter when SuperLU
+    meets an exact zero pivot) and stops once the residual
+    ||M u||_inf / (||M||_inf ||u||_inf) and the relative step change are
+    both at most ``INVERSE_ITERATION_TOL``.
+    """
+    mat_norm = float(np.max(np.abs(matrix).sum(axis=1)))
+    try:
+        lu = factorize(matrix, grid.dim)
+    except SolveError:
+        jitter = 1e-14 * mat_norm
+        lu = factorize(matrix + jitter * sp.identity(grid.ncells, format="csr"), grid.dim)
+    v = np.full(grid.ncells, 1.0 / grid.kind.measure)
+    tol = INVERSE_ITERATION_TOL
+    for it in range(1, INVERSE_ITERATION_MAXITER + 1):
+        previous = v
+        v = lu.solve(v)
+        v /= np.sum(np.abs(v)) * grid.cell_volume
+        if np.sum(v) < 0:
+            v = -v
+        # the residual alone can pass while v is still ~1e-10 off (zero drift
+        # on an interval), so the step must have settled as well
+        scale = float(np.max(np.abs(v)))
+        residual = float(np.max(np.abs(matrix @ v))) / (mat_norm * scale)
+        if residual <= tol and float(np.max(np.abs(v - previous))) <= tol * scale:
+            return v, it
+    raise SolveError(f"inverse iteration did not reach tolerance {tol} in {INVERSE_ITERATION_MAXITER} iterations")
+
+
 def selecting_noise(grid):
     """Noise under which zero drift has the stationary density 1 + cos(2 pi x) / 2."""
     return construct_selecting_noise(Trig("cos", 0, 1, 0.5, 1.0, 1.0), grid)
@@ -151,6 +188,25 @@ def test_direct_solve_matches_inverse_iteration_and_dense_row(kind, n, name, eps
     u = direct.density.values
     for other in (_inverse_iteration(op.matrix, g)[0], dense_row_reference(op)):
         assert np.max(np.abs(u - other)) <= 1e-12 * np.max(np.abs(other))
+
+
+def test_a_failed_factorization_raises_instead_of_falling_back(monkeypatch):
+    # the pinned solve is the only one: SuperLU failing once is an error,
+    # not a silent switch to another method
+    g = build_grid(Circle(), 64)
+    op = assemble_for(builtin_catalog("circle-positive", g), unit_noise(g), 0.3)
+    splu, calls = spla.splu, []
+
+    def fail_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr("noisyflow.stationary.spla.splu", fail_once)
+    with pytest.raises(SolveError, match="^sparse LU failed: Factor is exactly singular$"):
+        solve_stationary(op)
+    assert len(calls) == 1
 
 
 def catalog_pairs():

@@ -1,6 +1,6 @@
 """Hash every artifact and message of a fixed set of CLI runs and demos.
 
-Writes fifteen small configuration files (six of them invalid, so their
+Writes sixteen small configuration files (six of them invalid, so their
 error messages are audited too), runs all nine CLI commands on each of
 them (in this process, through ``noisyflow.cli.main``, so the package is
 imported once), runs every script under ``demos/`` in its own process,
@@ -141,6 +141,26 @@ eps = 0.4, 0.2
 [experiment]
 kind = decay
 scheme = crank-nicolson
+""",
+    # cross diffusion (a_01 = 0.5): the one assembly branch with off-diagonal
+    # stencil entries, where the pinned matrix is not provably nonsingular
+    "cross-diffusion-torus": """\
+[domain]
+kind = torus2
+lengths = 1.0, 1.0
+n = 16
+
+[drift]
+catalog = torus-shear
+
+[noise]
+kind = explicit
+a1 = const:1; const:0.5
+a2 = const:0; const:1
+eps = 0.5, 0.25
+
+[experiment]
+kind = stability
 """,
     "cellular-transform": """\
 [domain]
