@@ -39,10 +39,18 @@ over blocks on which Phi ranges by a bounded amount, each scaled by its
 own largest Phi, so no exponential overflows even where e^{Phi(L)} would.
 Phi itself is a cumulative composite Simpson integral on a panel grid
 aligned with the cell centers.
+
+B, a and b do not depend on eps.  Both oracles take their samples from
+:func:`_panel_samples`, which keeps the last ones per (closed forms,
+panel lattice) and returns them to the next call with equal forms on the
+same lattice, so a loop over eps on one grid samples them once.  The
+memory kept is 16n + 1 doubles (8n + 1 panel edges, 8n midpoints) for B
+and for each of a and b that is not constant; a constant stays one float.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,7 +58,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import BoundaryError, DegenerateError, PositivityError, SolveError
+from .errors import BoundaryError, DegenerateError, FieldEvaluationError, PositivityError, SolveError
 from .fields import ScalarForm, VectorField, add, mul, Const
 from .geometry import Circle, Grid, Interval
 from .operator import FokkerPlanckOperator
@@ -290,33 +298,67 @@ def _simpson_on_edges(values, delta):
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _panel_samples(b_form: ScalarForm, a_form: ScalarForm, b_corr_form: ScalarForm,
+                   origin: float, length: float, quad: int):
+    """The eps-free samples of the oracles on ``quad`` Simpson panels of [origin, origin + length].
+
+    Returns ``(b_min, b, a, b_corr)``: the least drift B over all panel
+    nodes, then B, the total diffusion a and the drift correction b, each
+    as an (edges, midpoints) pair.  B's samples are read-only arrays; a
+    constant a or b is one Python float for both.  Raises
+    :class:`FieldEvaluationError` on a non-finite sample, as the
+    finite-volume path does, and :class:`PositivityError` unless a > 0.
+
+    The last call's samples are kept, keyed on the closed forms by value
+    (every form is a frozen dataclass) and on the exact lattice, so a hit
+    returns what a fresh evaluation would, bit for bit, and never another
+    grid's samples: a caller looping over eps with the same fields on one
+    grid evaluates them once.
+    """
+    edges, mids = _quad_nodes(origin, length, quad)
+
+    def sample(form, what, arrays=False):
+        if isinstance(form, Const) and not arrays:
+            pair = (float(form.value),) * 2
+        else:
+            pair = (form(edges), form(mids))
+        for values in pair:
+            if not np.all(np.isfinite(values)):
+                raise FieldEvaluationError(f"non-finite sample of {what} on the oracle's panels")
+            if isinstance(values, np.ndarray):
+                values.flags.writeable = False
+        return pair
+
+    a = sample(a_form, "the total diffusion a")
+    if not (np.all(a[0] > 0.0) and np.all(a[1] > 0.0)):
+        raise PositivityError("total diffusion a must be positive")
+    b = sample(b_form, "the drift B", arrays=True)  # arrays, so that psi is one too
+    b_corr = sample(b_corr_form, "the drift correction b")
+    return min(float(b[0].min()), float(b[1].min())), b, a, b_corr
+
+
 def _exponent(drift: VectorField, a0: VectorField, ai: list[VectorField], eps: float,
               grid: Grid, quad: int):
     """The oracles' exponent on ``quad`` Simpson panels over the 1D domain of ``grid``.
 
     Returns ``(b_min, a_edges, psi_edges, psi_mids, phi, phi_mid)``: the
-    least drift B over all panel nodes, a at the panel edges,
-    psi = 2 (B + eps^2 b) / (eps^2 a) at the edges and midpoints, and
-    Phi = int_origin^x psi at the edges and midpoints.
+    least drift B over all panel nodes, a at the panel edges (a float
+    when a is constant), psi = 2 (B + eps^2 b) / (eps^2 a) at the edges
+    and midpoints, and Phi = int_origin^x psi at the edges and midpoints.
+    The eps-free samples come from :func:`_panel_samples`.
     """
-    a_form, b_form = _oracle_coefficients(a0, ai)
-    e2 = eps * eps
-
-    def sample(x):
-        a = a_form(x)
-        if np.any(a <= 0.0):
-            raise PositivityError("total diffusion a must be positive")
-        b = drift.components[0](x)
-        return a, float(b.min()), 2.0 * (b + e2 * b_form(x)) / (e2 * a)
-
+    a_form, b_corr_form = _oracle_coefficients(a0, ai)
     (origin,), (length,) = grid.kind.origin, grid.kind.lengths
-    edges, mids = _quad_nodes(origin, length, quad)
-    a_edges, b_min_edges, psi_edges = sample(edges)
-    _, b_min_mids, psi_mids = sample(mids)
+    b_min, (b_edges, b_mids), (a_edges, a_mids), (c_edges, c_mids) = _panel_samples(
+        drift.components[0], a_form, b_corr_form, origin, length, quad)
+    e2 = eps * eps
+    psi_edges = 2.0 * (b_edges + e2 * c_edges) / (e2 * a_edges)
+    psi_mids = 2.0 * (b_mids + e2 * c_mids) / (e2 * a_mids)
     delta = length / quad
     phi = _cumulative_simpson(psi_edges, psi_mids, delta)
     phi_mid = phi[:-1] + _half_panel(psi_edges, psi_mids, delta)
-    return min(b_min_edges, b_min_mids), a_edges, psi_edges, psi_mids, phi, phi_mid
+    return b_min, a_edges, psi_edges, psi_mids, phi, phi_mid
 
 
 def _at_centers(edge_values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -376,9 +418,9 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     delta = grid.kind.length / quad
     e2 = eps * eps
     b_min, a_edges, psi_edges, psi_mids, phi, phi_mid = _exponent(drift, a0, ai, eps, grid, quad)
-    if b_min <= 0.0:
+    if not b_min > 0.0:
         raise PositivityError("circle oracle requires B > 0 everywhere")
-    psi_max = max(float(np.max(np.abs(psi_edges))), float(np.max(np.abs(psi_mids))))
+    psi_max = float(max(psi_edges.max(), psi_mids.max(), -psi_edges.min(), -psi_mids.min()))
     del psi_mids
     phi_total = float(phi[-1])
     # |1 - e^{Phi(L)}| < 1e-14 iff |Phi(L)| < ~1e-14; test the exponent to
@@ -396,8 +438,12 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     del local
 
     # w = J1 + J2, with J2 = e^{Phi - Phi(L)} int_0^x e^{-Phi}
-    wrap = _cumulative_simpson(np.exp(-phi), np.exp(-phi_mid), delta)
-    del phi_mid
+    exp_neg_phi = np.negative(phi)
+    np.exp(exp_neg_phi, out=exp_neg_phi)
+    np.negative(phi_mid, out=phi_mid)
+    np.exp(phi_mid, out=phi_mid)
+    wrap = _cumulative_simpson(exp_neg_phi, phi_mid, delta)
+    del exp_neg_phi, phi_mid
     phi -= phi_total
     np.exp(phi, out=phi)
     wrap *= phi
@@ -414,10 +460,11 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     # Simpson's panel error on the boundary-layer kernels scales like
     # (psi delta)^4 / 2880; allow an order of magnitude of headroom
     quad_tol = max(1e-10, 10.0 * (psi_max * delta) ** 4 / 2880.0)
-    if abs(c_eps + check) > quad_tol * max(abs(c_eps), 1.0):
+    if not abs(c_eps + check) <= quad_tol * max(abs(c_eps), 1.0):
         raise SolveError(f"oracle self-check failed: C={c_eps} vs -int (B+eps^2 b) u = {-check}")
-    w *= scale
-    return _at_centers(w, grid), float(c_eps)
+    u = _at_centers(w, grid)
+    u *= scale
+    return u, float(c_eps)
 
 
 def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField],
@@ -434,7 +481,7 @@ def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField
     kind = grid.kind
     ends = np.array([[kind.a], [kind.b]])
     b_ends = drift.components[0](ends)
-    if np.max(np.abs(b_ends)) > 1e-12:
+    if not np.max(np.abs(b_ends)) <= 1e-12:
         raise BoundaryError(f"drift must vanish at the endpoints, got B(a), B(b) = {tuple(b_ends)}")
     quad = ORACLE_QUAD_FACTOR * grid.n[0]
     _, a_edges, _, _, phi, _ = _exponent(drift, a0, ai, eps, grid, quad)

@@ -6,6 +6,7 @@ import re
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noisyflow.cli import main
@@ -306,6 +307,19 @@ def test_cli_oracle1d_artifacts(tmp_path):
     assert "C_eps" in (out / "oracle_summary.txt").read_text()
     # atomic writes leave no temporaries behind
     assert not [p for p in os.listdir(out) if p.startswith(".tmp-")]
+
+
+def test_cli_oracle1d_non_finite_drift_exits_1(tmp_path, capsys):
+    # the drift (1/2 + sin 2 pi x)^(-1/2) is NaN on an arc: an error, not an all-NaN oracle
+    text = MINIMAL.replace("catalog = circle-positive",
+                           "bx = rsqrt(sin:axis=0,freq=1,amp=1.0,offset=0.5)\nu0 = const:1").replace(
+        "eps = 0.2", "eps = 0.4")
+    out = tmp_path / "out"
+    with np.errstate(invalid="ignore"):
+        code = main(["oracle1d", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "non-finite sample of the drift B" in capsys.readouterr().err
+    assert not (out / "oracle.csv").exists()
 
 
 def test_cli_check_degenerate_noise_fails(tmp_path):

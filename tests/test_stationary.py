@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,11 +7,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from noisyflow.errors import BoundaryError, CatalogError, PositivityError, SolveError
+from noisyflow.errors import BoundaryError, CatalogError, FieldEvaluationError, PositivityError, SolveError
 from noisyflow.fields import (
     CATALOG_NAMES,
     Const,
     Noise,
+    Power,
+    Product,
     Trig,
     VectorField,
     builtin_catalog,
@@ -24,6 +27,7 @@ from noisyflow.stationary import (
     Density,
     _backward_sum,
     _exponent,
+    _panel_samples,
     discrete_w12_seminorm,
     factorize,
     oracle_1d_circle,
@@ -355,19 +359,20 @@ def reference_j1(local, phi):
     return j1
 
 
-@pytest.mark.parametrize("case", ["overflowing", "non-monotone"])
-def test_oracle_backward_sum_matches_the_recurrence(case):
+def backward_sum_case(case):
+    """(grid, drift, a0, ai, eps) of a circle case whose Phi overflows or falls on an arc."""
     g = build_grid(Circle(), 256)
     if case == "overflowing":
-        eps = 0.05
-        drift = builtin_catalog("circle-positive", g).drift
         nf = unit_noise(g)
-        a0, ai = nf.a0_field, nf.ai_fields
-    else:
-        # B = 2 + sin 2 pi x > 0, but B + eps^2 b < 0 on an arc
-        eps = 0.9
-        drift = VectorField([Trig("sin", 0, 1, 1.0, 2.0, 1.0)])
-        a0, ai = VectorField.zero(1), [VectorField([Trig("cos", 0, 1, 0.9, 1.0, 1.0)])]
+        return g, builtin_catalog("circle-positive", g).drift, nf.a0_field, nf.ai_fields, 0.05
+    # B = 2 + sin 2 pi x > 0, but B + eps^2 b < 0 on an arc
+    drift = VectorField([Trig("sin", 0, 1, 1.0, 2.0, 1.0)])
+    return g, drift, VectorField.zero(1), [VectorField([Trig("cos", 0, 1, 0.9, 1.0, 1.0)])], 0.9
+
+
+@pytest.mark.parametrize("case", ["overflowing", "non-monotone"])
+def test_oracle_backward_sum_matches_the_recurrence(case):
+    g, drift, a0, ai, eps = backward_sum_case(case)
     quad = 8 * 256
     delta = 1.0 / quad
     *_, phi, phi_mid = _exponent(drift, a0, ai, eps, g, quad)
@@ -380,6 +385,90 @@ def test_oracle_backward_sum_matches_the_recurrence(case):
     assert np.max(np.abs(_backward_sum(local, phi) - ref)) <= 1e-12 * np.max(ref)
     u, c_eps = oracle_1d_circle(drift, a0, ai, eps, g)  # raises unless the self-check passes
     assert np.all(u > 0.0) and c_eps < 0.0
+
+
+def reference_exponent(drift, a0, ai, eps, grid, quad):
+    """The oracles' exponent with every form evaluated afresh at every node, nothing kept."""
+    a_form, b_form = stationary._oracle_coefficients(a0, ai)
+    e2 = eps * eps
+
+    def sample(x):
+        a = a_form(x)
+        b = drift.components[0](x)
+        return a, float(b.min()), 2.0 * (b + e2 * b_form(x)) / (e2 * a)
+
+    (origin,), (length,) = grid.kind.origin, grid.kind.lengths
+    edges, mids = stationary._quad_nodes(origin, length, quad)
+    a_edges, b_min_edges, psi_edges = sample(edges)
+    _, b_min_mids, psi_mids = sample(mids)
+    delta = length / quad
+    phi = stationary._cumulative_simpson(psi_edges, psi_mids, delta)
+    phi_mid = phi[:-1] + stationary._half_panel(psi_edges, psi_mids, delta)
+    return min(b_min_edges, b_min_mids), a_edges, psi_edges, psi_mids, phi, phi_mid
+
+
+@pytest.mark.parametrize("case", ["overflowing", "non-monotone"])
+def test_kept_samples_give_the_bits_of_a_fresh_evaluation(case, monkeypatch):
+    g, drift, a0, ai, eps = backward_sum_case(case)
+    quad = 8 * 256
+    ref = reference_exponent(drift, a0, ai, eps, g, quad)
+    _panel_samples.cache_clear()
+    for _ in range(2):  # a cold evaluation, then the kept samples
+        b_min, _, psi_edges, _, phi, phi_mid = _exponent(drift, a0, ai, eps, g, quad)
+        assert b_min == ref[0]
+        for got, want in ((psi_edges, ref[2]), (phi, ref[4]), (phi_mid, ref[5])):
+            assert np.array_equal(got, want)
+    u, c_eps = oracle_1d_circle(drift, a0, ai, eps, g)
+    monkeypatch.setattr(stationary, "_exponent", reference_exponent)
+    u_ref, c_ref = oracle_1d_circle(drift, a0, ai, eps, g)
+    assert np.array_equal(u, u_ref) and c_eps == c_ref
+
+
+def test_kept_samples_never_serve_another_grid_or_drift():
+    grids = [build_grid(Circle(), n) for n in (64, 128)]
+    drifts = [VectorField([Trig("sin", 0, 1, 1.0, 2.0, 1.0)]),
+              VectorField([Trig("cos", 0, 1, 0.5, 1.5, 1.0)])]
+    nf = unit_noise(grids[0])
+    # consecutive calls change the grid under one drift, then the drift on one grid
+    calls = list(itertools.product((0.4, 0.2), range(2), range(2))) * 2
+    cold = {}
+    for eps, d, k in calls:
+        _panel_samples.cache_clear()
+        cold[eps, d, k] = oracle_1d_circle(drifts[d], nf.a0_field, nf.ai_fields, eps, grids[k])
+    _panel_samples.cache_clear()
+    for eps, d, k in calls:
+        u, c_eps = oracle_1d_circle(drifts[d], nf.a0_field, nf.ai_fields, eps, grids[k])
+        assert np.array_equal(u, cold[eps, d, k][0]) and c_eps == cold[eps, d, k][1]
+    _, (b_edges, b_mids), _, _ = _panel_samples(drifts[0].components[0], Const(1.0), Const(0.0),
+                                                0.0, 1.0, 8 * 64)
+    for kept in (b_edges, b_mids):
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+
+
+def test_interval_oracle_shares_the_kept_samples():
+    g = build_grid(Interval(), 64)
+    nf = unit_noise(g)
+    drift = VectorField([Trig("sin", 0, 1, 0.3, 0.0, 1.0)])
+    _panel_samples.cache_clear()
+    for eps in (0.5, 0.3):
+        oracle_1d_interval(drift, nf.a0_field, nf.ai_fields, eps, g)
+    info = _panel_samples.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_oracles_raise_on_a_non_finite_drift():
+    # B = (1/2 + sin 2 pi x)^(-1/2) is NaN where the base is negative; the
+    # interval's drift vanishes at both ends, so only the samples can fail it
+    wave = Trig("sin", 0, 1, 1.0, 0.5, 1.0)
+    circle_drift = VectorField([Power(wave, -0.5)])
+    interval_drift = VectorField([Product(Trig("sin", 0, 1, 1.0, 0.0, 1.0), Power(wave, -0.5))])
+    for oracle, kind, drift in ((oracle_1d_circle, Circle(), circle_drift),
+                                (oracle_1d_interval, Interval(), interval_drift)):
+        g = build_grid(kind, 64)
+        nf = unit_noise(g)
+        with np.errstate(invalid="ignore"), pytest.raises(FieldEvaluationError, match="drift B"):
+            oracle(drift, nf.a0_field, nf.ai_fields, 0.4, g)
 
 
 # ---------------------------------------------------------------------------
