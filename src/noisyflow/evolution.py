@@ -38,7 +38,10 @@ The chi^2 distance is measured against the operator's own discrete
 stationary density.  With that pairing the distance is provably
 non-increasing along both continuous time and implicit Euler steps for
 any conservative matrix with nonnegative off-diagonal rates, which the
-test suite asserts step by step.
+test suite asserts step by step.  :func:`fit_decay_rate` fits the decay
+rate of log chi^2 over the central ``FIT_WINDOW`` = (0.2, 0.8) of the
+horizon, which keeps out the fast transient at the start and the
+roundoff floor at the end.
 """
 
 from __future__ import annotations
@@ -69,6 +72,10 @@ POINCARE_MODES = 3
 #: their statistics in one pass
 STATS_CHUNK_BYTES = 1 << 17
 
+#: the central window of the horizon, as fractions of it, over which
+#: :func:`fit_decay_rate` fits the chi^2 decay
+FIT_WINDOW = (0.2, 0.8)
+
 
 @dataclass
 class EvolutionTrace:
@@ -83,7 +90,7 @@ class EvolutionTrace:
     chi2: np.ndarray
     mass_drift: np.ndarray
     min_v: np.ndarray
-    eps: float | None = None
+    eps: float
 
     def __getitem__(self, j: int) -> "EvolutionTrace":
         """The trace of block member ``j``."""
@@ -101,7 +108,7 @@ class EvolutionTrace:
 @dataclass
 class DecayFit:
     rate: float
-    rate_over_eps2: float | None
+    rate_over_eps2: float
     fit_window: tuple[float, float]
     r_squared: float
 
@@ -248,14 +255,14 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
     return (trace[0], finals[0]) if single else (trace, finals)
 
 
-def fit_decay_rate(trace: EvolutionTrace, window: tuple[float, float] = (0.2, 0.8)) -> DecayFit:
-    """Least-squares exponential rate of chi^2 over a central time window.
+def fit_decay_rate(trace: EvolutionTrace) -> DecayFit:
+    """Least-squares exponential rate of chi^2 over the ``FIT_WINDOW`` of the horizon.
 
     Only samples with chi^2 above the roundoff floor enter the fit; at
     least 10 are required.  The rate is minus the slope of log chi^2
     against t.
     """
-    lo, hi = window
+    lo, hi = FIT_WINDOW
     horizon = trace.times[-1]
     t_lo, t_hi = lo * horizon, hi * horizon
     inside = (trace.times >= t_lo) & (trace.times <= t_hi)
@@ -274,9 +281,13 @@ def fit_decay_rate(trace: EvolutionTrace, window: tuple[float, float] = (0.2, 0.
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     rate = float(-slope)
-    over = rate / trace.eps ** 2 if trace.eps else None
-    return DecayFit(rate=rate, rate_over_eps2=over, fit_window=(float(t_lo), float(t_hi)),
-                    r_squared=float(min(r2, 1.0)))
+    return DecayFit(rate=rate, rate_over_eps2=rate / trace.eps ** 2,
+                    fit_window=(float(t_lo), float(t_hi)), r_squared=float(min(r2, 1.0)))
+
+
+def _neumann_mode(axis: int, mode: int, length: float, origin: float) -> Trig:
+    """cos(pi mode (x - origin) / length) along ``axis``: zero normal derivative at both walls."""
+    return Trig("cos", axis, mode, 1.0, 0.0, 2.0 * length, -math.pi * mode * origin / length)
 
 
 def perturbed_initial(stationary: Density, mode: int = 1, amplitude: float = 0.5) -> Density:
@@ -288,14 +299,12 @@ def perturbed_initial(stationary: Density, mode: int = 1, amplitude: float = 0.5
     at the ends.
     """
     grid = stationary.grid
-    kind = grid.kind
+    L, o = grid.kind.lengths[0], grid.kind.origin[0]
     if grid.periodic[0]:
-        wave = Trig("cos", 0, mode, 1.0, 0.0, kind.lengths[0])
-        values = wave(grid.cell_centers())
+        wave = Trig("cos", 0, mode, 1.0, 0.0, L)
     else:
-        x = grid.cell_centers()[:, 0]
-        values = np.cos(np.pi * mode * (x - kind.origin[0]) / kind.lengths[0])
-    v = stationary.values * (1.0 + amplitude * values)
+        wave = _neumann_mode(0, mode, L, o)
+    v = stationary.values * (1.0 + amplitude * wave(grid.cell_centers()))
     return Density.normalized(np.clip(v, 0.0, None), grid)
 
 
@@ -325,8 +334,7 @@ def poincare_quotient(noise: Noise, stationary: Density, grid: Grid) -> float:
             if grid.periodic[axis]:
                 probes = [Trig("cos", axis, k, 1.0, 0.0, L), Trig("sin", axis, k, 1.0, 0.0, L)]
             else:
-                # cos(pi k (x - o) / L): zero normal derivative at both walls
-                probes = [Trig("cos", axis, k, 1.0, 0.0, 2.0 * L, -math.pi * k * o / L)]
+                probes = [_neumann_mode(axis, k, L, o)]
             for probe in probes:
                 f = probe(centers)
                 df = probe.grad(axis)(centers)

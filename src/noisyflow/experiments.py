@@ -2,10 +2,12 @@
 
 :func:`run` dispatches a :class:`SweepConfig` on its ``kind`` to one
 runner.  Each runner performs the study on the configured grid(s) and
-returns a :class:`Report` whose ``verdicts`` dictionary is recomputable
-from the stored rows and thresholds.  A row is one dict per epsilon:
-its leading keys are the study's CSV columns in file order, and the
-objects that are not columns (``ROW_OBJECTS``) follow them.  When
+returns a :class:`Report` of rows, thresholds and named ``verdicts``.
+Most verdicts are recomputable from the stored rows and thresholds
+alone; the stability sweep's uniform bounds also read the extremes of
+the invariant density u0, which no row holds.  A row is one dict per
+epsilon: its leading keys are the study's CSV columns in file order, and
+the objects that are not columns (``ROW_OBJECTS``) follow them.  When
 ``out_dir`` is set the runner also writes those columns as a CSV file
 plus a human-readable summary with one line per verdict.  Runs are
 deterministic: assembly order, the solver's fixed ordering and diagonal
@@ -44,7 +46,7 @@ from .geometry import DomainKind, Grid, build_grid, check_counts, refine_grid
 from .evolution import SCHEMES, evolve, fit_decay_rate, perturbed_initial
 from .operator import assemble_for
 from .reporting import atomic_write_text, verdict_block, write_csv
-from .stationary import StationaryReport, oracle_1d_interval, solve_stationary
+from .stationary import StationaryReport, discrete_w12_seminorm, oracle_1d_interval, solve_stationary
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
@@ -315,8 +317,9 @@ def _report(cfg: SweepConfig, title: str, csv_name: str, rows: list[dict], verdi
 
 def _stationary_row(eps: float, grid: Grid, rep: StationaryReport, **columns) -> dict:
     """A stationary solve's row: the six shared columns, then ``columns``, then ``report``."""
-    return dict(eps=eps, n=_n_label(grid.n), min_u=rep.min_u, max_u=rep.max_u, w12=rep.w12_seminorm,
-                residual=rep.residual, **columns, report=rep)
+    u = rep.density.values
+    return dict(eps=eps, n=_n_label(grid.n), min_u=float(u.min()), max_u=float(u.max()),
+                w12=discrete_w12_seminorm(rep.density), residual=rep.residual, **columns, report=rep)
 
 
 def stability_rows(cfg: SweepConfig) -> tuple[list[dict], ConservativeSystem]:

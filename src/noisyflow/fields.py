@@ -38,8 +38,8 @@ class ScalarForm:
     """A closed-form scalar function on the domain.
 
     Subclasses implement ``evaluate(points)`` for an (N, dim) coordinate
-    array and ``grad(axis)`` returning the exact partial derivative as
-    another form.
+    array, returning a fresh (N,) float array, and ``grad(axis)``
+    returning the exact partial derivative as another form.
     """
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -52,8 +52,7 @@ class ScalarForm:
         pts = np.asarray(points, float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        out = self.evaluate(pts)
-        return np.broadcast_to(np.asarray(out, float), (pts.shape[0],)).copy()
+        return self.evaluate(pts)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ they are flagged on the assembled operator.
 
 Column sums vanish by flux antisymmetry: every face contributes the same
 coefficient with opposite signs to the two adjacent rows.
+
+Closed domains are periodic.  Bounded ones carry the zero-flux
+(conormal-reflecting) condition, which the flux form realizes by
+dropping every boundary face.
 """
 
 from __future__ import annotations
@@ -70,13 +74,11 @@ class DriftDiffusionData:
     """Cell and face coefficient samples for one noise level.
 
     a      per-cell symmetric diffusion matrix, shape (ncells, d, d)
-    dcorr  per-cell divergence correction vector, shape (ncells, d)
     ceff   per-axis arrays of normal effective drift at interior faces
     eps    noise intensity
     """
 
     a: np.ndarray
-    dcorr: np.ndarray
     ceff: dict
     eps: float
     grid: Grid
@@ -108,28 +110,17 @@ def derive_drift_diffusion(sys: ConservativeSystem, noise: Noise, eps: float) ->
     for arr in (a, dcorr, *ceff.values()):
         if not np.all(np.isfinite(arr)):
             raise AssemblyError("non-finite coefficient sample in drift-diffusion data")
-    return DriftDiffusionData(a=a, dcorr=dcorr, ceff=ceff, eps=eps, grid=grid)
+    return DriftDiffusionData(a=a, ceff=ceff, eps=eps, grid=grid)
 
 
 class FokkerPlanckOperator:
-    """Sparse conservative operator; du/dt = matrix @ u.
+    """Sparse conservative operator; du/dt = matrix @ u.  Immutable once assembled."""
 
-    Immutable once assembled.  ``bc`` is "periodic" on closed domains and
-    "zero-flux" on bounded ones (the conormal-reflecting condition, which
-    the flux form realizes by dropping every boundary face).
-    """
-
-    def __init__(self, matrix: sp.csr_matrix, grid: Grid, eps: float, bc: str,
-                 has_cross_diffusion: bool):
+    def __init__(self, matrix: sp.csr_matrix, grid: Grid, eps: float, has_cross_diffusion: bool):
         self.matrix = matrix
         self.grid = grid
         self.eps = eps
-        self.bc = bc
         self.has_cross_diffusion = has_cross_diffusion
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
     def is_irreducible(self) -> bool:
         """Strong connectivity of the off-diagonal coupling graph.
@@ -147,7 +138,7 @@ class FokkerPlanckOperator:
         return float(np.max(np.abs(self.matrix).sum(axis=1)))
 
     def __repr__(self):
-        return f"FokkerPlanckOperator(n={self.shape[0]}, eps={self.eps}, bc={self.bc})"
+        return f"FokkerPlanckOperator(n={self.matrix.shape[0]}, eps={self.eps})"
 
 
 def assemble_fp_operator(dd: DriftDiffusionData) -> FokkerPlanckOperator:
@@ -213,9 +204,7 @@ def assemble_fp_operator(dd: DriftDiffusionData) -> FokkerPlanckOperator:
         shape=(grid.ncells, grid.ncells),
     ).tocsr()
     mat.sum_duplicates()
-
-    bc = "periodic" if all(grid.periodic) else "zero-flux"
-    return FokkerPlanckOperator(mat, grid, dd.eps, bc, has_cross)
+    return FokkerPlanckOperator(mat, grid, dd.eps, has_cross)
 
 
 def assemble_for(sys: ConservativeSystem, noise: Noise, eps: float) -> FokkerPlanckOperator:

@@ -90,9 +90,11 @@ class Density:
         self.values = np.asarray(self.values, float)
         if self.values.shape != (self.grid.ncells,):
             raise ValueError("density shape does not match the grid")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("density has non-finite components")
         if np.any(self.values < 0.0):
             raise PositivityError("density has negative components")
-        mass = self.mass()
+        mass = float(np.sum(self.values) * self.grid.cell_volume)
         if abs(mass - 1.0) > 1e-12:
             raise ValueError(f"density mass is {mass!r}, expected 1 within 1e-12")
 
@@ -101,17 +103,11 @@ class Density:
         values = np.asarray(values, float)
         return cls(values / (np.sum(values) * grid.cell_volume), grid)
 
-    def mass(self) -> float:
-        return float(np.sum(self.values) * self.grid.cell_volume)
-
 
 @dataclass
 class StationaryReport:
     density: Density
     residual: float
-    min_u: float
-    max_u: float
-    w12_seminorm: float
     method: str
 
 
@@ -194,15 +190,18 @@ def solve_stationary(op: FokkerPlanckOperator) -> StationaryReport:
 
     The operator's coupling graph must be strongly connected, or the
     density is not unique.  The pinned row and one sparse LU solve it
-    directly (``method`` is "direct"); a failed factorization raises
-    :class:`SolveError`.  The residual is measured against the
-    unmodified matrix as ||M u||_inf / (||M||_inf ||u||_inf).
+    directly (``method`` is "direct"); a failed factorization or a
+    non-finite solution raises :class:`SolveError`.  The residual is
+    measured against the unmodified matrix as
+    ||M u||_inf / (||M||_inf ||u||_inf).
     """
     if not op.is_irreducible():
         raise SolveError("operator is reducible; the stationary density is not unique")
     grid = op.grid
     pinned, rhs = pinned_system(op.matrix)
     u = factorize(pinned, grid.dim).solve(rhs)
+    if not np.all(np.isfinite(u)):
+        raise SolveError("stationary solve returned a non-finite component")
     u /= np.sum(u) * grid.cell_volume  # unit mass, the scale the positivity slack assumes
 
     min_component = float(u.min())
@@ -211,20 +210,12 @@ def solve_stationary(op: FokkerPlanckOperator) -> StationaryReport:
             f"solved density has component {min_component}, beyond the {-POSITIVITY_SLACK} slack "
             "(scheme misuse, e.g. cross-diffusion on a coarse grid)"
         )
-    u = np.clip(u, 0.0, None)
-    u /= np.sum(u) * grid.cell_volume
-    residual = float(np.max(np.abs(op.matrix @ u))) / (op.inf_norm() * float(np.max(np.abs(u))))
-    if residual > 1e-8:
+    density = Density.normalized(np.clip(u, 0.0, None), grid)
+    u = density.values
+    residual = float(np.max(np.abs(op.matrix @ u))) / (op.inf_norm() * float(u.max()))
+    if not residual <= 1e-8:
         raise SolveError(f"stationary residual {residual} is implausibly large")
-    density = Density(u, grid)
-    return StationaryReport(
-        density=density,
-        residual=residual,
-        min_u=float(u.min()),
-        max_u=float(u.max()),
-        w12_seminorm=discrete_w12_seminorm(density),
-        method="direct",
-    )
+    return StationaryReport(density=density, residual=residual, method="direct")
 
 
 def discrete_w12_seminorm(u: Density) -> float:

@@ -100,8 +100,8 @@ def test_criterion_4_zero_noise_limit():
     for eps in eps_list:
         rep = solve_stationary(assemble_for(sys, nf, eps))
         l1s.append(float(np.sum(np.abs(rep.density.values - sys.u0)) * g.cell_volume))
-        max_us.append(rep.max_u)
-        min_us.append(rep.min_u)
+        max_us.append(rep.density.values.max())
+        min_us.append(rep.density.values.min())
     strictly_decreasing = all(b < a for a, b in zip(l1s, l1s[1:]))
     bounds_ok = (max(max_us) <= 2.0 * sys.u0.max()
                  and max(1.0 / m for m in min_us) <= 2.0 / sys.u0.min())
@@ -210,7 +210,7 @@ def test_criterion_9_structural_invariants(tmp_path):
     first, second = roster(), roster()
     colsums_ok = all(np.max(np.abs(op.matrix.sum(axis=0))) <= 1e-13 * op.inf_norm() for op in first)
     irreducible_ok = all(op.is_irreducible() for op in first)
-    positivity_ok = all(solve_stationary(op).min_u > 0.0 for op in first)
+    positivity_ok = all(solve_stationary(op).density.values.min() > 0.0 for op in first)
     identical = all(
         np.array_equal(a.matrix.data, b.matrix.data)
         and np.array_equal(a.matrix.indices, b.matrix.indices)

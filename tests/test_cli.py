@@ -20,7 +20,8 @@ from noisyflow.fields import Affine, Const, Power, Product, Trig
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2
 from noisyflow.operator import assemble_for
 from noisyflow.reporting import write_csv
-from noisyflow.stationary import solve_stationary
+import noisyflow.stationary as stationary
+from noisyflow.stationary import Density, solve_stationary
 
 EXPERIMENT_KINDS = tuple(RUNNERS)
 
@@ -307,6 +308,19 @@ def test_cli_oracle1d_artifacts(tmp_path):
     assert "C_eps" in (out / "oracle_summary.txt").read_text()
     # atomic writes leave no temporaries behind
     assert not [p for p in os.listdir(out) if p.startswith(".tmp-")]
+
+
+def test_cli_sweep_exits_1_when_the_solve_gives_nan(tmp_path, monkeypatch, capsys):
+    # a factorization whose solve returns NaN: an error, not a row of NaN
+    class NanLU:
+        def solve(self, rhs):
+            return np.full(rhs.shape, np.nan)
+
+    monkeypatch.setattr(stationary, "factorize", lambda matrix, dim: NanLU())
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, ROTATION), "--out", str(out), "--quiet"]) == 1
+    assert "stationary solve returned a non-finite component" in capsys.readouterr().err
+    assert not (out / "stability.csv").exists()
 
 
 def test_cli_oracle1d_non_finite_drift_exits_1(tmp_path, capsys):
@@ -801,7 +815,16 @@ def test_explicit_noise_is_not_read_by_the_selection_experiment(tmp_path, capsys
 def test_zero_min_u_fails_the_uniform_lower_bound(tmp_path, monkeypatch, capsys):
     # the solve clips undershoots to exactly 0; the verdict fails instead of dividing by it
     solve = experiments.solve_stationary
-    monkeypatch.setattr(experiments, "solve_stationary", lambda op: replace(solve(op), min_u=0.0))
+
+    def solve_with_a_zero(op):
+        rep = solve(op)
+        if op.eps != 0.5:  # the first eps only, so the l1 trend stays non-increasing
+            return rep
+        values = rep.density.values.copy()
+        values[0] = 0.0
+        return replace(rep, density=Density.normalized(values, op.grid))
+
+    monkeypatch.setattr(experiments, "solve_stationary", solve_with_a_zero)
     report = experiments.run_stability_sweep(parse_config(ROTATION))
     assert report.verdicts["uniform lower bound"] is False
     assert main(["sweep", "--config", write_config(tmp_path, ROTATION), "--quiet"]) == 2

@@ -9,6 +9,7 @@ from noisyflow import evolution
 from noisyflow.errors import FitError, PositivityError, SolveError
 from noisyflow.evolution import (
     CHI2_FLOOR,
+    FIT_WINDOW,
     EvolutionTrace,
     chi_squared,
     evolve,
@@ -298,7 +299,7 @@ def test_mass_drift_still_shows_a_nonconservative_operator(scheme):
     op, stat = catalog_setup(Circle(), 32, "circle-positive", 0.5)
     m = op.matrix.copy()
     m.data[1] *= 1.0 + 1e-9
-    leaky = FokkerPlanckOperator(m, op.grid, op.eps, op.bc, op.has_cross_diffusion)
+    leaky = FokkerPlanckOperator(m, op.grid, op.eps, op.has_cross_diffusion)
     v0 = perturbed_initial(stat, mode=1)
     exact, _ = evolve(op, v0, horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)
     leaked, _ = evolve(leaky, v0, horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)
@@ -366,8 +367,8 @@ def test_fit_exact_exponential():
 
 
 def test_fit_window_bounds():
-    fit = fit_decay_rate(synthetic_trace(2.0, horizon=10.0), window=(0.3, 0.6))
-    assert fit.fit_window == (3.0, 6.0)
+    fit = fit_decay_rate(synthetic_trace(2.0, horizon=10.0))
+    assert fit.fit_window == (FIT_WINDOW[0] * 10.0, FIT_WINDOW[1] * 10.0)
     assert abs(fit.rate - 2.0) <= 1e-10
 
 
@@ -420,6 +421,28 @@ def test_poincare_quotient_bounded_axes(kind, n, longest):
     stat = solve_stationary(assemble_for(builtin_catalog("zero-drift", g), nf, 0.5)).density
     expected = (math.pi / longest) ** 2
     assert abs(poincare_quotient(nf, stat, g) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("kind, n, exact", [
+    (Interval(), 48, True),
+    (Interval(), 256, True),
+    (Rectangle(), (12, 10), True),
+    (Interval(-0.5, 1.5), 48, False),
+])
+@pytest.mark.parametrize("mode", [1, 2])
+def test_perturbed_initial_bounded_mode_is_the_neumann_cosine(kind, n, exact, mode):
+    # the bounded branch uses the Trig form of poincare_quotient's probe,
+    # which is cos(pi k (x - o) / L) to rounding, and bit for bit when o = 0
+    g = build_grid(kind, n)
+    stat = solve_stationary(assemble_for(builtin_catalog("zero-drift", g), coordinate_noise(g), 0.5)).density
+    x = g.cell_centers()[:, 0]
+    wave = np.cos(np.pi * mode * (x - kind.origin[0]) / kind.lengths[0])
+    expected = Density.normalized(np.clip(stat.values * (1.0 + 0.5 * wave), 0.0, None), g).values
+    got = perturbed_initial(stat, mode=mode).values
+    if exact:
+        assert np.array_equal(got, expected)
+    else:
+        assert np.max(np.abs(got - expected)) <= 4e-15
 
 
 def test_poincare_quotient_uniform_in_eps():

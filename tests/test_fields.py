@@ -11,6 +11,8 @@ from noisyflow.fields import (
     ConservativeSystem,
     Noise,
     Power,
+    Product,
+    Sum,
     Trig,
     VectorField,
     builtin_catalog,
@@ -51,6 +53,32 @@ def test_quadrature_gamma_is_sqrt3():
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
+
+
+SAMPLE_FORMS = {
+    "const": Const(2.5),
+    "affine": Affine(0, 1.0, 0.0),
+    "trig": Trig("cos", 0, 1, 1.0, 0.0, 1.0),
+    "sum": Sum(Const(1.0), Const(2.0)),
+    "product": Product(Affine(0, 1.0), Trig("sin", 0, 2, 0.5, 1.0, 1.0)),
+    "power": Power(Trig("sin", 0, 1, 1.0, 2.0, 1.0), -0.5),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLE_FORMS)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_form_samples_are_fresh_float_arrays(name, dim):
+    # __call__ returns evaluate's own array: writable, (N,) float64, and shared with nothing
+    form = SAMPLE_FORMS[name]
+    points = np.linspace(0.1, 0.9, 7 * dim).reshape(7, dim)
+    if dim == 1:
+        points = points[:, 0]
+    first, second = form(points), form(points)
+    for out in (first, second):
+        assert out.dtype == np.float64 and out.shape == (7,) and out.flags.writeable
+        assert not np.shares_memory(out, points)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
 
 
 def test_trig_derivative_closed_form():

@@ -46,6 +46,22 @@ def unit_noise(grid):
 # ---------------------------------------------------------------------------
 
 
+class NanLU:
+    """A factorization whose solve returns NaN in every component."""
+
+    def solve(self, rhs):
+        return np.full(rhs.shape, np.nan)
+
+
+@pytest.mark.parametrize("kind, n", [(Circle(), 32), (Torus2(), (8, 8))])
+def test_solve_raises_on_a_non_finite_solution(kind, n, monkeypatch):
+    g = build_grid(kind, n)
+    op = assemble_for(builtin_catalog("zero-drift", g), unit_noise(g), 0.5)
+    monkeypatch.setattr(stationary, "factorize", lambda matrix, dim: NanLU())
+    with pytest.raises(SolveError, match="non-finite"):
+        solve_stationary(op)
+
+
 def test_uniform_stationary_zero_drift():
     g = build_grid(Circle(), 64)
     op = assemble_for(builtin_catalog("zero-drift", g), unit_noise(g), 0.5)
@@ -87,7 +103,7 @@ def test_positivity_on_catalog():
     for name in ("torus-rotation", "torus-shear", "hamiltonian-cellular"):
         sys = builtin_catalog(name, g)
         rep = solve_stationary(assemble_for(sys, unit_noise(g), 0.2))
-        assert rep.min_u > 0.0
+        assert rep.density.values.min() > 0.0
 
 
 @settings(max_examples=10, deadline=None)
@@ -105,8 +121,8 @@ def test_random_positive_drift_properties(offset, amp, eps):
     sys = ConservativeSystem(drift, Const(1.0), g, "random")
     nf = unit_noise(g)
     rep = solve_stationary(assemble_for(sys, nf, eps))
-    assert rep.min_u > 0.0
-    assert abs(rep.density.mass() - 1.0) <= 1e-12
+    assert rep.density.values.min() > 0.0
+    assert abs(np.sum(rep.density.values) * g.cell_volume - 1.0) <= 1e-12
     assert rep.residual <= 1e-10
 
 
@@ -555,3 +571,15 @@ def test_density_validation():
         Density(np.full(16, 2.0), g)  # mass 2
     with pytest.raises(ValueError):
         Density(np.ones(15), g)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_density_rejects_non_finite_values(value):
+    # nan < 0 and abs(nan - 1) > 1e-12 are both False: only a finiteness check catches it
+    g = build_grid(Circle(), 16)
+    with pytest.raises(ValueError, match="non-finite"):
+        Density(np.full(16, value), g)
+    values = np.full(16, 1.0)
+    values[3] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        Density(values, g)
