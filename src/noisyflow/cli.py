@@ -1,13 +1,11 @@
 """Command-line front end.
 
-Commands: stationary, evolve, sweep, select, oracle1d, check, transform,
-bounded, decay.  Every command reads an experiment configuration file,
-the one place that sets every value; ``--out`` only redirects the
-artifacts.  The experiment commands (sweep, select, transform, bounded,
-decay) each run one ``[experiment] kind`` and refuse a configuration of
-another kind.  Exit status: 0 when all verdicts pass (and for
-``--help``), 2 on a verdict failure (the failing assertion is named), 1
-on an operational or usage error.
+Commands: stationary, evolve, oracle1d, check, sweep.  Every command
+reads an experiment configuration file, the one place that sets every
+value; ``--out`` only redirects the artifacts.  ``sweep`` runs the study
+that the file's ``[experiment] kind`` names.  Exit status: 0 when all
+verdicts pass (and for ``--help``), 2 on a verdict failure (the failing
+assertion is named), 1 on an operational or usage error.
 """
 
 from __future__ import annotations
@@ -26,17 +24,6 @@ from .geometry import Circle, Interval
 from .operator import assemble_for
 from .reporting import atomic_write_text, fmt, write_csv
 from .stationary import oracle_1d_circle, oracle_1d_interval, solve_stationary
-
-#: experiment command -> the ``[experiment] kind`` it runs
-EXPERIMENT_COMMANDS = {
-    "sweep": "stability",
-    "select": "selection",
-    "transform": "transform",
-    "bounded": "bounded",
-    "decay": "decay",
-}
-COMMANDS = ("stationary", "evolve", "oracle1d", "check", *EXPERIMENT_COMMANDS)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -75,7 +62,7 @@ def _run_evolve(cfg: SweepConfig, args) -> int:
                       stationary=stationary)
     fit = fit_decay_rate(trace)
     _say(args.quiet, f"eps={eps:g}: fitted rate {fit.rate:.6g} "
-                     f"(rate/eps^2 = {fit.rate_over_eps2:.6g}, r^2 = {fit.r_squared:.4f})")
+                     f"(rate/eps^2 = {fit.rate / eps ** 2:.6g}, r^2 = {fit.r_squared:.4f})")
     if cfg.out_dir:
         write_csv(os.path.join(cfg.out_dir, "trace.csv"), TRACE_HEADER, trace_cells(trace))
     return 0
@@ -112,11 +99,7 @@ def _run_check(cfg: SweepConfig, args) -> int:
     return 0 if (report.passes_A1 and report.passes_A2) else 2
 
 
-def _run_experiment(cfg: SweepConfig, args) -> int:
-    kind = EXPERIMENT_COMMANDS[args.command]
-    if cfg.kind != kind:
-        raise NoisyflowError(f"command {args.command!r} runs the {kind!r} experiment, "
-                             f"but the configuration's [experiment] kind is {cfg.kind!r}")
+def _run_sweep(cfg: SweepConfig, args) -> int:
     report = run(cfg)
     for name, passed in report.verdicts.items():
         _say(args.quiet, f"[{'PASS' if passed else 'FAIL'}] {name}")
@@ -125,6 +108,16 @@ def _run_experiment(cfg: SweepConfig, args) -> int:
         print(f"verdict failure: {failing}", file=sys.stderr)
         return 2
     return 0
+
+
+#: command -> its runner; ``sweep`` runs the study that ``[experiment] kind`` names
+COMMANDS = {
+    "stationary": _run_stationary,
+    "evolve": _run_evolve,
+    "oracle1d": _run_oracle1d,
+    "check": _run_check,
+    "sweep": _run_sweep,
+}
 
 
 def main(argv=None) -> int:
@@ -137,11 +130,7 @@ def main(argv=None) -> int:
             cfg = parse_config(fh.read())
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
-        if args.command in EXPERIMENT_COMMANDS:
-            return _run_experiment(cfg, args)
-        tools = {"stationary": _run_stationary, "evolve": _run_evolve,
-                 "oracle1d": _run_oracle1d, "check": _run_check}
-        return tools[args.command](cfg, args)
+        return COMMANDS[args.command](cfg, args)
     except (NoisyflowError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -107,6 +107,7 @@ FIELD_KEYS = {
     "noise.a0_forms": ("noise", ("a0",)),
     "noise.ai_forms": ("noise", NOISE_FIELDS[1:]),
     "system.catalog": ("drift", ("catalog",)),
+    "out_dir": ("experiment", ("out",)),
 }
 
 
@@ -173,13 +174,9 @@ def parse_expression(text: str, lengths: tuple[float, ...]) -> ScalarForm:
     if ":" not in text:
         raise ValueError(f"malformed expression {text!r}")
     kind, args = text.split(":", 1)
-    kind = kind.strip().lower()
+    kind = check_name("expression kind", kind.strip().lower(), ("const", "cos", "sin", "affine"))
     if kind == "const":
         return Const(float(args))
-    if kind not in ("cos", "sin", "affine"):
-        near = difflib.get_close_matches(kind, ("const", "cos", "sin", "affine"), n=1)
-        hint = f" (nearest: {near[0]})" if near else ""
-        raise ValueError(f"unknown expression kind {kind!r}{hint}")
     params = {}
     for item in args.split(","):
         if not item.strip():
@@ -363,7 +360,7 @@ def parse_config(text: str) -> SweepConfig:
         return parse_expression(value, lengths) if lengths else None
 
     values = dict(kind=_read(exp, "kind", _name, problems, "stability"), domain=domain, n=counts,
-                  epsilons=epsilons, system=system, noise=noise,
+                  epsilons=epsilons, system=system, noise=noise, out_dir=_read(exp, "out", str, problems),
                   **_read_table(exp, {"target": target, **THRESHOLDS, **SETTINGS}, problems))
     problems += [(line, key, message) for field, message in config_problems(values)
                  for line, key in _locate(sections, field)]
@@ -372,7 +369,7 @@ def parse_config(text: str) -> SweepConfig:
         details = "; ".join(f"line {ln}, {key}: {msg}" for ln, key, msg in problems)
         raise ConfigError(f"invalid configuration: {details}", problems)
     thresholds = Thresholds(**{key: values.pop(key) for key in THRESHOLDS if key in values})
-    return SweepConfig(**values, out_dir=exp.get("out", (None, 0))[0], thresholds=thresholds)
+    return SweepConfig(**values, thresholds=thresholds)
 
 
 def _format(value) -> str:

@@ -90,25 +90,23 @@ class EvolutionTrace:
     chi2: np.ndarray
     mass_drift: np.ndarray
     min_v: np.ndarray
-    eps: float
 
     def __getitem__(self, j: int) -> "EvolutionTrace":
         """The trace of block member ``j``."""
         return EvolutionTrace(times=self.times, chi2=self.chi2[j], mass_drift=self.mass_drift[j],
-                              min_v=self.min_v[j], eps=self.eps)
+                              min_v=self.min_v[j])
 
     def prefix(self, nsteps: int) -> "EvolutionTrace":
         """The record of the first ``nsteps`` steps."""
         keep = slice(0, nsteps + 1)
         return EvolutionTrace(times=self.times[keep], chi2=self.chi2[..., keep],
                               mass_drift=self.mass_drift[..., keep],
-                              min_v=self.min_v[..., keep], eps=self.eps)
+                              min_v=self.min_v[..., keep])
 
 
 @dataclass
 class DecayFit:
     rate: float
-    rate_over_eps2: float
     fit_window: tuple[float, float]
     r_squared: float
 
@@ -249,8 +247,7 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
         rhs = rows + w if scheme == "crank-nicolson" else rows
     reduce_held(nsteps + 1 - filled, filled)
 
-    trace = EvolutionTrace(times=times, chi2=chi2, mass_drift=mass_drift,
-                           min_v=min_v, eps=op.eps)
+    trace = EvolutionTrace(times=times, chi2=chi2, mass_drift=mass_drift, min_v=min_v)
     finals = [Density.normalized(np.clip(row, 0.0, None), grid) for row in rows]
     return (trace[0], finals[0]) if single else (trace, finals)
 
@@ -281,8 +278,7 @@ def fit_decay_rate(trace: EvolutionTrace) -> DecayFit:
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     rate = float(-slope)
-    return DecayFit(rate=rate, rate_over_eps2=rate / trace.eps ** 2,
-                    fit_window=(float(t_lo), float(t_hi)), r_squared=float(min(r2, 1.0)))
+    return DecayFit(rate=rate, fit_window=(float(t_lo), float(t_hi)), r_squared=float(min(r2, 1.0)))
 
 
 def _neumann_mode(axis: int, mode: int, length: float, origin: float) -> Trig:

@@ -238,6 +238,8 @@ def config_problems(values: dict) -> list[tuple[str, str]]:
             problems.append((name, f"must be positive and finite, got {value:g}"))
     if values.get("workers") is not None and values["workers"] < 1:
         problems.append(("workers", f"must be at least 1, got {values['workers']}"))
+    if values.get("out_dir") == "":
+        problems.append(("out_dir", "must not be empty"))
     if noise_kind == "explicit" and not noise.ai_forms:
         problems.append(("noise.ai_forms", "explicit noise needs at least one diffusion field"))
     if noise_kind in ("coordinate", "selection"):
@@ -502,8 +504,9 @@ def run_decay_study(cfg: SweepConfig) -> Report:
                           TRACE_HEADER, trace_cells(trace))
         slower = min(fits.values(), key=lambda f: f.rate)
         t_lo, t_hi = slower.fit_window
-        return dict(eps=eps, rate=slower.rate, rate_over_eps2=slower.rate_over_eps2, r2=slower.r_squared,
-                    t_lo=t_lo, t_hi=t_hi, fits=fits, chi2_monotone=monotone, max_mass_drift=drift_max)
+        return dict(eps=eps, rate=slower.rate, rate_over_eps2=slower.rate / eps ** 2,
+                    r2=slower.r_squared, t_lo=t_lo, t_hi=t_hi, fits=fits, chi2_monotone=monotone,
+                    max_mass_drift=drift_max)
 
     rows = _map_over_eps(study_one, cfg.epsilons, cfg.workers)
     thr = cfg.thresholds

@@ -116,10 +116,9 @@ def derive_drift_diffusion(sys: ConservativeSystem, noise: Noise, eps: float) ->
 class FokkerPlanckOperator:
     """Sparse conservative operator; du/dt = matrix @ u.  Immutable once assembled."""
 
-    def __init__(self, matrix: sp.csr_matrix, grid: Grid, eps: float, has_cross_diffusion: bool):
+    def __init__(self, matrix: sp.csr_matrix, grid: Grid, has_cross_diffusion: bool):
         self.matrix = matrix
         self.grid = grid
-        self.eps = eps
         self.has_cross_diffusion = has_cross_diffusion
 
     def is_irreducible(self) -> bool:
@@ -138,7 +137,7 @@ class FokkerPlanckOperator:
         return float(np.max(np.abs(self.matrix).sum(axis=1)))
 
     def __repr__(self):
-        return f"FokkerPlanckOperator(n={self.matrix.shape[0]}, eps={self.eps})"
+        return f"FokkerPlanckOperator(n={self.matrix.shape[0]})"
 
 
 def assemble_fp_operator(dd: DriftDiffusionData) -> FokkerPlanckOperator:
@@ -204,7 +203,7 @@ def assemble_fp_operator(dd: DriftDiffusionData) -> FokkerPlanckOperator:
         shape=(grid.ncells, grid.ncells),
     ).tocsr()
     mat.sum_duplicates()
-    return FokkerPlanckOperator(mat, grid, dd.eps, has_cross)
+    return FokkerPlanckOperator(mat, grid, has_cross)
 
 
 def assemble_for(sys: ConservativeSystem, noise: Noise, eps: float) -> FokkerPlanckOperator:

@@ -262,9 +262,26 @@ def test_step_factors_must_be_positive_and_finite(tmp_path, capsys, key, value):
     with pytest.raises(ValueError, match=re.escape(f"{key}: must be positive and finite, got {value}")):
         SweepConfig(kind="decay", domain=Circle(), n=(16,), epsilons=(0.5,), **{key: float(value)})
     path = write_config(tmp_path, text)
-    for command in ("evolve", "decay"):
+    for command in ("evolve", "sweep"):
         assert main([command, "--config", path, "--quiet"]) == 1
         assert f"line 15, {key}: must be positive and finite, got {value}" in capsys.readouterr().err
+
+
+def test_an_empty_output_directory_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    text = ROTATION.replace("kind = stability", "kind = stability\nout =")  # line 15
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [(line, key) for line, key, _ in info.value.locations] == [(15, "out")]
+    with pytest.raises(ValueError, match=re.escape("out_dir: must not be empty")):
+        SweepConfig(kind="stability", domain=Circle(), n=(16,), epsilons=(0.5,), out_dir="")
+    with pytest.raises(ValueError, match=re.escape("out_dir: must not be empty")):
+        replace(parse_config(ROTATION), out_dir="")
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--quiet"]) == 1
+    assert "line 15, out: must not be empty" in capsys.readouterr().err
+    assert main(["sweep", "--config", write_config(tmp_path, ROTATION), "--out", "", "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: out_dir: must not be empty\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.ini"]  # nothing was written
 
 
 @pytest.mark.parametrize("argv", [
@@ -272,7 +289,12 @@ def test_step_factors_must_be_positive_and_finite(tmp_path, capsys, key, value):
     ["bogus", "--config", "exp.ini"],
     ["sweep", "--config", "exp.ini", "--bogus", "1"],
     ["sweep", "--config", "exp.ini", "--eps", "0.3"],
-], ids=["no-config", "unknown-command", "unknown-flag", "removed-flag"])
+    ["select", "--config", "exp.ini"],
+    ["transform", "--config", "exp.ini"],
+    ["bounded", "--config", "exp.ini"],
+    ["decay", "--config", "exp.ini"],
+], ids=["no-config", "unknown-command", "unknown-flag", "removed-flag", "removed-select",
+        "removed-transform", "removed-bounded", "removed-decay"])
 def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     # 2 is the verdict-failure status, so a usage error must not exit with it
     monkeypatch.chdir(tmp_path)
@@ -286,6 +308,7 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: noisyflow")
+    assert "{stationary,evolve,oracle1d,check,sweep}" in out.split()
     assert [flag for flag in ("--config", "--out", "--quiet", "--eps", "--n", "--dt", "--horizon")
             if flag in out.split()] == ["--config", "--out", "--quiet"]
 
@@ -485,7 +508,7 @@ def test_selection_experiment_needs_its_target(tmp_path, capsys):
     with pytest.raises(ValueError, match=re.escape("target: missing [experiment] target")):
         SweepConfig(kind="selection", domain=Circle(), n=(16,), epsilons=(0.5,))
     path = write_config(tmp_path, text)
-    for command in ("select", "check"):
+    for command in ("sweep", "check"):
         assert main([command, "--config", path, "--quiet"]) == 1
         assert "line 0, target: missing [experiment] target" in capsys.readouterr().err
 
@@ -648,24 +671,17 @@ def test_cli_stationary_csv_equals_sweep_stability_csv(tmp_path):
     assert (tmp_path / "a" / "stationary.csv").read_bytes() == (tmp_path / "b" / "stability.csv").read_bytes()
 
 
-def test_cli_command_must_match_experiment_kind(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["select", "--config", write_config(tmp_path, ROTATION), "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "'selection'" in err and "'stability'" in err
-    assert not out.exists()  # no other study ran in its place
-
-
 def test_cli_decay_writes_rates_and_traces(tmp_path):
     text = (MINIMAL.replace("catalog = circle-positive", "catalog = zero-drift")
             .replace("eps = 0.2", "eps = 0.5, 0.25").replace("kind = stability", "kind = decay"))
     out = tmp_path / "out"
-    code = main(["decay", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"])
+    code = main(["sweep", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"])
     assert code == 0
     lines = (out / "decay.csv").read_text().splitlines()
     assert lines[0] == "eps,rate,rate_over_eps2,r2,t_lo,t_hi"
     assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "0.25"]
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert all(over == rate / eps ** 2 for eps, rate, over, *_ in rows)
     for eps in ("0.5", "0.25"):
         for mode in (1, 2):
             trace = (out / f"trace_eps{eps}_mode{mode}.csv").read_text().splitlines()
@@ -807,7 +823,7 @@ def test_explicit_noise_is_not_read_by_the_selection_experiment(tmp_path, capsys
         SweepConfig(kind="selection", domain=Circle(), n=(16,), epsilons=(0.5,), target=Const(1.0),
                     noise=NoiseSpec(kind="explicit", ai_forms=((Const(2.0),),)))
     path = write_config(tmp_path, text)
-    for command in ("select", "stationary"):
+    for command in ("sweep", "stationary"):
         assert main([command, "--config", path, "--quiet"]) == 1
         assert "line 10, kind: [noise] kind = explicit" in capsys.readouterr().err
 
@@ -815,10 +831,14 @@ def test_explicit_noise_is_not_read_by_the_selection_experiment(tmp_path, capsys
 def test_zero_min_u_fails_the_uniform_lower_bound(tmp_path, monkeypatch, capsys):
     # the solve clips undershoots to exactly 0; the verdict fails instead of dividing by it
     solve = experiments.solve_stationary
+    calls = []
 
     def solve_with_a_zero(op):
         rep = solve(op)
-        if op.eps != 0.5:  # the first eps only, so the l1 trend stays non-increasing
+        calls.append(op)
+        # each run solves ROTATION's two eps once, in order: zero the first eps
+        # only, so the l1 trend stays non-increasing
+        if len(calls) % 2 == 0:
             return rep
         values = rep.density.values.copy()
         values[0] = 0.0
@@ -846,22 +866,24 @@ def readme_csv_schemas() -> dict[str, str]:
 def test_every_csv_header_matches_the_readme_schema_table(tmp_path):
     # the column names live only in the runners' rows; this ties them to the README
     tiny = MINIMAL.replace("n = 64", "n = 16")
-    configs = {
-        "sweep": tiny,
-        "select": SELECTION.replace("n = 64", "n = 16"),
-        "transform": tiny.replace("kind = stability", "kind = transform"),
-        "decay": tiny.replace("circle-positive", "zero-drift").replace("eps = 0.2", "eps = 0.5")
-                     .replace("kind = stability", "kind = decay"),
-        "bounded": tiny.replace("kind = circle\nlength = 1.0", "kind = interval\nbounds = 0.0, 1.0")
-                       .replace("circle-positive", "zero-drift").replace("kind = stability", "kind = bounded"),
-        "stationary": tiny,
-        "evolve": tiny,
-        "oracle1d": tiny,
+    # run name -> (command, configuration); sweep runs once per [experiment] kind
+    runs = {
+        "stability": ("sweep", tiny),
+        "selection": ("sweep", SELECTION.replace("n = 64", "n = 16")),
+        "transform": ("sweep", tiny.replace("kind = stability", "kind = transform")),
+        "decay": ("sweep", tiny.replace("circle-positive", "zero-drift").replace("eps = 0.2", "eps = 0.5")
+                               .replace("kind = stability", "kind = decay")),
+        "bounded": ("sweep", tiny.replace("kind = circle\nlength = 1.0", "kind = interval\nbounds = 0.0, 1.0")
+                                 .replace("circle-positive", "zero-drift")
+                                 .replace("kind = stability", "kind = bounded")),
+        "stationary": ("stationary", tiny),
+        "evolve": ("evolve", tiny),
+        "oracle1d": ("oracle1d", tiny),
     }
-    for command, text in configs.items():
-        path = tmp_path / f"{command}.ini"
+    for name, (command, text) in runs.items():
+        path = tmp_path / f"{name}.ini"
         path.write_text(text)
-        assert main([command, "--config", str(path), "--out", str(tmp_path / command), "--quiet"]) in (0, 2)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / name), "--quiet"]) in (0, 2)
     schemas = readme_csv_schemas()
     matched = set()
     for csv in sorted(tmp_path.glob("*/*.csv")):

@@ -211,7 +211,7 @@ def test_block_trace_members_and_prefix():
     assert head.times.shape == (6,) and head.chi2.shape == (2, 6)
     for j in range(2):
         member = block[j]
-        assert member.eps == block.eps and member.times is block.times
+        assert member.times is block.times
         assert member.chi2.shape == (21,)
         for name in ("times", "chi2", "mass_drift", "min_v"):
             assert np.array_equal(getattr(head[j], name), getattr(member.prefix(5), name))
@@ -299,7 +299,7 @@ def test_mass_drift_still_shows_a_nonconservative_operator(scheme):
     op, stat = catalog_setup(Circle(), 32, "circle-positive", 0.5)
     m = op.matrix.copy()
     m.data[1] *= 1.0 + 1e-9
-    leaky = FokkerPlanckOperator(m, op.grid, op.eps, op.has_cross_diffusion)
+    leaky = FokkerPlanckOperator(m, op.grid, op.has_cross_diffusion)
     v0 = perturbed_initial(stat, mode=1)
     exact, _ = evolve(op, v0, horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)
     leaked, _ = evolve(leaky, v0, horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)
@@ -356,14 +356,13 @@ def test_evolve_matches_dense_propagation_over_2000_steps(kind, n, name, scheme)
 def synthetic_trace(rate, n=101, horizon=1.0, chi0=1.0):
     t = np.linspace(0.0, horizon, n)
     return EvolutionTrace(times=t, chi2=chi0 * np.exp(-rate * t),
-                          mass_drift=np.zeros(n), min_v=np.ones(n), eps=0.5)
+                          mass_drift=np.zeros(n), min_v=np.ones(n))
 
 
 def test_fit_exact_exponential():
     fit = fit_decay_rate(synthetic_trace(3.0))
     assert abs(fit.rate - 3.0) <= 1e-10
     assert fit.r_squared >= 1.0 - 1e-12
-    assert fit.rate_over_eps2 == pytest.approx(12.0)
 
 
 def test_fit_window_bounds():
@@ -375,7 +374,7 @@ def test_fit_window_bounds():
 def test_fit_rejects_underflowed_trace():
     trace = synthetic_trace(1.0)
     trace = EvolutionTrace(times=trace.times, chi2=np.full_like(trace.chi2, 1e-16),
-                           mass_drift=trace.mass_drift, min_v=trace.min_v, eps=0.5)
+                           mass_drift=trace.mass_drift, min_v=trace.min_v)
     with pytest.raises(FitError):
         fit_decay_rate(trace)
 

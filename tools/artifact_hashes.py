@@ -1,9 +1,10 @@
 """Hash every artifact and message of a fixed set of CLI runs and demos.
 
 Writes sixteen small configuration files (six of them invalid, so their
-error messages are audited too), runs all nine CLI commands on each of
-them (in this process, through ``noisyflow.cli.main``, so the package is
-imported once), runs every script under ``demos/`` in its own process,
+error messages are audited too), runs every CLI command of the audited
+package (its ``noisyflow.cli.COMMANDS``) on each of them (in this
+process, through ``noisyflow.cli.main``, so the package is imported
+once), runs every script under ``demos/`` in its own process,
 and prints one ``sha256  path`` line per file: every artifact a
 command wrote, plus the stdout, stderr and exit code of every command
 and demo.  Paths are relative to the work directory, so two runs print
@@ -31,9 +32,6 @@ import os
 import subprocess
 import sys
 import tempfile
-
-COMMANDS = ("stationary", "evolve", "sweep", "select", "oracle1d", "check", "transform",
-            "bounded", "decay")
 
 #: name -> configuration text; small grids, so all runs take seconds
 CONFIGS = {
@@ -333,7 +331,7 @@ def _run_cli(main, argv) -> tuple[str, str, int]:
 def produce(src: str) -> None:
     """Write every artifact and message into the current directory."""
     sys.path.insert(0, src)
-    from noisyflow.cli import main
+    from noisyflow.cli import COMMANDS, main
 
     for name, text in CONFIGS.items():
         _write(f"{name}.ini", text)
