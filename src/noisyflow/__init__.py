@@ -51,7 +51,6 @@ from .experiments import (
     run_decay_study,
     run_selection,
     run_stability_sweep,
-    run_transform_consistency,
 )
 from .config import parse_config, serialize_config
 

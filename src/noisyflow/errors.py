@@ -10,7 +10,10 @@ class DomainError(NoisyflowError):
 
 
 class ResolutionError(NoisyflowError, ValueError):
-    """Grid resolution below the minimum or above the cap; a ValueError for SweepConfig.n."""
+    """Grid resolution below the minimum or above the cap, or too coarse for the circle oracle.
+
+    A ValueError for SweepConfig.n.
+    """
 
 
 class FieldEvaluationError(NoisyflowError):

@@ -1,13 +1,16 @@
-"""Study runners: stability sweeps, selection, transform, decay, bounded runs.
+"""Study runners: stability sweeps, selection, decay, bounded runs.
 
-:func:`run` dispatches a :class:`SweepConfig` on its ``kind`` to one
-runner.  Each runner performs the study on the configured grid(s) and
-returns a :class:`Report` of rows, thresholds and named ``verdicts``.
-Most verdicts are recomputable from the stored rows and thresholds
-alone; the stability sweep's uniform bounds also read the extremes of
-the invariant density u0, which no row holds.  A row is one dict per
-epsilon: its leading keys are the study's CSV columns in file order, and
-the objects that are not columns (``ROW_OBJECTS``) follow them.  When
+:func:`run` dispatches a :class:`SweepConfig` on its ``kind`` to one of
+the four runners.  Every runner and every CLI command gets its grid,
+system and noise from :meth:`SweepConfig.build`, which also refuses a
+drift that crosses a reflecting wall.  Each runner performs the study on
+the configured grid(s) and returns a :class:`Report` of rows, thresholds
+and named ``verdicts``.  Most verdicts are recomputable from the stored
+rows and thresholds alone; the stability sweep's uniform bounds also
+read the extremes of the invariant density u0, which no row holds.  A
+row is one dict per epsilon: its leading keys are the study's CSV
+columns in file order, and the objects that are not columns
+(``ROW_OBJECTS``) follow them.  When
 ``out_dir`` is set the runner also writes those columns as a CSV file
 plus a human-readable summary with one line per verdict.  Runs are
 deterministic: assembly order, the solver's fixed ordering and diagonal
@@ -39,8 +42,6 @@ from .fields import (
     coordinate_noise,
     divergence,
     mul,
-    transform_div_free,
-    Const,
 )
 from .geometry import DomainKind, Grid, build_grid, check_counts, refine_grid
 from .evolution import SCHEMES, evolve, fit_decay_rate, perturbed_initial
@@ -123,7 +124,6 @@ class Thresholds:
     selection_ratio_lo: float = field(default=3.0, metadata={"kind": "selection"})
     selection_ratio_hi: float = field(default=5.0, metadata={"kind": "selection"})
     selection_eps_spread: float = field(default=0.10, metadata={"kind": "selection"})
-    transform_sup: float = field(default=5e-3, metadata={"kind": "transform"})
     c_floor: float = field(default=1.0, metadata={"kind": "decay"})
     rate_spread: float = field(default=0.5, metadata={"kind": "decay"})
     oracle_sup: float = field(default=1e-3, metadata={"kind": "bounded"})
@@ -169,13 +169,23 @@ class SweepConfig:
         """The configured grid, or ``grid``, with its conservative system and noise.
 
         Selection noise is the noise that selects ``target`` on the grid.
+        Raises :class:`BoundaryError` unless the drift's normal component
+        vanishes on the reflecting walls of every bounded axis (periodic
+        axes have none); every study and command builds here.
         """
         grid = self.grid() if grid is None else grid
         if self.noise.kind == "selection":
             noise = construct_selecting_noise(self.target, grid)
         else:
             noise = self.noise.build(grid)
-        return grid, self.system.build(grid), noise
+        system = self.system.build(grid)
+        for axis in range(grid.dim):
+            if grid.periodic[axis]:
+                continue
+            worst = max(float(np.max(np.abs(side))) for side in system.drift.normal_at_boundary(grid, axis))
+            if worst > 1e-12:
+                raise BoundaryError(f"drift normal component reaches {worst} on the axis-{axis} boundary")
+        return grid, system, noise
 
 
 #: SweepConfig and Thresholds fields that only one experiment kind reads -> that
@@ -412,36 +422,6 @@ def run_selection(cfg: SweepConfig) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# transform consistency
-# ---------------------------------------------------------------------------
-
-
-def run_transform_consistency(cfg: SweepConfig) -> Report:
-    """Solve the original and the divergence-free transformed system.
-
-    The transformed stationary density must match u_eps / u0 (normalized
-    to unit mass; the raw ratio integrates to 1 + O(eps^2)) up to a
-    discretization-level tolerance.
-    """
-    grid, system, noise = cfg.build()
-    new_drift, new_noise = transform_div_free(system, noise)
-    transformed = ConservativeSystem(new_drift, Const(1.0), grid,
-                                     name=f"{system.name or 'system'}-transformed")
-
-    def solve_one(eps):
-        u = solve_stationary(assemble_for(system, noise, eps)).density
-        u_t = solve_stationary(assemble_for(transformed, new_noise, eps)).density
-        ratio = u.values / system.u0
-        ratio /= np.sum(ratio) * grid.cell_volume
-        return dict(eps=eps, n=_n_label(grid.n), sup_diff=float(np.max(np.abs(u_t.values - ratio))))
-
-    rows = _map_over_eps(solve_one, cfg.epsilons, cfg.workers)
-    verdicts = {"transformed density matches u_eps/u0":
-                max(r["sup_diff"] for r in rows) <= cfg.thresholds.transform_sup}
-    return _report(cfg, "transform consistency", "transform.csv", rows, verdicts)
-
-
-# ---------------------------------------------------------------------------
 # decay-rate study
 # ---------------------------------------------------------------------------
 
@@ -529,21 +509,13 @@ def run_decay_study(cfg: SweepConfig) -> Report:
 def run_bounded_domain(cfg: SweepConfig) -> Report:
     """Zero-flux stationary solves on an interval or rectangle.
 
-    The drift's normal component must vanish on the boundary.  In one
-    dimension each solve is cross-checked against the closed-form
-    interval oracle.
+    The drift's normal component vanishes on the boundary, as
+    :meth:`SweepConfig.build` checks.  In one dimension each solve is
+    cross-checked against the closed-form interval oracle.
     """
     grid, system, noise = cfg.build()
     if all(grid.periodic):
         raise ValueError("bounded-domain experiment needs an interval or rectangle")
-    for axis in range(grid.dim):
-        lo, hi = system.drift.normal_at_boundary(grid, axis)
-        worst = max(
-            float(np.max(np.abs(lo))) if len(lo) else 0.0,
-            float(np.max(np.abs(hi))) if len(hi) else 0.0,
-        )
-        if worst > 1e-12:
-            raise BoundaryError(f"drift normal component reaches {worst} on the axis-{axis} boundary")
 
     def solve_one(eps):
         rep = solve_stationary(assemble_for(system, noise, eps))
@@ -570,7 +542,6 @@ def run_bounded_domain(cfg: SweepConfig) -> Report:
 RUNNERS = {
     "stability": run_stability_sweep,
     "selection": run_selection,
-    "transform": run_transform_consistency,
     "decay": run_decay_study,
     "bounded": run_bounded_domain,
 }

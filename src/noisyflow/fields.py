@@ -437,8 +437,8 @@ def transform_div_free(sys: ConservativeSystem, noise: Noise):
     Returns (new drift, new noise) where the diffusion fields are scaled
     by sqrt(u0) and the drift correction absorbs the directional
     derivatives of sqrt(u0).  The stationary density of the transformed
-    system equals u_eps / u0 of the original, which the consistency
-    experiment verifies numerically.
+    system equals u_eps / u0 of the original, up to normalization and
+    discretization error.
     """
     if np.any(sys.u0 <= 0.0):
         raise PositivityError("transform requires a strictly positive invariant density")

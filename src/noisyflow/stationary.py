@@ -38,7 +38,10 @@ exponents are then positive by at most the fall.  J1 is therefore summed
 over blocks on which Phi ranges by a bounded amount, each scaled by its
 own largest Phi, so no exponential overflows even where e^{Phi(L)} would.
 Phi itself is a cumulative composite Simpson integral on a panel grid
-aligned with the cell centers.
+aligned with the cell centers.  Simpson's rule resolves the kernels
+e^{Phi(x) - Phi(s)} only while psi = Phi' changes them little over one
+panel, so the circle oracle raises :class:`ResolutionError` once
+psi_max * delta exceeds ``ORACLE_MAX_PSI_DELTA``.
 
 B, a and b do not depend on eps.  Both oracles take their samples from
 :func:`_panel_samples`, which keeps the last ones per (closed forms,
@@ -58,7 +61,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import BoundaryError, DegenerateError, FieldEvaluationError, PositivityError, SolveError
+from .errors import (BoundaryError, DegenerateError, FieldEvaluationError, PositivityError, ResolutionError,
+                     SolveError)
 from .fields import ScalarForm, VectorField, add, mul, Const
 from .geometry import Circle, Grid, Interval
 from .operator import FokkerPlanckOperator
@@ -69,6 +73,10 @@ POSITIVITY_SLACK = 1e-10
 #: Quadrature panels per finite-volume cell used by the oracles; even, so
 #: that every cell center is a panel edge.
 ORACLE_QUAD_FACTOR = 8
+
+#: Largest psi_max * delta the circle oracle accepts, with psi its
+#: exponent's slope and delta the panel width; see :func:`oracle_1d_circle`.
+ORACLE_MAX_PSI_DELTA = 1.0
 
 #: SuperLU's ``relax``: elimination subtrees below this many columns are
 #: merged into one dense supernode; 1 merges none.  See :func:`factorize`.
@@ -402,6 +410,14 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     range, and J2 = e^{Phi - Phi(L)} int_0^x e^{-Phi} is added into it in
     place.  The returned constant satisfies C_eps = -int (B + eps^2 b) u,
     which is re-verified against the quadrature before returning.
+
+    The panels must resolve the kernels: psi_max * delta, with
+    psi = 2 (B + eps^2 b) / (eps^2 a) and delta the panel width, may not
+    exceed ``ORACLE_MAX_PSI_DELTA``, or :class:`ResolutionError` is raised.
+    The self-check cannot catch this, since its tolerance grows with psi
+    delta.  On circle-positive with coordinate noise the sup error
+    relative to a 9x refined oracle depends on psi delta alone: 2.4e-2
+    at 4.7, 2.3e-3 at 2.34, 1.6e-4 at 1.17 and 1.0e-5 at 0.59.
     """
     if not isinstance(grid.kind, Circle):
         raise ValueError("circle oracle needs a Circle grid")
@@ -413,6 +429,9 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
         raise PositivityError("circle oracle requires B > 0 everywhere")
     psi_max = float(max(psi_edges.max(), psi_mids.max(), -psi_edges.min(), -psi_mids.min()))
     del psi_mids
+    if psi_max * delta > ORACLE_MAX_PSI_DELTA:
+        raise ResolutionError(f"circle oracle is unresolved: psi_max * delta = {psi_max * delta:.3g} exceeds "
+                              f"{ORACLE_MAX_PSI_DELTA:g}; use more cells or a larger eps")
     phi_total = float(phi[-1])
     # |1 - e^{Phi(L)}| < 1e-14 iff |Phi(L)| < ~1e-14; test the exponent to
     # avoid overflowing e^{Phi(L)} at small eps

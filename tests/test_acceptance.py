@@ -17,7 +17,6 @@ from noisyflow.experiments import (
     run_bounded_domain,
     run_decay_study,
     run_stability_sweep,
-    run_transform_consistency,
 )
 from noisyflow.fields import Const, Trig, builtin_catalog, construct_selecting_noise, coordinate_noise
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
@@ -150,15 +149,9 @@ def test_criterion_6_eps2_rate_scaling():
            f"rate/eps^2={['%.1f' % v for v in overs]}, spread {100 * spread:.0f}%, {elapsed:.1f}s")
 
 
-def test_criterion_7_transform_consistency():
+def test_criterion_7_transform_consistency(transform_mismatch):
     start = time.perf_counter()
-    sups = {}
-    for n in (256, 512):
-        cfg = SweepConfig(
-            kind="transform", domain=Circle(), n=(n,), epsilons=(0.3,),
-            system=SystemSpec(catalog="circle-positive"),
-        )
-        sups[n] = run_transform_consistency(cfg).rows[0]["sup_diff"]
+    sups = {n: transform_mismatch(Circle(), n, "circle-positive", 0.3) for n in (256, 512)}
     ratio = sups[256] / sups[512]
     elapsed = time.perf_counter() - start
     ok = sups[512] <= 5e-3 and 3.0 <= ratio <= 5.0 and elapsed < 10.0

@@ -70,9 +70,26 @@ def test_unknown_section_is_an_error():
 
 
 def test_removed_uniform_sup_threshold_is_an_unknown_key():
-    text = MINIMAL.replace("kind = stability", "kind = stability\nuniform_sup = 1e-10")
-    with pytest.raises(ConfigError, match=r"uniform_sup: unknown key in \[experiment\] \(nearest valid key"):
+    text = MINIMAL.replace("kind = stability", "kind = stability\nuniform_sup = 1e-10")  # line 15
+    with pytest.raises(ConfigError) as info:
         parse_config(text)
+    # no [experiment] key is near enough to name as the nearest
+    assert info.value.locations == [(15, "uniform_sup", "unknown key in [experiment]")]
+
+
+def test_removed_transform_kind_and_threshold_are_errors(tmp_path, capsys):
+    # the transform check is a test now (conftest.transform_mismatch), not an experiment kind
+    cases = [(MINIMAL.replace("kind = stability", "kind = transform"), 14, "kind",
+              "unknown experiment kind 'transform'"),
+             (MINIMAL + "transform_sup = 5e-3\n", 15, "transform_sup", "unknown key in [experiment]")]
+    for text, line, key, message in cases:
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert [(ln, k) for ln, k, _ in info.value.locations] == [(line, key)]
+        assert main(["sweep", "--config", write_config(tmp_path, text), "--quiet"]) == 1
+        assert f"line {line}, {key}: {message}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="kind: unknown experiment kind 'transform'"):
+        SweepConfig(kind="transform", domain=Circle(), n=(16,), epsilons=(0.5,))
 
 
 @pytest.mark.parametrize("key", ["rate_guess", "refine_factor"])
@@ -359,6 +376,48 @@ def test_cli_oracle1d_non_finite_drift_exits_1(tmp_path, capsys):
     assert not (out / "oracle.csv").exists()
 
 
+def test_cli_oracle1d_unresolved_circle_exits_1(tmp_path, capsys):
+    # 256 cells at eps = 0.025 give psi_max * delta = 4.7: an error, not a density 2% off
+    text = MINIMAL.replace("n = 64", "n = 256").replace("eps = 0.2", "eps = 0.025")
+    out = tmp_path / "out"
+    code = main(["oracle1d", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "circle oracle is unresolved: psi_max * delta = 4.69 exceeds 1" in capsys.readouterr().err
+    assert not (out / "oracle.csv").exists()
+
+
+# a drift through the walls of the unit square: B = e_x with u0 = 1
+WALL_CROSSING = """\
+[domain]
+kind = rectangle
+bounds = 0.0, 1.0, 0.0, 1.0
+n = 16
+
+[drift]
+bx = const:1
+by = const:0
+u0 = const:1
+
+[noise]
+kind = coordinate
+eps = 0.5, 0.25
+
+[experiment]
+kind = stability
+"""
+
+
+@pytest.mark.parametrize("command", ["stationary", "evolve", "sweep", "check", "oracle1d"])
+def test_a_drift_through_a_wall_is_an_error_for_every_command(tmp_path, capsys, command):
+    # the reflecting walls need a zero normal flux; without that rule the stationary
+    # density piles up against x = 1 and the sweep blames stability for it
+    out = tmp_path / "out"
+    code = main([command, "--config", write_config(tmp_path, WALL_CROSSING), "--out", str(out), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: drift normal component reaches 1.0 on the axis-0 boundary\n"
+    assert not out.exists()
+
+
 def test_cli_check_degenerate_noise_fails(tmp_path):
     text = MINIMAL.replace(
         "kind = coordinate",
@@ -392,8 +451,8 @@ def test_cli_check_passes_for_coordinate_noise(tmp_path):
                  id="gap-in-diffusion-fields"),
     pytest.param(ROTATION, "kind = stability", "kind = stability\ntarget = cos:axis=1,freq=1,offset=2", 15,
                  "target", id="target-under-stability"),
-    pytest.param(MINIMAL, "kind = stability", "kind = transform\ntarget = const:1", 15, "target",
-                 id="target-under-transform"),
+    pytest.param(MINIMAL, "kind = stability", "kind = decay\ntarget = const:1", 15, "target",
+                 id="target-under-decay"),
     pytest.param(MINIMAL, "kind = stability", "kind = selection\ntarget = const:1\nassert_l1_limit = false", 16,
                  "assert_l1_limit", id="assert-l1-limit-under-selection"),
     pytest.param(MINIMAL, "kind = stability", "kind = bounded\nassert_l1_limit = true", 15,
@@ -870,7 +929,6 @@ def test_every_csv_header_matches_the_readme_schema_table(tmp_path):
     runs = {
         "stability": ("sweep", tiny),
         "selection": ("sweep", SELECTION.replace("n = 64", "n = 16")),
-        "transform": ("sweep", tiny.replace("kind = stability", "kind = transform")),
         "decay": ("sweep", tiny.replace("circle-positive", "zero-drift").replace("eps = 0.2", "eps = 0.5")
                                .replace("kind = stability", "kind = decay")),
         "bounded": ("sweep", tiny.replace("kind = circle\nlength = 1.0", "kind = interval\nbounds = 0.0, 1.0")
@@ -878,7 +936,8 @@ def test_every_csv_header_matches_the_readme_schema_table(tmp_path):
                                  .replace("kind = stability", "kind = bounded")),
         "stationary": ("stationary", tiny),
         "evolve": ("evolve", tiny),
-        "oracle1d": ("oracle1d", tiny),
+        # 16 cells would leave the oracle's panels too coarse at eps = 0.2
+        "oracle1d": ("oracle1d", tiny.replace("n = 16", "n = 32")),
     }
     for name, (command, text) in runs.items():
         path = tmp_path / f"{name}.ini"

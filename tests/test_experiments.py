@@ -22,7 +22,6 @@ from noisyflow.experiments import (
     run_selection,
     run,
     run_stability_sweep,
-    run_transform_consistency,
 )
 from noisyflow.fields import Const, Trig, construct_selecting_noise
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2
@@ -190,14 +189,8 @@ def test_selection_bounded_rectangle():
     assert report.verdicts["h^2 refinement ratio"]
 
 
-def test_transform_consistency_circle():
-    cfg = SweepConfig(
-        kind="transform", domain=Circle(), n=(256,), epsilons=(0.3,),
-        system=SystemSpec(catalog="circle-positive"),
-    )
-    report = run_transform_consistency(cfg)
-    assert report.passed()
-    assert report.rows[0]["sup_diff"] <= 5e-3
+def test_transform_consistency_circle(transform_mismatch):
+    assert transform_mismatch(Circle(), 256, "circle-positive", 0.3) <= 5e-3
 
 
 def test_transform_identity_for_uniform_density():
@@ -217,14 +210,8 @@ def test_transform_identity_for_uniform_density():
     assert np.array_equal(m1.indices, m2.indices)
 
 
-def test_transform_consistency_refines_at_second_order():
-    sups = {}
-    for n in (128, 256):
-        cfg = SweepConfig(
-            kind="transform", domain=Circle(), n=(n,), epsilons=(0.3,),
-            system=SystemSpec(catalog="circle-positive"),
-        )
-        sups[n] = run_transform_consistency(cfg).rows[0]["sup_diff"]
+def test_transform_consistency_refines_at_second_order(transform_mismatch):
+    sups = {n: transform_mismatch(Circle(), n, "circle-positive", 0.3) for n in (128, 256)}
     assert 3.0 <= sups[128] / sups[256] <= 5.0
 
 
@@ -306,6 +293,29 @@ def test_bounded_rejects_nonzero_normal_drift():
         run_bounded_domain(cfg)
 
 
+#: B = e_x with u0 = 1 on the unit square: the drift crosses the walls x = 0 and x = 1
+WALL_CROSSING = SystemSpec(drift_forms=(Const(1.0), Const(0.0)), u0_form=Const(1.0))
+
+
+@pytest.mark.parametrize("kind", sorted(experiments.RUNNERS))
+def test_every_kind_refuses_a_drift_through_a_wall(kind):
+    # not only the bounded study: a stability sweep would pile the density
+    # against x = 1 and report it as a failure of stability
+    cfg = SweepConfig(kind=kind, domain=Rectangle(), n=(8, 8), epsilons=(0.5,), system=WALL_CROSSING,
+                      target=Const(1.0) if kind == "selection" else None)
+    with pytest.raises(BoundaryError, match=r"^drift normal component reaches 1\.0 on the axis-0 boundary$"):
+        run(cfg)
+
+
+def test_the_wall_rule_checks_only_bounded_axes_and_forgives_roundoff():
+    # sin 2 pi x is -2.4e-16 at x = 1; on the torus the same e_x has no wall to cross
+    along = SystemSpec(drift_forms=(Trig("sin", 0, 1, 1.0, 0.0, 1.0), Const(0.0)), u0_form=Const(1.0))
+    grid, system, _ = SweepConfig(kind="stability", domain=Rectangle(), n=(8, 8), epsilons=(0.5,),
+                                  system=along).build()
+    assert 0.0 < abs(float(system.drift.normal_at_boundary(grid, 0)[1][0])) <= 1e-12
+    SweepConfig(kind="stability", domain=Torus2(), n=(8, 8), epsilons=(0.5,), system=WALL_CROSSING).build()
+
+
 def test_bounded_requires_bounded_domain():
     cfg = SweepConfig(kind="bounded", domain=Circle(), n=(32,), epsilons=(0.5,))
     with pytest.raises(ValueError):
@@ -344,8 +354,6 @@ def test_summary_supremum_monotone_in_sweep_size():
 WORKER_CASES = {
     "stability": dict(domain=Torus2(), n=(12, 12), epsilons=(0.5, 0.25),
                       system=SystemSpec(catalog="hamiltonian-cellular"), assert_l1_limit=False),
-    "transform": dict(domain=Circle(), n=(64,), epsilons=(0.4, 0.3),
-                      system=SystemSpec(catalog="circle-positive")),
     "decay": dict(domain=Circle(), n=(64,), epsilons=(0.4, 0.2),
                   system=SystemSpec(catalog="circle-positive"), scheme="crank-nicolson"),
     "bounded": dict(domain=Interval(), n=(48,), epsilons=(0.5, 0.1),
@@ -396,7 +404,6 @@ def test_run_dispatches_on_kind_and_rejects_unknown_kinds():
 @pytest.mark.parametrize("kind, domain, system, target", [
     ("stability", Circle(), "circle-positive", None),
     ("selection", Circle(), "zero-drift", Trig("cos", 0, 1, 0.5, 1.0, 1.0)),
-    ("transform", Circle(), "circle-positive", None),
     ("decay", Circle(), "zero-drift", None),
     ("bounded", Interval(), "zero-drift", None),
 ])

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from noisyflow.errors import BoundaryError, CatalogError, FieldEvaluationError, PositivityError, SolveError
+from noisyflow.errors import (BoundaryError, CatalogError, FieldEvaluationError, PositivityError, ResolutionError,
+                             SolveError)
 from noisyflow.fields import (
     CATALOG_NAMES,
     Const,
@@ -357,14 +358,32 @@ def test_oracle_selection_family_small_drift():
 
 
 def test_oracle_self_consistency_across_eps():
-    # C_eps must reproduce -int (B + eps^2 b) u at quadrature accuracy
-    g = build_grid(Circle(), 256)
+    # C_eps must reproduce -int (B + eps^2 b) u at quadrature accuracy; at
+    # eps = 0.05 the panels resolve the kernels from 512 cells on
+    g = build_grid(Circle(), 512)
     sys = builtin_catalog("circle-positive", g)
     for eps in (0.4, 0.1, 0.05):
         nf = unit_noise(g)
         u, c_eps = oracle_1d_circle(sys.drift, nf.a0_field, nf.ai_fields, eps, g)
         assert np.all(u > 0.0)
         assert c_eps < 0.0
+
+
+@pytest.mark.parametrize("eps, n, psi_delta", [(0.1, 64, 1.17), (0.1, 128, 0.59), (0.05, 256, 1.17),
+                                                (0.05, 512, 0.59), (0.025, 256, 4.69)])
+def test_circle_oracle_resolution_depends_on_eps_squared_times_n(eps, n, psi_delta):
+    # psi ~ 6 / eps^2 and delta = 1 / (8 n), so psi_max * delta ~ 0.75 / (eps^2 n):
+    # 1.17 raises and 0.59 returns.  At 4.69 the density would be 2% off, and the
+    # self-check's tolerance grows with psi delta, so only the bound catches it
+    g = build_grid(Circle(), n)
+    sys = builtin_catalog("circle-positive", g)
+    nf = unit_noise(g)
+    if psi_delta > 1.0:  # ORACLE_MAX_PSI_DELTA
+        with pytest.raises(ResolutionError, match=rf"psi_max \* delta = {psi_delta} exceeds"):
+            oracle_1d_circle(sys.drift, nf.a0_field, nf.ai_fields, eps, g)
+    else:
+        u, _ = oracle_1d_circle(sys.drift, nf.a0_field, nf.ai_fields, eps, g)
+        assert np.all(u > 0.0)
 
 
 def reference_j1(local, phi):
@@ -377,11 +396,12 @@ def reference_j1(local, phi):
 
 def backward_sum_case(case):
     """(grid, drift, a0, ai, eps) of a circle case whose Phi overflows or falls on an arc."""
-    g = build_grid(Circle(), 256)
     if case == "overflowing":
+        g = build_grid(Circle(), 512)  # the fewest cells that resolve eps = 0.05
         nf = unit_noise(g)
         return g, builtin_catalog("circle-positive", g).drift, nf.a0_field, nf.ai_fields, 0.05
     # B = 2 + sin 2 pi x > 0, but B + eps^2 b < 0 on an arc
+    g = build_grid(Circle(), 256)
     drift = VectorField([Trig("sin", 0, 1, 1.0, 2.0, 1.0)])
     return g, drift, VectorField.zero(1), [VectorField([Trig("cos", 0, 1, 0.9, 1.0, 1.0)])], 0.9
 
@@ -389,7 +409,7 @@ def backward_sum_case(case):
 @pytest.mark.parametrize("case", ["overflowing", "non-monotone"])
 def test_oracle_backward_sum_matches_the_recurrence(case):
     g, drift, a0, ai, eps = backward_sum_case(case)
-    quad = 8 * 256
+    quad = 8 * g.n[0]
     delta = 1.0 / quad
     *_, phi, phi_mid = _exponent(drift, a0, ai, eps, g, quad)
     if case == "overflowing":
@@ -426,7 +446,7 @@ def reference_exponent(drift, a0, ai, eps, grid, quad):
 @pytest.mark.parametrize("case", ["overflowing", "non-monotone"])
 def test_kept_samples_give_the_bits_of_a_fresh_evaluation(case, monkeypatch):
     g, drift, a0, ai, eps = backward_sum_case(case)
-    quad = 8 * 256
+    quad = 8 * g.n[0]
     ref = reference_exponent(drift, a0, ai, eps, g, quad)
     _panel_samples.cache_clear()
     for _ in range(2):  # a cold evaluation, then the kept samples

@@ -1,11 +1,12 @@
 """Hash every artifact and message of a fixed set of CLI runs and demos.
 
-Writes sixteen small configuration files (six of them invalid, so their
-error messages are audited too), runs every CLI command of the audited
-package (its ``noisyflow.cli.COMMANDS``) on each of them (in this
-process, through ``noisyflow.cli.main``, so the package is imported
-once), runs every script under ``demos/`` in its own process,
-and prints one ``sha256  path`` line per file: every artifact a
+Writes seventeen small configuration files, seven of them invalid (six
+that do not parse and one whose drift crosses a wall), so their error
+messages are audited too, and one circle that the oracle does not
+resolve at its eps.  Runs every CLI command of the audited package (its
+``noisyflow.cli.COMMANDS``) on each of them (in this process, through
+``noisyflow.cli.main``, so the package is imported once), runs every
+script under ``demos/`` in its own process, and prints one ``sha256  path`` line per file: every artifact a
 command wrote, plus the stdout, stderr and exit code of every command
 and demo.  Paths are relative to the work directory, so two runs print
 the same text exactly when they produced the same bytes.
@@ -160,21 +161,41 @@ eps = 0.5, 0.25
 [experiment]
 kind = stability
 """,
-    "cellular-transform": """\
+    # psi_max * delta = 4.7 at eps = 0.025: the circle oracle refuses, the solves run
+    "circle-unresolved-oracle": """\
 [domain]
-kind = torus2
-lengths = 1.0, 1.0
-n = 16
+kind = circle
+length = 1.0
+n = 256
 
 [drift]
-catalog = hamiltonian-cellular
+catalog = circle-positive
 
 [noise]
 kind = coordinate
-eps = 0.4
+eps = 0.025
 
 [experiment]
-kind = transform
+kind = stability
+""",
+    # a drift through the walls x = 0 and x = 1: every command refuses it
+    "wall-crossing-rectangle": """\
+[domain]
+kind = rectangle
+bounds = 0.0, 1.0, 0.0, 1.0
+n = 16
+
+[drift]
+bx = const:1
+by = const:0
+u0 = const:1
+
+[noise]
+kind = coordinate
+eps = 0.5, 0.25
+
+[experiment]
+kind = stability
 """,
     "explicit-interval": """\
 [domain]
