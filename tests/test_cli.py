@@ -77,17 +77,21 @@ def test_removed_uniform_sup_threshold_is_an_unknown_key():
     assert info.value.locations == [(15, "uniform_sup", "unknown key in [experiment]")]
 
 
-def test_removed_transform_kind_and_threshold_are_errors(tmp_path, capsys):
-    # the transform check is a test now (conftest.transform_mismatch), not an experiment kind
+@pytest.mark.parametrize("command", ["stationary", "evolve", "sweep", "check", "oracle1d"])
+def test_removed_transform_kind_and_threshold_are_errors(tmp_path, capsys, command):
+    # the transform check is a test now (conftest.transform_mismatch), not an experiment kind;
+    # every command reads [experiment], so every command refuses both
     cases = [(MINIMAL.replace("kind = stability", "kind = transform"), 14, "kind",
               "unknown experiment kind 'transform'"),
              (MINIMAL + "transform_sup = 5e-3\n", 15, "transform_sup", "unknown key in [experiment]")]
+    out = tmp_path / "out"
     for text, line, key, message in cases:
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         assert [(ln, k) for ln, k, _ in info.value.locations] == [(line, key)]
-        assert main(["sweep", "--config", write_config(tmp_path, text), "--quiet"]) == 1
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 1
         assert f"line {line}, {key}: {message}" in capsys.readouterr().err
+        assert not out.exists()
     with pytest.raises(ValueError, match="kind: unknown experiment kind 'transform'"):
         SweepConfig(kind="transform", domain=Circle(), n=(16,), epsilons=(0.5,))
 

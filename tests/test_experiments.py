@@ -23,7 +23,7 @@ from noisyflow.experiments import (
     run,
     run_stability_sweep,
 )
-from noisyflow.fields import Const, Trig, construct_selecting_noise
+from noisyflow.fields import Const, Trig, construct_selecting_noise, mul
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2
 from noisyflow.operator import assemble_for
 from noisyflow.reporting import write_csv
@@ -315,6 +315,30 @@ def test_the_wall_rule_checks_only_bounded_axes_and_forgives_roundoff():
     assert 0.0 < abs(float(system.drift.normal_at_boundary(grid, 0)[1][0])) <= 1e-12
     SweepConfig(kind="stability", domain=Torus2(), n=(8, 8), epsilons=(0.5,), system=WALL_CROSSING).build()
 
+
+#: the curl of the stream function sin(pi x) sin(pi y) / pi, tangent to every wall of the unit square
+CELLULAR_IN_A_BOX = (mul(Trig("sin", 0, 1, 1.0, 0.0, 2.0), Trig("cos", 1, 1, 1.0, 0.0, 2.0)),
+                     mul(Trig("cos", 0, 1, -1.0, 0.0, 2.0), Trig("sin", 1, 1, 1.0, 0.0, 2.0)))
+
+
+@pytest.mark.parametrize("domain, drift, message", [
+    pytest.param(Interval(), (Const(0.5),), "0.5 on the axis-0", id="interval-constant"),
+    pytest.param(Interval(), (Trig("sin", 0, 1, 1.0, 0.0, 1.0),), None, id="interval-vanishing-at-the-ends"),
+    pytest.param(Rectangle(), (Const(0.0), Const(2.0)), "2.0 on the axis-1", id="rectangle-through-y-walls"),
+    pytest.param(Rectangle(), (Const(-3.0), Const(2.0)), "3.0 on the axis-0", id="rectangle-axis-0-first"),
+    pytest.param(Rectangle(), CELLULAR_IN_A_BOX, None, id="rectangle-cellular-tangent"),
+])
+def test_the_wall_rule_names_the_first_crossed_axis_and_its_largest_normal_drift(domain, drift, message):
+    # |B.n| is the reported value, so a drift into the wall counts as much as one out of it
+    spec = SystemSpec(drift_forms=drift, u0_form=Const(1.0))
+    cfg = SweepConfig(kind="stability", domain=domain, n=(8,) * len(drift), epsilons=(0.5,), system=spec)
+    if message is None:
+        grid, system, _ = cfg.build()
+        for axis in range(grid.dim):
+            assert all(np.max(np.abs(side)) <= 1e-12 for side in system.drift.normal_at_boundary(grid, axis))
+    else:
+        with pytest.raises(BoundaryError, match=rf"^drift normal component reaches {message} boundary$"):
+            cfg.build()
 
 def test_bounded_requires_bounded_domain():
     cfg = SweepConfig(kind="bounded", domain=Circle(), n=(32,), epsilons=(0.5,))
