@@ -2,9 +2,10 @@
 
 The format is a strict INI dialect with four sections: [domain],
 [drift], [noise], [experiment].  The tables below (``DOMAINS``,
-``DRIFT_AXES``, ``NOISE_FIELDS``, ``SETTINGS`` and the fields of
-``Thresholds``) are the one list of keys: ``SECTION_KEYS``,
-``parse_config`` and ``serialize_config`` all iterate them.
+``DRIFT_AXES``, ``NOISE_FIELDS`` and ``SETTINGS``) are the one list of
+keys: ``SECTION_KEYS``, ``parse_config`` and ``serialize_config`` all
+iterate them.  The verdict tolerances are not keys: they are the fixed
+record ``SweepConfig.thresholds``, so no file can loosen a gate.
 
 This module reads syntax: numbers, booleans, expressions, and unknown
 (naming the nearest valid key), duplicate and unread keys.  The field
@@ -40,7 +41,7 @@ from dataclasses import fields
 from .errors import ConfigError, DomainError
 from .fields import Affine, Const, Power, Product, ScalarForm, Sum, Trig
 from .geometry import Circle, Interval, Rectangle, Torus2
-from .experiments import NoiseSpec, SweepConfig, SystemSpec, Thresholds, check_name, config_problems
+from .experiments import NoiseSpec, SweepConfig, SystemSpec, check_name, config_problems
 
 
 def _name(text: str) -> str:
@@ -89,14 +90,12 @@ SETTINGS = {
     "assert_l1_limit": _boolean,
     "scheme": _name,
 }
-#: [experiment] key -> reader, one per Thresholds field
-THRESHOLDS = {f.name: float for f in fields(Thresholds)}
 
 SECTION_KEYS = {
     "domain": {"kind", "n", *(key for _, key in DOMAINS.values())},
     "drift": {"catalog", "u0", *DRIFT_AXES},
     "noise": {"kind", "eps", *NOISE_FIELDS},
-    "experiment": {"kind", "out", "target", *SETTINGS, *THRESHOLDS},
+    "experiment": {"kind", "out", "target", *SETTINGS},
 }
 #: field named by ``experiments.config_problems`` -> its section and the keys
 #: that state it (a problem goes to each one the file holds); default: [experiment]
@@ -361,27 +360,20 @@ def parse_config(text: str) -> SweepConfig:
 
     values = dict(kind=_read(exp, "kind", _name, problems, "stability"), domain=domain, n=counts,
                   epsilons=epsilons, system=system, noise=noise, out_dir=_read(exp, "out", str, problems),
-                  **_read_table(exp, {"target": target, **THRESHOLDS, **SETTINGS}, problems))
+                  **_read_table(exp, {"target": target, **SETTINGS}, problems))
     problems += [(line, key, message) for field, message in config_problems(values)
                  for line, key in _locate(sections, field)]
     problems.sort(key=lambda problem: problem[0])  # in file order, missing keys first
     if problems:
         details = "; ".join(f"line {ln}, {key}: {msg}" for ln, key, msg in problems)
         raise ConfigError(f"invalid configuration: {details}", problems)
-    thresholds = Thresholds(**{key: values.pop(key) for key in THRESHOLDS if key in values})
-    return SweepConfig(**values, thresholds=thresholds)
+    return SweepConfig(**values)
 
 
 def _format(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return f"{value:.17g}" if isinstance(value, float) else str(value)
-
-
-def _changed(obj, keys) -> list[str]:
-    """``key = value`` lines for the ``keys`` of a dataclass that differ from their defaults."""
-    defaults = {f.name: f.default for f in fields(obj)}
-    return [f"{key} = {_format(getattr(obj, key))}" for key in keys if getattr(obj, key) != defaults[key]]
 
 
 def serialize_config(cfg: SweepConfig) -> str:
@@ -409,5 +401,6 @@ def serialize_config(cfg: SweepConfig) -> str:
         lines.append(f"out = {cfg.out_dir}")
     if cfg.target is not None:
         lines.append(f"target = {serialize_expression(cfg.target)}")
-    lines += _changed(cfg.thresholds, THRESHOLDS) + _changed(cfg, SETTINGS)
+    defaults = {f.name: f.default for f in fields(cfg)}
+    lines += [f"{key} = {_format(getattr(cfg, key))}" for key in SETTINGS if getattr(cfg, key) != defaults[key]]
     return "\n".join(lines) + "\n"

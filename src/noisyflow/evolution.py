@@ -268,7 +268,8 @@ def fit_decay_rate(trace: EvolutionTrace) -> DecayFit:
         raise FitError("empty fit window")
     if np.count_nonzero(usable) < 10:
         if np.count_nonzero(inside & (trace.chi2 <= CHI2_FLOOR)) > 0:
-            raise FitError("chi^2 underflowed the floor across the window; shorten the horizon")
+            raise FitError("chi^2 underflowed the floor across the window; shorten the horizon, or set "
+                           "scheme = crank-nicolson if implicit Euler's damping is the cause")
         raise FitError(f"need at least 10 usable samples, got {np.count_nonzero(usable)}")
     t = trace.times[usable]
     y = np.log(trace.chi2[usable])

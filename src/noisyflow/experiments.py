@@ -4,10 +4,11 @@
 the four runners.  Every runner and every CLI command gets its grid,
 system and noise from :meth:`SweepConfig.build`, which also refuses a
 drift that crosses a reflecting wall.  Each runner performs the study on
-the configured grid(s) and returns a :class:`Report` of rows, thresholds
-and named ``verdicts``.  Most verdicts are recomputable from the stored
-rows and thresholds alone; the stability sweep's uniform bounds also
-read the extremes of the invariant density u0, which no row holds.  A
+the configured grid(s) and returns a :class:`Report` of rows, the fixed
+thresholds (one calibration for every run) and named ``verdicts``.  Most
+verdicts are recomputable from the stored rows and thresholds alone; the
+stability sweep's uniform bounds also read the extremes of the invariant
+density u0, which no row holds.  A
 row is one dict per epsilon: its leading keys are the study's CSV
 columns in file order, and the objects that are not columns
 (``ROW_OBJECTS``) follow them.  When
@@ -26,6 +27,7 @@ import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -108,26 +110,26 @@ NOISE_KINDS = ("coordinate", "explicit", "selection")
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Pass/fail knobs; recorded in every report for auditability.
+    """The verdict tolerances: one calibration, the same for every run.
 
-    Each knob names the one experiment kind whose runner reads it in its
-    field's ``metadata["kind"]`` (see ``KIND_KEYS``).  The decay floor
+    ``SweepConfig.thresholds`` is this record and every :class:`Report`
+    carries it; no file or caller sets a tolerance.  The decay floor
     (rates >= c_floor * eps^2) and the bound factors are artifact
     calibration choices, not constants from the theory, which only
     guarantees existence of such constants.
     """
 
-    l1_final: float = field(default=0.02, metadata={"kind": "stability"})
-    l1_floor: float = field(default=1e-9, metadata={"kind": "stability"})
-    bound_factor: float = field(default=2.0, metadata={"kind": "stability"})
-    selection_sup: float = field(default=5e-3, metadata={"kind": "selection"})
-    selection_ratio_lo: float = field(default=3.0, metadata={"kind": "selection"})
-    selection_ratio_hi: float = field(default=5.0, metadata={"kind": "selection"})
-    selection_eps_spread: float = field(default=0.10, metadata={"kind": "selection"})
-    c_floor: float = field(default=1.0, metadata={"kind": "decay"})
-    rate_spread: float = field(default=0.5, metadata={"kind": "decay"})
-    oracle_sup: float = field(default=1e-3, metadata={"kind": "bounded"})
-    div_target_tol: float = field(default=1e-10, metadata={"kind": "selection"})
+    l1_final: float = 0.02
+    l1_floor: float = 1e-9
+    bound_factor: float = 2.0
+    selection_sup: float = 5e-3
+    selection_ratio_lo: float = 3.0
+    selection_ratio_hi: float = 5.0
+    selection_eps_spread: float = 0.10
+    c_floor: float = 1.0
+    rate_spread: float = 0.5
+    oracle_sup: float = 1e-3
+    div_target_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -140,17 +142,17 @@ class SweepConfig:
     noise: NoiseSpec = NoiseSpec()
     target: ScalarForm | None = field(default=None, metadata={"kind": "selection"})
     out_dir: str | None = None
-    thresholds: Thresholds = Thresholds()
     dt_factor: float = 5e-3
     horizon_factor: float = 5.0
     assert_l1_limit: bool = field(default=True, metadata={"kind": "stability"})
     scheme: str = "implicit-euler"
     workers: int = 1
+    #: the verdict tolerances: a constant, not a field
+    thresholds: ClassVar[Thresholds] = Thresholds()
 
     def __post_init__(self):
         # the required fields and those that differ from their defaults
-        stated = {f.name: getattr(obj, f.name) for obj in (self, self.thresholds) for f in fields(obj)
-                  if getattr(obj, f.name) != f.default}
+        stated = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) != f.default}
         problems = config_problems(stated)
         if problems:
             raise ValueError("; ".join(f"{name}: {message}" for name, message in problems))
@@ -188,13 +190,12 @@ class SweepConfig:
         return grid, system, noise
 
 
-#: SweepConfig and Thresholds fields that only one experiment kind reads -> that
-#: kind, as each field's ``metadata["kind"]`` declares it; every other field
-#: applies under any kind (``evolve`` reads scheme and the step factors from a
-#: configuration of any kind).  The config file's [experiment] keys share the
-#: names; ``config_problems`` holds both to this table.
-KIND_KEYS = {f.name: f.metadata["kind"] for cls in (SweepConfig, Thresholds) for f in fields(cls)
-             if "kind" in f.metadata}
+#: SweepConfig fields that only one experiment kind reads -> that kind, as each
+#: field's ``metadata["kind"]`` declares it; every other field applies under any
+#: kind (``evolve`` reads scheme and the step factors from a configuration of any
+#: kind).  The config file's [experiment] keys share the names; ``config_problems``
+#: holds both to this table.
+KIND_KEYS = {f.name: f.metadata["kind"] for f in fields(SweepConfig) if "kind" in f.metadata}
 
 
 def check_epsilons(eps) -> None:
@@ -219,9 +220,9 @@ def check_name(what: str, value: str, options) -> str:
 def config_problems(values: dict) -> list[tuple[str, str]]:
     """Every field rule of a :class:`SweepConfig` that ``values`` breaks, as (field, message).
 
-    ``values`` maps the fields a caller states (those of SweepConfig and
-    Thresholds) to their values; None is a stated value that could not
-    be read, which only the rules on presence see.  SweepConfig and
+    ``values`` maps the SweepConfig fields a caller states to their
+    values; None is a stated value that could not be read, which only
+    the rules on presence see.  SweepConfig and
     ``config.parse_config`` both check here, so a configuration that
     constructs is one that parses back.  Spec parts are named
     ``noise.kind``, ``noise.a0_forms``, ``noise.ai_forms`` and ``system.catalog``.
@@ -395,13 +396,14 @@ def run_selection(cfg: SweepConfig) -> Report:
         )
 
     fine = cfg.build(refine_grid(grid, REFINE_FACTOR))
+    targets = [cfg.target(g.cell_centers()) for g, _, _ in (coarse, fine)]  # eps-free: once per grid
+    for target, (g, _, _) in zip(targets, (coarse, fine)):
+        target /= np.sum(target) * g.cell_volume
 
     def solve_one(eps):
         errs = []
-        for g, s, noise in (coarse, fine):
+        for (_, s, noise), target in zip((coarse, fine), targets):
             rep = solve_stationary(assemble_for(s, noise, eps))
-            target = cfg.target(g.cell_centers())
-            target /= np.sum(target) * g.cell_volume
             errs.append(float(np.max(np.abs(rep.density.values - target))))
         err, err_fine = errs
         ratio = err / err_fine if err_fine > 0 else math.inf

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisyflow.cli import main
+from noisyflow.cli import COMMANDS, main
 from noisyflow.config import parse_config, parse_expression, serialize_config, serialize_expression
 from noisyflow.errors import ConfigError
 from noisyflow.evolution import evolve, perturbed_initial
@@ -211,8 +211,7 @@ def test_config_round_trip_rich(domain, n, system, settings):
         **common,
     )
     target = Trig("cos", domain.dim - 1, 1, 0.5, 1.0, domain.lengths[-1])
-    selection = SweepConfig(kind="selection", target=target, thresholds=Thresholds(selection_sup=1e-3),
-                            **common)
+    selection = SweepConfig(kind="selection", target=target, **common)
     for cfg in (explicit, selection):
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -257,10 +256,19 @@ def test_cli_sweep_rotation_passes(tmp_path, capsys):
 
 
 def test_cli_verdict_failure_exits_2(tmp_path, capsys):
-    text = ROTATION.replace("kind = stability", "kind = stability\nbound_factor = 0.5")
-    code = main(["sweep", "--config", write_config(tmp_path, text)])
+    # torus-shear with noise across the streamlines only: the limit is
+    # proportional to 1/(1 + cos(2 pi y)/2), not u0 = 1, so L1 stays near 0.34
+    text = ROTATION.replace("torus-rotation", "torus-shear").replace(
+        "kind = coordinate", "kind = explicit\na1 = const:1; const:0\n"
+                             "a2 = const:0; cos:axis=1,freq=1,amp=0.5,offset=1.0")
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", write_config(tmp_path, text), "--out", str(out)])
     assert code == 2
-    assert "verdict failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "verdict failure" in err and "final l1 distance" in err
+    assert "[FAIL] final l1 distance" in (out / "summary.txt").read_text()
+    l1s = [float(line.split(",")[-1]) for line in (out / "stability.csv").read_text().splitlines()[1:]]
+    assert min(l1s) > 0.3
 
 
 def test_a_failed_factorization_exits_1(tmp_path, monkeypatch, capsys):
@@ -541,25 +549,41 @@ THRESHOLD_NAMES = [f.name for f in fields(Thresholds)]
 
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
 @pytest.mark.parametrize("key", THRESHOLD_NAMES)
-def test_thresholds_are_read_only_by_their_kind(tmp_path, capsys, key, kind):
+def test_tolerances_are_not_keys(tmp_path, capsys, key, kind):
+    # the tolerances are one fixed record, SweepConfig.thresholds: no file and no caller sets one
     target = "\ntarget = const:1" if kind == "selection" else ""
     text = MINIMAL.replace("kind = stability", f"kind = {kind}{target}") + f"{key} = 0.25\n"
     line = len(text.splitlines())
-    base = dict(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5,),
-                target=Const(1.0) if kind == "selection" else None)
-    thresholds = Thresholds(**{key: 0.25})
-    if kind == KIND_KEYS[key]:
-        assert getattr(parse_config(text).thresholds, key) == 0.25
-        assert SweepConfig(**base, thresholds=thresholds).thresholds == thresholds
-        return
     with pytest.raises(ConfigError) as info:
         parse_config(text)
-    assert [(ln, k) for ln, k, _ in info.value.locations] == [(line, key)]
-    assert f"not read by [experiment] kind = {kind}" in str(info.value)
-    with pytest.raises(ValueError, match=re.escape(f"{key}: not read by [experiment] kind = {kind}")):
-        SweepConfig(**base, thresholds=thresholds)
-    assert main(["stationary", "--config", write_config(tmp_path, text), "--quiet"]) == 1
-    assert f"line {line}, {key}: " in capsys.readouterr().err
+    (ln, k, message), = info.value.locations
+    assert (ln, k) == (line, key)
+    assert message.startswith("unknown key in [experiment]")
+    path, out = write_config(tmp_path, text), tmp_path / "out"
+    for command in COMMANDS:
+        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 1
+        assert f"line {line}, {key}: unknown key in [experiment]" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(TypeError, match="thresholds"):
+        SweepConfig(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5,), thresholds=Thresholds(**{key: 0.25}))
+
+
+@pytest.mark.parametrize("scheme, code", [("implicit-euler", 1), ("crank-nicolson", 0)])
+def test_decay_underflow_names_the_scheme(tmp_path, capsys, scheme, code):
+    # circle-positive at n = 256, eps = 0.025: implicit Euler damps the advected
+    # modes, so chi^2 reaches the floor within the first steps and no fit window
+    # is left even at half the horizon; Crank-Nicolson keeps them and fits
+    text = MINIMAL.replace("n = 64", "n = 256").replace("eps = 0.2", "eps = 0.025").replace(
+        "kind = stability", f"kind = decay\nscheme = {scheme}")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("error: chi^2 underflowed the floor across the window; shorten the horizon, or set "
+                       "scheme = crank-nicolson if implicit Euler's damping is the cause\n")
+    else:
+        assert err == ""
+        assert "overall: PASS" in (out / "summary.txt").read_text()
 
 
 def test_selection_experiment_needs_its_target(tmp_path, capsys):
@@ -604,8 +628,6 @@ MINIMAL_FIELDS = dict(kind="stability", domain=Circle(), n=(64,), epsilons=(0.2,
                  id="workers"),
     pytest.param("kind = stability", "kind = stability\ntarget = const:1", 15, "target",
                  dict(target=Const(1.0)), id="target-of-another-kind"),
-    pytest.param("kind = stability", "kind = stability\noracle_sup = 0.1", 15, "oracle_sup",
-                 dict(thresholds=Thresholds(oracle_sup=0.1)), id="threshold-of-another-kind"),
     pytest.param("kind = stability", "kind = selection\ntarget = const:1\nassert_l1_limit = false", 16,
                  "assert_l1_limit", dict(kind="selection", target=Const(1.0), assert_l1_limit=False),
                  id="setting-of-another-kind"),

@@ -159,10 +159,11 @@ def test_selection_uniform_target_any_divfree_drift():
         kind="selection", domain=Torus2(), n=(16, 16), epsilons=(0.5,),
         system=SystemSpec(catalog="torus-rotation"),
         target=Const(1.0),
-        thresholds=Thresholds(selection_sup=1e-10),
     )
     report = run_selection(cfg)
     assert report.verdicts["sup error within tolerance"]
+    # a uniform target is selected to roundoff on both grids
+    assert all(row["err_sup"] <= 1e-10 and row["err_sup_refined"] <= 1e-10 for row in report.rows)
 
 
 def test_selection_rejects_invalid_target():
@@ -425,6 +426,16 @@ def test_run_dispatches_on_kind_and_rejects_unknown_kinds():
         run(SweepConfig(kind="sweep", domain=Circle(), n=(32,), epsilons=(0.5,)))
 
 
+#: tolerance -> the kind whose runner reads it
+TOLERANCE_READERS = {
+    "l1_final": "stability", "l1_floor": "stability", "bound_factor": "stability",
+    "selection_sup": "selection", "selection_ratio_lo": "selection", "selection_ratio_hi": "selection",
+    "selection_eps_spread": "selection", "div_target_tol": "selection",
+    "c_floor": "decay", "rate_spread": "decay",
+    "oracle_sup": "bounded",
+}
+
+
 @pytest.mark.parametrize("kind, domain, system, target", [
     ("stability", Circle(), "circle-positive", None),
     ("selection", Circle(), "zero-drift", Trig("cos", 0, 1, 0.5, 1.0, 1.0)),
@@ -432,8 +443,10 @@ def test_run_dispatches_on_kind_and_rejects_unknown_kinds():
     ("bounded", Interval(), "zero-drift", None),
 ])
 def test_each_kind_reads_exactly_its_thresholds(kind, domain, system, target):
-    # KIND_KEYS names, for each threshold, the kind whose runner reads it
+    # every tolerance is read by exactly one kind, and the four kinds read all of them
     names = {f.name for f in fields(Thresholds)}
+    assert set(TOLERANCE_READERS) == names
+    assert set(TOLERANCE_READERS.values()) == set(experiments.RUNNERS)
     reads = set()
 
     class Recording(Thresholds):
@@ -445,8 +458,9 @@ def test_each_kind_reads_exactly_its_thresholds(kind, domain, system, target):
     cfg = SweepConfig(kind=kind, domain=domain, n=(16,), epsilons=(0.5, 0.25),
                       system=SystemSpec(catalog=system), target=target)
     object.__setattr__(cfg, "thresholds", Recording())
-    run(cfg)
-    assert reads == {key for key, reader in experiments.KIND_KEYS.items() if key in names and kind == reader}
+    report = run(cfg)
+    assert reads == {key for key, reader in TOLERANCE_READERS.items() if reader == kind}
+    assert report.thresholds is cfg.thresholds  # the report records the values its verdicts used
 
 
 def test_decay_retry_refits_the_prefix_without_reintegrating(tmp_path, monkeypatch):

@@ -248,8 +248,8 @@ eps = 0.5
 [experiment]
 kind = stability
 """,
-    # a threshold under a kind that does not read it
-    "threshold-of-another-kind": """\
+    # a removed threshold key: the tolerances are fixed, so every kind refuses it
+    "removed-threshold-key": """\
 [domain]
 kind = circle
 length = 1.0
