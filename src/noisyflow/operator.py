@@ -134,7 +134,16 @@ class FokkerPlanckOperator:
         return ncomp == 1
 
     def inf_norm(self) -> float:
-        return float(np.max(np.abs(self.matrix).sum(axis=1)))
+        """max_i sum_j |M_ij|, summed over each row's stored entries without copying the matrix.
+
+        The row sums are the ones ``abs(M).sum(axis=1)`` takes, one
+        ``reduceat`` over the nonempty rows, so the norm has its bits.
+        """
+        m = self.matrix
+        rows = np.flatnonzero(np.diff(m.indptr))  # reduceat gives an empty row its successor's entry
+        if rows.size == 0:
+            return 0.0
+        return float(np.max(np.add.reduceat(np.abs(m.data), m.indptr[rows])))
 
     def __repr__(self):
         return f"FokkerPlanckOperator(n={self.matrix.shape[0]})"

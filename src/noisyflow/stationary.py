@@ -49,6 +49,18 @@ panel lattice) and returns them to the next call with equal forms on the
 same lattice, so a loop over eps on one grid samples them once.  The
 memory kept is 16n + 1 doubles (8n + 1 panel edges, 8n midpoints) for B
 and for each of a and b that is not constant; a constant stays one float.
+
+Besides the kept samples a circle oracle call holds three (8n + 1)-long
+arrays at once: Phi, Phi at the midpoints and the unnormalized density w
+(the interval oracle: the first two).  Everything else lives for one
+block of ``J1_BLOCK`` panels: :func:`_exponent` builds psi and Phi from
+the left, :func:`_backward_sum` sums J1 from the right, J2 is added from
+the left, and once Phi is freed psi is rebuilt on the edges for the
+flux self-check.  The cumulative sums carry from block to block with the
+additions of one sum over all panels, and every elementwise operation
+keeps its operands and their order, so the results have the bits of
+passes over whole arrays.  No buffer outlives a call: the bounded runner
+calls the interval oracle from pool threads.
 """
 
 from __future__ import annotations
@@ -248,7 +260,8 @@ def discrete_w12_seminorm(u: Density) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: Most panels one block of the backward sum spans.
+#: Most panels one block of an oracle pass spans; the backward sum's
+#: blocks may be shorter (see :func:`_backward_sum`).
 J1_BLOCK = 4096
 
 #: Largest range of Phi over one block of the backward sum: e^300 ~ 1e130
@@ -273,12 +286,28 @@ def _quad_nodes(origin: float, length: float, panels: int):
     return edges, mids
 
 
-def _cumulative_simpson(f_edges, f_mids, delta):
-    """Cumulative integral at panel edges from edge and midpoint samples."""
-    panel = (delta / 6.0) * (f_edges[:-1] + 4.0 * f_mids + f_edges[1:])
-    out = np.empty(len(f_edges))
-    out[0] = 0.0
-    np.cumsum(panel, out=out[1:])
+def _blocks(count: int):
+    """(start, end) of consecutive runs of at most ``J1_BLOCK`` of ``count`` items, left to right."""
+    return ((start, min(start + J1_BLOCK, count)) for start in range(0, count, J1_BLOCK))
+
+
+def _cumulative_simpson(f_edges, f_mids, delta, carry, out):
+    """Cumulative integral at panel edges from edge and midpoint samples, written into ``out``.
+
+    The integral is ``carry`` at the first edge (0 when None) and adds
+    the panels one at a time, so blocks that each start from the last
+    value of the block before make the additions of one cumulative sum
+    over all their panels, and give its bits.
+    """
+    out[0] = 0.0 if carry is None else carry
+    panel = out[1:]  # (delta / 6) (f_left + 4 f_mid + f_right), in place
+    np.multiply(4.0, f_mids, out=panel)
+    panel += f_edges[:-1]
+    panel += f_edges[1:]
+    panel *= delta / 6.0
+    if carry is not None:
+        panel[0] += carry
+    np.cumsum(panel, out=panel)
     return out
 
 
@@ -337,27 +366,43 @@ def _panel_samples(b_form: ScalarForm, a_form: ScalarForm, b_corr_form: ScalarFo
     return min(float(b[0].min()), float(b[1].min())), b, a, b_corr
 
 
+def _psi(b, a, b_corr, e2: float, part: slice) -> np.ndarray:
+    """psi = 2 (B + eps^2 b) / (eps^2 a) on ``part`` of one lattice's samples (edges or midpoints)."""
+    a, b_corr = (v if isinstance(v, float) else v[part] for v in (a, b_corr))
+    return 2.0 * (b[part] + e2 * b_corr) / (e2 * a)
+
+
 def _exponent(drift: VectorField, a0: VectorField, ai: list[VectorField], eps: float,
               grid: Grid, quad: int):
     """The oracles' exponent on ``quad`` Simpson panels over the 1D domain of ``grid``.
 
-    Returns ``(b_min, a_edges, psi_edges, psi_mids, phi, phi_mid)``: the
-    least drift B over all panel nodes, a at the panel edges (a float
-    when a is constant), psi = 2 (B + eps^2 b) / (eps^2 a) at the edges
-    and midpoints, and Phi = int_origin^x psi at the edges and midpoints.
-    The eps-free samples come from :func:`_panel_samples`.
+    Returns ``(samples, psi_max, phi, phi_mid)``: the eps-free samples
+    ``(b_min, b, a, b_corr)`` of :func:`_panel_samples`, the largest
+    |psi| over all panel nodes with psi = 2 (B + eps^2 b) / (eps^2 a),
+    and Phi = int_origin^x psi at the panel edges and midpoints.  One
+    left-to-right pass over blocks of ``J1_BLOCK`` panels builds psi on
+    a block's nodes from the samples and extends Phi over the block,
+    carrying the cumulative Simpson sum from block to block (see
+    :func:`_cumulative_simpson`), so Phi has the bits of one sum over all
+    panels and psi never outlives its block.
     """
     a_form, b_corr_form = _oracle_coefficients(a0, ai)
     (origin,), (length,) = grid.kind.origin, grid.kind.lengths
-    b_min, (b_edges, b_mids), (a_edges, a_mids), (c_edges, c_mids) = _panel_samples(
-        drift.components[0], a_form, b_corr_form, origin, length, quad)
+    samples = _panel_samples(drift.components[0], a_form, b_corr_form, origin, length, quad)
+    _, b, a, b_corr = samples
     e2 = eps * eps
-    psi_edges = 2.0 * (b_edges + e2 * c_edges) / (e2 * a_edges)
-    psi_mids = 2.0 * (b_mids + e2 * c_mids) / (e2 * a_mids)
     delta = length / quad
-    phi = _cumulative_simpson(psi_edges, psi_mids, delta)
-    phi_mid = phi[:-1] + _half_panel(psi_edges, psi_mids, delta)
-    return b_min, a_edges, psi_edges, psi_mids, phi, phi_mid
+    phi = np.empty(quad + 1)
+    phi_mid = np.empty(quad)
+    psi_max = 0.0
+    for start, end in _blocks(quad):
+        psi_edges = _psi(b[0], a[0], b_corr[0], e2, slice(start, end + 1))
+        psi_mids = _psi(b[1], a[1], b_corr[1], e2, slice(start, end))
+        psi_max = max(psi_max, psi_edges.max(), psi_mids.max(), -psi_edges.min(), -psi_mids.min())
+        _cumulative_simpson(psi_edges, psi_mids, delta, float(phi[start]) if start else None,
+                            phi[start:end + 1])
+        np.add(phi[start:end], _half_panel(psi_edges, psi_mids, delta), out=phi_mid[start:end])
+    return samples, float(psi_max), phi, phi_mid
 
 
 def _at_centers(edge_values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -367,32 +412,44 @@ def _at_centers(edge_values: np.ndarray, grid: Grid) -> np.ndarray:
     return edge_values[stride * np.arange(n) + stride // 2]
 
 
-def _backward_sum(local: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _backward_sum(phi: np.ndarray, phi_mid: np.ndarray, delta: float) -> np.ndarray:
     """J1[j] = sum_{k >= j} local[k] e^{Phi[j] - Phi[k]}, with J1[-1] = 0.
 
-    The closed form of the recurrence J1[j] = local[j] + e^{Phi[j] -
-    Phi[j+1]} J1[j+1], evaluated block by block from the right.  A block
-    spans at most ``J1_BLOCK`` panels and is halved until Phi ranges over
-    at most ``J1_BLOCK_SPAN`` on its edges.  Inside it, with Phi_ref the
-    block's largest Phi, the reversed cumulative sum of
-    local e^{Phi_ref - Phi} plus the carried right edge value
-    J1[end] e^{Phi_ref - Phi[end]} is scaled back by e^{Phi - Phi_ref}.
-    Every exponent lies in [-J1_BLOCK_SPAN, J1_BLOCK_SPAN] whatever the
-    sign of Phi's slope (unless Phi moves by more than that within one
-    panel), so nothing overflows even when e^{Phi(L)} would.
+    local[k] is panel k's Simpson integral of e^{Phi[k] - Phi}, from Phi
+    at its edges and midpoint; it is computed per block, never for all
+    panels at once.  The sum is the closed form of the recurrence J1[j]
+    = local[j] + e^{Phi[j] - Phi[j+1]} J1[j+1], evaluated block by block
+    from the right.  A block spans at most ``J1_BLOCK`` panels and is
+    halved until Phi ranges over at most ``J1_BLOCK_SPAN`` on its edges.
+    Inside it, with Phi_ref the block's largest Phi, the reversed
+    cumulative sum of local e^{Phi_ref - Phi} plus the carried right
+    edge value J1[end] e^{Phi_ref - Phi[end]} is scaled back by
+    e^{Phi - Phi_ref}.  Every exponent lies in [-J1_BLOCK_SPAN,
+    J1_BLOCK_SPAN] whatever the sign of Phi's slope (unless Phi moves by
+    more than that within one panel), so nothing overflows even when
+    e^{Phi(L)} would.
     """
     j1 = np.zeros(len(phi))
-    end = len(local)
+    end = len(phi_mid)
     while end > 0:
         start = max(0, end - J1_BLOCK)
         while end - start > 1 and np.ptp(phi[start:end + 1]) > J1_BLOCK_SPAN:
             start = end - (end - start) // 2
+        left = phi[start:end]
+        local = np.subtract(left, phi_mid[start:end])
+        np.exp(local, out=local)
+        local *= 4.0
+        local += 1.0
+        scaled = np.subtract(left, phi[start + 1:end + 1])
+        local += np.exp(scaled, out=scaled)
+        local *= delta / 6.0
         ref = float(np.max(phi[start:end + 1]))
-        scaled = np.exp(ref - phi[start:end])
-        scaled *= local[start:end]
+        np.subtract(ref, left, out=scaled)
+        np.exp(scaled, out=scaled)
+        scaled *= local
         sums = np.cumsum(scaled[::-1])[::-1]
         sums += math.exp(ref - phi[end]) * j1[end]
-        np.exp(phi[start:end] - ref, out=scaled)
+        np.exp(left - ref, out=scaled)
         np.multiply(scaled, sums, out=j1[start:end])
         end = start
     return j1
@@ -407,9 +464,11 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     whole circle and positive total diffusion a; B + eps^2 b may change
     sign, so Phi need not be monotone.  J1 is the backward sum of
     :func:`_backward_sum`, which keeps every exponent within a bounded
-    range, and J2 = e^{Phi - Phi(L)} int_0^x e^{-Phi} is added into it in
-    place.  The returned constant satisfies C_eps = -int (B + eps^2 b) u,
-    which is re-verified against the quadrature before returning.
+    range, and J2 = e^{Phi - Phi(L)} int_0^x e^{-Phi} is added into it
+    block by block from the left.  The returned constant satisfies
+    C_eps = -int (B + eps^2 b) u, which is re-verified against the
+    quadrature before returning, on psi rebuilt at the panel edges once
+    Phi is freed.
 
     The panels must resolve the kernels: psi_max * delta, with
     psi = 2 (B + eps^2 b) / (eps^2 a) and delta the panel width, may not
@@ -424,11 +483,9 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     quad = ORACLE_QUAD_FACTOR * grid.n[0]
     delta = grid.kind.length / quad
     e2 = eps * eps
-    b_min, a_edges, psi_edges, psi_mids, phi, phi_mid = _exponent(drift, a0, ai, eps, grid, quad)
+    (b_min, b, a, b_corr), psi_max, phi, phi_mid = _exponent(drift, a0, ai, eps, grid, quad)
     if not b_min > 0.0:
         raise PositivityError("circle oracle requires B > 0 everywhere")
-    psi_max = float(max(psi_edges.max(), psi_mids.max(), -psi_edges.min(), -psi_mids.min()))
-    del psi_mids
     if psi_max * delta > ORACLE_MAX_PSI_DELTA:
         raise ResolutionError(f"circle oracle is unresolved: psi_max * delta = {psi_max * delta:.3g} exceeds "
                               f"{ORACLE_MAX_PSI_DELTA:g}; use more cells or a larger eps")
@@ -438,32 +495,29 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     if abs(phi_total) < 1e-14:
         raise DegenerateError("periodic oracle is singular: net drift integral vanishes")
 
-    # Simpson over each panel of e^{Phi(left edge) - Phi}
-    local = np.exp(phi[:-1] - phi_mid)
-    local *= 4.0
-    local += 1.0
-    local += np.exp(phi[:-1] - phi[1:])
-    local *= delta / 6.0
-    w = _backward_sum(local, phi)
-    del local
-
+    w = _backward_sum(phi, phi_mid, delta)
     # w = J1 + J2, with J2 = e^{Phi - Phi(L)} int_0^x e^{-Phi}
-    exp_neg_phi = np.negative(phi)
-    np.exp(exp_neg_phi, out=exp_neg_phi)
-    np.negative(phi_mid, out=phi_mid)
-    np.exp(phi_mid, out=phi_mid)
-    wrap = _cumulative_simpson(exp_neg_phi, phi_mid, delta)
-    del exp_neg_phi, phi_mid
-    phi -= phi_total
-    np.exp(phi, out=phi)
-    wrap *= phi
-    del phi
-    w += wrap
-    del wrap
+    carry = None
+    for start, end in _blocks(quad):
+        edges = np.negative(phi[start:end + 1])
+        mids = np.negative(phi_mid[start:end])
+        wrap = _cumulative_simpson(np.exp(edges, out=edges), np.exp(mids, out=mids), delta, carry,
+                                   np.empty(end - start + 1))
+        carry = float(wrap[-1])
+        np.subtract(phi[start:end + 1], phi_total, out=edges)
+        wrap *= np.exp(edges, out=edges)
+        first = 1 if start else 0  # a later block's first edge is the last one of the block before
+        w[start + first:end + 1] += wrap[first:]
+    del phi, phi_mid
 
     # (B + eps^2 b) u = (eps^2 / 2) psi w / Z
-    flux = _simpson_on_edges(psi_edges * w, delta)
-    w /= a_edges
+    psi_w = np.empty(quad + 1)
+    for start, end in _blocks(quad + 1):
+        part = slice(start, end)
+        np.multiply(_psi(b[0], a[0], b_corr[0], e2, part), w[part], out=psi_w[part])
+    flux = _simpson_on_edges(psi_w, delta)
+    del psi_w
+    w /= a[0]
     scale = 1.0 / _simpson_on_edges(w, delta)
     c_eps = -0.5 * e2 * scale * -np.expm1(-phi_total)
     check = 0.5 * e2 * scale * flux
@@ -483,8 +537,9 @@ def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField
 
     The stationary flux constant is zero, so u = e^Phi / (Z a) with the
     same Phi as the circle case, on the same ``ORACLE_QUAD_FACTOR``
-    panels per cell.  Requires B to vanish at both endpoints
-    (compatibility with the zero normal flux of the reflecting SDE).
+    panels per cell, evaluated in place in Phi's array.  Requires B to
+    vanish at both endpoints (compatibility with the zero normal flux of
+    the reflecting SDE).
     """
     if not isinstance(grid.kind, Interval):
         raise ValueError("interval oracle needs an Interval grid")
@@ -494,8 +549,12 @@ def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField
     if not np.max(np.abs(b_ends)) <= 1e-12:
         raise BoundaryError(f"drift must vanish at the endpoints, got B(a), B(b) = {tuple(b_ends)}")
     quad = ORACLE_QUAD_FACTOR * grid.n[0]
-    _, a_edges, _, _, phi, _ = _exponent(drift, a0, ai, eps, grid, quad)
+    (_, _, a, _), _, phi, phi_mid = _exponent(drift, a0, ai, eps, grid, quad)
+    del phi_mid
     phi -= phi.max()
-    u_unnorm = np.exp(phi) / a_edges
+    u_unnorm = np.exp(phi, out=phi)
+    u_unnorm /= a[0]
     z = _simpson_on_edges(u_unnorm, kind.lengths[0] / quad)
-    return _at_centers(u_unnorm / z, grid)
+    u = _at_centers(u_unnorm, grid)
+    u /= z
+    return u

@@ -15,6 +15,7 @@ from noisyflow.fields import (
 )
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
 from noisyflow.operator import (
+    FokkerPlanckOperator,
     assemble_for,
     bernoulli,
     derive_drift_diffusion,
@@ -211,6 +212,37 @@ def test_cross_diffusion_on_a_non_square_torus_is_conservative_and_second_order(
         u = np.cos(g.cell_centers() @ k)
         errors.append(np.max(np.abs(op.matrix @ u + 0.5 * eps ** 2 * k_a_k * u)))
     assert 3.6 <= errors[0] / errors[1] <= 4.4
+
+
+def inf_norm_case(case):
+    """An assembled operator: periodic 1D, bounded 2D, or periodic 2D with cross diffusion."""
+    if case == "periodic":
+        g = build_grid(Circle(), 256)
+        return assemble_for(builtin_catalog("circle-positive", g), coordinate_noise(g), 0.3)
+    if case == "bounded":
+        g = build_grid(Rectangle(), (20, 16))
+        noise = Noise(VectorField.zero(2), (VectorField([Trig("cos", 0, 1, 0.3, 1.0, 1.0), Const(0.0)]),
+                                            VectorField.constant([0.0, 1.0])))
+        return assemble_for(builtin_catalog("zero-drift", g), noise, 0.4)
+    g = build_grid(Torus2(), (16, 16))
+    a1 = VectorField([Trig("cos", 0, 1, 0.3, 1.0, 1.0), Trig("sin", 1, 1, 0.2, 0.5, 1.0)])
+    noise = Noise(VectorField.zero(2), (a1, VectorField.constant([0.0, 1.0])))
+    op = assemble_for(builtin_catalog("hamiltonian-cellular", g), noise, 0.5)
+    assert op.has_cross_diffusion
+    return op
+
+
+@pytest.mark.parametrize("case", ["periodic", "bounded", "cross-diffusion"])
+def test_inf_norm_has_the_bits_of_the_absolute_row_sums(case):
+    op = inf_norm_case(case)
+    assert op.inf_norm() == float(np.max(np.abs(op.matrix).sum(axis=1)))
+    # an empty row (here the first one) adds a zero row sum and nothing else
+    m = op.matrix.copy()
+    m.data[m.indptr[0]:m.indptr[1]] = 0.0
+    m.eliminate_zeros()
+    emptied = FokkerPlanckOperator(m, op.grid, op.has_cross_diffusion)
+    assert emptied.inf_norm() == float(np.max(np.abs(m).sum(axis=1)))
+    assert FokkerPlanckOperator(sp.csr_matrix(m.shape), op.grid, False).inf_norm() == 0.0
 
 
 def test_cross_diffusion_requires_spd():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,46 +419,88 @@ def test_oracle_backward_sum_matches_the_recurrence(case):
         assert np.min(np.diff(phi)) < 0.0
     local = (delta / 6.0) * (1.0 + 4.0 * np.exp(phi[:-1] - phi_mid) + np.exp(phi[:-1] - phi[1:]))
     ref = reference_j1(local, phi)
-    assert np.max(np.abs(_backward_sum(local, phi) - ref)) <= 1e-12 * np.max(ref)
+    assert np.max(np.abs(_backward_sum(phi, phi_mid, delta) - ref)) <= 1e-12 * np.max(ref)
     u, c_eps = oracle_1d_circle(drift, a0, ai, eps, g)  # raises unless the self-check passes
     assert np.all(u > 0.0) and c_eps < 0.0
 
 
-def reference_exponent(drift, a0, ai, eps, grid, quad):
-    """The oracles' exponent with every form evaluated afresh at every node, nothing kept."""
-    a_form, b_form = stationary._oracle_coefficients(a0, ai)
-    e2 = eps * eps
-
-    def sample(x):
-        a = a_form(x)
-        b = drift.components[0](x)
-        return a, float(b.min()), 2.0 * (b + e2 * b_form(x)) / (e2 * a)
-
-    (origin,), (length,) = grid.kind.origin, grid.kind.lengths
-    edges, mids = stationary._quad_nodes(origin, length, quad)
-    a_edges, b_min_edges, psi_edges = sample(edges)
-    _, b_min_mids, psi_mids = sample(mids)
-    delta = length / quad
-    phi = stationary._cumulative_simpson(psi_edges, psi_mids, delta)
-    phi_mid = phi[:-1] + stationary._half_panel(psi_edges, psi_mids, delta)
-    return min(b_min_edges, b_min_mids), a_edges, psi_edges, psi_mids, phi, phi_mid
-
-
 @pytest.mark.parametrize("case", ["overflowing", "non-monotone"])
-def test_kept_samples_give_the_bits_of_a_fresh_evaluation(case, monkeypatch):
+def test_kept_samples_give_the_bits_of_a_fresh_evaluation(case, full_array_oracles):
     g, drift, a0, ai, eps = backward_sum_case(case)
     quad = 8 * g.n[0]
-    ref = reference_exponent(drift, a0, ai, eps, g, quad)
+    b_min_ref, _, psi_edges, psi_mids, phi_ref, phi_mid_ref = full_array_oracles.exponent(drift, a0, ai, eps, g, quad)
+    psi_max_ref = max(np.max(np.abs(psi_edges)), np.max(np.abs(psi_mids)))
     _panel_samples.cache_clear()
     for _ in range(2):  # a cold evaluation, then the kept samples
-        b_min, _, psi_edges, _, phi, phi_mid = _exponent(drift, a0, ai, eps, g, quad)
-        assert b_min == ref[0]
-        for got, want in ((psi_edges, ref[2]), (phi, ref[4]), (phi_mid, ref[5])):
-            assert np.array_equal(got, want)
+        (b_min, *_), psi_max, phi, phi_mid = _exponent(drift, a0, ai, eps, g, quad)
+        assert b_min == b_min_ref and psi_max == psi_max_ref
+        assert np.array_equal(phi, phi_ref) and np.array_equal(phi_mid, phi_mid_ref)
     u, c_eps = oracle_1d_circle(drift, a0, ai, eps, g)
-    monkeypatch.setattr(stationary, "_exponent", reference_exponent)
-    u_ref, c_ref = oracle_1d_circle(drift, a0, ai, eps, g)
+    u_ref, c_ref = full_array_oracles.circle(drift, a0, ai, eps, g)
     assert np.array_equal(u, u_ref) and c_eps == c_ref
+
+
+def seam_case(case):
+    """(grid, drift, a0, ai, eps) of a circle case placed against the oracles' blocks of J1_BLOCK panels."""
+    if case in ("overflowing", "non-monotone"):
+        return backward_sum_case(case)
+    g = build_grid(Circle(), 64 if case == "one-block" else 1000)
+    if case == "seam-varying-noise":  # a and b are arrays, not constants
+        return (g, *backward_sum_case("non-monotone")[1:])
+    nf = unit_noise(g)
+    eps = 0.4 if case == "one-block" else 0.2
+    return g, builtin_catalog("circle-positive", g).drift, nf.a0_field, nf.ai_fields, eps
+
+
+@pytest.mark.parametrize("case", ["seam", "seam-varying-noise", "one-block", "overflowing", "non-monotone"])
+def test_block_passes_give_the_bits_of_the_full_arrays(case, full_array_oracles):
+    g, drift, a0, ai, eps = seam_case(case)
+    panels = stationary.ORACLE_QUAD_FACTOR * g.n[0]
+    if case.startswith("seam"):  # 8n = 8000: one full block and a short one
+        assert panels > stationary.J1_BLOCK and panels % stationary.J1_BLOCK != 0
+    elif case == "one-block":
+        assert panels < stationary.J1_BLOCK
+    _panel_samples.cache_clear()
+    u, c_eps = oracle_1d_circle(drift, a0, ai, eps, g)
+    u_ref, c_ref = full_array_oracles.circle(drift, a0, ai, eps, g)
+    assert np.array_equal(u, u_ref) and c_eps == c_ref
+
+
+@pytest.mark.parametrize("n", [1000, 64])
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_interval_block_passes_give_the_bits_of_the_full_arrays(n, eps, full_array_oracles):
+    g = build_grid(Interval(), n)
+    drift = VectorField([Trig("sin", 0, 1, 0.3, 0.0, 1.0)])  # vanishes at both ends
+    a0 = VectorField([Const(0.3)])
+    ai = [VectorField([Trig("cos", 0, 1, 0.9, 1.0, 1.0)])]
+    u = oracle_1d_interval(drift, a0, ai, eps, g)
+    assert np.array_equal(u, full_array_oracles.interval(drift, a0, ai, eps, g))
+
+
+@pytest.mark.parametrize("kind, arrays", [(Circle(), 4), (Interval(), 3)])
+def test_oracle_working_set(kind, arrays):
+    # past the kept samples, a call holds Phi, Phi_mid and w (the circle)
+    # or Phi and Phi_mid (the interval) at full length, and only blocks besides
+    n = 2 ** 12
+    g = build_grid(kind, n)
+    nf = unit_noise(g)
+    if isinstance(kind, Circle):
+        oracle, drift = oracle_1d_circle, builtin_catalog("circle-positive", g).drift
+    else:
+        oracle, drift = oracle_1d_interval, VectorField([Trig("sin", 0, 1, 0.3, 0.0, 1.0)])
+    oracle(drift, nf.a0_field, nf.ai_fields, 0.3, g)  # keeps the samples
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        oracle(drift, nf.a0_field, nf.ai_fields, 0.3, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < arrays * 8 * (8 * n + 1)
 
 
 def test_kept_samples_never_serve_another_grid_or_drift():
