@@ -18,7 +18,7 @@ from dataclasses import replace
 from .config import parse_config
 from .errors import NoisyflowError
 from .evolution import evolve, fit_decay_rate, perturbed_initial
-from .experiments import TRACE_HEADER, SweepConfig, run, stability_rows, trace_cells, write_rows
+from .experiments import SweepConfig, run, stability_rows, trace_columns, write_rows
 from .fields import check_admissible
 from .geometry import Circle, Interval
 from .operator import assemble_for
@@ -64,7 +64,7 @@ def _run_evolve(cfg: SweepConfig, args) -> int:
     _say(args.quiet, f"eps={eps:g}: fitted rate {fit.rate:.6g} "
                      f"(rate/eps^2 = {fit.rate / eps ** 2:.6g}, r^2 = {fit.r_squared:.4f})")
     if cfg.out_dir:
-        write_csv(os.path.join(cfg.out_dir, "trace.csv"), TRACE_HEADER, trace_cells(trace))
+        write_csv(os.path.join(cfg.out_dir, "trace.csv"), trace_columns(trace))
     return 0
 
 
@@ -79,10 +79,9 @@ def _run_oracle1d(cfg: SweepConfig, args) -> int:
         summary = f"oracle1d interval: eps={eps:g} (zero stationary flux)\n"
     else:
         raise NoisyflowError("oracle1d needs a circle or interval domain")
-    xs = grid.cell_centers()[:, 0]
     if cfg.out_dir:
-        write_csv(os.path.join(cfg.out_dir, "oracle.csv"), ["x", "u", "u0"],
-                  list(zip(xs, u, system.u0)))
+        write_csv(os.path.join(cfg.out_dir, "oracle.csv"),
+                  dict(x=grid.cell_centers()[:, 0], u=u, u0=system.u0))
         atomic_write_text(os.path.join(cfg.out_dir, "oracle_summary.txt"), summary)
     _say(args.quiet, summary.strip())
     return 0

@@ -24,7 +24,6 @@ from __future__ import annotations
 import difflib
 import math
 import os
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
@@ -268,6 +267,9 @@ def config_problems(values: dict) -> list[tuple[str, str]]:
                                        "(it builds the noise that selects target)"))
     if kind == "selection" and "target" not in values:
         problems.append(("target", "missing [experiment] target"))
+    domain = values.get("domain")
+    if kind == "bounded" and domain is not None and all(domain.periodic):
+        problems.append(("kind", f"bounded needs an interval or rectangle domain, got {type(domain).__name__}"))
     return problems
 
 
@@ -310,8 +312,7 @@ ROW_OBJECTS = ("report", "fits", "chi2_monotone", "max_mass_drift")
 
 def write_rows(path: str, rows: list[dict]) -> None:
     """The CSV of ``rows``: one column per key that is not in ``ROW_OBJECTS``, in key order."""
-    columns = [key for key in rows[0] if key not in ROW_OBJECTS]
-    write_csv(path, columns, ([row[c] for c in columns] for row in rows))
+    write_csv(path, {key: [row[key] for row in rows] for key in rows[0] if key not in ROW_OBJECTS})
 
 
 def _report(cfg: SweepConfig, title: str, csv_name: str, rows: list[dict], verdicts: dict) -> Report:
@@ -428,18 +429,9 @@ def run_selection(cfg: SweepConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-TRACE_HEADER = ["t", "chi2", "mass_drift", "min_v"]
-
-
-def trace_cells(trace) -> Iterator[tuple]:
-    """The rows of a ``TRACE_HEADER`` CSV for one evolution trace, for one pass.
-
-    The columns go out as Python floats, which format faster than numpy
-    scalars and to the same text; each row is made as it is written, so
-    the rows never all exist at once.
-    """
-    return zip(trace.times.tolist(), trace.chi2.tolist(), trace.mass_drift.tolist(),
-               trace.min_v.tolist())
+def trace_columns(trace) -> dict:
+    """The CSV columns of one evolution trace, by name in file order."""
+    return dict(t=trace.times, chi2=trace.chi2, mass_drift=trace.mass_drift, min_v=trace.min_v)
 
 
 def run_decay_study(cfg: SweepConfig) -> Report:
@@ -483,7 +475,7 @@ def run_decay_study(cfg: SweepConfig) -> Report:
             drift_max = max(drift_max, float(trace.mass_drift.max()))
             if cfg.out_dir:
                 write_csv(os.path.join(cfg.out_dir, f"trace_eps{eps:g}_mode{mode}.csv"),
-                          TRACE_HEADER, trace_cells(trace))
+                          trace_columns(trace))
         slower = min(fits.values(), key=lambda f: f.rate)
         t_lo, t_hi = slower.fit_window
         return dict(eps=eps, rate=slower.rate, rate_over_eps2=slower.rate / eps ** 2,
@@ -511,13 +503,12 @@ def run_decay_study(cfg: SweepConfig) -> Report:
 def run_bounded_domain(cfg: SweepConfig) -> Report:
     """Zero-flux stationary solves on an interval or rectangle.
 
-    The drift's normal component vanishes on the boundary, as
+    ``config_problems`` refuses the kind on a circle or torus.  The
+    drift's normal component vanishes on the boundary, as
     :meth:`SweepConfig.build` checks.  In one dimension each solve is
     cross-checked against the closed-form interval oracle.
     """
     grid, system, noise = cfg.build()
-    if all(grid.periodic):
-        raise ValueError("bounded-domain experiment needs an interval or rectangle")
 
     def solve_one(eps):
         rep = solve_stationary(assemble_for(system, noise, eps))

@@ -211,7 +211,6 @@ def assemble_fp_operator(dd: DriftDiffusionData) -> FokkerPlanckOperator:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.ncells, grid.ncells),
     ).tocsr()
-    mat.sum_duplicates()
     return FokkerPlanckOperator(mat, grid, has_cross)
 
 

@@ -1,16 +1,19 @@
 """Atomic CSV and summary artifacts.
 
-All floats are written with 17 significant digits so reruns of a
-deterministic experiment produce byte-identical files; writes go through
-a temporary file in the target directory followed by an atomic rename,
-so an interrupted run never leaves a partial file at the final path.
+:func:`write_csv` is the one place where values become CSV text: callers
+name the columns, and every cell goes through :func:`fmt`.  All floats
+are written with 17 significant digits so reruns of a deterministic
+experiment produce byte-identical files; writes go through a temporary
+file in the target directory followed by an atomic rename, so an
+interrupted run never leaves a partial file at the final path.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from collections.abc import Iterable
+
+import numpy as np
 
 
 def fmt(value) -> str:
@@ -33,11 +36,16 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: list[str], rows: Iterable[tuple]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_csv(path: str, columns: dict) -> None:
+    """The CSV of ``columns``: column name -> its values, one per row, in dict order.
+
+    A numpy array goes out through ``.tolist()``: Python floats format
+    faster than numpy scalars, and to the same text.  The final empty
+    line ends the text with a newline without copying it.
+    """
+    values = [v.tolist() if isinstance(v, np.ndarray) else v for v in columns.values()]
+    rows = (",".join(map(fmt, row)) for row in zip(*values, strict=True))
+    atomic_write_text(path, "\n".join([",".join(columns), *rows, ""]))
 
 
 def verdict_block(title: str, verdicts: dict) -> str:

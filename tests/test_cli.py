@@ -14,8 +14,8 @@ from noisyflow.config import parse_config, parse_expression, serialize_config, s
 from noisyflow.errors import ConfigError
 from noisyflow.evolution import evolve, perturbed_initial
 import noisyflow.experiments as experiments
-from noisyflow.experiments import (FOUR_PI_SQ, KIND_KEYS, RUNNERS, TRACE_HEADER, SweepConfig, SystemSpec,
-                                   NoiseSpec, Thresholds, trace_cells)
+from noisyflow.experiments import (FOUR_PI_SQ, KIND_KEYS, RUNNERS, SweepConfig, SystemSpec, NoiseSpec,
+                                   Thresholds, trace_columns)
 from noisyflow.fields import Affine, Const, Power, Product, Trig
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2
 from noisyflow.operator import assemble_for
@@ -41,6 +41,10 @@ eps = 0.2
 [experiment]
 kind = stability
 """
+
+# MINIMAL on the unit interval, line for line
+INTERVAL = MINIMAL.replace("kind = circle\nlength = 1.0", "kind = interval\nbounds = 0.0, 1.0").replace(
+    "circle-positive", "zero-drift")
 
 
 def test_parse_minimal_config():
@@ -94,6 +98,18 @@ def test_removed_transform_kind_and_threshold_are_errors(tmp_path, capsys, comma
         assert not out.exists()
     with pytest.raises(ValueError, match="kind: unknown experiment kind 'transform'"):
         SweepConfig(kind="transform", domain=Circle(), n=(16,), epsilons=(0.5,))
+
+
+@pytest.mark.parametrize("command", ["stationary", "evolve", "sweep", "check", "oracle1d"])
+def test_bounded_kind_on_a_circle_is_an_error_under_every_command(tmp_path, capsys, command):
+    text = MINIMAL.replace("kind = stability", "kind = bounded")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [(ln, k) for ln, k, _ in info.value.locations] == [(14, "kind")]
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 1
+    assert "line 14, kind: bounded needs an interval or rectangle domain, got Circle" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["rate_guess", "refine_factor"])
@@ -467,7 +483,7 @@ def test_cli_check_passes_for_coordinate_noise(tmp_path):
                  id="target-under-decay"),
     pytest.param(MINIMAL, "kind = stability", "kind = selection\ntarget = const:1\nassert_l1_limit = false", 16,
                  "assert_l1_limit", id="assert-l1-limit-under-selection"),
-    pytest.param(MINIMAL, "kind = stability", "kind = bounded\nassert_l1_limit = true", 15,
+    pytest.param(INTERVAL, "kind = stability", "kind = bounded\nassert_l1_limit = true", 15,
                  "assert_l1_limit", id="assert-l1-limit-under-bounded"),
 ])
 def test_keys_read_other_than_written_are_errors(tmp_path, capsys, text, old, new, line, key):
@@ -490,8 +506,8 @@ def test_gap_in_diffusion_fields_names_the_missing_key():
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
 def test_step_settings_are_legal_under_every_kind(kind):
     # `evolve` reads the scheme and the step factors from a config of any kind
-    text = MINIMAL.replace("kind = stability", f"kind = {kind}\nscheme = crank-nicolson\ndt_factor = 0.01\n"
-                                               "horizon_factor = 2")
+    text = INTERVAL.replace("kind = stability", f"kind = {kind}\nscheme = crank-nicolson\ndt_factor = 0.01\n"
+                                                "horizon_factor = 2")
     if kind == "selection":
         text += "target = const:1\n"
     cfg = parse_config(text)
@@ -530,7 +546,7 @@ def test_every_constructible_config_round_trips(kind):
     for chosen in itertools.product((False, True), repeat=len(KIND_ONLY_VALUES)):
         changes = {key: value for (key, value), on in zip(KIND_ONLY_VALUES.items(), chosen) if on}
         try:
-            cfg = SweepConfig(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5, 0.25),
+            cfg = SweepConfig(kind=kind, domain=Interval(), n=(16,), epsilons=(0.5, 0.25),
                               scheme="crank-nicolson", **changes)
         except ValueError:
             # another kind's field, or a selection experiment without its target
@@ -552,7 +568,7 @@ THRESHOLD_NAMES = [f.name for f in fields(Thresholds)]
 def test_tolerances_are_not_keys(tmp_path, capsys, key, kind):
     # the tolerances are one fixed record, SweepConfig.thresholds: no file and no caller sets one
     target = "\ntarget = const:1" if kind == "selection" else ""
-    text = MINIMAL.replace("kind = stability", f"kind = {kind}{target}") + f"{key} = 0.25\n"
+    text = INTERVAL.replace("kind = stability", f"kind = {kind}{target}") + f"{key} = 0.25\n"
     line = len(text.splitlines())
     with pytest.raises(ConfigError) as info:
         parse_config(text)
@@ -565,7 +581,7 @@ def test_tolerances_are_not_keys(tmp_path, capsys, key, kind):
         assert f"line {line}, {key}: unknown key in [experiment]" in capsys.readouterr().err
         assert not out.exists()
     with pytest.raises(TypeError, match="thresholds"):
-        SweepConfig(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5,), thresholds=Thresholds(**{key: 0.25}))
+        SweepConfig(kind=kind, domain=Interval(), n=(16,), epsilons=(0.5,), thresholds=Thresholds(**{key: 0.25}))
 
 
 @pytest.mark.parametrize("scheme, code", [("implicit-euler", 1), ("crank-nicolson", 0)])
@@ -709,9 +725,9 @@ def test_p_is_an_unknown_noise_key():
 
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
 def test_selection_noise_is_read_only_by_the_selection_experiment(tmp_path, capsys, kind):
-    text = MINIMAL.replace("kind = coordinate", "kind = selection").replace("kind = stability",
-                                                                            f"kind = {kind}")
-    base = dict(kind=kind, domain=Circle(), n=(16,), epsilons=(0.5,), noise=NoiseSpec(kind="selection"))
+    text = INTERVAL.replace("kind = coordinate", "kind = selection").replace("kind = stability",
+                                                                             f"kind = {kind}")
+    base = dict(kind=kind, domain=Interval(), n=(16,), epsilons=(0.5,), noise=NoiseSpec(kind="selection"))
     if kind == "selection":
         text += "target = const:1\n"
         base["target"] = Const(1.0)
@@ -774,21 +790,24 @@ def test_cli_decay_writes_rates_and_traces(tmp_path):
     assert "overall: PASS" in (out / "summary.txt").read_text()
 
 
-def test_trace_cells_write_the_text_of_the_numpy_values(tmp_path):
-    # the trace rows go out as Python floats; the CSV must read exactly as
-    # it does with the numpy scalars of the trace arrays
-    cfg = parse_config(MINIMAL)
-    _, system, family = cfg.build()
-    op = assemble_for(system, family, cfg.epsilons[0])
-    stationary = solve_stationary(op).density
-    trace, _ = evolve(op, perturbed_initial(stationary), 0.5, 0.005, scheme="crank-nicolson",
-                      stationary=stationary)
-    cells = list(trace_cells(trace))
-    assert all(type(value) is float for row in cells for value in row)
-    numpy_rows = list(zip(trace.times, trace.chi2, trace.mass_drift, trace.min_v))
-    write_csv(str(tmp_path / "python.csv"), TRACE_HEADER, cells)
-    write_csv(str(tmp_path / "numpy.csv"), TRACE_HEADER, numpy_rows)
-    assert (tmp_path / "python.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
+def test_write_csv_gives_the_same_bytes_for_arrays_numpy_scalars_and_floats(tmp_path):
+    # an array column goes out through tolist(); lists of numpy scalars and of
+    # Python floats must read exactly the same, and the header follows the dict order
+    values = np.array([1.0 / 3.0, 1e-300, -0.0, 2.0])
+    for name, column in [("array", values), ("numpy", list(values)), ("python", values.tolist())]:
+        write_csv(str(tmp_path / f"{name}.csv"), dict(value=column, n=["4"] * 4, eps=column[::-1],
+                                                      oracle_sup=[""] * 4))
+    expected = ("value,n,eps,oracle_sup\n"
+                "0.33333333333333331,4,2,\n"
+                "1e-300,4,-0,\n"
+                "-0,4,1e-300,\n"
+                "2,4,0.33333333333333331,\n")
+    for name in ("array", "numpy", "python"):
+        assert (tmp_path / f"{name}.csv").read_text() == expected
+    # columns of unequal length are an error, not a silently shortened file
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "ragged.csv"), dict(t=values, chi2=values[:3]))
+    assert not (tmp_path / "ragged.csv").exists()
 
 
 def test_cli_evolve_steps_the_configured_scheme(tmp_path):
@@ -806,7 +825,7 @@ def test_cli_evolve_steps_the_configured_scheme(tmp_path):
         trace, _ = evolve(op, perturbed_initial(stationary), cfg.horizon_factor * scale,
                           cfg.dt_factor * scale, scheme=scheme, stationary=stationary)
         path = tmp_path / f"{scheme}.csv"
-        write_csv(str(path), TRACE_HEADER, trace_cells(trace))
+        write_csv(str(path), trace_columns(trace))
         expected[scheme] = path.read_bytes()
     written = (out / "trace.csv").read_bytes()
     assert written == expected["crank-nicolson"]

@@ -341,10 +341,11 @@ def test_the_wall_rule_names_the_first_crossed_axis_and_its_largest_normal_drift
         with pytest.raises(BoundaryError, match=rf"^drift normal component reaches {message} boundary$"):
             cfg.build()
 
-def test_bounded_requires_bounded_domain():
-    cfg = SweepConfig(kind="bounded", domain=Circle(), n=(32,), epsilons=(0.5,))
-    with pytest.raises(ValueError):
-        run_bounded_domain(cfg)
+@pytest.mark.parametrize("domain, n", [(Circle(), (32,)), (Torus2(), (8, 8))], ids=["circle", "torus2"])
+def test_bounded_requires_bounded_domain(domain, n):
+    name = type(domain).__name__
+    with pytest.raises(ValueError, match=f"^kind: bounded needs an interval or rectangle domain, got {name}$"):
+        SweepConfig(kind="bounded", domain=domain, n=n, epsilons=(0.5,))
 
 
 def test_sweep_rerun_bit_identical(tmp_path):
@@ -502,6 +503,6 @@ def test_decay_retry_refits_the_prefix_without_reintegrating(tmp_path, monkeypat
                 fit = fit_decay_rate(trace)
             assert row["fits"][mode] == fit
             name = f"trace_eps{row['eps']:g}_mode{mode}.csv"
-            write_csv(str(tmp_path / name), experiments.TRACE_HEADER, experiments.trace_cells(trace))
+            write_csv(str(tmp_path / name), experiments.trace_columns(trace))
             assert (tmp_path / "study" / name).read_bytes() == (tmp_path / name).read_bytes()
     assert retried == len(cfg.epsilons)

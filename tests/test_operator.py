@@ -313,6 +313,25 @@ def test_generator_has_zero_column_sums_and_nonnegative_offdiagonals(op):
     assert offdiag.min() >= 0.0
 
 
+def is_canonical(matrix) -> bool:
+    """Sorted column indices and no duplicate entries, recomputed from the stored arrays."""
+    fresh = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    return matrix.has_canonical_format and fresh.has_canonical_format
+
+
+@pytest.mark.parametrize("kind_cls, name", CATALOG_ON_DOMAINS)
+def test_every_catalog_operator_is_canonical(kind_cls, name):
+    # COO -> CSR sums the duplicate (row, col) entries and sorts each row, so
+    # assembly calls no sum_duplicates of its own
+    g = build_grid(kind_cls(), (8, 6) if kind_cls in (Torus2, Rectangle) else (8,))
+    assert is_canonical(assemble_for(builtin_catalog(name, g), coordinate_noise(g), 0.3).matrix)
+
+
+def test_cross_diffusion_operator_is_canonical():
+    # the cross stencil adds several entries at one (row, col); CSR holds their sum once
+    assert is_canonical(inf_norm_case("cross-diffusion").matrix)
+
+
 @settings(max_examples=40, deadline=None)
 @given(catalog_operators(), st.floats(1e-6, 1e3))
 def test_pinned_and_step_matrices_are_column_diagonally_dominant(op, dt):

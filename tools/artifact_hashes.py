@@ -1,6 +1,6 @@
 """Hash every artifact and message of a fixed set of CLI runs and demos.
 
-Writes seventeen small configuration files, seven of them invalid (six
+Writes eighteen small configuration files, eight of them invalid (seven
 that do not parse and one whose drift crosses a wall), so their error
 messages are audited too, and one circle that the oracle does not
 resolve at its eps.  Runs every CLI command of the audited package (its
@@ -227,6 +227,23 @@ catalog = zero-drift
 [noise]
 kind = coordinate
 eps = 0.5, 0.1
+
+[experiment]
+kind = bounded
+""",
+    # a bounded study on a periodic domain: every command refuses it at [experiment] kind
+    "bounded-circle": """\
+[domain]
+kind = circle
+length = 1.0
+n = 32
+
+[drift]
+catalog = zero-drift
+
+[noise]
+kind = coordinate
+eps = 0.5
 
 [experiment]
 kind = bounded
