@@ -35,8 +35,9 @@ stationary = solve_stationary(op).density
 
 rate_true = 4.0 * math.pi ** 2 * eps ** 2
 v0 = perturbed_initial(stationary, mode=1, amplitude=1.0)
-trace, _ = evolve(op, v0, horizon=5.0 / rate_true, dt=5e-3 / rate_true,
+block, _ = evolve(op, [v0], horizon=5.0 / rate_true, dt=5e-3 / rate_true,
                   stationary=stationary)
+trace = block[0]
 fit = fit_decay_rate(trace)
 
 print("pure diffusion on the circle")

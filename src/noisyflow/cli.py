@@ -17,13 +17,11 @@ from dataclasses import replace
 
 from .config import parse_config
 from .errors import NoisyflowError
-from .evolution import evolve, fit_decay_rate, perturbed_initial
-from .experiments import SweepConfig, run, stability_rows, trace_columns, write_rows
+from .experiments import SweepConfig, decay_traces, run, stability_rows, trace_columns, write_rows
 from .fields import check_admissible
 from .geometry import Circle, Interval
-from .operator import assemble_for
 from .reporting import atomic_write_text, fmt, write_csv
-from .stationary import oracle_1d_circle, oracle_1d_interval, solve_stationary
+from .stationary import oracle_1d_circle, oracle_1d_interval
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -55,12 +53,7 @@ def _run_stationary(cfg: SweepConfig, args) -> int:
 def _run_evolve(cfg: SweepConfig, args) -> int:
     _, system, noise = cfg.build()
     eps = cfg.epsilons[0]
-    dt, horizon = cfg.time_steps(eps)
-    op = assemble_for(system, noise, eps)
-    stationary = solve_stationary(op).density
-    trace, _ = evolve(op, perturbed_initial(stationary), horizon, dt, scheme=cfg.scheme,
-                      stationary=stationary)
-    fit = fit_decay_rate(trace)
+    trace, fit = decay_traces(cfg, system, noise, eps, modes=(1,))[1]
     _say(args.quiet, f"eps={eps:g}: fitted rate {fit.rate:.6g} "
                      f"(rate/eps^2 = {fit.rate / eps ** 2:.6g}, r^2 = {fit.r_squared:.4f})")
     if cfg.out_dir:

@@ -106,6 +106,8 @@ FIELD_KEYS = {
     "noise.a0_forms": ("noise", ("a0",)),
     "noise.ai_forms": ("noise", NOISE_FIELDS[1:]),
     "system.catalog": ("drift", ("catalog",)),
+    "system.drift_forms": ("drift", DRIFT_AXES),
+    "system.u0_form": ("drift", ("u0",)),
     "out_dir": ("experiment", ("out",)),
 }
 
@@ -215,22 +217,26 @@ def _split_top(text: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def serialize_expression(form: ScalarForm) -> str:
+def serialize_expression(form: ScalarForm, lengths: tuple[float, ...]) -> str:
+    """The registry text of ``form`` on a domain with axis ``lengths``; inverse of parse_expression.
+
+    A trigonometric form is written without its period, which the reader
+    takes from the axis length; one of another period is not expressible.
+    """
     if isinstance(form, Const):
         return f"const:{form.value:.17g}"
-    if isinstance(form, Trig):
+    if isinstance(form, Trig) and form.period == lengths[form.axis]:
         out = f"{form.fn}:axis={form.axis},freq={form.freq},amp={form.amplitude:.17g},offset={form.offset:.17g}"
         if form.phase != 0.0:
             out += f",phase={form.phase:.17g}"
         return out
     if isinstance(form, Affine):
         return f"affine:axis={form.axis},slope={form.slope:.17g},intercept={form.intercept:.17g}"
-    if isinstance(form, Sum):
-        return f"sum({serialize_expression(form.left)}; {serialize_expression(form.right)})"
-    if isinstance(form, Product):
-        return f"product({serialize_expression(form.left)}; {serialize_expression(form.right)})"
+    if isinstance(form, (Sum, Product)):
+        left, right = (serialize_expression(part, lengths) for part in (form.left, form.right))
+        return f"{'sum' if isinstance(form, Sum) else 'product'}({left}; {right})"
     if isinstance(form, Power) and form.exponent == -0.5:
-        return f"rsqrt({serialize_expression(form.base)})"
+        return f"rsqrt({serialize_expression(form.base, lengths)})"
     raise ValueError(f"form {form!r} is not expressible in the configuration registry")
 
 
@@ -293,7 +299,7 @@ def _parse_domain(section, problems):
     return domain, _read(section, "n", lambda text: read_counts(text, dim), problems)
 
 
-def _parse_drift(section, lengths, problems) -> SystemSpec:
+def _parse_drift(section, lengths, problems) -> SystemSpec | None:
     if "catalog" in section:
         _unread(section, {"catalog"}, "beside catalog", problems)
         return SystemSpec(catalog=section["catalog"][0].strip())
@@ -305,12 +311,13 @@ def _parse_drift(section, lengths, problems) -> SystemSpec:
     def expression(text):
         return parse_expression(text, lengths)
 
-    forms = tuple(_read(section, key, expression, problems, Const(0.0)) for key in axes)
-    if "u0" not in section:
-        if any(key in section for key in axes):
-            problems.append((0, "u0", "inline drift needs an explicit invariant density u0"))
+    if not any(key in section for key in ("u0", *axes)):
         return SystemSpec(catalog="zero-drift")
-    return SystemSpec(drift_forms=forms, u0_form=_read(section, "u0", expression, problems))
+    forms = tuple(_read(section, key, expression, problems, Const(0.0)) for key in axes)
+    u0 = _read(section, "u0", expression, problems)
+    if "u0" in section and u0 is None:
+        return None  # u0 could not be read: its problem is recorded
+    return SystemSpec(drift_forms=forms, u0_form=u0)
 
 
 def _parse_noise(section, lengths, problems) -> tuple[NoiseSpec, tuple[float, ...]]:
@@ -379,6 +386,10 @@ def _format(value) -> str:
 def serialize_config(cfg: SweepConfig) -> str:
     """Render a SweepConfig back to its file form (inverse of parse_config)."""
     name = next(kind for kind, (cls, _) in DOMAINS.items() if type(cfg.domain) is cls)
+
+    def expression(form):
+        return serialize_expression(form, cfg.domain.lengths)
+
     cls, key = DOMAINS[name]
     values = ", ".join(_format(getattr(cfg.domain, f.name)) for f in fields(cls))
     lines = ["[domain]", f"kind = {name}", f"{key} = {values}", f"n = {', '.join(map(str, cfg.n))}",
@@ -386,21 +397,21 @@ def serialize_config(cfg: SweepConfig) -> str:
     if cfg.system.catalog:
         lines.append(f"catalog = {cfg.system.catalog}")
     else:
-        lines += [f"{k} = {serialize_expression(f)}" for k, f in zip(DRIFT_AXES, cfg.system.drift_forms)]
-        lines.append(f"u0 = {serialize_expression(cfg.system.u0_form)}")
+        lines += [f"{k} = {expression(f)}" for k, f in zip(DRIFT_AXES, cfg.system.drift_forms)]
+        lines.append(f"u0 = {expression(cfg.system.u0_form)}")
 
     lines += ["", "[noise]", f"kind = {cfg.noise.kind}"]
     if cfg.noise.kind == "explicit":
         for k, vector in zip(NOISE_FIELDS, (cfg.noise.a0_forms, *(cfg.noise.ai_forms or ()))):
             if vector:
-                lines.append(f"{k} = " + "; ".join(map(serialize_expression, vector)))
+                lines.append(f"{k} = " + "; ".join(map(expression, vector)))
     lines.append("eps = " + ", ".join(map(_format, cfg.epsilons)))
 
     lines += ["", "[experiment]", f"kind = {cfg.kind}"]
     if cfg.out_dir:
         lines.append(f"out = {cfg.out_dir}")
     if cfg.target is not None:
-        lines.append(f"target = {serialize_expression(cfg.target)}")
+        lines.append(f"target = {expression(cfg.target)}")
     defaults = {f.name: f.default for f in fields(cfg)}
     lines += [f"{key} = {_format(getattr(cfg, key))}" for key in SETTINGS if getattr(cfg, key) != defaults[key]]
     return "\n".join(lines) + "\n"

@@ -2,9 +2,9 @@
 
 Implicit Euler is the default stepper: combined with the nonnegative
 off-diagonal structure of the assembled operator, (I - dt M) is an
-M-matrix, so steps preserve nonnegativity unconditionally.  Crank-Nicolson
-is available behind a flag for rate-accuracy studies (halved temporal
-bias, no positivity guarantee).
+M-matrix, so steps preserve nonnegativity unconditionally.  Crank-Nicolson,
+chosen by the configuration's ``scheme`` key, serves rate-accuracy
+studies (halved temporal bias, no positivity guarantee).
 
 Mass is conserved by the zero-column-sum structure, and each step keeps
 it at the column-sum roundoff of M with one triangular solve and one
@@ -26,13 +26,13 @@ The product also carries the Crank-Nicolson right-hand side: the next
 r = (I + theta M) v is v + theta M x, because v = x in exact arithmetic,
 so it costs no second product; under implicit Euler the next r is v.
 
-:func:`evolve` advances one density or a block of them with one
-factorization of the step matrix, and per step one multi-RHS triangular
-solve and one sparse product; the decay study sends both of its
-perturbation modes through one call per eps.  The statistics are not
-taken step by step: the blocks of s consecutive steps go into one
-(s, k, n) buffer, s = max(1, STATS_CHUNK_BYTES // (8 k n)), which is
-reduced in one pass once full and once after the last step.
+:func:`evolve` advances a block of densities with one factorization of
+the step matrix, and per step one multi-RHS triangular solve and one
+sparse product; the decay study sends its perturbation modes through one
+call per eps.  The statistics are not taken step by step: the blocks of
+s consecutive steps go into one (s, k, n) buffer,
+s = max(1, STATS_CHUNK_BYTES // (8 k n)), which is reduced in one pass
+once full and once after the last step.
 
 The chi^2 distance is measured against the operator's own discrete
 stationary density.  With that pairing the distance is provably
@@ -57,7 +57,7 @@ from .errors import FitError, PositivityError, SolveError
 from .fields import Noise, Trig, diffusion_matrix
 from .geometry import Grid
 from .operator import FokkerPlanckOperator
-from .stationary import Density, factorize
+from .stationary import POSITIVITY_SLACK, Density, factorize
 
 #: chi^2 values below this are treated as roundoff and excluded from fits.
 CHI2_FLOOR = 1e-13
@@ -83,7 +83,7 @@ class EvolutionTrace:
 
     ``times`` is 1D and shared.  The other arrays have shape
     (nsteps + 1,) for one evolution and (k, nsteps + 1) for a block of k,
-    whose member j is ``trace[j]``.
+    whose member j is ``trace[j]``, a view of the block's rows.
     """
 
     times: np.ndarray
@@ -123,23 +123,22 @@ def chi_squared(v: Density, u: Density) -> float:
     return float(np.sum(ratio * ratio * u.values) * u.grid.cell_volume)
 
 
-def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: float,
+def evolve(op: FokkerPlanckOperator, v0: Sequence[Density], horizon: float,
            dt: float, scheme: str = "implicit-euler", *, stationary: Density):
-    """Integrate dv/dt = M v to the horizon; returns (trace, final).
+    """Integrate dv/dt = M v to the horizon; returns (trace, finals).
 
-    ``v0`` is one density or a block of k of them.  A block is advanced
-    together: the step matrix (I - theta M), theta = dt or dt/2 under
-    Crank-Nicolson, is factorized once by :func:`stationary.factorize`
-    (fill-reducing ordering, diagonal pivots: it is strictly column
-    diagonally dominant), and every step costs one multi-RHS solve and
-    one sparse product, for all k columns at once.  The trace then holds
-    (k, nsteps + 1) arrays of chi^2, mass drift and min v, ``trace[j]``
-    is member j's own trace, and ``final`` is the list of the k final
-    densities.  A single density is the k = 1 block, returned as a 1D
-    trace and one density.  Each column is bitwise what its own single
-    run gives: the solves treat the columns independently, the product
-    is one row of the block-diagonal diag(M, ..., M) per cell and member,
-    and the statistics are reduced along contiguous rows.
+    ``v0`` is a block of k densities, advanced together: the step matrix
+    (I - theta M), theta = dt or dt/2 under Crank-Nicolson, is factorized
+    once by :func:`stationary.factorize` (fill-reducing ordering,
+    diagonal pivots: it is strictly column diagonally dominant), and
+    every step costs one multi-RHS solve and one sparse product, for all
+    k columns at once.  The trace holds (k, nsteps + 1) arrays of chi^2,
+    mass drift and min v, ``trace[j]`` is member j's own trace, and
+    ``finals`` is the list of the k final densities.  Each column is
+    bitwise what a block of that one member gives: the solves treat the
+    columns independently, the product is one row of the block-diagonal
+    diag(M, ..., M) per cell and member, and the statistics are reduced
+    along contiguous rows.
 
     A step solves (I - theta M) x = r, takes w = theta M x and moves to
     v = r + w: x plus the residual r - (x - theta M x), one Richardson
@@ -159,15 +158,15 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
     s = max(1, STATS_CHUNK_BYTES // (8 k n)), so at most 128 KiB unless
     one step's block is larger, and each full buffer, and the partial one
     after the last step, is reduced in one pass along its contiguous
-    rows.  A component below -1e-10 raises :class:`SolveError` naming the
-    first such step and its block's lowest value, up to s - 1 steps
-    after that step was taken; so does a failed factorization.
+    rows.  A component below -``stationary.POSITIVITY_SLACK`` raises
+    :class:`SolveError` naming the first such step and its block's lowest
+    value, up to s - 1 steps after that step was taken; so does a failed
+    factorization.
     """
     for name, value in (("dt", dt), ("horizon", horizon)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    single = isinstance(v0, Density)
-    members = [v0] if single else list(v0)
+    members = list(v0)
     if not members:
         raise ValueError("empty block of initial densities")
     if any(member.grid is not op.grid for member in members):
@@ -214,7 +213,7 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
         lowest = block.min(axis=2)
         # per step, not over the chunk: np.min propagates NaN, so a later
         # NaN step would hide an earlier negative one
-        bad = np.flatnonzero(lowest.min(axis=1) < -1e-10)
+        bad = np.flatnonzero(lowest.min(axis=1) < -POSITIVITY_SLACK)
         if bad.size:
             raise SolveError(
                 f"negative component {float(lowest[bad[0]].min())} at step {first + bad[0]} "
@@ -248,8 +247,7 @@ def evolve(op: FokkerPlanckOperator, v0: Density | Sequence[Density], horizon: f
     reduce_held(nsteps + 1 - filled, filled)
 
     trace = EvolutionTrace(times=times, chi2=chi2, mass_drift=mass_drift, min_v=min_v)
-    finals = [Density.normalized(np.clip(row, 0.0, None), grid) for row in rows]
-    return (trace[0], finals[0]) if single else (trace, finals)
+    return trace, [Density.normalized(np.clip(row, 0.0, None), grid) for row in rows]
 
 
 def fit_decay_rate(trace: EvolutionTrace) -> DecayFit:

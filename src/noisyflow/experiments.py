@@ -72,8 +72,6 @@ class SystemSpec:
     def build(self, grid: Grid) -> ConservativeSystem:
         if self.catalog:
             return builtin_catalog(self.catalog, grid)
-        if self.drift_forms is None or self.u0_form is None:
-            raise ValueError("inline system needs both drift components and u0")
         return ConservativeSystem(VectorField(self.drift_forms), self.u0_form, grid)
 
 
@@ -198,13 +196,21 @@ KIND_KEYS = {f.name: f.metadata["kind"] for f in fields(SweepConfig) if "kind" i
 
 
 def check_epsilons(eps) -> None:
-    """Noise intensities: at least one, all in (0, 1), strictly descending."""
+    """Noise intensities: at least one, all in (0, 1), strictly descending, distinct labels.
+
+    The label ``f"{eps:g}"`` names the decay study's trace files, so two
+    values that share it would write one file.  A descending list can
+    only repeat a label between neighbours.
+    """
     if not eps:
         raise ValueError("expected at least one epsilon")
     if any(not (0.0 < e < 1.0) for e in eps):
         raise ValueError("all epsilons must lie in (0, 1)")
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be descending")
+    for a, b in zip(eps, eps[1:]):
+        if f"{a:g}" == f"{b:g}":
+            raise ValueError(f"epsilons {a!r} and {b!r} share the label {a:g} of their trace files")
 
 
 def check_name(what: str, value: str, options) -> str:
@@ -224,18 +230,21 @@ def config_problems(values: dict) -> list[tuple[str, str]]:
     the rules on presence see.  SweepConfig and
     ``config.parse_config`` both check here, so a configuration that
     constructs is one that parses back.  Spec parts are named
-    ``noise.kind``, ``noise.a0_forms``, ``noise.ai_forms`` and ``system.catalog``.
+    ``noise.kind``, ``noise.a0_forms``, ``noise.ai_forms``, ``system.catalog``,
+    ``system.drift_forms`` and ``system.u0_form``.  Every vector of forms
+    holds one form per axis of the domain.
     """
     problems = []
     kind, noise, system = values.get("kind"), values.get("noise"), values.get("system")
+    domain = values.get("domain")
     noise_kind = noise.kind if noise else None
     checks = [("kind", check_name, "experiment kind", kind, RUNNERS),
               ("scheme", check_name, "scheme", values.get("scheme"), SCHEMES),
               ("noise.kind", check_name, "noise kind", noise_kind, NOISE_KINDS),
               ("system.catalog", check_name, "catalog system", system and system.catalog, CATALOG_NAMES),
-              ("system.catalog", check_catalog_domain, system and system.catalog, values.get("domain")),
+              ("system.catalog", check_catalog_domain, system and system.catalog, domain),
               ("epsilons", check_epsilons, values.get("epsilons")),
-              ("n", check_counts, values.get("domain"), values.get("n"))]
+              ("n", check_counts, domain, values.get("n"))]
     for name, check, *args in checks:
         try:
             if all(arg is not None for arg in args):
@@ -252,6 +261,17 @@ def config_problems(values: dict) -> list[tuple[str, str]]:
         problems.append(("out_dir", "must not be empty"))
     if noise_kind == "explicit" and not noise.ai_forms:
         problems.append(("noise.ai_forms", "explicit noise needs at least one diffusion field"))
+    inline = system is not None and not system.catalog
+    if inline and system.drift_forms is None:
+        problems.append(("system.drift_forms", "inline u0 needs the drift components"))
+    if inline and system.u0_form is None:
+        problems.append(("system.u0_form", "inline drift needs an explicit invariant density u0"))
+    if domain is not None:
+        vectors = [("system.drift_forms", system and system.drift_forms),
+                   ("noise.a0_forms", noise and noise.a0_forms),
+                   *(("noise.ai_forms", forms) for forms in (noise and noise.ai_forms or ()))]
+        problems += [(name, f"need {domain.dim} forms, one per axis, got {len(forms)}")
+                     for name, forms in vectors if forms is not None and len(forms) != domain.dim]
     if noise_kind in ("coordinate", "selection"):
         problems += [(f"noise.{name}", f"not read by [noise] kind = {noise_kind}")
                      for name in ("a0_forms", "ai_forms") if getattr(noise, name)]
@@ -267,7 +287,6 @@ def config_problems(values: dict) -> list[tuple[str, str]]:
                                        "(it builds the noise that selects target)"))
     if kind == "selection" and "target" not in values:
         problems.append(("target", "missing [experiment] target"))
-    domain = values.get("domain")
     if kind == "bounded" and domain is not None and all(domain.periodic):
         problems.append(("kind", f"bounded needs an interval or rectangle domain, got {type(domain).__name__}"))
     return problems
@@ -434,18 +453,39 @@ def trace_columns(trace) -> dict:
     return dict(t=trace.times, chi2=trace.chi2, mass_drift=trace.mass_drift, min_v=trace.min_v)
 
 
+def decay_traces(cfg: SweepConfig, system: ConservativeSystem, noise: Noise, eps: float,
+                 modes=(1, 2)) -> dict:
+    """mode -> (trace, fit): the chi^2 decay from each :func:`perturbed_initial` mode at ``eps``.
+
+    The modes advance as one block by :func:`evolve`, each bitwise as it
+    would alone.  Where chi^2 underflows the fit floor, the fit and the
+    trace are those of the first half of the horizon.
+    """
+    op = assemble_for(system, noise, eps)
+    stationary = solve_stationary(op).density
+    dt, horizon = cfg.time_steps(eps)
+    block, _ = evolve(op, [perturbed_initial(stationary, mode=mode) for mode in modes],
+                      horizon, dt, scheme=cfg.scheme, stationary=stationary)
+
+    def fitted(trace):
+        try:
+            return trace, fit_decay_rate(trace)
+        except FitError:
+            # the half-horizon trace is this one's prefix: same LU, same steps
+            half = trace.prefix(max(1, int(round(0.5 * horizon / dt))))
+            return half, fit_decay_rate(half)
+
+    return {mode: fitted(block[j]) for j, mode in enumerate(modes)}
+
+
 def run_decay_study(cfg: SweepConfig) -> Report:
     """Fit chi^2 decay rates across the sweep and check the eps^2 scaling.
 
     Horizons scale like 1/(4 pi^2 eps^2) so every run decays through
     the same number of e-folds.  Initial-data independence is probed with
-    two perturbation modes; the reported rate is the slower one.  Both
-    modes are advanced as one block by :func:`evolve`: each eps factorizes
-    its step matrix once and pays one two-column solve per solve, and
-    each mode's trace is bitwise the one a run of its own would give.  If
-    chi^2 underflows the fit floor the fit is retried once on the first
-    half of the trace, which equals a run to half the horizon.  Each
-    trace is written as ``trace_eps<eps>_mode<mode>.csv``.
+    two perturbation modes, both from :func:`decay_traces`; the reported
+    rate is the slower one.  Each trace is written as
+    ``trace_eps<eps>_mode<mode>.csv`` once both modes have their fits.
 
     For advective systems prefer scheme = "crank-nicolson": implicit
     Euler damps the rotational part of the spectrum by about omega^2 dt,
@@ -454,33 +494,19 @@ def run_decay_study(cfg: SweepConfig) -> Report:
     grid, system, noise = cfg.build()
 
     def study_one(eps):
-        op = assemble_for(system, noise, eps)
-        stationary = solve_stationary(op).density
-        dt, horizon = cfg.time_steps(eps)
-        fits = {}
-        monotone = True
-        drift_max = 0.0
-        modes = (1, 2)
-        block, _ = evolve(op, [perturbed_initial(stationary, mode=mode) for mode in modes],
-                          horizon, dt, scheme=cfg.scheme, stationary=stationary)
-        for j, mode in enumerate(modes):
-            trace = block[j]
-            try:
-                fits[mode] = fit_decay_rate(trace)
-            except FitError:
-                # the half-horizon trace is this one's prefix: same LU, same steps
-                trace = trace.prefix(max(1, int(round(0.5 * horizon / dt))))
-                fits[mode] = fit_decay_rate(trace)
-            monotone = monotone and bool(np.all(np.diff(trace.chi2) <= 1e-12))
-            drift_max = max(drift_max, float(trace.mass_drift.max()))
-            if cfg.out_dir:
+        traces = decay_traces(cfg, system, noise, eps)
+        if cfg.out_dir:
+            for mode, (trace, _) in traces.items():
                 write_csv(os.path.join(cfg.out_dir, f"trace_eps{eps:g}_mode{mode}.csv"),
                           trace_columns(trace))
+        fits = {mode: fit for mode, (_, fit) in traces.items()}
+        runs = [trace for trace, _ in traces.values()]
         slower = min(fits.values(), key=lambda f: f.rate)
         t_lo, t_hi = slower.fit_window
         return dict(eps=eps, rate=slower.rate, rate_over_eps2=slower.rate / eps ** 2,
-                    r2=slower.r_squared, t_lo=t_lo, t_hi=t_hi, fits=fits, chi2_monotone=monotone,
-                    max_mass_drift=drift_max)
+                    r2=slower.r_squared, t_lo=t_lo, t_hi=t_hi, fits=fits,
+                    chi2_monotone=all(np.all(np.diff(trace.chi2) <= 1e-12) for trace in runs),
+                    max_mass_drift=max(float(trace.mass_drift.max()) for trace in runs))
 
     rows = _map_over_eps(study_one, cfg.epsilons, cfg.workers)
     thr = cfg.thresholds

@@ -366,10 +366,16 @@ class AdmissibilityReport:
 
 
 def diffusion_matrix(ai_fields: Sequence[VectorField], grid: Grid) -> np.ndarray:
-    """Per-cell matrix a_jk = sum_i A_ij A_ik, shape (ncells, dim, dim)."""
+    """Per-cell matrix a_jk = sum_i A_ij A_ik, shape (ncells, dim, dim).
+
+    Every field needs one component per axis of the grid: a field of
+    another dimension would broadcast into a matrix it does not define.
+    """
     d = grid.dim
     out = np.zeros((grid.ncells, d, d))
     for f in ai_fields:
+        if f.dim != d:
+            raise ValueError(f"diffusion field has {f.dim} components on a {d}-dimensional grid")
         vals = f.at_centers(grid)
         out += vals[:, :, None] * vals[:, None, :]
     return out

@@ -19,7 +19,7 @@ from noisyflow.experiments import (FOUR_PI_SQ, KIND_KEYS, RUNNERS, SweepConfig, 
 from noisyflow.fields import Affine, Const, Power, Product, Trig
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2
 from noisyflow.operator import assemble_for
-from noisyflow.reporting import write_csv
+from noisyflow.reporting import atomic_write_text, write_csv
 import noisyflow.stationary as stationary
 from noisyflow.stationary import Density, solve_stationary
 
@@ -54,6 +54,22 @@ def test_parse_minimal_config():
     assert cfg.epsilons == (0.2,)
     assert cfg.system.catalog == "circle-positive"
     assert cfg.kind == "stability"
+
+
+def test_epsilons_sharing_a_trace_label_are_an_error_at_the_eps_line():
+    # both would write trace_eps0.5_mode1.csv in a decay study
+    text = MINIMAL.replace("eps = 0.2", "eps = 0.5000001, 0.5")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.locations == [(11, "eps", "epsilons 0.5000001 and 0.5 share the label 0.5 of their "
+                                                "trace files")]
+
+
+def test_inline_drift_without_u0_is_an_error_at_line_0():
+    text = ROTATION.replace("catalog = torus-rotation", "bx = const:0\nby = const:1")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.locations == [(0, "u0", "inline drift needs an explicit invariant density u0")]
 
 
 def test_ascending_eps_is_an_error():
@@ -169,9 +185,23 @@ def test_expression_round_trip():
         "sum(const:1; sin:axis=0,freq=3,amp=0.25,offset=0)",
         "product(affine:axis=0,slope=2,intercept=1; const:3)",
         "rsqrt(cos:axis=0,freq=1,amp=0.5,offset=2)",
+        "sin:axis=0,freq=2,amp=0.5,offset=1,phase=0.25",
     ):
         form = parse_expression(text, lengths)
-        assert parse_expression(serialize_expression(form), lengths) == form
+        assert parse_expression(serialize_expression(form, lengths), lengths) == form
+
+
+def test_a_trig_form_of_another_period_is_not_expressible():
+    # the reader takes a trig period from its axis length, so a period-2
+    # cosine on the unit circle would come back with period 1
+    wave = Trig("cos", 0, 1, 0.5, 1.0, 2.0)
+    for form in (wave, Product(Const(2.0), wave), Power(wave, -0.5)):
+        with pytest.raises(ValueError, match="not expressible"):
+            serialize_expression(form, (1.0,))
+    assert serialize_expression(wave, (2.0,)) == "cos:axis=0,freq=1,amp=0.5,offset=1"
+    cfg = SweepConfig(kind="selection", domain=Circle(), n=(16,), epsilons=(0.5,), target=wave)
+    with pytest.raises(ValueError, match="not expressible"):
+        serialize_config(cfg)
 
 
 def test_expression_errors():
@@ -810,6 +840,42 @@ def test_write_csv_gives_the_same_bytes_for_arrays_numpy_scalars_and_floats(tmp_
     assert not (tmp_path / "ragged.csv").exists()
 
 
+def test_atomic_write_leaves_nothing_when_the_text_cannot_be_encoded(tmp_path):
+    # a lone surrogate fails in the write to the temporary file
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(str(tmp_path / "summary.txt"), "\ud800")
+    assert list(tmp_path.iterdir()) == []  # neither the target nor a .tmp-*.part file
+
+
+CROSS_DIFFUSION_RECTANGLE = """\
+[domain]
+kind = rectangle
+bounds = 0.0, 1.0, 0.0, 1.0
+n = 8
+
+[drift]
+catalog = zero-drift
+
+[noise]
+kind = explicit
+a1 = const:1; const:0.5
+a2 = const:0; const:1
+eps = 0.5
+
+[experiment]
+kind = bounded
+"""
+
+
+@pytest.mark.parametrize("command", ["stationary", "evolve", "sweep"])
+def test_cross_diffusion_on_a_rectangle_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, CROSS_DIFFUSION_RECTANGLE), "--out", str(out),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: cross-diffusion terms are only supported on periodic domains\n"
+    assert not out.exists()
+
+
 def test_cli_evolve_steps_the_configured_scheme(tmp_path):
     text = MINIMAL.replace("kind = stability", "kind = decay\nscheme = crank-nicolson")
     out = tmp_path / "out"
@@ -822,14 +888,62 @@ def test_cli_evolve_steps_the_configured_scheme(tmp_path):
     stationary = solve_stationary(op).density
     expected = {}
     for scheme in ("crank-nicolson", "implicit-euler"):
-        trace, _ = evolve(op, perturbed_initial(stationary), cfg.horizon_factor * scale,
+        block, _ = evolve(op, [perturbed_initial(stationary)], cfg.horizon_factor * scale,
                           cfg.dt_factor * scale, scheme=scheme, stationary=stationary)
         path = tmp_path / f"{scheme}.csv"
-        write_csv(str(path), trace_columns(trace))
+        write_csv(str(path), trace_columns(block[0]))
         expected[scheme] = path.read_bytes()
     written = (out / "trace.csv").read_bytes()
     assert written == expected["crank-nicolson"]
     assert written != expected["implicit-euler"]
+
+
+# the explicit-torus-decay configuration of tools/artifact_hashes.py
+EXPLICIT_TORUS_DECAY = """\
+[domain]
+kind = torus2
+lengths = 1.0, 1.0
+n = 16
+
+[drift]
+catalog = torus-shear
+
+[noise]
+kind = explicit
+a0 = sin:axis=0,freq=1,amp=0.3,offset=0; const:0
+a1 = cos:axis=1,freq=1,amp=0.5,offset=1; const:0
+a2 = const:0; cos:axis=0,freq=1,amp=0.5,offset=1
+eps = 0.4, 0.2
+
+[experiment]
+kind = decay
+scheme = crank-nicolson
+"""
+
+
+def test_evolve_trace_is_the_sweeps_first_mode_1_trace(tmp_path):
+    config = write_config(tmp_path, EXPLICIT_TORUS_DECAY)
+    assert main(["evolve", "--config", config, "--out", str(tmp_path / "evolve"), "--quiet"]) == 0
+    # the sweep writes its traces before its verdicts, whichever way they go
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "sweep"), "--quiet"]) in (0, 2)
+    written = (tmp_path / "evolve" / "trace.csv").read_bytes()
+    assert written == (tmp_path / "sweep" / "trace_eps0.4_mode1.csv").read_bytes()
+    assert written != (tmp_path / "sweep" / "trace_eps0.4_mode2.csv").read_bytes()
+
+
+# a zero-drift circle decay whose chi^2 underflows the fit floor over the full
+# horizon at eps 0.5 under implicit Euler, so the fit needs the first half
+RETRY = MINIMAL.replace("circle-positive", "zero-drift").replace("n = 64", "n = 32").replace(
+    "eps = 0.2", "eps = 0.5, 0.25").replace("kind = stability", "kind = decay\nhorizon_factor = 185")
+
+
+def test_evolve_retries_the_fit_on_the_half_horizon(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", write_config(tmp_path, RETRY), "--out", str(out)]) == 0
+    # 37000 steps to the horizon, so the half-horizon prefix holds 18500 steps
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 18501
+    rate = float(re.search(r"fitted rate (\S+)", capsys.readouterr().out).group(1))
+    assert abs(rate - FOUR_PI_SQ * 0.25) <= 0.01 * FOUR_PI_SQ * 0.25
 
 
 # the selection-circle configuration of tools/artifact_hashes.py: zero drift,

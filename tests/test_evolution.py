@@ -74,7 +74,8 @@ def test_chi_squared_requires_positive_reference():
 
 def test_stationary_is_fixed_point():
     _, op, stat = laplacian_setup()
-    trace, final = evolve(op, stat, horizon=0.5, dt=0.05, stationary=stat)
+    block, (final,) = evolve(op, [stat], horizon=0.5, dt=0.05, stationary=stat)
+    trace = block[0]
     assert np.max(trace.chi2) <= 1e-12
     assert np.max(np.abs(final.values - stat.values)) <= 1e-10
 
@@ -84,7 +85,8 @@ def test_zero_drift_decay_rate_and_structure():
     rate_true = 4 * math.pi ** 2 * 0.25
     v0 = perturbed_initial(stat, mode=1, amplitude=1.0)
     assert abs(chi_squared(v0, stat) - 0.5) <= 1e-12
-    trace, final = evolve(op, v0, horizon=5.0 / rate_true, dt=5e-3 / rate_true, stationary=stat)
+    block, (final,) = evolve(op, [v0], horizon=5.0 / rate_true, dt=5e-3 / rate_true, stationary=stat)
+    trace = block[0]
     fit = fit_decay_rate(trace)
     assert abs(fit.rate - rate_true) <= 0.02 * rate_true
     assert fit.r_squared >= 0.9999
@@ -99,8 +101,9 @@ def test_crank_nicolson_rate():
     _, op, stat = laplacian_setup(n=128, eps=0.5)
     rate_true = 4 * math.pi ** 2 * 0.25
     v0 = perturbed_initial(stat, mode=1)
-    trace, _ = evolve(op, v0, horizon=5.0 / rate_true, dt=5e-3 / rate_true,
+    block, _ = evolve(op, [v0], horizon=5.0 / rate_true, dt=5e-3 / rate_true,
                       scheme="crank-nicolson", stationary=stat)
+    trace = block[0]
     fit = fit_decay_rate(trace)
     assert abs(fit.rate - rate_true) <= 5e-3 * rate_true
     assert np.all(np.diff(trace.chi2) <= 1e-12)  # Cayley transform contracts too
@@ -110,23 +113,29 @@ def test_semigroup_property():
     _, op, stat = laplacian_setup(n=64, eps=0.5)
     v0 = perturbed_initial(stat, mode=1)
     dt = 0.01
-    full, final_full = evolve(op, v0, horizon=0.4, dt=dt, stationary=stat)
-    _, half = evolve(op, v0, horizon=0.2, dt=dt, stationary=stat)
-    _, final_split = evolve(op, half, horizon=0.2, dt=dt, stationary=stat)
+    _, (final_full,) = evolve(op, [v0], horizon=0.4, dt=dt, stationary=stat)
+    _, (half,) = evolve(op, [v0], horizon=0.2, dt=dt, stationary=stat)
+    _, (final_split,) = evolve(op, [half], horizon=0.2, dt=dt, stationary=stat)
     assert np.max(np.abs(final_full.values - final_split.values)) <= 1e-10
 
 
 def test_evolve_validation():
     _, op, stat = laplacian_setup(n=64)
     with pytest.raises(ValueError):
-        evolve(op, stat, horizon=1.0, dt=0.0, stationary=stat)
+        evolve(op, [stat], horizon=1.0, dt=0.0, stationary=stat)
     with pytest.raises(ValueError):
-        evolve(op, stat, horizon=-1.0, dt=0.1, stationary=stat)
+        evolve(op, [stat], horizon=-1.0, dt=0.1, stationary=stat)
     other = build_grid(Circle(), 32)
     with pytest.raises(ValueError):
-        evolve(op, Density.normalized(np.ones(other.ncells), other), horizon=1.0, dt=0.1, stationary=stat)
+        evolve(op, [Density.normalized(np.ones(other.ncells), other)], horizon=1.0, dt=0.1, stationary=stat)
     with pytest.raises(ValueError):
-        evolve(op, stat, horizon=1.0, dt=0.1, scheme="leapfrog", stationary=stat)
+        evolve(op, [stat], horizon=1.0, dt=0.1, scheme="leapfrog", stationary=stat)
+
+
+def test_evolve_takes_a_block_not_a_lone_density():
+    _, op, stat = laplacian_setup(n=16)
+    with pytest.raises(TypeError):
+        evolve(op, stat, horizon=0.1, dt=0.01, stationary=stat)
 
 
 def test_evolve_raises_solve_error_on_a_failed_factorization(monkeypatch):
@@ -137,7 +146,7 @@ def test_evolve_raises_solve_error_on_a_failed_factorization(monkeypatch):
 
     monkeypatch.setattr("noisyflow.stationary.spla.splu", singular)
     with pytest.raises(SolveError, match="^sparse LU failed: Factor is exactly singular$"):
-        evolve(op, stat, horizon=0.1, dt=0.01, stationary=stat)
+        evolve(op, [stat], horizon=0.1, dt=0.01, stationary=stat)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -145,9 +154,9 @@ def test_evolve_rejects_non_finite_dt_and_horizon(value):
     # nan passes a bare dt <= 0 test and used to fail only in the step count
     _, op, stat = laplacian_setup(n=16)
     with pytest.raises(ValueError, match=f"dt must be positive and finite, got {value}"):
-        evolve(op, stat, horizon=1.0, dt=value, stationary=stat)
+        evolve(op, [stat], horizon=1.0, dt=value, stationary=stat)
     with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {value}"):
-        evolve(op, stat, horizon=value, dt=0.1, stationary=stat)
+        evolve(op, [stat], horizon=value, dt=0.1, stationary=stat)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +176,8 @@ def assert_block_matches_singles(op, stat, v0, horizon, dt, scheme):
     assert block.chi2.shape == block.mass_drift.shape == block.min_v.shape == (len(v0), nsteps + 1)
     assert len(finals) == len(v0)
     for j, member in enumerate(v0):
-        trace, final = evolve(op, member, horizon, dt, scheme=scheme, stationary=stat)
+        single, (final,) = evolve(op, [member], horizon, dt, scheme=scheme, stationary=stat)
+        trace = single[0]
         assert np.array_equal(block.times, trace.times)
         for name in ("chi2", "mass_drift", "min_v"):
             assert np.array_equal(getattr(block, name)[j], getattr(trace, name)), name
@@ -215,12 +225,6 @@ def test_block_trace_members_and_prefix():
         assert member.chi2.shape == (21,)
         for name in ("times", "chi2", "mass_drift", "min_v"):
             assert np.array_equal(getattr(head[j], name), getattr(member.prefix(5), name))
-    # a single density is the squeezed k = 1 block
-    one, finals = evolve(op, v0[:1], horizon=0.2, dt=0.01, stationary=stat)
-    single, final = evolve(op, v0[0], horizon=0.2, dt=0.01, stationary=stat)
-    assert one.chi2.shape == (1, 21) and single.chi2.shape == (21,)
-    assert np.array_equal(one[0].chi2, single.chi2)
-    assert np.array_equal(finals[0].values, final.values)
 
 
 def test_block_validation():
@@ -253,10 +257,8 @@ def test_chunked_statistics_are_bitwise_the_default_chunk(kind, n, name, eps, sc
     v0 = [perturbed_initial(stat, mode=mode) for mode in range(1, k + 1)]
 
     def run():
-        # k = 1 goes in as a single density, the squeezed block
-        trace, finals = evolve(op, v0[0] if k == 1 else v0, horizon=0.43, dt=0.01, scheme=scheme,
-                               stationary=stat)
-        return trace, np.array([final.values for final in ([finals] if k == 1 else finals)])
+        trace, finals = evolve(op, v0, horizon=0.43, dt=0.01, scheme=scheme, stationary=stat)
+        return trace, np.array([final.values for final in finals])
 
     # 43 steps and 44 records: a multiple of neither 3 nor 7
     reference, reference_finals = run()
@@ -301,8 +303,9 @@ def test_mass_drift_still_shows_a_nonconservative_operator(scheme):
     m.data[1] *= 1.0 + 1e-9
     leaky = FokkerPlanckOperator(m, op.grid, op.has_cross_diffusion)
     v0 = perturbed_initial(stat, mode=1)
-    exact, _ = evolve(op, v0, horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)
-    leaked, _ = evolve(leaky, v0, horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)
+    exact, _ = evolve(op, [v0], horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)
+    leaked, _ = evolve(leaky, [v0], horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)
+    exact, leaked = exact[0], leaked[0]
     assert len(leaked.times) == 501
     assert np.max(exact.mass_drift) <= 1e-13
     assert np.max(leaked.mass_drift) >= 1e-10
@@ -322,7 +325,7 @@ def assert_matches_dense_propagation(kind, n, name, scheme, stiffness, rtol, nst
     eye = np.eye(len(m))
     step = np.linalg.solve(eye - theta * m, eye + (dt - theta) * m)
     v0 = perturbed_initial(stat, mode=1)
-    trace, final = evolve(op, v0, horizon=nsteps * dt, dt=dt, scheme=scheme, stationary=stat)
+    trace, (final,) = evolve(op, [v0], horizon=nsteps * dt, dt=dt, scheme=scheme, stationary=stat)
     assert len(trace.times) == nsteps + 1
     v = v0.values
     for _ in range(nsteps):
@@ -386,7 +389,8 @@ def test_fit_needs_enough_samples():
 
 def test_fit_from_stationary_start_is_rejected():
     _, op, stat = laplacian_setup(n=64)
-    trace, _ = evolve(op, stat, horizon=1.0, dt=0.05, stationary=stat)
+    block, _ = evolve(op, [stat], horizon=1.0, dt=0.05, stationary=stat)
+    trace = block[0]
     assert np.all(trace.chi2 <= CHI2_FLOOR)
     with pytest.raises(FitError):
         fit_decay_rate(trace)

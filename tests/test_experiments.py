@@ -37,6 +37,7 @@ from noisyflow.stationary import solve_stationary
     ((1.5,), r"lie in \(0, 1\)"),
     ((0.5, 0.0), r"lie in \(0, 1\)"),
     ((1.0, 0.5), r"lie in \(0, 1\)"),
+    ((0.5000001, 0.5), "share the label 0.5 of their trace files"),
 ])
 def test_sweep_config_eps_validation(epsilons, message):
     with pytest.raises(ValueError, match=message):
@@ -68,6 +69,28 @@ def test_sweep_config_rejects_what_would_not_parse_back(field, value, message):
     base = dict(kind="stability", domain=Circle(), n=(16,), epsilons=(0.5,))
     with pytest.raises(ValueError, match=message):
         SweepConfig(**{**base, field: value})
+
+
+TORUS_FIELD = (Const(1.0), Const(0.0))
+
+
+@pytest.mark.parametrize("spec, message", [
+    (dict(system=SystemSpec(drift_forms=(Const(1.0),), u0_form=Const(1.0))),
+     "system.drift_forms: need 2 forms, one per axis, got 1"),
+    (dict(system=SystemSpec(drift_forms=TORUS_FIELD)),
+     "system.u0_form: inline drift needs an explicit invariant density u0"),
+    (dict(system=SystemSpec(u0_form=Const(1.0))), "system.drift_forms: inline u0 needs the drift components"),
+    (dict(noise=NoiseSpec(kind="explicit", a0_forms=(Const(0.3),), ai_forms=(TORUS_FIELD, TORUS_FIELD[::-1]))),
+     "noise.a0_forms: need 2 forms, one per axis, got 1"),
+    (dict(noise=NoiseSpec(kind="explicit", ai_forms=((Const(1.0),), TORUS_FIELD[::-1]))),
+     "noise.ai_forms: need 2 forms, one per axis, got 1"),
+], ids=["one-drift-form", "drift-without-u0", "u0-without-drift", "one-a0-form", "one-a1-form"])
+def test_sweep_config_needs_one_form_per_axis(spec, message):
+    # each used to construct: the one-form drift then parsed back as (bx, const:0)
+    # and failed in run, the drift without u0 failed only at build, and the
+    # one-form a1 broadcast to a cross-diffusing a = [[1, 1], [1, 2]]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SweepConfig(kind="stability", domain=Torus2(), n=(16, 16), epsilons=(0.5,), **spec)
 
 
 def test_sweep_config_builds_the_selecting_noise():
@@ -493,13 +516,15 @@ def test_decay_retry_refits_the_prefix_without_reintegrating(tmp_path, monkeypat
         for mode in (1, 2):
             v0 = perturbed_initial(stationary, mode=mode)
             horizon = cfg.horizon_factor * scale
-            trace, _ = evolve(op, v0, horizon, cfg.dt_factor * scale, stationary=stationary)
+            block, _ = evolve(op, [v0], horizon, cfg.dt_factor * scale, stationary=stationary)
+            trace = block[0]
             try:
                 fit = fit_decay_rate(trace)
             except FitError:
                 retried += 1
-                trace, _ = evolve(op, v0, 0.5 * horizon, cfg.dt_factor * scale,
+                block, _ = evolve(op, [v0], 0.5 * horizon, cfg.dt_factor * scale,
                                   stationary=stationary)
+                trace = block[0]
                 fit = fit_decay_rate(trace)
             assert row["fits"][mode] == fit
             name = f"trace_eps{row['eps']:g}_mode{mode}.csv"

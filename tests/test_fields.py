@@ -89,6 +89,23 @@ def test_trig_derivative_closed_form():
     assert np.allclose(df, expected, atol=1e-12)
 
 
+def test_sum_derivative_is_the_sum_of_the_derivatives():
+    left = Trig("cos", 0, 2, 1.5, 0.3, 1.0)
+    right = Product(Affine(1, 2.0, 1.0), Trig("sin", 0, 1, 1.0, 0.0, 1.0))
+    points = np.random.default_rng(0).random((50, 2))
+    for axis in (0, 1):
+        expected = left.grad(axis)(points) + right.grad(axis)(points)
+        assert np.array_equal(Sum(left, right).grad(axis)(points), expected)
+    # constant folding: a sum of terms constant along an axis has the zero derivative there
+    assert Sum(Const(1.0), left).grad(1) == Const(0.0)
+
+
+def test_diffusion_matrix_needs_one_component_per_axis():
+    g = build_grid(Torus2(), (8, 8))
+    with pytest.raises(ValueError, match="diffusion field has 1 components on a 2-dimensional grid"):
+        diffusion_matrix([VectorField([Const(1.0)])], g)
+
+
 def test_power_derivative_closed_form():
     base = Trig("sin", 0, 1, 1.0, 2.0, 1.0)
     f = Power(base, -0.5)

@@ -1,6 +1,6 @@
 """Hash every artifact and message of a fixed set of CLI runs and demos.
 
-Writes eighteen small configuration files, eight of them invalid (seven
+Writes nineteen small configuration files, nine of them invalid (eight
 that do not parse and one whose drift crosses a wall), so their error
 messages are audited too, and one circle that the oracle does not
 resolve at its eps.  Runs every CLI command of the audited package (its
@@ -346,6 +346,23 @@ eps = 0.5
 
 [experiment]
 kind = stability
+""",
+    # two epsilons whose decay traces would share the file trace_eps0.5_mode1.csv
+    "epsilons-sharing-a-label": """\
+[domain]
+kind = circle
+length = 1.0
+n = 32
+
+[drift]
+catalog = zero-drift
+
+[noise]
+kind = coordinate
+eps = 0.5000001, 0.5
+
+[experiment]
+kind = decay
 """,
 }
 
