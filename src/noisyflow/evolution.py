@@ -312,10 +312,15 @@ def poincare_quotient(noise: Noise, stationary: Density, grid: Grid) -> float:
     probes.  The probes are :class:`Trig` forms along one axis: cos and
     sin of period L on a periodic axis, cos(pi k (x - o) / L) on a
     bounded one.  Their exact ``grad`` along that axis gives the
-    Dirichlet term a_jj (d_j f)^2.  A uniform-in-eps positive lower
-    bound is the discrete shadow of the uniform Poincare inequality
-    behind the eps^2 decay rate.  The noise level enters only through ``stationary``: the
-    diffusion matrix a of ``noise`` does not depend on eps.
+    Dirichlet term a_jj (d_j f)^2.  The weighted Poincare constant is
+    the infimum of this quotient over all f, so the minimum over a few
+    probes bounds it from above, never from below: on torus-shear at
+    128^2, eps = 0.2, under the noise of ``configs/explicit-torus-decay.ini``,
+    the exact discrete constant is 22.6 and this function gives 44.4.
+    It therefore cannot certify the uniform Poincare inequality behind
+    the eps^2 decay rate.  The noise level enters only through
+    ``stationary``: the diffusion matrix a of ``noise`` does not depend on
+    eps.
     """
     a = diffusion_matrix(noise.ai_fields, grid)
     u = stationary.values

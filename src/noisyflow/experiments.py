@@ -222,6 +222,13 @@ def check_name(what: str, value: str, options) -> str:
     return value
 
 
+def _axes(form: ScalarForm) -> set[int]:
+    """The axes that ``form`` and its parts read."""
+    parts = [getattr(form, f.name) for f in fields(form)]
+    own = {form.axis} if hasattr(form, "axis") else set()
+    return own.union(*(_axes(part) for part in parts if isinstance(part, ScalarForm)))
+
+
 def config_problems(values: dict) -> list[tuple[str, str]]:
     """Every field rule of a :class:`SweepConfig` that ``values`` breaks, as (field, message).
 
@@ -232,7 +239,8 @@ def config_problems(values: dict) -> list[tuple[str, str]]:
     constructs is one that parses back.  Spec parts are named
     ``noise.kind``, ``noise.a0_forms``, ``noise.ai_forms``, ``system.catalog``,
     ``system.drift_forms`` and ``system.u0_form``.  Every vector of forms
-    holds one form per axis of the domain.
+    holds one form per axis of the domain, every form reads only axes of
+    the domain, and a catalog system carries no forms.
     """
     problems = []
     kind, noise, system = values.get("kind"), values.get("noise"), values.get("system")
@@ -266,12 +274,20 @@ def config_problems(values: dict) -> list[tuple[str, str]]:
         problems.append(("system.drift_forms", "inline u0 needs the drift components"))
     if inline and system.u0_form is None:
         problems.append(("system.u0_form", "inline drift needs an explicit invariant density u0"))
+    if system is not None and system.catalog:
+        problems += [(f"system.{name}", "not read beside catalog")
+                     for name in ("drift_forms", "u0_form") if getattr(system, name) is not None]
     if domain is not None:
         vectors = [("system.drift_forms", system and system.drift_forms),
                    ("noise.a0_forms", noise and noise.a0_forms),
                    *(("noise.ai_forms", forms) for forms in (noise and noise.ai_forms or ()))]
         problems += [(name, f"need {domain.dim} forms, one per axis, got {len(forms)}")
                      for name, forms in vectors if forms is not None and len(forms) != domain.dim]
+        scalars = [("target", values.get("target")), ("system.u0_form", system and system.u0_form),
+                   *((name, form) for name, forms in vectors for form in forms or ())]
+        problems += dict.fromkeys((name, f"axis {axis} is not an axis of a {domain.dim}-dimensional domain")
+                                  for name, form in scalars if form is not None
+                                  for axis in _axes(form) if not 0 <= axis < domain.dim)
     if noise_kind in ("coordinate", "selection"):
         problems += [(f"noise.{name}", f"not read by [noise] kind = {noise_kind}")
                      for name in ("a0_forms", "ai_forms") if getattr(noise, name)]

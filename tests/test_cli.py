@@ -267,6 +267,11 @@ def test_config_round_trip_rich(domain, n, system, settings):
 # ---------------------------------------------------------------------------
 
 
+def corpus(name):
+    """The text of the audited configuration ``configs/<name>.ini``."""
+    return (Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini").read_text()
+
+
 def write_config(tmp_path, text):
     path = tmp_path / "exp.ini"
     path.write_text(text)
@@ -445,24 +450,7 @@ def test_cli_oracle1d_unresolved_circle_exits_1(tmp_path, capsys):
 
 
 # a drift through the walls of the unit square: B = e_x with u0 = 1
-WALL_CROSSING = """\
-[domain]
-kind = rectangle
-bounds = 0.0, 1.0, 0.0, 1.0
-n = 16
-
-[drift]
-bx = const:1
-by = const:0
-u0 = const:1
-
-[noise]
-kind = coordinate
-eps = 0.5, 0.25
-
-[experiment]
-kind = stability
-"""
+WALL_CROSSING = corpus("wall-crossing-rectangle")
 
 
 @pytest.mark.parametrize("command", ["stationary", "evolve", "sweep", "check", "oracle1d"])
@@ -646,6 +634,10 @@ def test_selection_experiment_needs_its_target(tmp_path, capsys):
         assert "line 0, target: missing [experiment] target" in capsys.readouterr().err
 
 
+#: a form on axis 1, which a circle lacks, and its registry text
+OFF_AXIS = Trig("cos", 1, 1, 0.5, 1.0, 1.0)
+OFF_AXIS_TEXT = "cos:axis=1,freq=1,amp=0.5,offset=1"
+
 #: MINIMAL as SweepConfig fields
 MINIMAL_FIELDS = dict(kind="stability", domain=Circle(), n=(64,), epsilons=(0.2,),
                       system=SystemSpec(catalog="circle-positive"))
@@ -692,6 +684,20 @@ MINIMAL_FIELDS = dict(kind="stability", domain=Circle(), n=(64,), epsilons=(0.2,
                  dict(noise=NoiseSpec(ai_forms=((Const(1.0),),))), id="diffusion-field-of-coordinate-noise"),
     pytest.param("kind = coordinate", "kind = coordinate\na0 = const:1", 11, "a0",
                  dict(noise=NoiseSpec(a0_forms=(Const(1.0),))), id="drift-correction-of-coordinate-noise"),
+    pytest.param("catalog = circle-positive", "catalog = circle-positive\nu0 = const:1", 8, "u0",
+                 dict(system=SystemSpec(catalog="circle-positive", u0_form=Const(1.0))), id="u0-beside-catalog"),
+    # a form on an axis the circle lacks, in each field that holds forms
+    pytest.param("kind = stability", f"kind = selection\ntarget = {OFF_AXIS_TEXT}", 15, "target",
+                 dict(kind="selection", target=OFF_AXIS), id="target-off-axis"),
+    pytest.param("catalog = circle-positive", f"bx = {OFF_AXIS_TEXT}\nu0 = const:1", 7, "bx",
+                 dict(system=SystemSpec(drift_forms=(OFF_AXIS,), u0_form=Const(1.0))), id="drift-off-axis"),
+    pytest.param("catalog = circle-positive", f"bx = const:1\nu0 = {OFF_AXIS_TEXT}", 8, "u0",
+                 dict(system=SystemSpec(drift_forms=(Const(1.0),), u0_form=OFF_AXIS)), id="u0-off-axis"),
+    pytest.param("kind = coordinate", f"kind = explicit\na0 = {OFF_AXIS_TEXT}\na1 = const:1", 11, "a0",
+                 dict(noise=NoiseSpec(kind="explicit", a0_forms=(OFF_AXIS,), ai_forms=((Const(1.0),),))),
+                 id="a0-off-axis"),
+    pytest.param("kind = coordinate", f"kind = explicit\na1 = {OFF_AXIS_TEXT}", 11, "a1",
+                 dict(noise=NoiseSpec(kind="explicit", ai_forms=((OFF_AXIS,),))), id="a1-off-axis"),
 ])
 def test_file_and_sweep_config_refuse_alike(tmp_path, capsys, old, new, line, key, changes):
     assert parse_config(MINIMAL) == SweepConfig(**MINIMAL_FIELDS)
@@ -898,27 +904,7 @@ def test_cli_evolve_steps_the_configured_scheme(tmp_path):
     assert written != expected["implicit-euler"]
 
 
-# the explicit-torus-decay configuration of tools/artifact_hashes.py
-EXPLICIT_TORUS_DECAY = """\
-[domain]
-kind = torus2
-lengths = 1.0, 1.0
-n = 16
-
-[drift]
-catalog = torus-shear
-
-[noise]
-kind = explicit
-a0 = sin:axis=0,freq=1,amp=0.3,offset=0; const:0
-a1 = cos:axis=1,freq=1,amp=0.5,offset=1; const:0
-a2 = const:0; cos:axis=0,freq=1,amp=0.5,offset=1
-eps = 0.4, 0.2
-
-[experiment]
-kind = decay
-scheme = crank-nicolson
-"""
+EXPLICIT_TORUS_DECAY = corpus("explicit-torus-decay")
 
 
 def test_evolve_trace_is_the_sweeps_first_mode_1_trace(tmp_path):
@@ -946,25 +932,8 @@ def test_evolve_retries_the_fit_on_the_half_horizon(tmp_path, capsys):
     assert abs(rate - FOUR_PI_SQ * 0.25) <= 0.01 * FOUR_PI_SQ * 0.25
 
 
-# the selection-circle configuration of tools/artifact_hashes.py: zero drift,
-# noise that selects u* = 1 + cos(2 pi x) / 2
-SELECTION = """\
-[domain]
-kind = circle
-length = 1.0
-n = 64
-
-[drift]
-catalog = zero-drift
-
-[noise]
-kind = selection
-eps = 0.5, 0.25
-
-[experiment]
-kind = selection
-target = cos:axis=0,freq=1,amp=0.5,offset=1.0
-"""
+# zero drift, noise that selects u* = 1 + cos(2 pi x) / 2
+SELECTION = corpus("selection-circle")
 
 
 def test_stationary_runs_a_selection_config(tmp_path):

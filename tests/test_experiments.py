@@ -63,8 +63,11 @@ def test_sweep_config_validation():
                                                               "coordinate")),
     ("system", SystemSpec(catalog="torus-rotaton"), re.escape("system.catalog: unknown catalog system "
                                                               "'torus-rotaton' (nearest: torus-rotation)")),
+    # build used the catalog and dropped the forms, so the file form lost them
+    ("system", SystemSpec(catalog="zero-drift", drift_forms=(Const(1.0),), u0_form=Const(1.0)),
+     "^system.drift_forms: not read beside catalog; system.u0_form: not read beside catalog$"),
 ], ids=["workers", "scheme", "kind", "noise-kind", "explicit-without-diffusion-field",
-        "coordinate-with-diffusion-fields", "catalog"])
+        "coordinate-with-diffusion-fields", "catalog", "forms-beside-catalog"])
 def test_sweep_config_rejects_what_would_not_parse_back(field, value, message):
     base = dict(kind="stability", domain=Circle(), n=(16,), epsilons=(0.5,))
     with pytest.raises(ValueError, match=message):
