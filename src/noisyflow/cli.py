@@ -88,18 +88,22 @@ def _run_check(cfg: SweepConfig, args) -> int:
                      f"(threshold {report.lambda_threshold:g})")
     _say(args.quiet, f"(A1) integrability: {'PASS' if report.passes_A1 else 'FAIL'}")
     _say(args.quiet, f"(A2) ellipticity:  {'PASS' if report.passes_A2 else 'FAIL'}")
-    return 0 if (report.passes_A1 and report.passes_A2) else 2
+    return _status({"(A1) integrability": report.passes_A1, "(A2) ellipticity": report.passes_A2})
 
 
 def _run_sweep(cfg: SweepConfig, args) -> int:
     report = run(cfg)
     for name, passed in report.verdicts.items():
         _say(args.quiet, f"[{'PASS' if passed else 'FAIL'}] {name}")
-    if not report.passed():
-        failing = ", ".join(name for name, ok in report.verdicts.items() if not ok)
+    return _status(report.verdicts)
+
+
+def _status(verdicts: dict) -> int:
+    """0 when every verdict passes; otherwise 2, with the failing ones named on stderr."""
+    failing = ", ".join(name for name, ok in verdicts.items() if not ok)
+    if failing:
         print(f"verdict failure: {failing}", file=sys.stderr)
-        return 2
-    return 0
+    return 2 if failing else 0
 
 
 #: command -> its runner; ``sweep`` runs the study that ``[experiment] kind`` names

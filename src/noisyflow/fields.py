@@ -272,7 +272,7 @@ def divergence(f: VectorField, grid: Grid) -> np.ndarray:
     areas.  Second-order accurate for smooth fields; exact (up to
     roundoff) for fields whose normal component does not vary along the
     normal axis, and for curl-form drifts built from tensor-product
-    stream functions.
+    stream functions when every axis has the same cell count.
     """
     out = np.zeros(grid.ncells)
     for axis in range(grid.dim):

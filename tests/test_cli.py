@@ -464,13 +464,15 @@ def test_a_drift_through_a_wall_is_an_error_for_every_command(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_cli_check_degenerate_noise_fails(tmp_path):
+def test_cli_check_degenerate_noise_fails(tmp_path, capsys):
     text = MINIMAL.replace(
         "kind = coordinate",
         "kind = explicit\na1 = sin:axis=0,freq=1,amp=1,offset=0",
     ).replace("n = 64", "n = 65")
     code = main(["check", "--config", write_config(tmp_path, text), "--quiet"])
     assert code == 2
+    # like sweep, check names the failing hypothesis on stderr
+    assert capsys.readouterr().err == "verdict failure: (A2) ellipticity\n"
 
 
 def test_cli_check_passes_for_coordinate_noise(tmp_path):
@@ -670,7 +672,7 @@ MINIMAL_FIELDS = dict(kind="stability", domain=Circle(), n=(64,), epsilons=(0.2,
                  "assert_l1_limit", dict(kind="selection", target=Const(1.0), assert_l1_limit=False),
                  id="setting-of-another-kind"),
     pytest.param("kind = coordinate", "kind = selection", 10, "kind", dict(noise=NoiseSpec(kind="selection")),
-                 id="selection-noise-of-another-kind"),
+                 id="removed-selection-noise-kind"),
     pytest.param("kind = coordinate\neps = 0.2\n\n[experiment]\nkind = stability",
                  "kind = explicit\na1 = const:2\neps = 0.2\n\n[experiment]\nkind = selection\ntarget = const:1", 10,
                  "kind", dict(kind="selection", target=Const(1.0), noise=NoiseSpec(kind="explicit",
@@ -760,28 +762,24 @@ def test_p_is_an_unknown_noise_key():
 
 
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
-def test_selection_noise_is_read_only_by_the_selection_experiment(tmp_path, capsys, kind):
+def test_selection_is_an_unknown_noise_kind(tmp_path, capsys, kind):
+    # the selection experiment builds its own noise, so no [noise] kind names it
     text = INTERVAL.replace("kind = coordinate", "kind = selection").replace("kind = stability",
                                                                              f"kind = {kind}")
     base = dict(kind=kind, domain=Interval(), n=(16,), epsilons=(0.5,), noise=NoiseSpec(kind="selection"))
     if kind == "selection":
         text += "target = const:1\n"
         base["target"] = Const(1.0)
-        cfg = parse_config(text)
-        assert parse_config(serialize_config(cfg)) == cfg
-        assert SweepConfig(**base).noise.kind == "selection"
-        return
     with pytest.raises(ConfigError) as info:
         parse_config(text)
-    assert [(line, key) for line, key, _ in info.value.locations] == [(10, "kind")]
-    assert f"[noise] kind = selection is not read by [experiment] kind = {kind}" in str(info.value)
-    with pytest.raises(ValueError, match=re.escape(f"noise.kind: [noise] kind = selection is not read by "
-                                                   f"[experiment] kind = {kind}")):
+    assert info.value.locations == [(10, "kind", "unknown noise kind 'selection'")]
+    with pytest.raises(ValueError) as raised:
         SweepConfig(**base)
+    assert str(raised.value) == "noise.kind: unknown noise kind 'selection'"
     path = write_config(tmp_path, text)
     for command in ("check", "stationary"):
         assert main([command, "--config", path, "--quiet"]) == 1
-        assert "line 10, kind: [noise] kind = selection" in capsys.readouterr().err
+        assert "line 10, kind: unknown noise kind 'selection'" in capsys.readouterr().err
 
 
 def test_bad_domain_kind_reports_only_the_domain_error():
@@ -982,25 +980,18 @@ def test_check_runs_a_selection_config(tmp_path, capsys):
     assert lines[2:] == ["(A1) integrability: PASS", "(A2) ellipticity:  PASS"]
 
 
-@pytest.mark.parametrize("noise_kind", ["", "kind = coordinate\n"], ids=["default", "coordinate"])
-def test_selection_experiment_always_builds_the_selecting_noise(tmp_path, noise_kind):
-    # the selection experiment reads no other noise, so the default noise of
-    # the file is the selecting one for every command
-    text = SELECTION.replace("kind = selection\neps", f"{noise_kind}eps")
+def test_selection_experiment_always_builds_the_selecting_noise():
+    # the selection experiment reads no other noise: the default noise of the
+    # file, spelt out as kind = coordinate, is the corpus config, whose noise
+    # every command builds as the selecting one (test_stationary_runs_a_selection_config)
+    text = SELECTION.replace("[noise]\n", "[noise]\nkind = coordinate\n")
     cfg = parse_config(text)
-    assert cfg.noise == NoiseSpec(kind="selection")
+    assert cfg == parse_config(SELECTION) and cfg.noise == NoiseSpec()
     assert parse_config(serialize_config(cfg)) == cfg
-    csv = {}
-    for name, config in (("default", text), ("selection", SELECTION)):
-        path = tmp_path / f"{name}.ini"
-        path.write_text(config)
-        assert main(["stationary", "--config", str(path), "--out", str(tmp_path / name), "--quiet"]) == 0
-        csv[name] = (tmp_path / name / "stationary.csv").read_bytes()
-    assert csv["default"] == csv["selection"]
 
 
 def test_explicit_noise_is_not_read_by_the_selection_experiment(tmp_path, capsys):
-    text = SELECTION.replace("kind = selection\neps", "kind = explicit\na1 = const:2\neps")
+    text = SELECTION.replace("[noise]\n", "[noise]\nkind = explicit\na1 = const:2\n")
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert [(line, key) for line, key, _ in info.value.locations] == [(10, "kind")]

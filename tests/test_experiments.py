@@ -24,7 +24,7 @@ from noisyflow.experiments import (
     run_stability_sweep,
 )
 from noisyflow.fields import Const, Trig, construct_selecting_noise, mul
-from noisyflow.geometry import Circle, Interval, Rectangle, Torus2
+from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
 from noisyflow.operator import assemble_for
 from noisyflow.reporting import write_csv
 from noisyflow.stationary import solve_stationary
@@ -98,8 +98,7 @@ def test_sweep_config_needs_one_form_per_axis(spec, message):
 
 def test_sweep_config_builds_the_selecting_noise():
     target = Trig("cos", 0, 1, 0.5, 1.0, 1.0)
-    base = dict(kind="selection", domain=Circle(), n=(32,), epsilons=(0.5,),
-                noise=NoiseSpec(kind="selection"))
+    base = dict(kind="selection", domain=Circle(), n=(32,), epsilons=(0.5,))
     grid, _, noise = SweepConfig(**base, target=target).build()
     expected = construct_selecting_noise(target, grid)
     x = grid.cell_centers()
@@ -109,6 +108,22 @@ def test_sweep_config_builds_the_selecting_noise():
         assert np.array_equal(built.at_points(x), direct.at_points(x))
     with pytest.raises(ValueError, match=re.escape("target: missing [experiment] target")):
         SweepConfig(**base)
+
+
+@pytest.mark.parametrize("kind", experiments.NOISE_KINDS)
+def test_every_noise_kind_builds(kind):
+    grid = build_grid(Circle(), (16,))
+    spec = NoiseSpec(kind=kind, ai_forms=((Const(1.0),),) if kind == "explicit" else None)
+    noise = spec.build(grid)
+    x = grid.cell_centers()
+    # both kinds build the unit coordinate field with zero drift correction here
+    assert np.array_equal(noise.a0_field.at_points(x), np.zeros_like(x))
+    assert [np.array_equal(f.at_points(x), np.ones_like(x)) for f in noise.ai_fields] == [True]
+
+
+def test_noise_spec_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown noise kind 'selection'"):
+        NoiseSpec(kind="selection").build(build_grid(Circle(), (16,)))
 
 
 def test_stability_sweep_circle_positive():
@@ -180,16 +195,40 @@ def test_selection_circle_zero_drift():
     assert abs(errs[0] - errs[1]) <= 1e-10 * errs[0]  # identical across eps
 
 
-def test_selection_uniform_target_any_divfree_drift():
-    cfg = SweepConfig(
-        kind="selection", domain=Torus2(), n=(16, 16), epsilons=(0.5,),
-        system=SystemSpec(catalog="torus-rotation"),
-        target=Const(1.0),
-    )
+@pytest.mark.parametrize("domain, n, system, target", [
+    (Torus2(), (16, 16), "torus-rotation", Const(1.0)),
+    (Circle(), (16,), "zero-drift", Const(2.0)),
+], ids=["torus-rotation", "zero-drift-circle"])
+def test_exact_selection_passes_every_verdict(domain, n, system, target):
+    # a uniform target under a divergence-free drift is selected to roundoff on
+    # both grids, so the ratio and the spread over eps of the errors are noise
+    cfg = SweepConfig(kind="selection", domain=domain, n=n, epsilons=(0.5, 0.1),
+                      system=SystemSpec(catalog=system), target=target)
     report = run_selection(cfg)
-    assert report.verdicts["sup error within tolerance"]
-    # a uniform target is selected to roundoff on both grids
     assert all(row["err_sup"] <= 1e-10 and row["err_sup_refined"] <= 1e-10 for row in report.rows)
+    assert report.passed()
+
+
+@pytest.mark.parametrize("shifts, ratio_passes", [
+    ({256: (0.0, 0.0), 1024: (1e-6, 1e-6)}, False),  # roundoff on the coarse grid only
+    ({256: (2e-10, 0.0), 1024: (0.0, 0.0)}, True),  # roundoff on both grids, spread 0.2 of the floor
+], ids=["refined-error", "roundoff-spread"])
+def test_selection_roundoff_is_read_on_both_grids_and_every_eps(monkeypatch, shifts, ratio_passes):
+    # the exact torus selection, each solved density (coarse then refined, eps
+    # in order) shifted in one cell by the next value for its cell count
+    pending = {ncells: iter(values) for ncells, values in shifts.items()}
+
+    def shifted(op):
+        report = solve_stationary(op)
+        report.density.values[0] += next(pending[op.grid.ncells])
+        return report
+
+    monkeypatch.setattr(experiments, "solve_stationary", shifted)
+    cfg = SweepConfig(kind="selection", domain=Torus2(), n=(16, 16), epsilons=(0.5, 0.1),
+                      system=SystemSpec(catalog="torus-rotation"), target=Const(1.0))
+    verdicts = run_selection(cfg).verdicts
+    assert verdicts == {"sup error within tolerance": True, "h^2 refinement ratio": ratio_passes,
+                        "eps-uniform residual": True}
 
 
 def test_selection_rejects_invalid_target():
@@ -457,7 +496,7 @@ def test_run_dispatches_on_kind_and_rejects_unknown_kinds():
 TOLERANCE_READERS = {
     "l1_final": "stability", "l1_floor": "stability", "bound_factor": "stability",
     "selection_sup": "selection", "selection_ratio_lo": "selection", "selection_ratio_hi": "selection",
-    "selection_eps_spread": "selection", "div_target_tol": "selection",
+    "selection_eps_spread": "selection", "selection_floor": "selection", "div_target_tol": "selection",
     "c_floor": "decay", "rate_spread": "decay",
     "oracle_sup": "bounded",
 }

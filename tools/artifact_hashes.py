@@ -8,7 +8,9 @@ the package is imported once.  ``configs/README.md`` says why each
 configuration is there; nine are invalid (eight do not parse and one
 drives its drift through a wall), so their error messages are audited
 too.  Each file is copied into the work directory as ``<name>.ini``.
-Then runs every script under ``demos/`` in its own process.  Prints a
+Then runs every script under ``demos/`` in its own process, as
+``python -W error::RuntimeWarning demos/X.py``, so a demo whose numerics
+warn exits 1 and the record shows it.  Prints a
 header line ``# python X numpy Y scipy Z`` and then one
 ``sha256  path`` line per file: every configuration and every artifact a
 command wrote, plus the stdout, stderr and exit code of every command
@@ -81,8 +83,8 @@ def produce(src: str, configs: str) -> None:
     demos = os.path.join(os.path.dirname(os.path.abspath(src)), "demos")
     env = dict(os.environ, PYTHONPATH=src)
     for demo in sorted(f for f in os.listdir(demos) if f.endswith(".py")):
-        proc = subprocess.run([sys.executable, os.path.join(demos, demo)], env=env,
-                              capture_output=True)
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", os.path.join(demos, demo)],
+                              env=env, capture_output=True)
         run_dir = os.path.join("demos", demo[:-3])
         _write(os.path.join(run_dir, "stdout"), proc.stdout)
         _write(os.path.join(run_dir, "stderr"), proc.stderr)
