@@ -1,19 +1,23 @@
 """Stationary solves and the 1D closed-form quadrature oracle.
 
-The stationary solve pins one cell of the singular conservative matrix:
-the row of the cell with the largest diagonal magnitude (lowest index on
-ties) becomes d u_r = d with d its diagonal magnitude.  The pinned
-matrix stays sparse; it is factorized by :func:`factorize` and the
-solution is normalized to unit mass afterwards.  That direct solve is
-the only one: the pinned matrix is nonsingular (see :func:`factorize`),
-and a factorization that fails all the same raises :class:`SolveError`.
+The stationary solve pins one cell of the singular conservative matrix,
+the cell r with the largest diagonal magnitude (lowest index on ties),
+to u_r = 1, and normalizes the solution to unit mass afterwards.  In 2D
+row r becomes d u_r = d with d its diagonal magnitude; the pinned matrix
+stays sparse and is factorized by :func:`factorize`.  In 1D the matrix
+is tridiagonal (cyclically on a circle), and cutting r out of the cycle
+leaves a path whose equations one LAPACK ``dgtsv`` call solves (see
+:func:`_path_solve`).  These direct solves are the only ones: the pinned
+system is nonsingular (see :func:`factorize`), and a solve that fails
+all the same raises :class:`SolveError`.
 :func:`factorize` is the one place the package calls SuperLU, with
 diagonal pivots and an ordering chosen by the grid's dimension: minimum
 degree on A^T + A in 2D, the natural order in 1D, where the matrix is
 (cyclically) tridiagonal and the natural order already fills least.  Its
 supernodes are not relaxed and its panels are three columns wide, which
 factorizes faster and in less memory than SuperLU's defaults with the
-same fill.  The time stepper uses it too.
+same fill.  In 2D it serves the stationary solve and the time stepper,
+in 1D the time stepper only.
 
 The 1D oracles integrate the stationary balance
 
@@ -72,6 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (BoundaryError, DegenerateError, FieldEvaluationError, PositivityError, ResolutionError,
                      SolveError)
@@ -134,10 +139,11 @@ class StationaryReport:
 def factorize(matrix: sp.spmatrix, dim: int) -> spla.SuperLU:
     """Sparse LU of ``matrix`` with a fill-reducing ordering and diagonal pivots.
 
-    Every factorization in the package goes through here: the pinned
-    stationary matrix and the time-step matrices (I - dt M) and
-    (I - dt/2 M).  ``dim`` is the dimension of the grid the matrix lives
-    on.  In 2D the columns are
+    Every sparse factorization in the package goes through here: the
+    time-step matrices (I - dt M) and (I - dt/2 M), and in 2D the pinned
+    stationary matrix (a 1D stationary solve is one tridiagonal LAPACK
+    call instead, see :func:`_path_solve`).  ``dim`` is the dimension of
+    the grid the matrix lives on.  In 2D the columns are
     ordered by minimum degree on the pattern of A^T + A, applied
     symmetrically, which halves the fill of the factor.  In 1D the
     matrix is tridiagonal on an interval and tridiagonal plus the two
@@ -146,7 +152,11 @@ def factorize(matrix: sp.spmatrix, dim: int) -> spla.SuperLU:
     a last row and column.  Minimum degree costs more than it saves there
     and fills more: 196574 against 146797 nnz(L+U) on the pinned 2^15-cell
     circle-positive matrix at eps = 0.2 (COLAMD: 163834).  The pivots are
-    taken on the diagonal in both cases.
+    taken on the diagonal in both cases.  A LAPACK ``gttrf``/``gttrs``
+    factor of the 1D step matrix with a one-cell border for the wrap
+    corners is slower per solve than this one (17.7 against 9.8 us per
+    two-column solve on a 32-cell circle, 66 against 31 us on a
+    1024-cell interval), so 1D time steps stay here.
 
     Supernodes are not relaxed and panels are narrow: ``SUPERNODE_RELAX``
     = 1 and ``PANEL_SIZE`` = 3, against SuperLU's 10 and 20.  Relaxation
@@ -205,21 +215,70 @@ def pinned_system(matrix: sp.csr_matrix):
     return pinned, rhs
 
 
+def _path_solve(matrix: sp.csr_matrix) -> np.ndarray:
+    """The solution of M u = 0 with u_r = 1 on a 1D grid, by one tridiagonal LAPACK solve.
+
+    r is the cell :func:`pinned_system` pins.  A 1D matrix couples cell i
+    to cells i - 1 and i + 1 only, cyclically on a circle; on an interval
+    the wrap couplings M[0, n-1] and M[n-1, 0] are zero.  Cutting r out
+    of the cycle leaves the path r + 1, ..., r - 1 (mod n), whose
+    equations are tridiagonal with right-hand side -M[path, r], nonzero
+    only at the path's two ends.  ``dgtsv`` solves them with partial
+    pivoting.  The path's matrix is M without row and column r, column
+    diagonally dominant like the pinned matrix (see :func:`factorize`),
+    so in exact arithmetic no row is interchanged.  In floating point the
+    pivot of a column whose coupling to the next cell carries the drift
+    nearly ties with that coupling, and roundoff swaps rows: the path is
+    therefore walked against its larger couplings, reversed when the
+    subdiagonal outweighs the superdiagonal.  On the 2^17-cell circle-positive matrix at
+    eps = 0.05, walking along the drift interchanges 76358 rows and
+    leaves a residual of 2.2e-13; walking against it interchanges none
+    and leaves 2.8e-15.  Raises :class:`SolveError` when ``dgtsv``
+    reports a nonzero ``info``.
+    """
+    n = matrix.shape[0]
+    diag = matrix.diagonal()
+    r = int(np.argmax(np.abs(diag)))  # argmax takes the lowest index on ties
+    sup = np.append(matrix.diagonal(1), matrix.diagonal(1 - n))  # M[i, i + 1 mod n]
+    sub = np.append(matrix.diagonal(n - 1), matrix.diagonal(-1))  # M[i, i - 1 mod n]
+
+    def along_path(values):
+        return np.concatenate((values[r + 1:], values[:r]))
+
+    d, sub, sup = along_path(diag), along_path(sub), along_path(sup)
+    dl, du = sub[1:], sup[:-1]
+    rhs = np.zeros(n - 1)
+    rhs[0], rhs[-1] = -sub[0], -sup[-1]
+    reverse = dl.sum() > du.sum()
+    if reverse:
+        dl, d, du, rhs = du[::-1], d[::-1], dl[::-1], rhs[::-1]
+    *_, x, info = dgtsv(dl, d, du, rhs)
+    if info != 0:
+        raise SolveError(f"tridiagonal solve failed: LAPACK dgtsv returned info = {info}")
+    if reverse:
+        x = x[::-1]
+    return np.concatenate((x[n - 1 - r:], (1.0,), x[:n - 1 - r]))
+
+
 def solve_stationary(op: FokkerPlanckOperator) -> StationaryReport:
     """Solve M u = 0 for the unique unit-mass stationary density.
 
     The operator's coupling graph must be strongly connected, or the
-    density is not unique.  The pinned row and one sparse LU solve it
-    directly (``method`` is "direct"); a failed factorization or a
-    non-finite solution raises :class:`SolveError`.  The residual is
-    measured against the unmodified matrix as
-    ||M u||_inf / (||M||_inf ||u||_inf).
+    density is not unique.  One pinned cell and one direct solve give it
+    (``method`` is "direct"): a sparse LU of the pinned matrix in 2D,
+    one tridiagonal LAPACK call on the path around the pinned cell in
+    1D.  A failed factorization or a non-finite solution raises
+    :class:`SolveError`.  The residual is measured against the
+    unmodified matrix as ||M u||_inf / (||M||_inf ||u||_inf).
     """
     if not op.is_irreducible():
         raise SolveError("operator is reducible; the stationary density is not unique")
     grid = op.grid
-    pinned, rhs = pinned_system(op.matrix)
-    u = factorize(pinned, grid.dim).solve(rhs)
+    if grid.dim == 1:
+        u = _path_solve(op.matrix)
+    else:
+        pinned, rhs = pinned_system(op.matrix)
+        u = factorize(pinned, grid.dim).solve(rhs)
     if not np.all(np.isfinite(u)):
         raise SolveError("stationary solve returned a non-finite component")
     u /= np.sum(u) * grid.cell_volume  # unit mass, the scale the positivity slack assumes

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from noisyflow.errors import (BoundaryError, CatalogError, FieldEvaluationError,
                              SolveError)
 from noisyflow.fields import (
     CATALOG_NAMES,
+    ConservativeSystem,
     Const,
     Noise,
     Power,
@@ -25,6 +27,7 @@ from noisyflow.fields import (
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
 from noisyflow.operator import assemble_for
 import noisyflow.stationary as stationary
+from noisyflow.config import parse_config
 from noisyflow.stationary import (
     Density,
     _backward_sum,
@@ -37,6 +40,9 @@ from noisyflow.stationary import (
     pinned_system,
     solve_stationary,
 )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def unit_noise(grid):
@@ -55,12 +61,32 @@ class NanLU:
         return np.full(rhs.shape, np.nan)
 
 
+def dgtsv_returning(x_value, info):
+    """A stand-in for LAPACK's ``dgtsv`` that returns ``x_value`` everywhere and ``info``."""
+    def dgtsv(dl, d, du, b):
+        return dl, d, du, np.full(b.shape, x_value), info
+
+    return dgtsv
+
+
 @pytest.mark.parametrize("kind, n", [(Circle(), 32), (Torus2(), (8, 8))])
 def test_solve_raises_on_a_non_finite_solution(kind, n, monkeypatch):
     g = build_grid(kind, n)
     op = assemble_for(builtin_catalog("zero-drift", g), unit_noise(g), 0.5)
-    monkeypatch.setattr(stationary, "factorize", lambda matrix, dim: NanLU())
+    if g.dim == 1:  # the tridiagonal path solve
+        monkeypatch.setattr(stationary, "dgtsv", dgtsv_returning(np.nan, 0))
+    else:
+        monkeypatch.setattr(stationary, "factorize", lambda matrix, dim: NanLU())
     with pytest.raises(SolveError, match="non-finite"):
+        solve_stationary(op)
+
+
+def test_a_failed_tridiagonal_solve_raises(monkeypatch):
+    # info > 0: LAPACK met an exactly zero pivot; its x is not a solution
+    g = build_grid(Circle(), 32)
+    op = assemble_for(builtin_catalog("circle-positive", g), unit_noise(g), 0.3)
+    monkeypatch.setattr(stationary, "dgtsv", dgtsv_returning(1.0, 5))
+    with pytest.raises(SolveError, match="^tridiagonal solve failed: LAPACK dgtsv returned info = 5$"):
         solve_stationary(op)
 
 
@@ -116,8 +142,6 @@ def test_positivity_on_catalog():
 )
 def test_random_positive_drift_properties(offset, amp, eps):
     # positive 1D drifts: solve succeeds, density positive, unit mass
-    from noisyflow.fields import ConservativeSystem
-
     g = build_grid(Circle(), 64)
     drift = VectorField([Trig("sin", 0, 1, amp, offset, 1.0)])
     sys = ConservativeSystem(drift, Const(1.0), g, "random")
@@ -214,9 +238,9 @@ def test_direct_solve_matches_inverse_iteration_and_dense_row(kind, n, name, eps
 
 def test_a_failed_factorization_raises_instead_of_falling_back(monkeypatch):
     # the pinned solve is the only one: SuperLU failing once is an error,
-    # not a silent switch to another method
-    g = build_grid(Circle(), 64)
-    op = assemble_for(builtin_catalog("circle-positive", g), unit_noise(g), 0.3)
+    # not a silent switch to another method (1D solves never call SuperLU)
+    g = build_grid(Torus2(), (8, 8))
+    op = assemble_for(builtin_catalog("hamiltonian-cellular", g), unit_noise(g), 0.3)
     splu, calls = spla.splu, []
 
     def fail_once(*args, **kwargs):
@@ -251,6 +275,32 @@ def test_direct_solve_never_falls_back_on_the_catalog(eps):
         assert rep.method == "direct", (system.name, type(g.kind).__name__)
         solved += 1
     assert solved == 8  # circle-positive, three torus systems, zero-drift on four domains
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.05])
+def test_path_solve_agrees_with_the_pinned_superlu_solve(eps):
+    ops = [assemble_for(system, unit_noise(g), eps) for g, system in catalog_pairs() if g.dim == 1]
+    assert len(ops) == 3  # circle-positive, zero-drift on the circle and on the interval
+    cfg = parse_config((CONFIGS / "explicit-interval.ini").read_text())
+    _, system, noise = cfg.build()
+    ops += [assemble_for(system, noise, e) for e in cfg.epsilons]
+    sign_changing = VectorField([Trig("sin", 0)])  # sin(2 pi x): the path runs along it on one half
+    for kind in (Circle(), Interval()):
+        g = build_grid(kind, 64)
+        ops.append(assemble_for(ConservativeSystem(sign_changing, Const(1.0), g), unit_noise(g), eps))
+    for op in ops:
+        pinned, rhs = pinned_system(op.matrix)
+        reference = factorize(pinned, 1).solve(rhs)  # may undershoot 0 by roundoff, as the path solve may
+        reference /= np.sum(reference) * op.grid.cell_volume
+        u = solve_stationary(op).density.values
+        assert np.max(np.abs(u - reference)) <= 1e-13 * np.max(reference)
+
+
+def test_path_solve_residual_on_a_large_circle():
+    # walked along the drift the path interchanges most rows and leaves 2.2e-13
+    g = build_grid(Circle(), 2 ** 17)
+    op = assemble_for(builtin_catalog("circle-positive", g), unit_noise(g), 0.05)
+    assert solve_stationary(op).residual <= 1e-14
 
 
 def fill(lu):
