@@ -47,7 +47,6 @@ from .experiments import (
     SweepConfig,
     SystemSpec,
     Thresholds,
-    run_bounded_domain,
     run_decay_study,
     run_selection,
     run_stability_sweep,

@@ -122,13 +122,14 @@ class FokkerPlanckOperator:
         self.has_cross_diffusion = has_cross_diffusion
 
     def is_irreducible(self) -> bool:
-        """Strong connectivity of the off-diagonal coupling graph.
+        """Strong connectivity of the coupling graph, one edge per nonzero entry.
 
+        Stored zeros couple nothing, so they are dropped; the diagonal's
+        self-loops stay, since they never change strong connectivity.
         Computed afresh on every call; :func:`stationary.solve_stationary`
         checks it once per operator before it solves.
         """
         pattern = self.matrix.copy()
-        pattern.setdiag(0.0)
         pattern.eliminate_zeros()
         ncomp, _ = connected_components(pattern, directed=True, connection="strong")
         return ncomp == 1

@@ -63,8 +63,7 @@ the left, and once Phi is freed psi is rebuilt on the edges for the
 flux self-check.  The cumulative sums carry from block to block with the
 additions of one sum over all panels, and every elementwise operation
 keeps its operands and their order, so the results have the bits of
-passes over whole arrays.  No buffer outlives a call: the bounded runner
-calls the interval oracle from pool threads.
+passes over whole arrays.  No buffer outlives a call.
 """
 
 from __future__ import annotations
@@ -141,9 +140,10 @@ def factorize(matrix: sp.spmatrix, dim: int) -> spla.SuperLU:
 
     Every sparse factorization in the package goes through here: the
     time-step matrices (I - dt M) and (I - dt/2 M), and in 2D the pinned
-    stationary matrix (a 1D stationary solve is one tridiagonal LAPACK
-    call instead, see :func:`_path_solve`).  ``dim`` is the dimension of
-    the grid the matrix lives on.  In 2D the columns are
+    stationary matrix.  The 1D branch serves time steps only: a 1D
+    stationary solve is one tridiagonal LAPACK call (see
+    :func:`_path_solve`).  ``dim`` is the dimension of the grid the
+    matrix lives on.  In 2D the columns are
     ordered by minimum degree on the pattern of A^T + A, applied
     symmetrically, which halves the fill of the factor.  In 1D the
     matrix is tridiagonal on an interval and tridiagonal plus the two
@@ -151,8 +151,10 @@ def factorize(matrix: sp.spmatrix, dim: int) -> spla.SuperLU:
     minimum fill: an interval factors without fill, a circle fills only
     a last row and column.  Minimum degree costs more than it saves there
     and fills more: 196574 against 146797 nnz(L+U) on the pinned 2^15-cell
-    circle-positive matrix at eps = 0.2 (COLAMD: 163834).  The pivots are
-    taken on the diagonal in both cases.  A LAPACK ``gttrf``/``gttrs``
+    circle-positive matrix at eps = 0.2 (COLAMD: 163834).  Those figures
+    and the 2^15-cell circle's below were measured when 1D stationary
+    solves still factorized here.  The pivots are taken on the diagonal
+    in both cases.  A LAPACK ``gttrf``/``gttrs``
     factor of the 1D step matrix with a one-cell border for the wrap
     corners is slower per solve than this one (17.7 against 9.8 us per
     two-column solve on a 32-cell circle, 66 against 31 us on a
@@ -196,15 +198,20 @@ def factorize(matrix: sp.spmatrix, dim: int) -> spla.SuperLU:
         raise SolveError(f"sparse LU failed: {exc}") from exc
 
 
+def pinned_cell(diag: np.ndarray) -> int:
+    """The cell a stationary solve pins: largest diagonal magnitude, lowest index on ties."""
+    return int(np.argmax(np.abs(diag)))  # argmax takes the lowest index on ties
+
+
 def pinned_system(matrix: sp.csr_matrix):
     """M with one equation replaced by a pin, and its right-hand side.
 
-    Row r (largest diagonal magnitude, lowest index on ties) becomes
-    d u_r = d with d = |M_rr|, which keeps the matrix sparse and its
-    scale.  Returns the pinned matrix (CSR) and the right-hand side d e_r.
+    Row r, the :func:`pinned_cell` of M, becomes d u_r = d with
+    d = |M_rr|, which keeps the matrix sparse and its scale.  Returns the
+    pinned matrix (CSR) and the right-hand side d e_r.
     """
     diag = matrix.diagonal()
-    row = int(np.argmax(np.abs(diag)))  # argmax takes the lowest index on ties
+    row = pinned_cell(diag)
     pin = abs(float(diag[row]))
     pinned = matrix.tocsr(copy=True)
     start, end = pinned.indptr[row], pinned.indptr[row + 1]
@@ -218,7 +225,7 @@ def pinned_system(matrix: sp.csr_matrix):
 def _path_solve(matrix: sp.csr_matrix) -> np.ndarray:
     """The solution of M u = 0 with u_r = 1 on a 1D grid, by one tridiagonal LAPACK solve.
 
-    r is the cell :func:`pinned_system` pins.  A 1D matrix couples cell i
+    r is the :func:`pinned_cell` of M.  A 1D matrix couples cell i
     to cells i - 1 and i + 1 only, cyclically on a circle; on an interval
     the wrap couplings M[0, n-1] and M[n-1, 0] are zero.  Cutting r out
     of the cycle leaves the path r + 1, ..., r - 1 (mod n), whose
@@ -238,7 +245,7 @@ def _path_solve(matrix: sp.csr_matrix) -> np.ndarray:
     """
     n = matrix.shape[0]
     diag = matrix.diagonal()
-    r = int(np.argmax(np.abs(diag)))  # argmax takes the lowest index on ties
+    r = pinned_cell(diag)
     sup = np.append(matrix.diagonal(1), matrix.diagonal(1 - n))  # M[i, i + 1 mod n]
     sub = np.append(matrix.diagonal(n - 1), matrix.diagonal(-1))  # M[i, i - 1 mod n]
 

@@ -13,12 +13,11 @@ from noisyflow.evolution import evolve, fit_decay_rate, perturbed_initial
 from noisyflow.experiments import (
     SweepConfig,
     SystemSpec,
-    NoiseSpec,
-    run_bounded_domain,
     run_decay_study,
     run_stability_sweep,
 )
-from noisyflow.fields import Const, Trig, builtin_catalog, construct_selecting_noise, coordinate_noise
+from noisyflow.fields import (Const, Noise, Trig, VectorField, builtin_catalog, construct_selecting_noise,
+                              coordinate_noise)
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
 from noisyflow.operator import assemble_for
 from noisyflow.stationary import oracle_1d_circle, solve_stationary
@@ -162,22 +161,19 @@ def test_criterion_7_transform_consistency(transform_mismatch):
 
 def test_criterion_8_bounded_domains():
     start = time.perf_counter()
-    tilt_cfg = SweepConfig(
-        kind="bounded", domain=Interval(), n=(512,), epsilons=(0.3,),
-        noise=NoiseSpec(kind="explicit", a0_forms=(Const(1.0),), ai_forms=((Const(1.0),),)),
-    )
-    tilt = run_bounded_domain(tilt_cfg)
-    g = tilt_cfg.grid()
+    g = build_grid(Interval(), 512)
+    tilt_noise = Noise(VectorField([Const(1.0)]), (VectorField([Const(1.0)]),))
+    tilt = solve_stationary(assemble_for(builtin_catalog("zero-drift", g), tilt_noise, 0.3))
     x = g.cell_centers()[:, 0]
     exact = 2.0 * np.exp(2.0 * x) / (math.e ** 2 - 1.0)
-    tilt_err = float(np.max(np.abs(tilt.rows[0]["report"].density.values - exact)) / exact.max())
+    tilt_err = float(np.max(np.abs(tilt.density.values - exact)) / exact.max())
 
-    rect_cfg = SweepConfig(kind="bounded", domain=Rectangle(), n=(64, 64), epsilons=(0.5, 0.1))
-    rect = run_bounded_domain(rect_cfg)
+    rect_cfg = SweepConfig(kind="stability", domain=Rectangle(), n=(64, 64), epsilons=(0.5, 0.1))
+    rect = run_stability_sweep(rect_cfg)
     rect_dev = max(float(np.max(np.abs(r["report"].density.values - 1.0))) for r in rect.rows)
     elapsed = time.perf_counter() - start
-    ok = tilt_err <= 1e-3 and rect_dev <= 1e-10 and elapsed < 10.0
-    report(8, "zero-flux stationary solves match the interval oracle and uniformity", ok,
+    ok = tilt_err <= 1e-3 and rect_dev <= 1e-10 and rect.passed() and elapsed < 10.0
+    report(8, "zero-flux stationary solves match the exponential tilt and uniformity", ok,
            f"tilt err {tilt_err:.2e}, rectangle dev {rect_dev:.2e}, {elapsed:.1f}s")
 
 

@@ -117,14 +117,16 @@ def test_removed_transform_kind_and_threshold_are_errors(tmp_path, capsys, comma
 
 
 @pytest.mark.parametrize("command", ["stationary", "evolve", "sweep", "check", "oracle1d"])
-def test_bounded_kind_on_a_circle_is_an_error_under_every_command(tmp_path, capsys, command):
-    text = MINIMAL.replace("kind = stability", "kind = bounded")
+def test_removed_bounded_kind_is_an_error_under_every_command(tmp_path, capsys, command):
+    # rectangles run the stability sweep and the interval oracle check is a test, so
+    # bounded is an unknown kind on every domain, an interval included
+    text = INTERVAL.replace("kind = stability", "kind = bounded")
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert [(ln, k) for ln, k, _ in info.value.locations] == [(14, "kind")]
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 1
-    assert "line 14, kind: bounded needs an interval or rectangle domain, got Circle" in capsys.readouterr().err
+    assert "line 14, kind: unknown experiment kind 'bounded'\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -503,8 +505,8 @@ def test_cli_check_passes_for_coordinate_noise(tmp_path):
                  id="target-under-decay"),
     pytest.param(MINIMAL, "kind = stability", "kind = selection\ntarget = const:1\nassert_l1_limit = false", 16,
                  "assert_l1_limit", id="assert-l1-limit-under-selection"),
-    pytest.param(INTERVAL, "kind = stability", "kind = bounded\nassert_l1_limit = true", 15,
-                 "assert_l1_limit", id="assert-l1-limit-under-bounded"),
+    pytest.param(INTERVAL, "kind = stability", "kind = decay\nassert_l1_limit = true", 15,
+                 "assert_l1_limit", id="assert-l1-limit-under-decay"),
 ])
 def test_keys_read_other_than_written_are_errors(tmp_path, capsys, text, old, new, line, key):
     text = text.replace(old, new)
@@ -867,7 +869,7 @@ a2 = const:0; const:1
 eps = 0.5
 
 [experiment]
-kind = bounded
+kind = stability
 """
 
 
@@ -1050,9 +1052,6 @@ def test_every_csv_header_matches_the_readme_schema_table(tmp_path):
         "selection": ("sweep", SELECTION.replace("n = 64", "n = 16")),
         "decay": ("sweep", tiny.replace("circle-positive", "zero-drift").replace("eps = 0.2", "eps = 0.5")
                                .replace("kind = stability", "kind = decay")),
-        "bounded": ("sweep", tiny.replace("kind = circle\nlength = 1.0", "kind = interval\nbounds = 0.0, 1.0")
-                                 .replace("circle-positive", "zero-drift")
-                                 .replace("kind = stability", "kind = bounded")),
         "stationary": ("stationary", tiny),
         "evolve": ("evolve", tiny),
         # 16 cells would leave the oracle's panels too coarse at eps = 0.2

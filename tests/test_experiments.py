@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noisyflow.experiments as experiments
+from noisyflow.config import parse_config
 from noisyflow.errors import BoundaryError, FitError
 from noisyflow.evolution import fit_decay_rate, perturbed_initial
 from noisyflow.experiments import (
@@ -17,7 +18,6 @@ from noisyflow.experiments import (
     SweepConfig,
     SystemSpec,
     Thresholds,
-    run_bounded_domain,
     run_decay_study,
     run_selection,
     run,
@@ -332,41 +332,14 @@ def test_decay_study_bounded_interval():
     assert abs(rate - expected) <= 0.02 * expected
 
 
-def test_bounded_interval_uniform():
-    cfg = SweepConfig(kind="bounded", domain=Interval(), n=(64,), epsilons=(0.5,))
-    report = run_bounded_domain(cfg)
-    assert report.passed()
-    assert np.max(np.abs(report.rows[0]["report"].density.values - 1.0)) <= 1e-10
-
-
-def test_bounded_interval_exponential_tilt():
-    cfg = SweepConfig(
-        kind="bounded", domain=Interval(), n=(256,), epsilons=(0.5, 0.1),
-        noise=NoiseSpec(kind="explicit", a0_forms=(Const(1.0),), ai_forms=((Const(1.0),),)),
-    )
-    report = run_bounded_domain(cfg)
-    assert report.passed()
-    for row in report.rows:
-        assert row["oracle_sup"] <= 1e-3
-
-
-def test_bounded_rejects_nonzero_normal_drift():
-    cfg = SweepConfig(
-        kind="bounded", domain=Interval(), n=(32,), epsilons=(0.5,),
-        system=SystemSpec(drift_forms=(Const(1.0),), u0_form=Const(1.0)),
-    )
-    with pytest.raises(BoundaryError):
-        run_bounded_domain(cfg)
-
-
 #: B = e_x with u0 = 1 on the unit square: the drift crosses the walls x = 0 and x = 1
 WALL_CROSSING = SystemSpec(drift_forms=(Const(1.0), Const(0.0)), u0_form=Const(1.0))
 
 
 @pytest.mark.parametrize("kind", sorted(experiments.RUNNERS))
 def test_every_kind_refuses_a_drift_through_a_wall(kind):
-    # not only the bounded study: a stability sweep would pile the density
-    # against x = 1 and report it as a failure of stability
+    # a stability sweep would pile the density against x = 1 and report it
+    # as a failure of stability
     cfg = SweepConfig(kind=kind, domain=Rectangle(), n=(8, 8), epsilons=(0.5,), system=WALL_CROSSING,
                       target=Const(1.0) if kind == "selection" else None)
     with pytest.raises(BoundaryError, match=r"^drift normal component reaches 1\.0 on the axis-0 boundary$"):
@@ -406,11 +379,22 @@ def test_the_wall_rule_names_the_first_crossed_axis_and_its_largest_normal_drift
         with pytest.raises(BoundaryError, match=rf"^drift normal component reaches {message} boundary$"):
             cfg.build()
 
-@pytest.mark.parametrize("domain, n", [(Circle(), (32,)), (Torus2(), (8, 8))], ids=["circle", "torus2"])
-def test_bounded_requires_bounded_domain(domain, n):
-    name = type(domain).__name__
-    with pytest.raises(ValueError, match=f"^kind: bounded needs an interval or rectangle domain, got {name}$"):
+@pytest.mark.parametrize("domain, n", [(Interval(), (32,)), (Rectangle(), (8, 8)), (Circle(), (32,))],
+                         ids=["interval", "rectangle", "circle"])
+def test_bounded_is_an_unknown_kind(domain, n):
+    # rectangles run the stability sweep; the interval oracle check is a test
+    with pytest.raises(ValueError, match="^kind: unknown experiment kind 'bounded'$"):
         SweepConfig(kind="bounded", domain=domain, n=n, epsilons=(0.5,))
+
+
+def test_rotation_torus_follows_the_eps_squared_law():
+    # torus-rotation is uniquely ergodic, so u_eps -> u0 = 1; each halving of eps
+    # divides the L1 distance by about four (3.6 and 4.0 at 32^2)
+    text = (Path(__file__).resolve().parents[1] / "configs" / "rotation-torus-stability.ini").read_text()
+    report = run(parse_config(text))
+    assert report.passed()
+    l1s = [r["l1_dist_to_u0"] for r in report.rows]
+    assert all(3.0 <= a / b <= 5.0 for a, b in zip(l1s, l1s[1:]))
 
 
 def test_sweep_rerun_bit_identical(tmp_path):
@@ -447,8 +431,6 @@ WORKER_CASES = {
                       system=SystemSpec(catalog="hamiltonian-cellular"), assert_l1_limit=False),
     "decay": dict(domain=Circle(), n=(64,), epsilons=(0.4, 0.2),
                   system=SystemSpec(catalog="circle-positive"), scheme="crank-nicolson"),
-    "bounded": dict(domain=Interval(), n=(48,), epsilons=(0.5, 0.1),
-                    noise=NoiseSpec(kind="explicit", a0_forms=(Const(1.0),), ai_forms=((Const(1.0),),))),
 }
 
 
@@ -486,19 +468,23 @@ def test_decay_worker_count_leaves_artifacts_byte_identical_on_random_circles(
 
 
 def test_run_dispatches_on_kind_and_rejects_unknown_kinds():
-    cfg = SweepConfig(kind="bounded", domain=Interval(), n=(32,), epsilons=(0.5,))
-    assert run(cfg).verdicts == run_bounded_domain(cfg).verdicts
+    cfg = SweepConfig(kind="stability", domain=Interval(), n=(32,), epsilons=(0.5,))
+    assert run(cfg).verdicts == run_stability_sweep(cfg).verdicts
     with pytest.raises(ValueError, match="unknown experiment kind 'sweep'"):
         run(SweepConfig(kind="sweep", domain=Circle(), n=(32,), epsilons=(0.5,)))
 
 
-#: tolerance -> the kind whose runner reads it
+#: no runner reads oracle_sup: the finite-volume-vs-oracle tests and the
+#: benchmark's oracle-circle gate do
+ORACLE_READERS = "oracle tests and bench/workloads.py"
+
+#: tolerance -> the kind whose runner reads it, or ORACLE_READERS
 TOLERANCE_READERS = {
     "l1_final": "stability", "l1_floor": "stability", "bound_factor": "stability",
     "selection_sup": "selection", "selection_ratio_lo": "selection", "selection_ratio_hi": "selection",
     "selection_eps_spread": "selection", "selection_floor": "selection", "div_target_tol": "selection",
     "c_floor": "decay", "rate_spread": "decay",
-    "oracle_sup": "bounded",
+    "oracle_sup": ORACLE_READERS,
 }
 
 
@@ -506,13 +492,12 @@ TOLERANCE_READERS = {
     ("stability", Circle(), "circle-positive", None),
     ("selection", Circle(), "zero-drift", Trig("cos", 0, 1, 0.5, 1.0, 1.0)),
     ("decay", Circle(), "zero-drift", None),
-    ("bounded", Interval(), "zero-drift", None),
 ])
 def test_each_kind_reads_exactly_its_thresholds(kind, domain, system, target):
-    # every tolerance is read by exactly one kind, and the four kinds read all of them
+    # every tolerance but oracle_sup is read by exactly one kind, and each kind reads some
     names = {f.name for f in fields(Thresholds)}
     assert set(TOLERANCE_READERS) == names
-    assert set(TOLERANCE_READERS.values()) == set(experiments.RUNNERS)
+    assert set(TOLERANCE_READERS.values()) == set(experiments.RUNNERS) | {ORACLE_READERS}
     reads = set()
 
     class Recording(Thresholds):

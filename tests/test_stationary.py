@@ -25,9 +25,10 @@ from noisyflow.fields import (
     coordinate_noise,
 )
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
-from noisyflow.operator import assemble_for
+from noisyflow.operator import FokkerPlanckOperator, assemble_for
 import noisyflow.stationary as stationary
 from noisyflow.config import parse_config
+from noisyflow.experiments import SweepConfig
 from noisyflow.stationary import (
     Density,
     _backward_sum,
@@ -90,12 +91,34 @@ def test_a_failed_tridiagonal_solve_raises(monkeypatch):
         solve_stationary(op)
 
 
-def test_uniform_stationary_zero_drift():
-    g = build_grid(Circle(), 64)
+@pytest.mark.parametrize("kind", [Circle(), Interval()], ids=["circle", "interval"])
+def test_uniform_stationary_zero_drift(kind):
+    g = build_grid(kind, 64)
     op = assemble_for(builtin_catalog("zero-drift", g), unit_noise(g), 0.5)
     rep = solve_stationary(op)
     assert rep.residual <= 1e-13
     assert np.max(np.abs(rep.density.values - 1.0)) <= 1e-12
+
+
+def test_a_reducible_operator_is_refused():
+    # cut the 8-cell interval between cells 3 and 4: the couplings stay stored, as
+    # zeros, and each column's diagonal takes back what it gave, so the column sums stay 0
+    g = build_grid(Interval(), 8)
+    m = assemble_for(builtin_catalog("zero-drift", g), unit_noise(g), 0.5).matrix.copy()
+
+    def entry(i, j):
+        start = m.indptr[i]
+        return start + int(np.flatnonzero(m.indices[start:m.indptr[i + 1]] == j)[0])
+
+    for i, j in ((3, 4), (4, 3)):
+        m.data[entry(j, j)] += m.data[entry(i, j)]
+        m.data[entry(i, j)] = 0.0
+    assert np.count_nonzero(m.data) == m.nnz - 2
+    assert np.max(np.abs(m.sum(axis=0))) <= 1e-13
+    op = FokkerPlanckOperator(m, g, False)
+    assert not op.is_irreducible()  # the stored zeros couple nothing
+    with pytest.raises(SolveError, match="^operator is reducible; the stationary density is not unique$"):
+        solve_stationary(op)
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.1])
@@ -625,6 +648,17 @@ def test_interval_oracle_exponential_tilt():
     assert np.max(np.abs(u - exact)) <= 1e-10
     u2 = oracle_1d_interval(VectorField.zero(1), nf.a0_field, nf.ai_fields, 0.9, g)
     assert np.allclose(u, u2, atol=1e-13)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_interval_solve_matches_the_oracle(eps):
+    # the exponential tilt (B = 0, A0 = A1 = 1) at the tolerance the circle oracle's
+    # benchmark gate reads: the finite-volume solve against the closed form
+    g = build_grid(Interval(), 256)
+    system, nf = builtin_catalog("zero-drift", g), Noise(VectorField([Const(1.0)]), (VectorField([Const(1.0)]),))
+    u = solve_stationary(assemble_for(system, nf, eps)).density.values
+    oracle = oracle_1d_interval(system.drift, nf.a0_field, nf.ai_fields, eps, g)
+    assert np.max(np.abs(u - oracle)) / np.max(np.abs(oracle)) <= SweepConfig.thresholds.oracle_sup
 
 
 def test_interval_oracle_selection_family():
