@@ -120,7 +120,17 @@ def test_removed_transform_kind_and_threshold_are_errors(tmp_path, capsys, comma
 def test_removed_bounded_kind_is_an_error_under_every_command(tmp_path, capsys, command):
     # rectangles run the stability sweep and the interval oracle check is a test, so
     # bounded is an unknown kind on every domain, an interval included
-    text = INTERVAL.replace("kind = stability", "kind = bounded")
+    assert_bounded_is_unknown(tmp_path, capsys, command, INTERVAL)
+
+
+@pytest.mark.parametrize("command", ["stationary", "evolve", "sweep", "check", "oracle1d"])
+def test_bounded_kind_on_a_circle_is_an_error_under_every_command(tmp_path, capsys, command):
+    # the kind is unknown before any domain rule could name the circle
+    assert_bounded_is_unknown(tmp_path, capsys, command, MINIMAL)
+
+
+def assert_bounded_is_unknown(tmp_path, capsys, command, text):
+    text = text.replace("kind = stability", "kind = bounded")
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert [(ln, k) for ln, k, _ in info.value.locations] == [(14, "kind")]

@@ -346,6 +346,16 @@ def test_every_kind_refuses_a_drift_through_a_wall(kind):
         run(cfg)
 
 
+@pytest.mark.parametrize("kind", sorted(experiments.RUNNERS))
+def test_bounded_rejects_nonzero_normal_drift(kind):
+    # on an interval the wall rule leaves only B = 0: a constant drift crosses both ends
+    cfg = SweepConfig(kind=kind, domain=Interval(), n=(32,), epsilons=(0.5,),
+                      system=SystemSpec(drift_forms=(Const(1.0),), u0_form=Const(1.0)),
+                      target=Const(1.0) if kind == "selection" else None)
+    with pytest.raises(BoundaryError, match=r"^drift normal component reaches 1\.0 on the axis-0 boundary$"):
+        run(cfg)
+
+
 def test_the_wall_rule_checks_only_bounded_axes_and_forgives_roundoff():
     # sin 2 pi x is -2.4e-16 at x = 1; on the torus the same e_x has no wall to cross
     along = SystemSpec(drift_forms=(Trig("sin", 0, 1, 1.0, 0.0, 1.0), Const(0.0)), u0_form=Const(1.0))
@@ -379,12 +389,32 @@ def test_the_wall_rule_names_the_first_crossed_axis_and_its_largest_normal_drift
         with pytest.raises(BoundaryError, match=rf"^drift normal component reaches {message} boundary$"):
             cfg.build()
 
-@pytest.mark.parametrize("domain, n", [(Interval(), (32,)), (Rectangle(), (8, 8)), (Circle(), (32,))],
-                         ids=["interval", "rectangle", "circle"])
+@pytest.mark.parametrize("domain, n", [(Interval(), (32,)), (Rectangle(), (8, 8)), (Circle(), (32,)),
+                                       (Torus2(), (8, 8))],
+                         ids=["interval", "rectangle", "circle", "torus2"])
 def test_bounded_is_an_unknown_kind(domain, n):
     # rectangles run the stability sweep; the interval oracle check is a test
     with pytest.raises(ValueError, match="^kind: unknown experiment kind 'bounded'$"):
         SweepConfig(kind="bounded", domain=domain, n=n, epsilons=(0.5,))
+
+
+def test_bounded_interval_uniform():
+    # zero drift with coordinate noise: u = 1 at every eps, so the sweep passes at the L1 floor
+    report = run(SweepConfig(kind="stability", domain=Interval(), n=(64,), epsilons=(0.5, 0.1)))
+    assert report.passed()
+    assert all(np.max(np.abs(r["report"].density.values - 1.0)) <= 1e-10 for r in report.rows)
+
+
+@pytest.mark.parametrize("drift", [(Const(0.0), Const(0.0)), CELLULAR_IN_A_BOX], ids=["zero", "cellular"])
+def test_rectangle_runs_the_stability_sweep(drift):
+    # a divergence-free drift tangent to the walls keeps u0 = 1 invariant, so the
+    # sweep judges the L1 trend, the uniform bounds and the final L1 distance
+    spec = SystemSpec(drift_forms=drift, u0_form=Const(1.0))
+    report = run(SweepConfig(kind="stability", domain=Rectangle(), n=(16, 16), epsilons=(0.5, 0.25, 0.125),
+                             system=spec))
+    assert report.passed()
+    assert len(report.verdicts) >= 3
+    assert all(r["min_u"] > 0.0 for r in report.rows)
 
 
 def test_rotation_torus_follows_the_eps_squared_law():
@@ -427,21 +457,25 @@ def test_summary_supremum_monotone_in_sweep_size():
 
 
 WORKER_CASES = {
-    "stability": dict(domain=Torus2(), n=(12, 12), epsilons=(0.5, 0.25),
+    "stability": dict(kind="stability", domain=Torus2(), n=(12, 12), epsilons=(0.5, 0.25),
                       system=SystemSpec(catalog="hamiltonian-cellular"), assert_l1_limit=False),
-    "decay": dict(domain=Circle(), n=(64,), epsilons=(0.4, 0.2),
+    "decay": dict(kind="decay", domain=Circle(), n=(64,), epsilons=(0.4, 0.2),
                   system=SystemSpec(catalog="circle-positive"), scheme="crank-nicolson"),
+    "stability-rectangle": dict(kind="stability", domain=Rectangle(), n=(12, 12), epsilons=(0.5, 0.25),
+                                system=SystemSpec(drift_forms=CELLULAR_IN_A_BOX, u0_form=Const(1.0))),
+    "decay-interval": dict(kind="decay", domain=Interval(), n=(48,), epsilons=(0.5, 0.25),
+                           system=SystemSpec(catalog="zero-drift"), scheme="crank-nicolson"),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(WORKER_CASES))
-def test_worker_count_leaves_artifacts_byte_identical(kind, tmp_path):
+@pytest.mark.parametrize("case", sorted(WORKER_CASES))
+def test_worker_count_leaves_artifacts_byte_identical(case, tmp_path):
     artifacts = []
     for workers in (1, 2):
         out = tmp_path / f"workers{workers}"
-        run(SweepConfig(kind=kind, out_dir=str(out), workers=workers, **WORKER_CASES[kind]))
+        run(SweepConfig(out_dir=str(out), workers=workers, **WORKER_CASES[case]))
         artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert f"{kind}.csv" in artifacts[0]
+    assert f"{WORKER_CASES[case]['kind']}.csv" in artifacts[0]
     assert artifacts[0] == artifacts[1]
 
 
@@ -492,6 +526,8 @@ TOLERANCE_READERS = {
     ("stability", Circle(), "circle-positive", None),
     ("selection", Circle(), "zero-drift", Trig("cos", 0, 1, 0.5, 1.0, 1.0)),
     ("decay", Circle(), "zero-drift", None),
+    ("stability", Rectangle(), "zero-drift", None),
+    ("decay", Interval(), "zero-drift", None),
 ])
 def test_each_kind_reads_exactly_its_thresholds(kind, domain, system, target):
     # every tolerance but oracle_sup is read by exactly one kind, and each kind reads some
@@ -506,7 +542,7 @@ def test_each_kind_reads_exactly_its_thresholds(kind, domain, system, target):
                 reads.add(name)
             return super().__getattribute__(name)
 
-    cfg = SweepConfig(kind=kind, domain=domain, n=(16,), epsilons=(0.5, 0.25),
+    cfg = SweepConfig(kind=kind, domain=domain, n=(16,) * domain.dim, epsilons=(0.5, 0.25),
                       system=SystemSpec(catalog=system), target=target)
     object.__setattr__(cfg, "thresholds", Recording())
     report = run(cfg)

@@ -91,9 +91,10 @@ def test_a_failed_tridiagonal_solve_raises(monkeypatch):
         solve_stationary(op)
 
 
-@pytest.mark.parametrize("kind", [Circle(), Interval()], ids=["circle", "interval"])
-def test_uniform_stationary_zero_drift(kind):
-    g = build_grid(kind, 64)
+@pytest.mark.parametrize("kind, n", [(Circle(), 64), (Interval(), 64), (Torus2(), (16, 16)), (Rectangle(), (16, 12))],
+                         ids=["circle", "interval", "torus2", "rectangle"])
+def test_uniform_stationary_zero_drift(kind, n):
+    g = build_grid(kind, n)
     op = assemble_for(builtin_catalog("zero-drift", g), unit_noise(g), 0.5)
     rep = solve_stationary(op)
     assert rep.residual <= 1e-13
@@ -658,6 +659,18 @@ def test_interval_solve_matches_the_oracle(eps):
     system, nf = builtin_catalog("zero-drift", g), Noise(VectorField([Const(1.0)]), (VectorField([Const(1.0)]),))
     u = solve_stationary(assemble_for(system, nf, eps)).density.values
     oracle = oracle_1d_interval(system.drift, nf.a0_field, nf.ai_fields, eps, g)
+    assert np.max(np.abs(u - oracle)) / np.max(np.abs(oracle)) <= SweepConfig.thresholds.oracle_sup
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_interval_solve_matches_the_oracle_for_varying_noise(eps):
+    # A0 = sin 2 pi x, A1 = 1 + cos(2 pi x) / 2: a density that is neither uniform nor a pure tilt
+    g = build_grid(Interval(), 256)
+    system = builtin_catalog("zero-drift", g)
+    nf = Noise(VectorField([Trig("sin", 0, 1, 1.0, 0.0, 1.0)]), (VectorField([Trig("cos", 0, 1, 0.5, 1.0, 1.0)]),))
+    u = solve_stationary(assemble_for(system, nf, eps)).density.values
+    oracle = oracle_1d_interval(system.drift, nf.a0_field, nf.ai_fields, eps, g)
+    assert np.max(np.abs(oracle - 1.0)) >= 0.1
     assert np.max(np.abs(u - oracle)) / np.max(np.abs(oracle)) <= SweepConfig.thresholds.oracle_sup
 
 
