@@ -9,8 +9,22 @@ import pytest
 from noisyflow.fields import Const, ConservativeSystem, builtin_catalog, coordinate_noise, transform_div_free
 from noisyflow.geometry import build_grid
 from noisyflow.operator import assemble_for
-from noisyflow import stationary
+from noisyflow import operator, stationary
 from noisyflow.stationary import solve_stationary
+
+
+@pytest.fixture
+def graph_searches(monkeypatch):
+    """The number of strongly-connected-components searches ``is_irreducible`` runs, as a one-item list."""
+    calls = [0]
+    search = operator.connected_components
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(operator, "connected_components", counted)
+    return calls
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from noisyflow.errors import AssemblyError
 from noisyflow.fields import (
+    ConservativeSystem,
     Const,
     Noise,
     Trig,
@@ -87,6 +88,47 @@ def test_column_sums_and_irreducibility():
     offdiagonal.setdiag(0.0)
     assert offdiagonal.data.min() >= 0.0
     assert np.all(op.matrix.diagonal() <= 0.0)
+
+
+@pytest.mark.parametrize("kind, n, name", [(Circle(), 64, "circle-positive"), (Torus2(), (12, 10), "torus-shear"),
+                                           (Interval(), 32, "zero-drift"), (Rectangle(), (12, 10), "zero-drift")])
+def test_positive_face_rates_are_irreducible_without_a_search(kind, n, name, graph_searches):
+    g = build_grid(kind, n)
+    op = assemble_for(builtin_catalog(name, g), coordinate_noise(g), 0.3)
+    assert op.positive_rates and not op.has_cross_diffusion
+    assert op.is_irreducible()
+    assert graph_searches == [0]
+    # the search agrees with the rule
+    assert FokkerPlanckOperator(op.matrix, g, False).is_irreducible()
+    assert graph_searches == [1]
+
+
+def test_underflowed_face_rates_go_through_the_search(graph_searches):
+    # face Peclet B h / (eps^2 / 2) >= 2500 > 709 with B >= 1 and h = 1/8:
+    # bernoulli(P) is 0, so every face couples one way only, along the drift
+    eps = 0.01
+    circle = build_grid(Circle(), 8)
+    op = assemble_for(builtin_catalog("circle-positive", circle), coordinate_noise(circle), eps)
+    k_back = op.matrix.diagonal(-7)[0], *op.matrix.diagonal(1)  # M[i, i + 1 mod n]: rates against the drift
+    assert not op.positive_rates and max(k_back) == 0.0
+    assert op.is_irreducible()  # a one-way cycle is strongly connected
+    assert graph_searches == [1]
+    # on an interval a one-way path is not
+    interval = build_grid(Interval(), 8)
+    system = ConservativeSystem(VectorField.constant([2.0]), Const(1.0), interval)
+    op = assemble_for(system, coordinate_noise(interval), eps)
+    assert not op.positive_rates
+    assert not op.is_irreducible()
+    assert graph_searches == [2]
+
+
+def test_cross_diffusion_goes_through_the_search(graph_searches):
+    g = build_grid(Torus2(), (16, 16))
+    nf = Noise(VectorField.zero(2), (VectorField.constant([1.0, 0.5]), VectorField.constant([0.0, 1.0])))
+    op = assemble_for(builtin_catalog("zero-drift", g), nf, 0.5)
+    assert op.positive_rates and op.has_cross_diffusion
+    assert op.is_irreducible()
+    assert graph_searches == [1]
 
 
 def test_derive_coefficients_constant_diffusion():

@@ -101,7 +101,7 @@ def test_uniform_stationary_zero_drift(kind, n):
     assert np.max(np.abs(rep.density.values - 1.0)) <= 1e-12
 
 
-def test_a_reducible_operator_is_refused():
+def test_a_reducible_operator_is_refused(graph_searches):
     # cut the 8-cell interval between cells 3 and 4: the couplings stay stored, as
     # zeros, and each column's diagonal takes back what it gave, so the column sums stay 0
     g = build_grid(Interval(), 8)
@@ -118,6 +118,7 @@ def test_a_reducible_operator_is_refused():
     assert np.max(np.abs(m.sum(axis=0))) <= 1e-13
     op = FokkerPlanckOperator(m, g, False)
     assert not op.is_irreducible()  # the stored zeros couple nothing
+    assert graph_searches == [1]  # an operator built from a bare matrix is searched
     with pytest.raises(SolveError, match="^operator is reducible; the stationary density is not unique$"):
         solve_stationary(op)
 
@@ -461,6 +462,53 @@ def test_circle_oracle_resolution_depends_on_eps_squared_times_n(eps, n, psi_del
         assert np.all(u > 0.0)
 
 
+EXP_CASES = {
+    # normal lanes, subnormal results, lanes that round to zero, the infinities and NaN
+    "mixed": np.array([0.0, -1.0, 3.5, 709.0, -700.0, -708.5, -720.0, -745.0, -745.13, -745.14, -746.0,
+                       -800.0, -1e300, -np.inf, np.inf, np.nan, -0.0]),
+    "empty": np.empty(0),
+    "all-underflow": np.append(np.linspace(-2000.0, -746.5, 101), -np.inf),
+    "straddling": np.linspace(-760.0, -700.0, 1001),
+    "normal": np.linspace(-700.0, 700.0, 1001),
+}
+
+
+def test_exp_underflow_threshold():
+    # every x below EXP_UNDERFLOW gives +0.0, and the least subnormal lies above it
+    x = np.linspace(-800.0, stationary.EXP_UNDERFLOW, 100001)
+    assert np.all(np.exp(x).view(np.uint64) == 0)
+    assert np.exp(-745.13) == 5e-324
+
+
+@pytest.mark.parametrize("case", sorted(EXP_CASES))
+def test_exp_has_the_bits_of_numpy_exp(case):
+    x = EXP_CASES[case]
+    ref = np.exp(x).view(np.uint64)
+    hi = float(np.max(x)) if x.size else -np.inf  # NaN in "mixed"
+    lo_exact = float(np.min(x)) if x.size else np.inf
+    # hi must bound x; lo only picks the path, so any lo gives the bits
+    for lo in (lo_exact, -np.inf, np.inf, np.nan, stationary.EXP_UNDERFLOW):
+        for bound in (hi, np.inf):
+            buffer = x.copy()
+            assert stationary._exp(buffer, lo, bound) is buffer
+            assert buffer.view(np.uint64).tolist() == ref.tolist()
+
+
+@pytest.fixture
+def exp_paths(monkeypatch):
+    """The path of every ``stationary._exp`` call: "zero", "plain" or "lanes"."""
+    paths = []
+    exp = stationary._exp
+
+    def spy(x, lo, hi):
+        limit = stationary.EXP_UNDERFLOW
+        paths.append("zero" if hi < limit else "plain" if lo >= limit else "lanes")
+        return exp(x, lo, hi)
+
+    monkeypatch.setattr(stationary, "_exp", spy)
+    return paths
+
+
 def reference_j1(local, phi):
     """The backward recurrence the blocked closed form replaces, one panel at a time."""
     j1 = np.zeros(len(phi))
@@ -518,6 +566,10 @@ def seam_case(case):
     """(grid, drift, a0, ai, eps) of a circle case placed against the oracles' blocks of J1_BLOCK panels."""
     if case in ("overflowing", "non-monotone"):
         return backward_sum_case(case)
+    if case == "overflowing-blocks":  # the overflowing drift over four blocks: Phi(L) = 1600
+        g = build_grid(Circle(), 2048)
+        nf = unit_noise(g)
+        return g, builtin_catalog("circle-positive", g).drift, nf.a0_field, nf.ai_fields, 0.05
     g = build_grid(Circle(), 64 if case == "one-block" else 1000)
     if case == "seam-varying-noise":  # a and b are arrays, not constants
         return (g, *backward_sum_case("non-monotone")[1:])
@@ -526,8 +578,9 @@ def seam_case(case):
     return g, builtin_catalog("circle-positive", g).drift, nf.a0_field, nf.ai_fields, eps
 
 
-@pytest.mark.parametrize("case", ["seam", "seam-varying-noise", "one-block", "overflowing", "non-monotone"])
-def test_block_passes_give_the_bits_of_the_full_arrays(case, full_array_oracles):
+@pytest.mark.parametrize("case", ["seam", "seam-varying-noise", "one-block", "overflowing", "overflowing-blocks",
+                                  "non-monotone"])
+def test_block_passes_give_the_bits_of_the_full_arrays(case, full_array_oracles, exp_paths):
     g, drift, a0, ai, eps = seam_case(case)
     panels = stationary.ORACLE_QUAD_FACTOR * g.n[0]
     if case.startswith("seam"):  # 8n = 8000: one full block and a short one
@@ -536,18 +589,24 @@ def test_block_passes_give_the_bits_of_the_full_arrays(case, full_array_oracles)
         assert panels < stationary.J1_BLOCK
     _panel_samples.cache_clear()
     u, c_eps = oracle_1d_circle(drift, a0, ai, eps, g)
+    if case == "overflowing-blocks":
+        # e^{-Phi} is zero on blocks 2 and 3 and e^{Phi - Phi(L)} on block 0, so
+        # 12 exponentials become 7; block 1 straddles the threshold in both
+        assert panels == 4 * stationary.J1_BLOCK
+        assert exp_paths == ["plain", "plain", "lanes", "lanes", "lanes", "plain", "plain"]
     u_ref, c_ref = full_array_oracles.circle(drift, a0, ai, eps, g)
     assert np.array_equal(u, u_ref) and c_eps == c_ref
 
 
-@pytest.mark.parametrize("n", [1000, 64])
-@pytest.mark.parametrize("eps", [0.5, 0.1])
-def test_interval_block_passes_give_the_bits_of_the_full_arrays(n, eps, full_array_oracles):
+@pytest.mark.parametrize("eps, n", [(0.5, 1000), (0.5, 64), (0.1, 1000), (0.1, 64), (0.03, 2048)])
+def test_interval_block_passes_give_the_bits_of_the_full_arrays(eps, n, full_array_oracles, exp_paths):
     g = build_grid(Interval(), n)
     drift = VectorField([Trig("sin", 0, 1, 0.3, 0.0, 1.0)])  # vanishes at both ends
     a0 = VectorField([Const(0.3)])
     ai = [VectorField([Trig("cos", 0, 1, 0.9, 1.0, 1.0)])]
     u = oracle_1d_interval(drift, a0, ai, eps, g)
+    if n == 2048:  # Phi - max Phi falls to -1118: three of five blocks are zero
+        assert exp_paths == ["zero", "lanes", "lanes", "zero", "zero"]
     assert np.array_equal(u, full_array_oracles.interval(drift, a0, ai, eps, g))
 
 
