@@ -356,8 +356,8 @@ def _exp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     its live lanes are evaluated (NaN is live) and the others are set to
     zero.  ``np.exp`` spends 17-23 ns on a lane that underflows to zero
     against 1.4-1.6 ns on a normal one (numpy 2.4, AVX-512, x86-64), and
-    the oracles' exponents fall far below the threshold once Phi ranges
-    over more than ~750.  Lanes with subnormal results (-745.13 < x <
+    the circle oracle's J2 exponents fall far below the threshold once
+    Phi ranges over more than ~750.  Lanes with subnormal results (-745.13 < x <
     -708.4) stay with ``np.exp``, which spends ~140 ns on each: they are
     few, and no other evaluation is sure to give their bits.  Returns x.
     """
@@ -675,10 +675,7 @@ def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField
 
     The stationary flux constant is zero, so u = e^Phi / (Z a) with the
     same Phi as the circle case, on the same ``ORACLE_QUAD_FACTOR``
-    panels per cell, evaluated in place in Phi's array.  e^{Phi - max
-    Phi} goes through :func:`_exp` block by block, so the blocks where
-    it rounds to +0.0 are filled with zeros rather than evaluated at
-    17-23 ns a lane, with the bits of one ``np.exp``.  Requires B to
+    panels per cell, evaluated in place in Phi's array.  Requires B to
     vanish at both endpoints (compatibility with the zero normal flux of
     the reflecting SDE).
     """
@@ -693,10 +690,7 @@ def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField
     (_, _, a, _), _, phi, phi_mid = _exponent(drift, a0, ai, eps, grid, quad)
     del phi_mid
     phi -= phi.max()
-    for start, end in _blocks(quad + 1):
-        part = phi[start:end]
-        _exp(part, float(part.min()), float(part.max()))
-    u_unnorm = phi
+    u_unnorm = np.exp(phi, out=phi)
     u_unnorm /= a[0]
     z = _simpson_on_edges(u_unnorm, kind.lengths[0] / quad)
     u = _at_centers(u_unnorm, grid)

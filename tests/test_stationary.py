@@ -599,14 +599,12 @@ def test_block_passes_give_the_bits_of_the_full_arrays(case, full_array_oracles,
 
 
 @pytest.mark.parametrize("eps, n", [(0.5, 1000), (0.5, 64), (0.1, 1000), (0.1, 64), (0.03, 2048)])
-def test_interval_block_passes_give_the_bits_of_the_full_arrays(eps, n, full_array_oracles, exp_paths):
+def test_interval_block_passes_give_the_bits_of_the_full_arrays(eps, n, full_array_oracles):
     g = build_grid(Interval(), n)
     drift = VectorField([Trig("sin", 0, 1, 0.3, 0.0, 1.0)])  # vanishes at both ends
     a0 = VectorField([Const(0.3)])
     ai = [VectorField([Trig("cos", 0, 1, 0.9, 1.0, 1.0)])]
-    u = oracle_1d_interval(drift, a0, ai, eps, g)
-    if n == 2048:  # Phi - max Phi falls to -1118: three of five blocks are zero
-        assert exp_paths == ["zero", "lanes", "lanes", "zero", "zero"]
+    u = oracle_1d_interval(drift, a0, ai, eps, g)  # at eps 0.03, Phi - max Phi falls to -1118
     assert np.array_equal(u, full_array_oracles.interval(drift, a0, ai, eps, g))
 
 
