@@ -47,29 +47,30 @@ e^{Phi(x) - Phi(s)} only while psi = Phi' changes them little over one
 panel, so the circle oracle raises :class:`ResolutionError` once
 psi_max * delta exceeds ``ORACLE_MAX_PSI_DELTA``.
 
-B, a and b do not depend on eps.  Both oracles take their samples from
-:func:`_panel_samples`, which keeps the last ones per (closed forms,
-panel lattice) and returns them to the next call with equal forms on the
-same lattice, so a loop over eps on one grid samples them once.  The
-memory kept is 16n + 1 doubles (8n + 1 panel edges, 8n midpoints) for B
-and for each of a and b that is not constant; a constant stays one float.
+B, a and b do not depend on eps, and psi = 2 (B + eps^2 b) / (eps^2 a)
+= (2 / eps^2) B / a + 2 b / a, so Simpson's rule, being linear, gives
+Phi = (2 / eps^2) P + R with eps-free integrals P of B / a and R of
+2 b / a.  :func:`_panel_samples` keeps them, per (closed forms, panel
+lattice), and returns them to the next call with equal forms on the same
+lattice, so a loop over eps on one grid samples and integrates once.  It
+keeps 8n + 1 doubles at the panel edges and 8n at the midpoints for P,
+8n + 1 for B / a at the edges (the flux self-check's psi), and a at the
+edges unless it is constant; a drift correction b other than the
+constant 0 adds R, and 2 b / a and B / a at every node, for psi_max.
 
-Besides the kept samples a circle oracle call holds three (8n + 1)-long
-arrays at once: Phi, Phi at the midpoints and the unnormalized density w
-(the interval oracle: the first two).  Everything else lives for one
-block of ``J1_BLOCK`` panels: :func:`_exponent` builds psi and Phi from
-the left, :func:`_backward_sum` sums J1 from the right, J2 is added from
-the left, and once Phi is freed psi is rebuilt on the edges for the
-flux self-check.  The cumulative sums carry from block to block with the
-additions of one sum over all panels, and every elementwise operation
-keeps its operands and their order, so the results have the bits of
-passes over whole arrays.  No buffer outlives a call.
-
-At small eps most of J2's exponentials round to +0.0 (about 490k of 786k
-at Phi(L) = 1870), which numpy's exp computes slowly; :func:`_exp` fills
-them with zeros per block, from the block's extremes of Phi, and J2
-skips the sums and additions they leave unchanged, with the same bits.
-J1's exponents are bounded by ``J1_BLOCK_SPAN`` and never underflow.
+Besides the kept arrays a circle oracle call holds one (8n + 1)-long
+array, w (the interval oracle: Phi).  Everything else lives for one
+block of at most ``J1_BLOCK`` panels, on which Phi is formed from P and
+R by one scaling.  :func:`_forward_pass` stores each panel's Simpson
+term of e^{ref - Phi} in w's buffer from the left, and
+:func:`_backward_pass` turns the terms into J1 + J2 from the right:
+three exponentials per panel, and sums of nonnegative terms only.  The
+self-check sums psi w as dot products, without forming it.  No buffer
+outlives a call, and the results have the bits of the same formulas
+evaluated over whole arrays.  Every exponent of a block lies within
+``J1_BLOCK_SPAN`` of 0, so no lane underflows to a subnormal or to zero;
+only the per-block scalars e^{ref - Phi(L)} and e^{-Phi(L)} do, once
+Phi(L) exceeds ~700.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -332,44 +334,17 @@ def discrete_w12_seminorm(u: Density) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: Most panels one block of an oracle pass spans; the backward sum's
-#: blocks may be shorter (see :func:`_backward_sum`).
-J1_BLOCK = 4096
+#: Most panels one block of an oracle pass spans; the circle oracle's
+#: blocks may be shorter (see :func:`_forward_pass`).  Each pass costs a
+#: few microseconds per block besides its work per panel: a warm circle
+#: oracle call on 2^18 panels took 6.3, 5.5 and 5.1 ms with blocks of
+#: 4096, 8192 and 16384 panels, and the largest would hold block buffers
+#: as long as w itself on a 4096-cell circle.
+J1_BLOCK = 8192
 
-#: Largest range of Phi over one block of the backward sum: e^300 ~ 1e130
-#: leaves the block's scaled partial sums far from overflow.
+#: Largest range of Phi over the edges of one block of the circle oracle:
+#: e^300 ~ 1e130 leaves the block's scaled sums far from overflow.
 J1_BLOCK_SPAN = 300.0
-
-#: e^x rounds to +0.0 in double precision for every x below this; the least
-#: subnormal, 2^-1074, is e^-744.44, and e^x falls below half of it at
-#: x = -745.13.  See :func:`_exp`.
-EXP_UNDERFLOW = -746.0
-
-
-def _exp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Overwrite x with ``np.exp(x)``, bit for bit, without evaluating the lanes that round to +0.0.
-
-    ``hi`` must bound x from above: x is filled with zeros when ``hi`` <
-    ``EXP_UNDERFLOW``.  ``lo`` only picks the path, and any value (NaN
-    too) gives the bits of ``np.exp``: when ``lo`` is at or above the
-    threshold x goes through one plain ``np.exp``, and otherwise only
-    its live lanes are evaluated (NaN is live) and the others are set to
-    zero.  ``np.exp`` spends 17-23 ns on a lane that underflows to zero
-    against 1.4-1.6 ns on a normal one (numpy 2.4, AVX-512, x86-64), and
-    the circle oracle's J2 exponents fall far below the threshold once
-    Phi ranges over more than ~750.  Lanes with subnormal results (-745.13 < x <
-    -708.4) stay with ``np.exp``, which spends ~140 ns on each: they are
-    few, and no other evaluation is sure to give their bits.  Returns x.
-    """
-    if hi < EXP_UNDERFLOW:
-        x.fill(0.0)
-    elif lo >= EXP_UNDERFLOW:
-        np.exp(x, out=x)
-    else:
-        dead = x < EXP_UNDERFLOW
-        np.exp(x, out=x, where=~dead)
-        x[dead] = 0.0
-    return x
 
 
 def _oracle_coefficients(a0: VectorField, ai: list[VectorField]):
@@ -394,58 +369,82 @@ def _blocks(count: int):
     return ((start, min(start + J1_BLOCK, count)) for start in range(0, count, J1_BLOCK))
 
 
-def _cumulative_simpson(f_edges, f_mids, delta, carry, out):
-    """Cumulative integral at panel edges from edge and midpoint samples, written into ``out``.
+def _cumulative_simpson(f_edges, f_mids, delta):
+    """Cumulative composite Simpson integral of f from the first edge, at the edges and the midpoints.
 
-    The integral is ``carry`` at the first edge (0 when None) and adds
-    the panels one at a time, so blocks that each start from the last
-    value of the block before make the additions of one cumulative sum
-    over all their panels, and give its bits.
+    A midpoint's value is its panel's left edge value plus the half
+    panel's integral from the same three samples.  Returns read-only
+    arrays; the midpoints are built per block of ``J1_BLOCK`` panels.
     """
-    out[0] = 0.0 if carry is None else carry
-    panel = out[1:]  # (delta / 6) (f_left + 4 f_mid + f_right), in place
+    edges = np.empty(len(f_edges))
+    edges[0] = 0.0
+    panel = edges[1:]  # (delta / 6) (f_left + 4 f_mid + f_right), in place
     np.multiply(4.0, f_mids, out=panel)
     panel += f_edges[:-1]
     panel += f_edges[1:]
     panel *= delta / 6.0
-    if carry is not None:
-        panel[0] += carry
     np.cumsum(panel, out=panel)
-    return out
+    mids = np.empty(len(f_mids))
+    for start, end in _blocks(len(mids)):
+        left, right = f_edges[start:end], f_edges[start + 1:end + 1]
+        half = (delta / 24.0) * (5.0 * left + 8.0 * f_mids[start:end] - right)
+        np.add(edges[start:end], half, out=mids[start:end])
+    edges.flags.writeable = mids.flags.writeable = False
+    return edges, mids
 
 
-def _half_panel(f_edges, f_mids, delta):
-    """Integral over the first half panel from the same three samples."""
-    return (delta / 24.0) * (5.0 * f_edges[:-1] + 8.0 * f_mids - f_edges[1:])
+def _simpson_on_edges(values, delta, factor=None):
+    """Composite Simpson treating consecutive edge triples as panels, of ``factor * values`` if given.
 
-
-def _simpson_on_edges(values, delta):
-    """Composite Simpson treating consecutive edge triples as panels."""
+    The product is summed as dot products over strided views, never
+    formed as an array.
+    """
     if len(values) % 2 == 0:
         raise ValueError("need an odd number of edge samples")
-    return float(
-        (delta / 3.0)
-        * (values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(values[2:-2:2]))
-    )
+    if factor is None:
+        ends, odd, even = values[0] + values[-1], np.sum(values[1:-1:2]), np.sum(values[2:-2:2])
+    else:
+        ends = factor[0] * values[0] + factor[-1] * values[-1]
+        odd, even = np.dot(factor[1:-1:2], values[1:-1:2]), np.dot(factor[2:-2:2], values[2:-2:2])
+    return float((delta / 3.0) * (ends + 4.0 * odd + 2.0 * even))
+
+
+class _PanelSamples(NamedTuple):
+    """The eps-free parts of the oracles on one panel lattice; see :func:`_panel_samples`."""
+
+    b_min: float  # the least drift B over all panel nodes
+    a: float | np.ndarray  # the total diffusion a at the panel edges
+    psi: tuple  # (q, r) at the edges, r None when b = 0
+    psi_mids: tuple | None  # (q, r) at the midpoints, kept only when b != 0
+    q_max: float  # max |q| over all panel nodes
+    phi: tuple  # (P, R) at the edges, R None when b = 0
+    phi_mids: tuple  # (P, R) at the midpoints
 
 
 @functools.lru_cache(maxsize=1)
 def _panel_samples(b_form: ScalarForm, a_form: ScalarForm, b_corr_form: ScalarForm,
-                   origin: float, length: float, quad: int):
-    """The eps-free samples of the oracles on ``quad`` Simpson panels of [origin, origin + length].
+                   origin: float, length: float, quad: int) -> _PanelSamples:
+    """The eps-free parts of the oracles on ``quad`` Simpson panels of [origin, origin + length].
 
-    Returns ``(b_min, b, a, b_corr)``: the least drift B over all panel
-    nodes, then B, the total diffusion a and the drift correction b, each
-    as an (edges, midpoints) pair.  B's samples are read-only arrays; a
-    constant a or b is one Python float for both.  Raises
+    The exponent's slope is psi = 2 (B + eps^2 b) / (eps^2 a) = s q + r
+    with s = 2 / eps^2, q = B / a and r = 2 b / a, and Simpson's rule is
+    linear, so Phi = s P + R with P and R the cumulative Simpson
+    integrals of q and r (see :func:`_cumulative_simpson`).  Returns a
+    :class:`_PanelSamples`: the least B over all panel nodes, a at the
+    edges (one Python float when constant), q and r at the edges for
+    the circle oracle's flux self-check, max |q| over all nodes, and P
+    and R at the edges and midpoints.  When the drift correction b is
+    the constant 0, r and R are None, psi_max = s max |q| and q is kept
+    at the edges only; otherwise q and r are also kept at the midpoints,
+    for psi_max.  Every kept array is read-only.  Raises
     :class:`FieldEvaluationError` on a non-finite sample, as the
     finite-volume path does, and :class:`PositivityError` unless a > 0.
 
-    The last call's samples are kept, keyed on the closed forms by value
+    The last call's result is kept, keyed on the closed forms by value
     (every form is a frozen dataclass) and on the exact lattice, so a hit
     returns what a fresh evaluation would, bit for bit, and never another
-    grid's samples: a caller looping over eps with the same fields on one
-    grid evaluates them once.
+    grid's: a caller looping over eps with the same fields on one grid
+    evaluates and integrates them once.
     """
     edges, mids = _quad_nodes(origin, length, quad)
 
@@ -457,55 +456,59 @@ def _panel_samples(b_form: ScalarForm, a_form: ScalarForm, b_corr_form: ScalarFo
         for values in pair:
             if not np.all(np.isfinite(values)):
                 raise FieldEvaluationError(f"non-finite sample of {what} on the oracle's panels")
-            if isinstance(values, np.ndarray):
-                values.flags.writeable = False
         return pair
 
     a = sample(a_form, "the total diffusion a")
     if not (np.all(a[0] > 0.0) and np.all(a[1] > 0.0)):
         raise PositivityError("total diffusion a must be positive")
-    b = sample(b_form, "the drift B", arrays=True)  # arrays, so that psi is one too
-    b_corr = sample(b_corr_form, "the drift correction b")
-    return min(float(b[0].min()), float(b[1].min())), b, a, b_corr
+    q = sample(b_form, "the drift B", arrays=True)
+    corrected = not (isinstance(b_corr_form, Const) and b_corr_form.value == 0.0)
+    r = sample(b_corr_form, "the drift correction b", arrays=True) if corrected else (None, None)
+    del edges, mids
+    b_min = min(float(q[0].min()), float(q[1].min()))
+    for b, a_part in zip(q, a):  # q = B / a and r = 2 b / a, in place in the fresh samples
+        np.divide(b, a_part, out=b)
+    if corrected:
+        for b, a_part in zip(r, a):
+            np.divide(b, a_part, out=b)
+            b *= 2.0
+    q_max = max(float(q[0].max()), float(q[1].max()), -float(q[0].min()), -float(q[1].min()))
+    p_edges, p_mids = _cumulative_simpson(q[0], q[1], length / quad)
+    r_edges, r_mids = _cumulative_simpson(r[0], r[1], length / quad) if corrected else (None, None)
+    for values in (*q, *r, a[0]):
+        if isinstance(values, np.ndarray):
+            values.flags.writeable = False
+    return _PanelSamples(b_min, a[0], (q[0], r[0]), (q[1], r[1]) if corrected else None, q_max,
+                         (p_edges, r_edges), (p_mids, r_mids))
 
 
-def _psi(b, a, b_corr, e2: float, part: slice) -> np.ndarray:
-    """psi = 2 (B + eps^2 b) / (eps^2 a) on ``part`` of one lattice's samples (edges or midpoints)."""
-    a, b_corr = (v if isinstance(v, float) else v[part] for v in (a, b_corr))
-    return 2.0 * (b[part] + e2 * b_corr) / (e2 * a)
-
-
-def _exponent(drift: VectorField, a0: VectorField, ai: list[VectorField], eps: float,
-              grid: Grid, quad: int):
-    """The oracles' exponent on ``quad`` Simpson panels over the 1D domain of ``grid``.
-
-    Returns ``(samples, psi_max, phi, phi_mid)``: the eps-free samples
-    ``(b_min, b, a, b_corr)`` of :func:`_panel_samples`, the largest
-    |psi| over all panel nodes with psi = 2 (B + eps^2 b) / (eps^2 a),
-    and Phi = int_origin^x psi at the panel edges and midpoints.  One
-    left-to-right pass over blocks of ``J1_BLOCK`` panels builds psi on
-    a block's nodes from the samples and extends Phi over the block,
-    carrying the cumulative Simpson sum from block to block (see
-    :func:`_cumulative_simpson`), so Phi has the bits of one sum over all
-    panels and psi never outlives its block.
-    """
+def _oracle_samples(drift: VectorField, a0: VectorField, ai: list[VectorField], grid: Grid,
+                    quad: int) -> _PanelSamples:
+    """:func:`_panel_samples` of the oracles' coefficients on ``quad`` panels over the 1D domain of ``grid``."""
     a_form, b_corr_form = _oracle_coefficients(a0, ai)
     (origin,), (length,) = grid.kind.origin, grid.kind.lengths
-    samples = _panel_samples(drift.components[0], a_form, b_corr_form, origin, length, quad)
-    _, b, a, b_corr = samples
-    e2 = eps * eps
-    delta = length / quad
-    phi = np.empty(quad + 1)
-    phi_mid = np.empty(quad)
+    return _panel_samples(drift.components[0], a_form, b_corr_form, origin, length, quad)
+
+
+def _scaled(s: float, pair: tuple, part: slice, out=None) -> np.ndarray:
+    """s P + R on ``part`` of an eps-free pair (P, R), into ``out`` or a new array: psi or Phi at one eps."""
+    p, r = pair
+    out = np.multiply(s, p[part], out=out)
+    if r is not None:
+        out += r[part]
+    return out
+
+
+def _psi_max(samples: _PanelSamples, s: float) -> float:
+    """The largest |psi| = |s q + r| over all panel nodes."""
+    if samples.psi_mids is None:
+        return s * samples.q_max
     psi_max = 0.0
-    for start, end in _blocks(quad):
-        psi_edges = _psi(b[0], a[0], b_corr[0], e2, slice(start, end + 1))
-        psi_mids = _psi(b[1], a[1], b_corr[1], e2, slice(start, end))
-        psi_max = max(psi_max, psi_edges.max(), psi_mids.max(), -psi_edges.min(), -psi_mids.min())
-        _cumulative_simpson(psi_edges, psi_mids, delta, float(phi[start]) if start else None,
-                            phi[start:end + 1])
-        np.add(phi[start:end], _half_panel(psi_edges, psi_mids, delta), out=phi_mid[start:end])
-    return samples, float(psi_max), phi, phi_mid
+    for pair in (samples.psi, samples.psi_mids):
+        for start, end in _blocks(len(pair[0])):
+            psi = _scaled(s, pair, slice(start, end))
+            psi_max = max(psi_max, float(psi.max()), -float(psi.min()))
+    return psi_max
 
 
 def _at_centers(edge_values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -515,85 +518,76 @@ def _at_centers(edge_values: np.ndarray, grid: Grid) -> np.ndarray:
     return edge_values[stride * np.arange(n) + stride // 2]
 
 
-def _backward_sum(phi: np.ndarray, phi_mid: np.ndarray, delta: float) -> np.ndarray:
-    """J1[j] = sum_{k >= j} local[k] e^{Phi[j] - Phi[k]}, with J1[-1] = 0.
+def _forward_pass(samples: _PanelSamples, s: float, delta: float, w: np.ndarray) -> list:
+    """Panel k's Simpson integral of e^{ref - Phi} into w[k], block by block from the left.
 
-    local[k] is panel k's Simpson integral of e^{Phi[k] - Phi}, from Phi
-    at its edges and midpoint; it is computed per block, never for all
-    panels at once.  The sum is the closed form of the recurrence J1[j]
-    = local[j] + e^{Phi[j] - Phi[j+1]} J1[j+1], evaluated block by block
-    from the right.  A block spans at most ``J1_BLOCK`` panels and is
-    halved until Phi ranges over at most ``J1_BLOCK_SPAN`` on its edges.
-    Inside it, with Phi_ref the block's largest Phi, the reversed
-    cumulative sum of local e^{Phi_ref - Phi} plus the carried right
-    edge value J1[end] e^{Phi_ref - Phi[end]} is scaled back by
-    e^{Phi - Phi_ref}.  Every exponent lies in [-J1_BLOCK_SPAN,
-    J1_BLOCK_SPAN] whatever the sign of Phi's slope (unless Phi moves by
-    more than that within one panel), so nothing overflows even when
-    e^{Phi(L)} would.
+    A block spans at most ``J1_BLOCK`` panels and is halved until Phi
+    ranges over at most ``J1_BLOCK_SPAN`` on its edges; ref is its
+    largest Phi on the edges.  The panel's term is (delta / 6) (E_l + 4 F
+    + E_r) with E = e^{ref - Phi} at its edges and F = e^{ref - Phi_mid}
+    at its midpoint: two exponentials per panel, plus one per block.
+    Sets w[-1] to int_0^L e^{-Phi} and returns one (start, end, ref,
+    carry) per block, with carry = int_0^{x_start} e^{-Phi}, the sum of
+    the blocks before of e^{-ref} times their terms' sum.
     """
-    j1 = np.zeros(len(phi))
-    end = len(phi_mid)
-    while end > 0:
-        start = max(0, end - J1_BLOCK)
-        while end - start > 1 and np.ptp(phi[start:end + 1]) > J1_BLOCK_SPAN:
-            start = end - (end - start) // 2
-        left = phi[start:end]
-        local = np.subtract(left, phi_mid[start:end])
-        np.exp(local, out=local)
-        local *= 4.0
-        local += 1.0
-        scaled = np.subtract(left, phi[start + 1:end + 1])
-        local += np.exp(scaled, out=scaled)
-        local *= delta / 6.0
-        ref = float(np.max(phi[start:end + 1]))
-        np.subtract(ref, left, out=scaled)
-        np.exp(scaled, out=scaled)
-        scaled *= local
-        sums = np.cumsum(scaled[::-1])[::-1]
-        sums += math.exp(ref - phi[end]) * j1[end]
-        np.exp(left - ref, out=scaled)
-        np.multiply(scaled, sums, out=j1[start:end])
-        end = start
-    return j1
-
-
-def _add_forward_sum(w: np.ndarray, phi: np.ndarray, phi_mid: np.ndarray, delta: float) -> None:
-    """w += J2 = e^{Phi - Phi(L)} int_0^x e^{-Phi}, block by block from the left.
-
-    The integral is :func:`_cumulative_simpson` of e^{-Phi}, carried from
-    block to block.  Both exponentials go through :func:`_exp`, bounded
-    by the least and largest Phi on the block's edges; only a block
-    whose edges all give e^{-Phi} = 0 reads its midpoints' least Phi.  A
-    block on which e^{-Phi} is all zero skips its cumulative sum, since
-    the running integral stays at the carry, and a block on which
-    e^{Phi - Phi(L)} is all zero skips its addition to w.  The results
-    keep the bits of the unskipped passes.
-    """
-    phi_total = float(phi[-1])
-    size = min(J1_BLOCK, len(phi_mid))
-    f_edges, f_mids, running = np.empty(size + 1), np.empty(size), np.empty(size + 1)  # one block each
-    carry = None
-    for start, end in _blocks(len(phi_mid)):
+    quad = len(w) - 1
+    nodes = np.empty(2 * min(J1_BLOCK, quad) + 1)  # e^{ref - Phi} at a block's edges, then at its midpoints
+    blocks, carry, start = [], 0.0, 0
+    while start < quad:
+        end = min(start + J1_BLOCK, quad)
+        phi = _scaled(s, samples.phi, slice(start, end + 1), out=nodes[:end - start + 1])
+        ref = float(phi.max())
+        while end - start > 1 and ref - float(phi[:end - start + 1].min()) > J1_BLOCK_SPAN:
+            end = start + (end - start) // 2
+            ref = float(phi[:end - start + 1].max())
         m = end - start
-        edges, mids = phi[start:end + 1], phi_mid[start:end]
-        lo, hi = float(edges.min()), float(edges.max())
-        # never the first block, where Phi starts at 0
-        if start and -lo < EXP_UNDERFLOW and -float(mids.min()) < EXP_UNDERFLOW:
-            wrap = carry
-        else:
-            e_edges, e_mids = f_edges[:m + 1], f_mids[:m]
-            _exp(np.negative(edges, out=e_edges), -hi, -lo)
-            _exp(np.negative(mids, out=e_mids), -hi, math.inf)  # -hi guides only: the midpoints may pass it
-            wrap = _cumulative_simpson(e_edges, e_mids, delta, carry, running[:m + 1])
-            carry = float(wrap[-1])
-        if hi - phi_total < EXP_UNDERFLOW:
-            continue
-        weight = f_edges[:m + 1]
-        _exp(np.subtract(edges, phi_total, out=weight), lo - phi_total, hi - phi_total)
-        weight *= wrap
-        first = 1 if start else 0  # a later block's first edge is the last one of the block before
-        w[start + first:end + 1] += weight[first:]
+        _scaled(s, samples.phi_mids, slice(start, end), out=nodes[m + 1:2 * m + 1])
+        exps = np.exp(np.subtract(ref, nodes[:2 * m + 1], out=nodes[:2 * m + 1]), out=nodes[:2 * m + 1])
+        term = np.multiply(4.0, exps[m + 1:], out=w[start:end])
+        term += exps[:m]
+        term += exps[1:m + 1]
+        term *= delta / 6.0
+        blocks.append((start, end, ref, carry))
+        carry += math.exp(-ref) * float(np.sum(term))
+        start = end
+    w[quad] = carry  # J1(L) = 0 and J2(L) = int_0^L e^{-Phi}
+    return blocks
+
+
+def _backward_pass(samples: _PanelSamples, s: float, blocks: list, w: np.ndarray, phi_total: float) -> None:
+    """Turn the panel terms in w into w = J1 + J2 at the edges, block by block from the right.
+
+    On a block with reference ref, left edge start and right edge end,
+    and with R = e^{Phi - ref} at its edges (one exponential per panel):
+
+        J1 = R [rev + e^{ref - Phi(end)} J1(end)],
+        J2 = R [e^{ref - Phi(L)} carry + e^{-Phi(L)} fwd],
+
+    where rev and fwd are the reversed and the exclusive forward
+    cumulative sums of the block's terms and J1(end) comes from the block
+    to the right (0 at L).  Every factor and summand is nonnegative, so
+    nothing cancels; every exponent of a block lies within
+    ``J1_BLOCK_SPAN`` of 0 except the two scalar ones with Phi(L), and
+    where e^{-Phi(L)} rounds to 0 the forward sums are not formed.
+    """
+    tail = math.exp(-phi_total)
+    size = max(end - start for start, end, *_ in blocks)
+    phi_buf, sums, forward = np.empty(size + 1), np.empty(size), np.empty(size - 1)
+    j1 = 0.0
+    for start, end, ref, carry in reversed(blocks):
+        m = end - start
+        phi = _scaled(s, samples.phi, slice(start, end + 1), out=phi_buf[:m + 1])
+        term = w[start:end]
+        total = np.cumsum(term[::-1], out=sums[:m][::-1])[::-1]
+        right = math.exp(ref - float(phi[-1])) * j1  # J1(end), scaled by e^{ref - Phi(end)}
+        scale = np.exp(np.subtract(phi[:-1], ref, out=phi[:-1]), out=phi[:-1])
+        j1 = float(scale[0]) * (float(total[0]) + right)
+        total += right + math.exp(ref - phi_total) * carry
+        if tail:
+            part = np.cumsum(term[:-1], out=forward[:m - 1])
+            part *= tail
+            total[1:] += part
+        np.multiply(scale, total, out=term)
 
 
 def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
@@ -603,21 +597,20 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     ``u`` holds cell-center samples on ``grid``, from
     ``ORACLE_QUAD_FACTOR`` Simpson panels per cell.  Requires B > 0 on the
     whole circle and positive total diffusion a; B + eps^2 b may change
-    sign, so Phi need not be monotone.  J1 is the backward sum of
-    :func:`_backward_sum`, which keeps every exponent within a bounded
-    range, and J2 = e^{Phi - Phi(L)} int_0^x e^{-Phi} is added into it
-    block by block from the left by :func:`_add_forward_sum`.  Once
-    Phi(L) passes ~745 most of J2's exponentials round to +0.0, and
-    numpy spends 17-23 ns on each such lane against ~1.5 ns on a normal
-    one: J2 fills them with zeros from each block's extremes of Phi and
-    skips the sums and additions they would leave unchanged, with the
-    same bits.  At Phi(L) = 1870 on 2^18 panels J2 takes 3.6 ms against
-    11.8 ms with every lane evaluated; where nothing underflows, reading
-    each block's extremes adds ~0.2 ms to its 3.7 ms.
+    sign, so Phi need not be monotone.  Phi = s P + R comes per block
+    from the eps-free integrals of :func:`_panel_samples`, with
+    s = 2 / eps^2.  Two passes over w's own buffer give w = J1 + J2:
+    :func:`_forward_pass` stores each panel's Simpson term of e^{-Phi},
+    scaled by its block's largest Phi, and :func:`_backward_pass` sums
+    J1 from the right and J2 from the left out of the same terms.  That
+    is three exponentials per panel.  On circle-positive at 2^15 cells
+    and eps 0.4-0.05 a call with kept samples takes 4.7-5.9 ms (best of
+    15, one core of a Xeon with AVX-512), where five passes with up to
+    seven exponentials per panel took 14.1-14.7 ms.
 
     The returned constant satisfies C_eps = -int (B + eps^2 b) u, which
-    is re-verified against the quadrature before returning, on psi
-    rebuilt at the panel edges once Phi is freed.
+    is re-verified against the quadrature before returning, with
+    psi = s q + r at the edges summed against w without forming it.
 
     The panels must resolve the kernels: psi_max * delta, with
     psi = 2 (B + eps^2 b) / (eps^2 a) and delta the panel width, may not
@@ -632,30 +625,32 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     quad = ORACLE_QUAD_FACTOR * grid.n[0]
     delta = grid.kind.length / quad
     e2 = eps * eps
-    (b_min, b, a, b_corr), psi_max, phi, phi_mid = _exponent(drift, a0, ai, eps, grid, quad)
-    if not b_min > 0.0:
+    s = 2.0 / e2
+    samples = _oracle_samples(drift, a0, ai, grid, quad)
+    if not samples.b_min > 0.0:
         raise PositivityError("circle oracle requires B > 0 everywhere")
+    psi_max = _psi_max(samples, s)
     if psi_max * delta > ORACLE_MAX_PSI_DELTA:
         raise ResolutionError(f"circle oracle is unresolved: psi_max * delta = {psi_max * delta:.3g} exceeds "
                               f"{ORACLE_MAX_PSI_DELTA:g}; use more cells or a larger eps")
-    phi_total = float(phi[-1])
+    phi_total = float(_scaled(s, samples.phi, slice(quad, None))[0])
     # |1 - e^{Phi(L)}| < 1e-14 iff |Phi(L)| < ~1e-14; test the exponent to
     # avoid overflowing e^{Phi(L)} at small eps
     if abs(phi_total) < 1e-14:
         raise DegenerateError("periodic oracle is singular: net drift integral vanishes")
 
-    w = _backward_sum(phi, phi_mid, delta)
-    _add_forward_sum(w, phi, phi_mid, delta)
-    del phi, phi_mid
+    w = np.empty(quad + 1)
+    try:
+        _backward_pass(samples, s, _forward_pass(samples, s, delta, w), w, phi_total)
+    except OverflowError as exc:  # e^{-Phi(L)}, a block's e^{-ref} or its e^{ref - Phi(L)}
+        raise SolveError("circle oracle overflows: Phi falls by more than ~709 on the circle") from exc
 
-    # (B + eps^2 b) u = (eps^2 / 2) psi w / Z
-    psi_w = np.empty(quad + 1)
-    for start, end in _blocks(quad + 1):
-        part = slice(start, end)
-        np.multiply(_psi(b[0], a[0], b_corr[0], e2, part), w[part], out=psi_w[part])
-    flux = _simpson_on_edges(psi_w, delta)
-    del psi_w
-    w /= a[0]
+    # (B + eps^2 b) u = (eps^2 / 2) psi w / Z, with psi = s q + r
+    q, r = samples.psi
+    flux = s * _simpson_on_edges(w, delta, q)
+    if r is not None:
+        flux += _simpson_on_edges(w, delta, r)
+    w /= samples.a
     scale = 1.0 / _simpson_on_edges(w, delta)
     c_eps = -0.5 * e2 * scale * -np.expm1(-phi_total)
     check = 0.5 * e2 * scale * flux
@@ -674,8 +669,9 @@ def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField
     """Closed-form stationary density on an interval with reflecting ends.
 
     The stationary flux constant is zero, so u = e^Phi / (Z a) with the
-    same Phi as the circle case, on the same ``ORACLE_QUAD_FACTOR``
-    panels per cell, evaluated in place in Phi's array.  Requires B to
+    same Phi = s P + R as the circle case, on the same
+    ``ORACLE_QUAD_FACTOR`` panels per cell, evaluated in place in Phi's
+    array, the one array a call holds at full length.  Requires B to
     vanish at both endpoints (compatibility with the zero normal flux of
     the reflecting SDE).
     """
@@ -687,11 +683,11 @@ def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField
     if not np.max(np.abs(b_ends)) <= 1e-12:
         raise BoundaryError(f"drift must vanish at the endpoints, got B(a), B(b) = {tuple(b_ends)}")
     quad = ORACLE_QUAD_FACTOR * grid.n[0]
-    (_, _, a, _), _, phi, phi_mid = _exponent(drift, a0, ai, eps, grid, quad)
-    del phi_mid
+    samples = _oracle_samples(drift, a0, ai, grid, quad)
+    phi = _scaled(2.0 / (eps * eps), samples.phi, slice(None))
     phi -= phi.max()
     u_unnorm = np.exp(phi, out=phi)
-    u_unnorm /= a[0]
+    u_unnorm /= samples.a
     z = _simpson_on_edges(u_unnorm, kind.lengths[0] / quad)
     u = _at_centers(u_unnorm, grid)
     u /= z

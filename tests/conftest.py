@@ -56,60 +56,78 @@ def full_array_oracles():
     """The 1D oracles as passes over whole arrays, with every form evaluated afresh at every node.
 
     The reference the block passes of ``noisyflow.stationary`` must
-    reproduce bit for bit.  ``exponent(drift, a0, ai, eps, grid, quad)``
-    returns ``(b_min, a_edges, psi_edges, psi_mids, phi, phi_mid)`` on
-    ``quad`` Simpson panels; ``circle`` returns (u, C_eps) and
-    ``interval`` returns u, from the oracles' arguments.  Each
+    reproduce bit for bit.  ``integrals(drift, a0, ai, grid, quad)``
+    returns ``(b_min, a_edges, psi, phi)`` on ``quad`` Simpson panels:
+    psi = s q + r and Phi = s P + R with s = 2 / eps^2, as functions of
+    eps that return (edges, midpoints), from the eps-free q = B / a,
+    r = 2 b / a and their cumulative Simpson integrals P and R (r and R
+    are left out when b is the constant 0, as the package leaves them
+    out).  ``circle`` returns (u, C_eps) and ``interval`` returns u,
+    from the oracles' arguments.  The circle stores each panel's term
+    (delta / 6) (E_l + 4 F + E_r), with E and F the exponentials of
+    ref - Phi at its edges and midpoint and ref its block's largest
+    Phi, then sums J1 and J2 out of the terms block by block.  Each
     elementwise operation takes the operands, in the order, that the
     package's oracles take; their checks (positivity, resolution, the
     flux self-check) are left out.
     """
     def cumulative_simpson(f_edges, f_mids, delta):
-        out = np.zeros(len(f_edges))
-        np.cumsum((delta / 6.0) * (f_edges[:-1] + 4.0 * f_mids + f_edges[1:]), out=out[1:])
-        return out
+        edges = np.zeros(len(f_edges))
+        np.cumsum((delta / 6.0) * (f_edges[:-1] + 4.0 * f_mids + f_edges[1:]), out=edges[1:])
+        mids = edges[:-1] + (delta / 24.0) * (5.0 * f_edges[:-1] + 8.0 * f_mids - f_edges[1:])
+        return edges, mids
 
-    def exponent(drift, a0, ai, eps, grid, quad):
+    def integrals(drift, a0, ai, grid, quad):
         a_form, b_corr_form = stationary._oracle_coefficients(a0, ai)
-        e2 = eps * eps
-
-        def sample(x):
-            a = a_form(x)
-            b = drift.components[0](x)
-            return a, float(b.min()), 2.0 * (b + e2 * b_corr_form(x)) / (e2 * a)
-
+        corrected = b_corr_form != Const(0.0)
         (origin,), (length,) = grid.kind.origin, grid.kind.lengths
-        edges, mids = stationary._quad_nodes(origin, length, quad)
-        a_edges, b_min_edges, psi_edges = sample(edges)
-        _, b_min_mids, psi_mids = sample(mids)
         delta = length / quad
-        phi = cumulative_simpson(psi_edges, psi_mids, delta)
-        phi_mid = phi[:-1] + (delta / 24.0) * (5.0 * psi_edges[:-1] + 8.0 * psi_mids - psi_edges[1:])
-        return min(b_min_edges, b_min_mids), a_edges, psi_edges, psi_mids, phi, phi_mid
+        nodes = stationary._quad_nodes(origin, length, quad)
+        b_min = min(float(drift.components[0](x).min()) for x in nodes)
+        q = [drift.components[0](x) / a_form(x) for x in nodes]
+        r = [2.0 * (b_corr_form(x) / a_form(x)) for x in nodes]
+        p_pair, r_pair = cumulative_simpson(*q, delta), cumulative_simpson(*r, delta)
 
-    def backward_sum(local, phi):
-        j1 = np.zeros(len(phi))
-        end = len(local)
-        while end > 0:
-            start = max(0, end - stationary.J1_BLOCK)
+        def linear(slope, offset):
+            return lambda eps: tuple(2.0 / (eps * eps) * k + c if corrected else 2.0 / (eps * eps) * k
+                                     for k, c in zip(slope, offset))
+
+        return b_min, a_form(nodes[0]), linear(q, r), linear(p_pair, r_pair)
+
+    def blocks(phi):
+        """(start, end, ref) of the circle's blocks, left to right."""
+        start, quad = 0, len(phi) - 1
+        while start < quad:
+            end = min(start + stationary.J1_BLOCK, quad)
             while end - start > 1 and np.ptp(phi[start:end + 1]) > stationary.J1_BLOCK_SPAN:
-                start = end - (end - start) // 2
-            ref = float(np.max(phi[start:end + 1]))
-            scaled = np.exp(ref - phi[start:end]) * local[start:end]
-            sums = np.cumsum(scaled[::-1])[::-1]
-            sums += math.exp(ref - phi[end]) * j1[end]
-            j1[start:end] = np.exp(phi[start:end] - ref) * sums
-            end = start
-        return j1
+                end = start + (end - start) // 2
+            yield start, end, float(np.max(phi[start:end + 1]))
+            start = end
 
     def circle(drift, a0, ai, eps, grid):
         quad = stationary.ORACLE_QUAD_FACTOR * grid.n[0]
         delta = grid.kind.length / quad
-        _, a_edges, _, _, phi, phi_mid = exponent(drift, a0, ai, eps, grid, quad)
+        _, a_edges, _, phi_of = integrals(drift, a0, ai, grid, quad)
+        phi, phi_mid = phi_of(eps)
         phi_total = float(phi[-1])
-        local = (4.0 * np.exp(phi[:-1] - phi_mid) + 1.0 + np.exp(phi[:-1] - phi[1:])) * (delta / 6.0)
-        w = backward_sum(local, phi)
-        w += cumulative_simpson(np.exp(-phi), np.exp(-phi_mid), delta) * np.exp(phi - phi_total)
+        spans = list(blocks(phi))
+        ref = np.concatenate([np.full(end - start, r) for start, end, r in spans])  # per panel
+        term = (delta / 6.0) * (np.exp(ref - phi[:-1]) + 4.0 * np.exp(ref - phi_mid) + np.exp(ref - phi[1:]))
+        carries = [0.0]
+        for start, end, r in spans:
+            carries.append(carries[-1] + math.exp(-r) * float(np.sum(term[start:end])))
+        w = np.empty(quad + 1)
+        w[-1] = carries[-1]
+        j1 = 0.0
+        for (start, end, r), carry in reversed(list(zip(spans, carries))):
+            part = term[start:end]
+            right = math.exp(r - phi[end]) * j1
+            scale = np.exp(phi[start:end] - r)
+            total = np.cumsum(part[::-1])[::-1]
+            j1 = float(scale[0]) * (float(total[0]) + right)
+            total = total + (right + math.exp(r - phi_total) * carry)
+            total[1:] += np.cumsum(part[:-1]) * math.exp(-phi_total)
+            w[start:end] = scale * total
         w /= a_edges
         scale = 1.0 / stationary._simpson_on_edges(w, delta)
         c_eps = -0.5 * eps * eps * scale * -np.expm1(-phi_total)
@@ -117,9 +135,53 @@ def full_array_oracles():
 
     def interval(drift, a0, ai, eps, grid):
         quad = stationary.ORACLE_QUAD_FACTOR * grid.n[0]
-        _, a_edges, _, _, phi, _ = exponent(drift, a0, ai, eps, grid, quad)
+        _, a_edges, _, phi_of = integrals(drift, a0, ai, grid, quad)
+        phi = phi_of(eps)[0]
         u_unnorm = np.exp(phi - phi.max()) / a_edges
         z = stationary._simpson_on_edges(u_unnorm, grid.kind.lengths[0] / quad)
         return stationary._at_centers(u_unnorm / z, grid)
 
-    return SimpleNamespace(exponent=exponent, circle=circle, interval=interval)
+    return SimpleNamespace(integrals=integrals, circle=circle, interval=interval)
+
+
+@pytest.fixture
+def longdouble_circle_oracle():
+    """The circle oracle's quadrature evaluated in ``np.longdouble``, as a function of its arguments.
+
+    The forms are sampled in double precision, as the package samples
+    them; everything after that is long double: psi, Phi by cumulative
+    Simpson, J1 by its backward recurrence J1[j] = local[j] +
+    e^{Phi[j] - Phi[j+1]} J1[j+1], and J2 = e^{Phi - Phi(L)} int_0^x e^{-Phi}
+    directly, which cannot overflow there (long double reaches e^11356).
+    Returns the normalized cell-center samples as long doubles.
+    """
+    def oracle(drift, a0, ai, eps, grid):
+        ld = np.longdouble
+        a_form, b_corr_form = stationary._oracle_coefficients(a0, ai)
+        quad = stationary.ORACLE_QUAD_FACTOR * grid.n[0]
+        delta = ld(grid.kind.length) / quad
+        edges = np.arange(quad + 1, dtype=ld) * delta
+        mids = (np.arange(quad, dtype=ld) + ld(0.5)) * delta
+        e2 = ld(eps) * ld(eps)
+
+        def psi(x):
+            x = x.astype(float)
+            return 2 * (drift.components[0](x).astype(ld) + e2 * b_corr_form(x).astype(ld)) / (e2 * a_form(x).astype(ld))
+
+        psi_edges, psi_mids = psi(edges), psi(mids)
+        phi = np.zeros(quad + 1, dtype=ld)
+        phi[1:] = np.cumsum(delta / 6 * (psi_edges[:-1] + 4 * psi_mids + psi_edges[1:]))
+        phi_mid = phi[:-1] + delta / 24 * (5 * psi_edges[:-1] + 8 * psi_mids - psi_edges[1:])
+        local = delta / 6 * (1 + 4 * np.exp(phi[:-1] - phi_mid) + np.exp(phi[:-1] - phi[1:]))
+        step = np.exp(phi[:-1] - phi[1:])
+        j1 = np.zeros(quad + 1, dtype=ld)
+        for j in range(quad - 1, -1, -1):
+            j1[j] = local[j] + step[j] * j1[j + 1]
+        running = np.zeros(quad + 1, dtype=ld)
+        running[1:] = np.cumsum(delta / 6 * (np.exp(-phi[:-1]) + 4 * np.exp(-phi_mid) + np.exp(-phi[1:])))
+        w = (j1 + np.exp(phi - phi[-1]) * running) / a_form(edges.astype(float)).astype(ld)
+        z = delta / 3 * (w[0] + w[-1] + 4 * np.sum(w[1:-1:2]) + 2 * np.sum(w[2:-2:2]))
+        stride = quad // grid.n[0]
+        return w[stride * np.arange(grid.n[0]) + stride // 2] / z
+
+    return oracle

@@ -31,8 +31,9 @@ from noisyflow.config import parse_config
 from noisyflow.experiments import SweepConfig
 from noisyflow.stationary import (
     Density,
-    _backward_sum,
-    _exponent,
+    _backward_pass,
+    _forward_pass,
+    _oracle_samples,
     _panel_samples,
     discrete_w12_seminorm,
     factorize,
@@ -445,6 +446,15 @@ def test_oracle_self_consistency_across_eps():
         assert c_eps < 0.0
 
 
+def test_circle_oracle_raises_where_w_overflows():
+    # B = 2 + sin 2 pi x > 0, but with a = 9e-4 and A_0 = -2.5 B + eps^2 b < 0
+    # on most of the circle: Phi(L) = -1111, and e^{-Phi(L)} overflows a double
+    g = build_grid(Circle(), 1024)
+    drift = VectorField([Trig("sin", 0, 1, 1.0, 2.0, 1.0)])
+    with pytest.raises(SolveError, match="overflows"):
+        oracle_1d_circle(drift, VectorField([Const(-2.5)]), [VectorField([Const(0.03)])], 1.0, g)
+
+
 @pytest.mark.parametrize("eps, n, psi_delta", [(0.1, 64, 1.17), (0.1, 128, 0.59), (0.05, 256, 1.17),
                                                 (0.05, 512, 0.59), (0.025, 256, 4.69)])
 def test_circle_oracle_resolution_depends_on_eps_squared_times_n(eps, n, psi_delta):
@@ -462,51 +472,22 @@ def test_circle_oracle_resolution_depends_on_eps_squared_times_n(eps, n, psi_del
         assert np.all(u > 0.0)
 
 
-EXP_CASES = {
-    # normal lanes, subnormal results, lanes that round to zero, the infinities and NaN
-    "mixed": np.array([0.0, -1.0, 3.5, 709.0, -700.0, -708.5, -720.0, -745.0, -745.13, -745.14, -746.0,
-                       -800.0, -1e300, -np.inf, np.inf, np.nan, -0.0]),
-    "empty": np.empty(0),
-    "all-underflow": np.append(np.linspace(-2000.0, -746.5, 101), -np.inf),
-    "straddling": np.linspace(-760.0, -700.0, 1001),
-    "normal": np.linspace(-700.0, 700.0, 1001),
-}
-
-
-def test_exp_underflow_threshold():
-    # every x below EXP_UNDERFLOW gives +0.0, and the least subnormal lies above it
-    x = np.linspace(-800.0, stationary.EXP_UNDERFLOW, 100001)
-    assert np.all(np.exp(x).view(np.uint64) == 0)
-    assert np.exp(-745.13) == 5e-324
-
-
-@pytest.mark.parametrize("case", sorted(EXP_CASES))
-def test_exp_has_the_bits_of_numpy_exp(case):
-    x = EXP_CASES[case]
-    ref = np.exp(x).view(np.uint64)
-    hi = float(np.max(x)) if x.size else -np.inf  # NaN in "mixed"
-    lo_exact = float(np.min(x)) if x.size else np.inf
-    # hi must bound x; lo only picks the path, so any lo gives the bits
-    for lo in (lo_exact, -np.inf, np.inf, np.nan, stationary.EXP_UNDERFLOW):
-        for bound in (hi, np.inf):
-            buffer = x.copy()
-            assert stationary._exp(buffer, lo, bound) is buffer
-            assert buffer.view(np.uint64).tolist() == ref.tolist()
-
-
 @pytest.fixture
-def exp_paths(monkeypatch):
-    """The path of every ``stationary._exp`` call: "zero", "plain" or "lanes"."""
-    paths = []
-    exp = stationary._exp
+def exp_lanes(monkeypatch):
+    """The number of lanes of every ``np.exp`` call in ``noisyflow.stationary``."""
+    lanes = []
 
-    def spy(x, lo, hi):
-        limit = stationary.EXP_UNDERFLOW
-        paths.append("zero" if hi < limit else "plain" if lo >= limit else "lanes")
-        return exp(x, lo, hi)
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(stationary, "_exp", spy)
-    return paths
+        @staticmethod
+        def exp(x, *args, **kwargs):
+            lanes.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(stationary, "np", Numpy())
+    return lanes
 
 
 def reference_j1(local, phi):
@@ -530,33 +511,76 @@ def backward_sum_case(case):
 
 
 @pytest.mark.parametrize("case", ["overflowing", "non-monotone"])
-def test_oracle_backward_sum_matches_the_recurrence(case):
+def test_oracle_backward_sum_matches_the_recurrence(case, full_array_oracles):
+    # w = J1 + J2 from the two passes against J1 by its recurrence, one panel
+    # at a time, and J2 = e^{Phi - Phi(L)} int_0^x e^{-Phi} directly, on the same Phi
     g, drift, a0, ai, eps = backward_sum_case(case)
     quad = 8 * g.n[0]
     delta = 1.0 / quad
-    *_, phi, phi_mid = _exponent(drift, a0, ai, eps, g, quad)
+    phi, phi_mid = full_array_oracles.integrals(drift, a0, ai, g, quad)[3](eps)
     if case == "overflowing":
         assert phi[-1] > 710.0  # e^{Phi(L)} overflows a double
     else:
         assert np.min(np.diff(phi)) < 0.0
     local = (delta / 6.0) * (1.0 + 4.0 * np.exp(phi[:-1] - phi_mid) + np.exp(phi[:-1] - phi[1:]))
-    ref = reference_j1(local, phi)
-    assert np.max(np.abs(_backward_sum(phi, phi_mid, delta) - ref)) <= 1e-12 * np.max(ref)
+    j1 = reference_j1(local, phi)
+    running = np.zeros(quad + 1)
+    np.cumsum((delta / 6.0) * (np.exp(-phi[:-1]) + 4.0 * np.exp(-phi_mid) + np.exp(-phi[1:])), out=running[1:])
+    j2 = np.exp(phi - phi[-1]) * running
+    samples, s = _oracle_samples(drift, a0, ai, g, quad), 2.0 / (eps * eps)
+    w = np.empty(quad + 1)
+    _backward_pass(samples, s, _forward_pass(samples, s, delta, w), w, float(phi[-1]))
+    assert np.max(np.abs(w - (j1 + j2))) <= 1e-12 * np.max(j1)
     u, c_eps = oracle_1d_circle(drift, a0, ai, eps, g)  # raises unless the self-check passes
     assert np.all(u > 0.0) and c_eps < 0.0
+
+
+# the oracle's sup error relative to the long-double evaluation of its
+# quadrature, measured on the scheme of five passes with up to seven
+# exponentials per panel and on this one:
+# (5.24e-14, 4.47e-14), (4.46e-13, 4.39e-13), (9.14e-13, 1.09e-12), (6.41e-14, 6.51e-14)
+LONGDOUBLE_ERRORS = {("circle-positive", 0.4): 5.24e-14, ("circle-positive", 0.1): 4.46e-13,
+                     ("circle-positive", 0.05): 9.14e-13, ("non-monotone", 0.9): 6.41e-14}
+
+
+@pytest.mark.parametrize("case, eps", sorted(LONGDOUBLE_ERRORS))
+def test_oracle_matches_its_quadrature_in_long_double(case, eps, longdouble_circle_oracle):
+    if case == "circle-positive":
+        g = build_grid(Circle(), 2 ** 12)
+        nf = unit_noise(g)
+        drift, a0, ai = builtin_catalog("circle-positive", g).drift, nf.a0_field, nf.ai_fields
+    else:
+        g, drift, a0, ai, _ = backward_sum_case(case)
+    ref = longdouble_circle_oracle(drift, a0, ai, eps, g)
+    u, _ = oracle_1d_circle(drift, a0, ai, eps, g)
+    error = float(np.max(np.abs(u - ref) / ref))
+    assert error <= min(2.0 * LONGDOUBLE_ERRORS[case, eps], 5e-12)
+
+
+def test_simpson_on_edges_of_a_product_without_forming_it():
+    # the flux self-check's integral of psi w, from dot products over strided views
+    x = np.linspace(0.0, 1.0, 2 ** 12 + 1)
+    values, factor = np.exp(np.sin(2 * np.pi * x)), 2.0 + np.cos(6 * np.pi * x)
+    whole = stationary._simpson_on_edges(factor * values, x[1])
+    assert abs(stationary._simpson_on_edges(values, x[1], factor) - whole) <= 1e-14 * abs(whole)  # roundoff
+    with pytest.raises(ValueError, match="odd number"):
+        stationary._simpson_on_edges(values[1:], x[1], factor[1:])
 
 
 @pytest.mark.parametrize("case", ["overflowing", "non-monotone"])
 def test_kept_samples_give_the_bits_of_a_fresh_evaluation(case, full_array_oracles):
     g, drift, a0, ai, eps = backward_sum_case(case)
     quad = 8 * g.n[0]
-    b_min_ref, _, psi_edges, psi_mids, phi_ref, phi_mid_ref = full_array_oracles.exponent(drift, a0, ai, eps, g, quad)
-    psi_max_ref = max(np.max(np.abs(psi_edges)), np.max(np.abs(psi_mids)))
+    b_min_ref, a_ref, psi_of, phi_of = full_array_oracles.integrals(drift, a0, ai, g, quad)
+    psi_max_ref = max(float(np.max(np.abs(psi))) for psi in psi_of(eps))
+    s = 2.0 / (eps * eps)
     _panel_samples.cache_clear()
     for _ in range(2):  # a cold evaluation, then the kept samples
-        (b_min, *_), psi_max, phi, phi_mid = _exponent(drift, a0, ai, eps, g, quad)
-        assert b_min == b_min_ref and psi_max == psi_max_ref
-        assert np.array_equal(phi, phi_ref) and np.array_equal(phi_mid, phi_mid_ref)
+        samples = _oracle_samples(drift, a0, ai, g, quad)
+        assert samples.b_min == b_min_ref and np.all(samples.a == a_ref)  # a constant a is one float
+        assert stationary._psi_max(samples, s) == psi_max_ref
+        for pair, ref in zip((samples.phi, samples.phi_mids), phi_of(eps)):
+            assert np.array_equal(stationary._scaled(s, pair, slice(None)), ref)
     u, c_eps = oracle_1d_circle(drift, a0, ai, eps, g)
     u_ref, c_ref = full_array_oracles.circle(drift, a0, ai, eps, g)
     assert np.array_equal(u, u_ref) and c_eps == c_ref
@@ -567,10 +591,10 @@ def seam_case(case):
     if case in ("overflowing", "non-monotone"):
         return backward_sum_case(case)
     if case == "overflowing-blocks":  # the overflowing drift over four blocks: Phi(L) = 1600
-        g = build_grid(Circle(), 2048)
+        g = build_grid(Circle(), 4 * stationary.J1_BLOCK // 8)
         nf = unit_noise(g)
         return g, builtin_catalog("circle-positive", g).drift, nf.a0_field, nf.ai_fields, 0.05
-    g = build_grid(Circle(), 64 if case == "one-block" else 1000)
+    g = build_grid(Circle(), 64 if case == "one-block" else 2000)
     if case == "seam-varying-noise":  # a and b are arrays, not constants
         return (g, *backward_sum_case("non-monotone")[1:])
     nf = unit_noise(g)
@@ -580,20 +604,26 @@ def seam_case(case):
 
 @pytest.mark.parametrize("case", ["seam", "seam-varying-noise", "one-block", "overflowing", "overflowing-blocks",
                                   "non-monotone"])
-def test_block_passes_give_the_bits_of_the_full_arrays(case, full_array_oracles, exp_paths):
+def test_block_passes_give_the_bits_of_the_full_arrays(case, full_array_oracles, exp_lanes):
     g, drift, a0, ai, eps = seam_case(case)
     panels = stationary.ORACLE_QUAD_FACTOR * g.n[0]
-    if case.startswith("seam"):  # 8n = 8000: one full block and a short one
+    if case.startswith("seam"):  # 8n = 16000: one full block and a short one
         assert panels > stationary.J1_BLOCK and panels % stationary.J1_BLOCK != 0
     elif case == "one-block":
         assert panels < stationary.J1_BLOCK
     _panel_samples.cache_clear()
     u, c_eps = oracle_1d_circle(drift, a0, ai, eps, g)
+    # three exponentials per panel: e^{ref - Phi} at a block's m + 1 edges and
+    # m midpoints from the left, then e^{Phi - ref} at its m left edges from
+    # the right.  Phi rises by more than 300 on the first two of the four
+    # blocks of "overflowing-blocks", which are halved
+    count = len(exp_lanes) // 2
+    forward, backward = exp_lanes[:count], exp_lanes[count:]
+    assert forward == [2 * m + 1 for m in reversed(backward)] and sum(backward) == panels
     if case == "overflowing-blocks":
-        # e^{-Phi} is zero on blocks 2 and 3 and e^{Phi - Phi(L)} on block 0, so
-        # 12 exponentials become 7; block 1 straddles the threshold in both
-        assert panels == 4 * stationary.J1_BLOCK
-        assert exp_paths == ["plain", "plain", "lanes", "lanes", "lanes", "plain", "plain"]
+        assert panels == 4 * stationary.J1_BLOCK and count == 6
+    elif case == "one-block":
+        assert count == 1
     u_ref, c_ref = full_array_oracles.circle(drift, a0, ai, eps, g)
     assert np.array_equal(u, u_ref) and c_eps == c_ref
 
@@ -608,10 +638,10 @@ def test_interval_block_passes_give_the_bits_of_the_full_arrays(eps, n, full_arr
     assert np.array_equal(u, full_array_oracles.interval(drift, a0, ai, eps, g))
 
 
-@pytest.mark.parametrize("kind, arrays", [(Circle(), 4), (Interval(), 3)])
-def test_oracle_working_set(kind, arrays):
-    # past the kept samples, a call holds Phi, Phi_mid and w (the circle)
-    # or Phi and Phi_mid (the interval) at full length, and only blocks besides
+@pytest.mark.parametrize("kind", [Circle(), Interval()])
+def test_oracle_working_set(kind):
+    # past the kept eps-free arrays a call holds one array at full length, w
+    # (the circle) or Phi (the interval), and only blocks besides
     n = 2 ** 12
     g = build_grid(kind, n)
     nf = unit_noise(g)
@@ -631,7 +661,7 @@ def test_oracle_working_set(kind, arrays):
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < arrays * 8 * (8 * n + 1)
+    assert peak < 2 * 8 * (8 * n + 1)
 
 
 def test_kept_samples_never_serve_another_grid_or_drift():
@@ -649,11 +679,14 @@ def test_kept_samples_never_serve_another_grid_or_drift():
     for eps, d, k in calls:
         u, c_eps = oracle_1d_circle(drifts[d], nf.a0_field, nf.ai_fields, eps, grids[k])
         assert np.array_equal(u, cold[eps, d, k][0]) and c_eps == cold[eps, d, k][1]
-    _, (b_edges, b_mids), _, _ = _panel_samples(drifts[0].components[0], Const(1.0), Const(0.0),
-                                                0.0, 1.0, 8 * 64)
-    for kept in (b_edges, b_mids):
-        with pytest.raises(ValueError):
-            kept[0] = 0.0
+    for b_corr in (Const(0.0), Trig("cos", 0, 1, 0.5, 0.0, 1.0)):  # b = 0 keeps no r, R or midpoint q
+        samples = _panel_samples(drifts[0].components[0], Const(1.0), b_corr, 0.0, 1.0, 8 * 64)
+        kept = [v for pairs in (samples.phi, samples.phi_mids, samples.psi, samples.psi_mids or ())
+                for v in pairs if v is not None]
+        assert len(kept) == (3 if b_corr == Const(0.0) else 8)
+        for values in kept:
+            with pytest.raises(ValueError):
+                values[0] = 0.0
 
 
 def test_interval_oracle_shares_the_kept_samples():
