@@ -49,21 +49,22 @@ psi_max * delta exceeds ``ORACLE_MAX_PSI_DELTA``.
 
 B, a and b do not depend on eps, and psi = 2 (B + eps^2 b) / (eps^2 a)
 = (2 / eps^2) B / a + 2 b / a, so Simpson's rule, being linear, gives
-Phi = (2 / eps^2) P + R with eps-free integrals P of B / a and R of
-2 b / a.  :func:`_panel_samples` keeps them, per (closed forms, panel
-lattice), and returns them to the next call with equal forms on the same
-lattice, so a loop over eps on one grid samples and integrates once.  It
-keeps 8n + 1 doubles at the panel edges and 8n at the midpoints for P,
-8n + 1 for B / a at the edges (the flux self-check's psi), and a at the
-edges unless it is constant; a drift correction b other than the
-constant 0 adds R, and 2 b / a and B / a at every node, for psi_max.
+Phi = (2 / eps^2) P + R at the panel edges with eps-free integrals P of
+B / a and R of 2 b / a.  :func:`_panel_samples` keeps them, per (closed
+forms, panel lattice), and returns them to the next call with equal
+forms on the same lattice, so a loop over eps on one grid samples and
+integrates once.  It keeps 8n + 1 doubles at the panel edges for P and
+for B / a (the slope psi), and a at the edges unless it is constant; a
+drift correction b other than the constant 0 adds R and 2 b / a, and
+both slopes' 8n midpoint samples, for psi_max.
 
 Besides the kept arrays a circle oracle call holds one (8n + 1)-long
 array, w (the interval oracle: Phi).  Everything else lives for one
 block of at most ``J1_BLOCK`` panels, on which Phi is formed from P and
-R by one scaling.  :func:`_forward_pass` stores each panel's Simpson
-term of e^{ref - Phi} in w's buffer from the left, and
-:func:`_backward_pass` turns the terms into J1 + J2 from the right:
+R by one scaling, and at the panel midpoints by cubic Hermite
+interpolation of Phi and psi at the edges.  :func:`_forward_pass` stores
+each panel's Simpson term of e^{ref - Phi} in w's buffer from the left,
+and :func:`_backward_pass` turns the terms into J1 + J2 from the right:
 three exponentials per panel, and sums of nonnegative terms only.  The
 self-check sums psi w as dot products, without forming it.  No buffer
 outlives a call, and the results have the bits of the same formulas
@@ -335,11 +336,9 @@ def discrete_w12_seminorm(u: Density) -> float:
 
 
 #: Most panels one block of an oracle pass spans; the circle oracle's
-#: blocks may be shorter (see :func:`_forward_pass`).  Each pass costs a
-#: few microseconds per block besides its work per panel: a warm circle
-#: oracle call on 2^18 panels took 6.3, 5.5 and 5.1 ms with blocks of
-#: 4096, 8192 and 16384 panels, and the largest would hold block buffers
-#: as long as w itself on a 4096-cell circle.
+#: blocks may be shorter (see :func:`_forward_pass`).  A warm circle oracle
+#: call on 2^18 panels took 6.8, 6.0 and 5.3 ms with blocks of 4096, 8192
+#: and 16384, whose buffers would be as long as w on a 4096-cell circle.
 J1_BLOCK = 8192
 
 #: Largest range of Phi over the edges of one block of the circle oracle:
@@ -364,18 +363,8 @@ def _quad_nodes(origin: float, length: float, panels: int):
     return edges, mids
 
 
-def _blocks(count: int):
-    """(start, end) of consecutive runs of at most ``J1_BLOCK`` of ``count`` items, left to right."""
-    return ((start, min(start + J1_BLOCK, count)) for start in range(0, count, J1_BLOCK))
-
-
 def _cumulative_simpson(f_edges, f_mids, delta):
-    """Cumulative composite Simpson integral of f from the first edge, at the edges and the midpoints.
-
-    A midpoint's value is its panel's left edge value plus the half
-    panel's integral from the same three samples.  Returns read-only
-    arrays; the midpoints are built per block of ``J1_BLOCK`` panels.
-    """
+    """Cumulative composite Simpson integral of f from the first edge, at the edges, as a read-only array."""
     edges = np.empty(len(f_edges))
     edges[0] = 0.0
     panel = edges[1:]  # (delta / 6) (f_left + 4 f_mid + f_right), in place
@@ -384,13 +373,8 @@ def _cumulative_simpson(f_edges, f_mids, delta):
     panel += f_edges[1:]
     panel *= delta / 6.0
     np.cumsum(panel, out=panel)
-    mids = np.empty(len(f_mids))
-    for start, end in _blocks(len(mids)):
-        left, right = f_edges[start:end], f_edges[start + 1:end + 1]
-        half = (delta / 24.0) * (5.0 * left + 8.0 * f_mids[start:end] - right)
-        np.add(edges[start:end], half, out=mids[start:end])
-    edges.flags.writeable = mids.flags.writeable = False
-    return edges, mids
+    edges.flags.writeable = False
+    return edges
 
 
 def _simpson_on_edges(values, delta, factor=None):
@@ -418,7 +402,6 @@ class _PanelSamples(NamedTuple):
     psi_mids: tuple | None  # (q, r) at the midpoints, kept only when b != 0
     q_max: float  # max |q| over all panel nodes
     phi: tuple  # (P, R) at the edges, R None when b = 0
-    phi_mids: tuple  # (P, R) at the midpoints
 
 
 @functools.lru_cache(maxsize=1)
@@ -428,23 +411,27 @@ def _panel_samples(b_form: ScalarForm, a_form: ScalarForm, b_corr_form: ScalarFo
 
     The exponent's slope is psi = 2 (B + eps^2 b) / (eps^2 a) = s q + r
     with s = 2 / eps^2, q = B / a and r = 2 b / a, and Simpson's rule is
-    linear, so Phi = s P + R with P and R the cumulative Simpson
-    integrals of q and r (see :func:`_cumulative_simpson`).  Returns a
+    linear, so Phi = s P + R at the panel edges with P and R the
+    cumulative Simpson integrals of q and r.  Returns a
     :class:`_PanelSamples`: the least B over all panel nodes, a at the
-    edges (one Python float when constant), q and r at the edges for
-    the circle oracle's flux self-check, max |q| over all nodes, and P
-    and R at the edges and midpoints.  When the drift correction b is
-    the constant 0, r and R are None, psi_max = s max |q| and q is kept
-    at the edges only; otherwise q and r are also kept at the midpoints,
-    for psi_max.  Every kept array is read-only.  Raises
-    :class:`FieldEvaluationError` on a non-finite sample, as the
-    finite-volume path does, and :class:`PositivityError` unless a > 0.
+    edges (one Python float when constant), q and r at the edges, max |q|
+    over all nodes, and P and R.  When the drift correction b is the
+    constant 0, r and R are None and psi_max = s max |q|; otherwise q and
+    r are also kept at the midpoints, for psi_max.  Every kept array is
+    read-only.  Raises :class:`FieldEvaluationError` on a non-finite
+    sample, as the finite-volume path does, and :class:`PositivityError`
+    unless a > 0.
 
     The last call's result is kept, keyed on the closed forms by value
     (every form is a frozen dataclass) and on the exact lattice, so a hit
     returns what a fresh evaluation would, bit for bit, and never another
     grid's: a caller looping over eps with the same fields on one grid
-    evaluates and integrates them once.
+    evaluates and integrates them once.  Keeping P at the midpoints too
+    would spare the passes the Hermite step of :func:`_forward_pass`,
+    but the kept arrays stay resident through the finite-volume solves
+    between oracle calls: on the oracle-circle benchmark a third kept
+    array raised the traced peak of those solves from 12.1 to 14.2 MB,
+    past the cold oracle call's 13.4 MB, and ``peak_rss_mb`` by 0.18 MB.
     """
     edges, mids = _quad_nodes(origin, length, quad)
 
@@ -473,13 +460,13 @@ def _panel_samples(b_form: ScalarForm, a_form: ScalarForm, b_corr_form: ScalarFo
             np.divide(b, a_part, out=b)
             b *= 2.0
     q_max = max(float(q[0].max()), float(q[1].max()), -float(q[0].min()), -float(q[1].min()))
-    p_edges, p_mids = _cumulative_simpson(q[0], q[1], length / quad)
-    r_edges, r_mids = _cumulative_simpson(r[0], r[1], length / quad) if corrected else (None, None)
+    p_edges = _cumulative_simpson(q[0], q[1], length / quad)
+    r_edges = _cumulative_simpson(r[0], r[1], length / quad) if corrected else None
     for values in (*q, *r, a[0]):
         if isinstance(values, np.ndarray):
             values.flags.writeable = False
     return _PanelSamples(b_min, a[0], (q[0], r[0]), (q[1], r[1]) if corrected else None, q_max,
-                         (p_edges, r_edges), (p_mids, r_mids))
+                         (p_edges, r_edges))
 
 
 def _oracle_samples(drift: VectorField, a0: VectorField, ai: list[VectorField], grid: Grid,
@@ -505,8 +492,8 @@ def _psi_max(samples: _PanelSamples, s: float) -> float:
         return s * samples.q_max
     psi_max = 0.0
     for pair in (samples.psi, samples.psi_mids):
-        for start, end in _blocks(len(pair[0])):
-            psi = _scaled(s, pair, slice(start, end))
+        for start in range(0, len(pair[0]), J1_BLOCK):
+            psi = _scaled(s, pair, slice(start, start + J1_BLOCK))
             psi_max = max(psi_max, float(psi.max()), -float(psi.min()))
     return psi_max
 
@@ -526,12 +513,18 @@ def _forward_pass(samples: _PanelSamples, s: float, delta: float, w: np.ndarray)
     largest Phi on the edges.  The panel's term is (delta / 6) (E_l + 4 F
     + E_r) with E = e^{ref - Phi} at its edges and F = e^{ref - Phi_mid}
     at its midpoint: two exponentials per panel, plus one per block.
+    Phi_mid = (Phi_l + Phi_r) / 2 + (delta / 8) (psi_l - psi_r), the cubic
+    Hermite interpolant, is within O(delta^4) of Phi_l plus the half panel's
+    Simpson integral: in long double the densities of the two agree to
+    1e-16 on circle-positive at 256-2^14 cells and eps 0.4-0.05.
     Sets w[-1] to int_0^L e^{-Phi} and returns one (start, end, ref,
     carry) per block, with carry = int_0^{x_start} e^{-Phi}, the sum of
     the blocks before of e^{-ref} times their terms' sum.
     """
     quad = len(w) - 1
-    nodes = np.empty(2 * min(J1_BLOCK, quad) + 1)  # e^{ref - Phi} at a block's edges, then at its midpoints
+    size = min(J1_BLOCK, quad)
+    nodes = np.empty(2 * size + 1)  # e^{ref - Phi} at a block's edges, then at its midpoints
+    fall = np.empty(size)
     blocks, carry, start = [], 0.0, 0
     while start < quad:
         end = min(start + J1_BLOCK, quad)
@@ -541,7 +534,13 @@ def _forward_pass(samples: _PanelSamples, s: float, delta: float, w: np.ndarray)
             end = start + (end - start) // 2
             ref = float(phi[:end - start + 1].max())
         m = end - start
-        _scaled(s, samples.phi_mids, slice(start, end), out=nodes[m + 1:2 * m + 1])
+        mids = np.add(phi[:m], phi[1:m + 1], out=nodes[m + 1:2 * m + 1])
+        for scale, part in zip((s, 1.0), samples.psi):  # psi = s q + r
+            if part is not None:
+                np.subtract(part[start:end], part[start + 1:end + 1], out=fall[:m])
+                fall[:m] *= scale * delta / 4.0
+                mids += fall[:m]
+        mids *= 0.5
         exps = np.exp(np.subtract(ref, nodes[:2 * m + 1], out=nodes[:2 * m + 1]), out=nodes[:2 * m + 1])
         term = np.multiply(4.0, exps[m + 1:], out=w[start:end])
         term += exps[:m]
@@ -604,9 +603,9 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     scaled by its block's largest Phi, and :func:`_backward_pass` sums
     J1 from the right and J2 from the left out of the same terms.  That
     is three exponentials per panel.  On circle-positive at 2^15 cells
-    and eps 0.4-0.05 a call with kept samples takes 4.7-5.9 ms (best of
+    and eps 0.4-0.05 a call with kept samples takes 4.8-6.0 ms (best of
     15, one core of a Xeon with AVX-512), where five passes with up to
-    seven exponentials per panel took 14.1-14.7 ms.
+    seven exponentials per panel took 13.6-13.7 ms.
 
     The returned constant satisfies C_eps = -int (B + eps^2 b) u, which
     is re-verified against the quadrature before returning, with

@@ -58,25 +58,20 @@ def full_array_oracles():
     The reference the block passes of ``noisyflow.stationary`` must
     reproduce bit for bit.  ``integrals(drift, a0, ai, grid, quad)``
     returns ``(b_min, a_edges, psi, phi)`` on ``quad`` Simpson panels:
-    psi = s q + r and Phi = s P + R with s = 2 / eps^2, as functions of
-    eps that return (edges, midpoints), from the eps-free q = B / a,
-    r = 2 b / a and their cumulative Simpson integrals P and R (r and R
-    are left out when b is the constant 0, as the package leaves them
-    out).  ``circle`` returns (u, C_eps) and ``interval`` returns u,
-    from the oracles' arguments.  The circle stores each panel's term
-    (delta / 6) (E_l + 4 F + E_r), with E and F the exponentials of
-    ref - Phi at its edges and midpoint and ref its block's largest
-    Phi, then sums J1 and J2 out of the terms block by block.  Each
-    elementwise operation takes the operands, in the order, that the
-    package's oracles take; their checks (positivity, resolution, the
-    flux self-check) are left out.
+    psi = s q + r (at the edges and midpoints) and Phi = s P + R (at the
+    edges) with s = 2 / eps^2, as functions of eps, from the eps-free
+    q = B / a, r = 2 b / a and the cumulative Simpson integrals P and R
+    of q and r (r and R are left out when b is the constant 0, as the
+    package leaves them out).  ``circle`` returns (u, C_eps) and
+    ``interval`` returns u, from the oracles' arguments.  The circle
+    takes Phi at the midpoints from cubic Hermite interpolation of Phi
+    and psi at the edges, stores each panel's term (delta / 6) (E_l + 4 F
+    + E_r), with E and F the exponentials of ref - Phi at its edges and
+    midpoint and ref its block's largest Phi, then sums J1 and J2 out of
+    the terms block by block.  Each elementwise operation takes the
+    operands, in the order, that the package's oracles take; their
+    checks (positivity, resolution, the flux self-check) are left out.
     """
-    def cumulative_simpson(f_edges, f_mids, delta):
-        edges = np.zeros(len(f_edges))
-        np.cumsum((delta / 6.0) * (f_edges[:-1] + 4.0 * f_mids + f_edges[1:]), out=edges[1:])
-        mids = edges[:-1] + (delta / 24.0) * (5.0 * f_edges[:-1] + 8.0 * f_mids - f_edges[1:])
-        return edges, mids
-
     def integrals(drift, a0, ai, grid, quad):
         a_form, b_corr_form = stationary._oracle_coefficients(a0, ai)
         corrected = b_corr_form != Const(0.0)
@@ -86,13 +81,21 @@ def full_array_oracles():
         b_min = min(float(drift.components[0](x).min()) for x in nodes)
         q = [drift.components[0](x) / a_form(x) for x in nodes]
         r = [2.0 * (b_corr_form(x) / a_form(x)) for x in nodes]
-        p_pair, r_pair = cumulative_simpson(*q, delta), cumulative_simpson(*r, delta)
+        p_edges, r_edges = (np.concatenate(([0.0], np.cumsum((delta / 6.0) * (f[0][:-1] + 4.0 * f[1] + f[0][1:]))))
+                            for f in (q, r))
 
-        def linear(slope, offset):
-            return lambda eps: tuple(2.0 / (eps * eps) * k + c if corrected else 2.0 / (eps * eps) * k
-                                     for k, c in zip(slope, offset))
+        def psi(eps):
+            s = 2.0 / (eps * eps)
+            return tuple(s * k + c if corrected else s * k for k, c in zip(q, r))
 
-        return b_min, a_form(nodes[0]), linear(q, r), linear(p_pair, r_pair)
+        def phi(eps):
+            s = 2.0 / (eps * eps)
+            falls = [s * delta / 4.0 * (q[0][:-1] - q[0][1:])]  # (delta / 4) (psi_l - psi_r), per part of psi
+            if corrected:
+                return s * p_edges + r_edges, falls + [1.0 * delta / 4.0 * (r[0][:-1] - r[0][1:])]
+            return s * p_edges, falls
+
+        return b_min, a_form(nodes[0]), psi, phi
 
     def blocks(phi):
         """(start, end, ref) of the circle's blocks, left to right."""
@@ -108,7 +111,11 @@ def full_array_oracles():
         quad = stationary.ORACLE_QUAD_FACTOR * grid.n[0]
         delta = grid.kind.length / quad
         _, a_edges, _, phi_of = integrals(drift, a0, ai, grid, quad)
-        phi, phi_mid = phi_of(eps)
+        phi, falls = phi_of(eps)
+        phi_mid = phi[:-1] + phi[1:]  # the cubic Hermite interpolant of Phi and psi at the edges
+        for fall in falls:
+            phi_mid = phi_mid + fall
+        phi_mid = 0.5 * phi_mid
         phi_total = float(phi[-1])
         spans = list(blocks(phi))
         ref = np.concatenate([np.full(end - start, r) for start, end, r in spans])  # per panel
@@ -150,7 +157,8 @@ def longdouble_circle_oracle():
 
     The forms are sampled in double precision, as the package samples
     them; everything after that is long double: psi, Phi by cumulative
-    Simpson, J1 by its backward recurrence J1[j] = local[j] +
+    Simpson at the edges and cubic Hermite interpolation at the
+    midpoints, J1 by its backward recurrence J1[j] = local[j] +
     e^{Phi[j] - Phi[j+1]} J1[j+1], and J2 = e^{Phi - Phi(L)} int_0^x e^{-Phi}
     directly, which cannot overflow there (long double reaches e^11356).
     Returns the normalized cell-center samples as long doubles.
@@ -171,7 +179,7 @@ def longdouble_circle_oracle():
         psi_edges, psi_mids = psi(edges), psi(mids)
         phi = np.zeros(quad + 1, dtype=ld)
         phi[1:] = np.cumsum(delta / 6 * (psi_edges[:-1] + 4 * psi_mids + psi_edges[1:]))
-        phi_mid = phi[:-1] + delta / 24 * (5 * psi_edges[:-1] + 8 * psi_mids - psi_edges[1:])
+        phi_mid = (phi[:-1] + phi[1:]) / 2 + delta / 8 * (psi_edges[:-1] - psi_edges[1:])
         local = delta / 6 * (1 + 4 * np.exp(phi[:-1] - phi_mid) + np.exp(phi[:-1] - phi[1:]))
         step = np.exp(phi[:-1] - phi[1:])
         j1 = np.zeros(quad + 1, dtype=ld)
