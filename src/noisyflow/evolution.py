@@ -280,25 +280,24 @@ def fit_decay_rate(trace: EvolutionTrace) -> DecayFit:
     return DecayFit(rate=rate, fit_window=(float(t_lo), float(t_hi)), r_squared=float(min(r2, 1.0)))
 
 
-def _neumann_mode(axis: int, mode: int, length: float, origin: float) -> Trig:
-    """cos(pi mode (x - origin) / length) along ``axis``: zero normal derivative at both walls."""
-    return Trig("cos", axis, mode, 1.0, 0.0, 2.0 * length, -math.pi * mode * origin / length)
+def fourier_modes(grid: Grid, axis: int, k: int) -> list[Trig]:
+    """The modes of wavenumber ``k`` along ``axis``: cos and sin of period L on a periodic axis,
+    cos(pi k (x - o) / L), with zero normal derivative at both walls, on a walled axis [o, o + L]."""
+    L, o = grid.kind.lengths[axis], grid.kind.origin[axis]
+    if grid.periodic[axis]:
+        return [Trig("cos", axis, k, 1.0, 0.0, L), Trig("sin", axis, k, 1.0, 0.0, L)]
+    return [Trig("cos", axis, k, 1.0, 0.0, 2.0 * L, -math.pi * k * o / L)]
 
 
 def perturbed_initial(stationary: Density, mode: int = 1, amplitude: float = 0.5) -> Density:
     """Stationary density perturbed by a low Fourier mode, renormalized.
 
     Excites the slowest spatial scale so the fitted decay rate tracks the
-    spectral gap.  On periodic axes the mode is cos(2 pi k x / L); on
-    bounded ones cos(pi k (x - a) / L), whose normal derivative vanishes
-    at the ends.
+    spectral gap.  The mode is the first of :func:`fourier_modes` along
+    axis 0.
     """
     grid = stationary.grid
-    L, o = grid.kind.lengths[0], grid.kind.origin[0]
-    if grid.periodic[0]:
-        wave = Trig("cos", 0, mode, 1.0, 0.0, L)
-    else:
-        wave = _neumann_mode(0, mode, L, o)
+    wave = fourier_modes(grid, 0, mode)[0]
     v = stationary.values * (1.0 + amplitude * wave(grid.cell_centers()))
     return Density.normalized(np.clip(v, 0.0, None), grid)
 
@@ -309,8 +308,8 @@ def poincare_quotient(noise: Noise, stationary: Density, grid: Grid) -> float:
     For each probe f the quotient is
     sum (grad f)^T a (grad f) u vol / sum (f - fbar)^2 u vol with
     fbar the u-weighted mean; the reported value is the minimum over the
-    probes.  The probes are :class:`Trig` forms along one axis: cos and
-    sin of period L on a periodic axis, cos(pi k (x - o) / L) on a
+    probes.  The probes are the :func:`fourier_modes` of each axis: cos
+    and sin of period L on a periodic axis, cos(pi k (x - o) / L) on a
     bounded one.  Their exact ``grad`` along that axis gives the
     Dirichlet term a_jj (d_j f)^2.  The weighted Poincare constant is
     the infimum of this quotient over all f, so the minimum over a few
@@ -328,14 +327,8 @@ def poincare_quotient(noise: Noise, stationary: Density, grid: Grid) -> float:
     centers = grid.cell_centers()
     best = np.inf
     for axis in range(grid.dim):
-        L = grid.kind.lengths[axis]
-        o = grid.kind.origin[axis]
         for k in range(1, POINCARE_MODES + 1):
-            if grid.periodic[axis]:
-                probes = [Trig("cos", axis, k, 1.0, 0.0, L), Trig("sin", axis, k, 1.0, 0.0, L)]
-            else:
-                probes = [_neumann_mode(axis, k, L, o)]
-            for probe in probes:
+            for probe in fourier_modes(grid, axis, k):
                 f = probe(centers)
                 df = probe.grad(axis)(centers)
                 dirichlet = float(np.sum(a[:, axis, axis] * df * df * u) * vol)

@@ -42,7 +42,6 @@ from .fields import (
     construct_selecting_noise,
     coordinate_noise,
     divergence,
-    mul,
 )
 from .geometry import DomainKind, Grid, build_grid, check_counts, refine_grid
 from .evolution import SCHEMES, evolve, fit_decay_rate, perturbed_initial
@@ -168,8 +167,8 @@ class SweepConfig:
 
         Under kind = selection the noise is the one that selects ``target``.
         Raises :class:`BoundaryError` unless the drift's normal component
-        vanishes on the reflecting walls of every bounded axis (periodic
-        axes have none); every study and command builds here.
+        vanishes on every wall (:meth:`VectorField.check_walls`); every
+        study and command builds here.
         """
         grid = self.grid() if grid is None else grid
         if self.kind == "selection":
@@ -177,12 +176,7 @@ class SweepConfig:
         else:
             noise = self.noise.build(grid)
         system = self.system.build(grid)
-        for axis in range(grid.dim):
-            if grid.periodic[axis]:
-                continue
-            worst = max(float(np.max(np.abs(side))) for side in system.drift.normal_at_boundary(grid, axis))
-            if worst > 1e-12:
-                raise BoundaryError(f"drift normal component reaches {worst} on the axis-{axis} boundary")
+        system.drift.check_walls(grid)
         return grid, system, noise
 
 
@@ -414,7 +408,7 @@ def run_selection(cfg: SweepConfig) -> Report:
     """
     coarse = cfg.build()
     grid, system, _ = coarse
-    flux = VectorField([mul(cfg.target, c) for c in system.drift.components])
+    flux = system.drift.scaled(cfg.target)
     div_sup = float(np.max(np.abs(divergence(flux, grid))))
     if div_sup > cfg.thresholds.div_target_tol:
         raise BoundaryError(

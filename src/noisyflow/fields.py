@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CatalogError, FieldEvaluationError, PositivityError
+from .errors import BoundaryError, CatalogError, FieldEvaluationError, PositivityError
 from .geometry import Circle, Grid, Torus2
 
 # ---------------------------------------------------------------------------
@@ -185,6 +186,14 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
+def _sample(form: ScalarForm, points: np.ndarray, what: str) -> np.ndarray:
+    """``form`` at ``points``; a :class:`FieldEvaluationError` naming ``what`` on a non-finite sample."""
+    out = form(points)
+    if not np.all(np.isfinite(out)):
+        raise FieldEvaluationError(f"non-finite sample in {what}")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # vector fields
 # ---------------------------------------------------------------------------
@@ -210,18 +219,12 @@ class VectorField:
     def zero(cls, dim: int) -> "VectorField":
         return cls([ZERO] * dim)
 
-    def _eval(self, form, points, what):
-        out = form(points)
-        if not np.all(np.isfinite(out)):
-            raise FieldEvaluationError(f"non-finite sample in {what}")
-        return out
-
     def at_points(self, points: np.ndarray) -> np.ndarray:
         """All components at arbitrary points, shape (N, dim)."""
         pts = np.asarray(points, float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        cols = [self._eval(c, pts, f"component {k}") for k, c in enumerate(self.components)]
+        cols = [_sample(c, pts, f"component {k}") for k, c in enumerate(self.components)]
         return np.column_stack(cols)
 
     def at_centers(self, grid: Grid) -> np.ndarray:
@@ -230,12 +233,12 @@ class VectorField:
     def normal_at_faces(self, grid: Grid, axis: int) -> np.ndarray:
         """Normal component sampled at the interior face centers of ``axis``."""
         _, _, centers = grid.interior_faces(axis)
-        return self._eval(self.components[axis], centers, f"component {axis}")
+        return _sample(self.components[axis], centers, f"component {axis}")
 
     def normal_at_boundary(self, grid: Grid, axis: int):
         """Normal component at the low and high boundary faces of ``axis`` (empty if periodic)."""
         _, low_c, _, high_c = grid.boundary_faces(axis)
-        return tuple(self._eval(self.components[axis], c, f"component {axis}") for c in (low_c, high_c))
+        return tuple(_sample(self.components[axis], c, f"component {axis}") for c in (low_c, high_c))
 
     def div_form(self) -> ScalarForm:
         """Exact divergence as a closed form."""
@@ -254,6 +257,13 @@ class VectorField:
     def scaled(self, factor: ScalarForm) -> "VectorField":
         return VectorField([mul(factor, c) for c in self.components])
 
+    def check_walls(self, grid: Grid) -> None:
+        """The wall rule: a :class:`BoundaryError` unless |normal component| <= 1e-12 on every wall of ``grid``."""
+        for axis in (k for k in range(grid.dim) if not grid.periodic[k]):
+            worst = max(float(np.max(np.abs(side))) for side in self.normal_at_boundary(grid, axis))
+            if worst > 1e-12:
+                raise BoundaryError(f"drift normal component reaches {worst} on the axis-{axis} boundary")
+
     def __repr__(self):
         return f"VectorField(dim={self.dim})"
 
@@ -271,8 +281,7 @@ def divergence(f: VectorField, grid: Grid) -> np.ndarray:
     For each cell, (1/vol) * sum of signed normal samples times face
     areas.  Second-order accurate for smooth fields; exact (up to
     roundoff) for fields whose normal component does not vary along the
-    normal axis, and for curl-form drifts built from tensor-product
-    stream functions when every axis has the same cell count.
+    normal axis.
     """
     out = np.zeros(grid.ncells)
     for axis in range(grid.dim):
@@ -325,7 +334,7 @@ class ConservativeSystem:
     sum(u0 * vol) is exactly 1; the closed form keeps the same scaling.
     Construction does not check that u0 B is divergence-free; on the
     faces that residual is :func:`divergence` of the flux
-    ``VectorField([mul(system.u0_form, c) for c in system.drift.components])``.
+    ``system.drift.scaled(system.u0_form)``.
     """
 
     def __init__(self, drift: VectorField, u0_form: ScalarForm, grid: Grid, name: str = ""):
@@ -365,20 +374,32 @@ class AdmissibilityReport:
     lambda_threshold: float
 
 
-def diffusion_matrix(ai_fields: Sequence[VectorField], grid: Grid) -> np.ndarray:
-    """Per-cell matrix a_jk = sum_i A_ij A_ik, shape (ncells, dim, dim).
-
-    Every field needs one component per axis of the grid: a field of
-    another dimension would broadcast into a matrix it does not define.
-    """
-    d = grid.dim
-    out = np.zeros((grid.ncells, d, d))
+def _check_dims(ai_fields: Sequence[VectorField], dim: int) -> None:
     for f in ai_fields:
-        if f.dim != d:
-            raise ValueError(f"diffusion field has {f.dim} components on a {d}-dimensional grid")
-        vals = f.at_centers(grid)
-        out += vals[:, :, None] * vals[:, None, :]
-    return out
+        if f.dim != dim:
+            raise ValueError(f"diffusion field has {f.dim} components on a {dim}-dimensional grid")
+
+
+def diffusion_forms(ai_fields: Sequence[VectorField], dim: int) -> tuple[tuple[ScalarForm, ...], ...]:
+    """a_jk = sum_i A_ij A_ik as closed forms [j][k], summed over the fields in order by :func:`add`
+    and :func:`mul`, whose constant folding gives ``Const(1.0)`` and ``Const(0.0)`` for coordinate noise."""
+    _check_dims(ai_fields, dim)
+    return tuple(tuple(reduce(add, (mul(f.components[j], f.components[k]) for f in ai_fields), ZERO)
+                       for k in range(dim)) for j in range(dim))
+
+
+def correction_forms(ai_fields: Sequence[VectorField], dim: int) -> tuple[ScalarForm, ...]:
+    """d_j = sum_i A_ij div A_i, summed as in :func:`diffusion_forms`, which enters the drift as
+    B + eps^2 (A_0 - d / 2); coordinate noise gives ``Const(0.0)``."""
+    _check_dims(ai_fields, dim)
+    return tuple(reduce(add, (mul(f.components[j], f.div_form()) for f in ai_fields), ZERO) for j in range(dim))
+
+
+def diffusion_matrix(ai_fields: Sequence[VectorField], grid: Grid) -> np.ndarray:
+    """Per-cell matrix a_jk of :func:`diffusion_forms`, shape (ncells, dim, dim)."""
+    rows = [[_sample(form, grid.cell_centers(), "the diffusion a") for form in row]
+            for row in diffusion_forms(ai_fields, grid.dim)]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=1)
 
 
 def smallest_eigenvalue(a: np.ndarray) -> np.ndarray:
@@ -450,8 +471,8 @@ def transform_div_free(sys: ConservativeSystem, noise: Noise):
         raise PositivityError("transform requires a strictly positive invariant density")
     u0 = sys.u0_form
     sqrt_u0 = Power(u0, 0.5)
-    new_drift = VectorField([mul(u0, c) for c in sys.drift.components])
-    comps = [mul(u0, c) for c in noise.a0_field.components]
+    new_drift = sys.drift.scaled(u0)
+    comps = list(noise.a0_field.scaled(u0).components)
     for f in noise.ai_fields:
         corr = mul(Const(-0.5), mul(sqrt_u0, f.directional_derivative(sqrt_u0)))
         comps = [add(c, mul(corr, fc)) for c, fc in zip(comps, f.components)]
@@ -504,6 +525,9 @@ def builtin_catalog(name: str, grid: Grid) -> ConservativeSystem:
     hamiltonian-cellular curl of the cellular stream function, u0 = 1
     zero-drift           B = 0 on any domain kind, u0 = 1
 
+    The cellular B_x carries (ny sin(pi / ny)) / (nx sin(pi / nx)), exactly
+    1 on equal cell counts: the drift is discretely divergence-free on any.
+
     The circle-positive normalizer gamma is the reciprocal of the cell
     midpoint sum of 1/B, which makes the discrete mass of u0 exactly one
     and keeps u0 * B exactly constant on every sample.
@@ -526,9 +550,11 @@ def builtin_catalog(name: str, grid: Grid) -> ConservativeSystem:
         drift = VectorField([Trig("cos", 1, 1, 1.0, 2.0, kind.ly), ZERO])
         return ConservativeSystem(drift, ONE, grid, name)
     if name == "hamiltonian-cellular":
-        # stream function (ly / 2pi) sin(2 pi x / lx) sin(2 pi y / ly); drift is
-        # its curl, whose y component carries ly / lx (exactly 1 on a square)
-        bx = mul(Const(-1.0), mul(Trig("sin", 0, 1, 1.0, 0.0, kind.lx), Trig("cos", 1, 1, 1.0, 0.0, kind.ly)))
+        # stream function (ly / 2pi) sin(2 pi x / lx) sin(2 pi y / ly); drift is its curl, whose y component
+        # carries ly / lx; a face-center sample is off its face average by n sin(pi / n) / pi of the other axis
+        nx, ny = grid.n
+        ratio = (ny * math.sin(math.pi / ny)) / (nx * math.sin(math.pi / nx))
+        bx = mul(Const(-ratio), mul(Trig("sin", 0, 1, 1.0, 0.0, kind.lx), Trig("cos", 1, 1, 1.0, 0.0, kind.ly)))
         by = mul(Const(kind.ly / kind.lx),
                  mul(Trig("cos", 0, 1, 1.0, 0.0, kind.lx), Trig("sin", 1, 1, 1.0, 0.0, kind.ly)))
         return ConservativeSystem(VectorField([bx, by]), ONE, grid, name)

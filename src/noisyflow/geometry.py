@@ -47,10 +47,6 @@ class FlatDomain:
     def lengths(self) -> tuple[float, ...]:
         return tuple(hi - lo for lo, hi in self.bounds)
 
-    @property
-    def measure(self) -> float:
-        return math.prod(self.lengths)
-
 
 @dataclass(frozen=True)
 class Circle(FlatDomain):

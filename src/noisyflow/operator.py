@@ -2,7 +2,8 @@
 
 The discrete operator is derived from the weak flux identity rather than
 from expanding the generator: with a_jk = sum_i A_ij A_ik and
-d_j = sum_i A_ij (div A_i), the stationary density solves div F = 0 for
+d_j = sum_i A_ij (div A_i) (:func:`fields.diffusion_forms` and
+:func:`fields.correction_forms`), the stationary density solves div F = 0 for
 
     F_j = c_j u - (eps^2 / 2) a_jk du/dx_k,
     c_j = eps^2 A0_j + B_j - (eps^2 / 2) d_j.
@@ -40,7 +41,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AssemblyError
-from .fields import ConservativeSystem, Noise, diffusion_matrix, smallest_eigenvalue
+from .fields import ConservativeSystem, Noise, correction_forms, diffusion_matrix, smallest_eigenvalue
 from .geometry import Grid
 
 #: Below this |z| the Bernoulli function switches to its Taylor series.
@@ -93,21 +94,15 @@ def derive_drift_diffusion(sys: ConservativeSystem, noise: Noise, eps: float) ->
     symmetric).
     """
     grid = sys.grid
-    d = grid.dim
     a = diffusion_matrix(noise.ai_fields, grid)
-    dcorr = np.zeros((grid.ncells, d))
-    centers = grid.cell_centers()
-    for f in noise.ai_fields:
-        div_vals = f.div_form()(centers)
-        dcorr += f.at_centers(grid) * div_vals[:, None]
+    dcorr = [form(grid.cell_centers()) for form in correction_forms(noise.ai_fields, grid.dim)]
     ceff = {}
     e2 = eps * eps
-    for axis in range(d):
+    for axis, corr in enumerate(dcorr):
         left, right, _ = grid.interior_faces(axis)
         drift_n = e2 * noise.a0_field.normal_at_faces(grid, axis) + sys.drift.normal_at_faces(grid, axis)
-        corr_face = 0.5 * (dcorr[left, axis] + dcorr[right, axis])
-        ceff[axis] = drift_n - 0.5 * e2 * corr_face
-    for arr in (a, dcorr, *ceff.values()):
+        ceff[axis] = drift_n - 0.5 * e2 * (0.5 * (corr[left] + corr[right]))
+    for arr in (a, *dcorr, *ceff.values()):
         if not np.all(np.isfinite(arr)):
             raise AssemblyError("non-finite coefficient sample in drift-diffusion data")
     return DriftDiffusionData(a=a, ceff=ceff, eps=eps, grid=grid)

@@ -22,10 +22,12 @@ in 1D the time stepper only.
 The 1D oracles integrate the stationary balance
 
     (eps^2 / 2) (a u)' - (B + eps^2 b) u = C,
-    a = sum |A_i|^2,  b = A_0 + (1/2) sum A_i A_i',
+    a = a_00,  b = A_0 + d / 2  (fields.diffusion_forms, correction_forms),
 
-with C = 0 on an interval (zero flux through reflecting ends) and C
-fixed by periodicity on the circle.  On the circle the textbook
+the operator's flux written for (a u)', since a' = 2 d in 1D.  C = 0 on
+an interval (zero flux through reflecting ends); on the circle of length
+L it is fixed by periodicity, and -int (B + eps^2 b) u = L C.  On the
+circle the textbook
 variation-of-constants form e^{Phi(x)} [w(0) + (2C/eps^2) int e^{-Phi}]
 cancels catastrophically once Phi(L) = int 2(B + eps^2 b)/(eps^2 a)
 exceeds ~35, so the solution is evaluated in the equivalent
@@ -86,9 +88,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgtsv
 
-from .errors import (BoundaryError, DegenerateError, FieldEvaluationError, PositivityError, ResolutionError,
-                     SolveError)
-from .fields import ScalarForm, VectorField, add, mul, Const
+from .errors import DegenerateError, FieldEvaluationError, PositivityError, ResolutionError, SolveError
+from .fields import Const, ScalarForm, VectorField, add, correction_forms, diffusion_forms, mul
 from .geometry import Circle, Grid, Interval
 from .operator import FokkerPlanckOperator
 
@@ -347,13 +348,9 @@ J1_BLOCK_SPAN = 300.0
 
 
 def _oracle_coefficients(a0: VectorField, ai: list[VectorField]):
-    a_form: ScalarForm = Const(0.0)
-    b_form: ScalarForm = a0.components[0]
-    for f in ai:
-        c = f.components[0]
-        a_form = add(a_form, mul(c, c))
-        b_form = add(b_form, mul(Const(0.5), mul(c, c.grad(0))))
-    return a_form, b_form
+    """The oracles' total diffusion a = a_00 and drift correction b = A_0 + d / 2, as closed forms."""
+    ((a_form,),), (d_form,) = diffusion_forms(ai, 1), correction_forms(ai, 1)
+    return a_form, add(a0.components[0], mul(Const(0.5), d_form))
 
 
 def _quad_nodes(origin: float, length: float, panels: int):
@@ -415,12 +412,12 @@ def _panel_samples(b_form: ScalarForm, a_form: ScalarForm, b_corr_form: ScalarFo
     cumulative Simpson integrals of q and r.  Returns a
     :class:`_PanelSamples`: the least B over all panel nodes, a at the
     edges (one Python float when constant), q and r at the edges, max |q|
-    over all nodes, and P and R.  When the drift correction b is the
-    constant 0, r and R are None and psi_max = s max |q|; otherwise q and
-    r are also kept at the midpoints, for psi_max.  Every kept array is
-    read-only.  Raises :class:`FieldEvaluationError` on a non-finite
-    sample, as the finite-volume path does, and :class:`PositivityError`
-    unless a > 0.
+    over all nodes, and P and R.  When the drift correction b = A_0 + d / 2
+    is the constant 0 (coordinate noise), r and R are None and
+    psi_max = s max |q|; otherwise q and r are also kept at the
+    midpoints, for psi_max.  Every kept array is read-only.  Raises
+    :class:`FieldEvaluationError` on a non-finite sample, as the
+    finite-volume path does, and :class:`PositivityError` unless a > 0.
 
     The last call's result is kept, keyed on the closed forms by value
     (every form is a frozen dataclass) and on the exact lattice, so a hit
@@ -607,9 +604,9 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     15, one core of a Xeon with AVX-512), where five passes with up to
     seven exponentials per panel took 13.6-13.7 ms.
 
-    The returned constant satisfies C_eps = -int (B + eps^2 b) u, which
-    is re-verified against the quadrature before returning, with
-    psi = s q + r at the edges summed against w without forming it.
+    The returned constant satisfies L C_eps = -int (B + eps^2 b) u, with L
+    the circle's length, which is re-verified against the quadrature before
+    returning, with psi = s q + r at the edges summed against w unformed.
 
     The panels must resolve the kernels: psi_max * delta, with
     psi = 2 (B + eps^2 b) / (eps^2 a) and delta the panel width, may not
@@ -653,11 +650,12 @@ def oracle_1d_circle(drift: VectorField, a0: VectorField, ai: list[VectorField],
     scale = 1.0 / _simpson_on_edges(w, delta)
     c_eps = -0.5 * e2 * scale * -np.expm1(-phi_total)
     check = 0.5 * e2 * scale * flux
+    total = grid.kind.length * c_eps
     # Simpson's panel error on the boundary-layer kernels scales like
     # (psi delta)^4 / 2880; allow an order of magnitude of headroom
     quad_tol = max(1e-10, 10.0 * (psi_max * delta) ** 4 / 2880.0)
-    if not abs(c_eps + check) <= quad_tol * max(abs(c_eps), 1.0):
-        raise SolveError(f"oracle self-check failed: C={c_eps} vs -int (B+eps^2 b) u = {-check}")
+    if not abs(total + check) <= quad_tol * max(abs(total), 1.0):
+        raise SolveError(f"oracle self-check failed: L C={total} vs -int (B+eps^2 b) u = {-check}")
     u = _at_centers(w, grid)
     u *= scale
     return u, float(c_eps)
@@ -671,16 +669,13 @@ def oracle_1d_interval(drift: VectorField, a0: VectorField, ai: list[VectorField
     same Phi = s P + R as the circle case, on the same
     ``ORACLE_QUAD_FACTOR`` panels per cell, evaluated in place in Phi's
     array, the one array a call holds at full length.  Requires B to
-    vanish at both endpoints (compatibility with the zero normal flux of
-    the reflecting SDE).
+    vanish at both endpoints, the zero normal flux of the reflecting SDE:
+    :meth:`fields.VectorField.check_walls` raises :class:`BoundaryError`.
     """
     if not isinstance(grid.kind, Interval):
         raise ValueError("interval oracle needs an Interval grid")
+    drift.check_walls(grid)
     kind = grid.kind
-    ends = np.array([[kind.a], [kind.b]])
-    b_ends = drift.components[0](ends)
-    if not np.max(np.abs(b_ends)) <= 1e-12:
-        raise BoundaryError(f"drift must vanish at the endpoints, got B(a), B(b) = {tuple(b_ends)}")
     quad = ORACLE_QUAD_FACTOR * grid.n[0]
     samples = _oracle_samples(drift, a0, ai, grid, quad)
     phi = _scaled(2.0 / (eps * eps), samples.phi, slice(None))

@@ -14,6 +14,7 @@ from noisyflow.evolution import (
     chi_squared,
     evolve,
     fit_decay_rate,
+    fourier_modes,
     perturbed_initial,
     poincare_quotient,
 )
@@ -424,6 +425,37 @@ def test_poincare_quotient_bounded_axes(kind, n, longest):
     stat = solve_stationary(assemble_for(builtin_catalog("zero-drift", g), nf, 0.5)).density
     expected = (math.pi / longest) ** 2
     assert abs(poincare_quotient(nf, stat, g) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("kind, n", [
+    (Circle(2.0), 16),
+    (Torus2(1.0, 0.75), (8, 6)),
+    (Interval(-0.5, 1.5), 16),
+    (Rectangle(-1.0, 1.0, 0.5, 3.5), (8, 12)),
+])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fourier_modes_fit_the_boundary_of_every_axis(kind, n, k):
+    # periodic axis: cos and sin of period L; walled axis: one cosine with zero normal derivative at both walls
+    g = build_grid(kind, n)
+    rng = np.random.default_rng(k)
+    points = np.column_stack([rng.uniform(lo, hi, 20) for lo, hi in kind.bounds])
+    for axis, ((lo, hi), periodic) in enumerate(zip(kind.bounds, kind.periodic)):
+        modes = fourier_modes(g, axis, k)
+        assert len(modes) == (2 if periodic else 1)
+        for mode in modes:
+            assert mode.axis == axis
+            if periodic:
+                shifted = points.copy()
+                shifted[:, axis] += hi - lo
+                assert np.max(np.abs(mode(shifted) - mode(points))) <= 1e-12
+                assert mode.period == hi - lo
+            else:
+                walls = points[:2].copy()
+                walls[:, axis] = (lo, hi)
+                assert np.max(np.abs(mode.grad(axis)(walls))) <= 1e-12
+                assert np.max(np.abs(np.abs(mode(walls)) - 1.0)) <= 1e-12  # an extremum on each wall
+        if periodic:
+            assert [mode.fn for mode in modes] == ["cos", "sin"]
 
 
 @pytest.mark.parametrize("kind, n, exact", [

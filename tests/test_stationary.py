@@ -13,6 +13,7 @@ from noisyflow.errors import (BoundaryError, CatalogError, FieldEvaluationError,
                              SolveError)
 from noisyflow.fields import (
     CATALOG_NAMES,
+    Affine,
     ConservativeSystem,
     Const,
     Noise,
@@ -20,15 +21,17 @@ from noisyflow.fields import (
     Product,
     Trig,
     VectorField,
+    add,
     builtin_catalog,
     construct_selecting_noise,
     coordinate_noise,
+    mul,
 )
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
 from noisyflow.operator import FokkerPlanckOperator, assemble_for
 import noisyflow.stationary as stationary
 from noisyflow.config import parse_config
-from noisyflow.experiments import SweepConfig
+from noisyflow.experiments import SweepConfig, SystemSpec
 from noisyflow.stationary import (
     Density,
     _backward_pass,
@@ -142,6 +145,21 @@ def test_circle_positive_matches_oracle():
     assert err <= 5e-4
 
 
+@pytest.mark.parametrize("length", [2.0, 0.5])
+@pytest.mark.parametrize("eps", [0.4, 0.2])
+def test_circle_oracle_on_a_circle_of_any_length(length, eps):
+    # integrating the balance over the circle gives -int (B + eps^2 b) u = L C_eps, which the
+    # self-check compares: the oracle returns, and the solve lies within oracle_sup of it
+    g = build_grid(Circle(length), 512)
+    sys = builtin_catalog("circle-positive", g)
+    nf = unit_noise(g)
+    rep = solve_stationary(assemble_for(sys, nf, eps))
+    u_oracle, c_eps = oracle_1d_circle(sys.drift, nf.a0_field, nf.ai_fields, eps, g)
+    assert c_eps < 0.0
+    err = np.max(np.abs(rep.density.values - u_oracle)) / np.max(np.abs(u_oracle))
+    assert err <= SweepConfig.thresholds.oracle_sup
+
+
 def test_direct_and_inverse_iteration_agree():
     g = build_grid(Circle(), 256)
     sys = builtin_catalog("circle-positive", g)
@@ -215,7 +233,7 @@ def _inverse_iteration(matrix, grid):
     except SolveError:
         jitter = 1e-14 * mat_norm
         lu = factorize(matrix + jitter * sp.identity(grid.ncells, format="csr"), grid.dim)
-    v = np.full(grid.ncells, 1.0 / grid.kind.measure)
+    v = np.full(grid.ncells, 1.0 / math.prod(grid.kind.lengths))
     tol = INVERSE_ITERATION_TOL
     for it in range(1, INVERSE_ITERATION_MAXITER + 1):
         previous = v
@@ -778,6 +796,66 @@ def test_interval_oracle_boundary_compatibility():
     nf = unit_noise(g)
     with pytest.raises(BoundaryError):
         oracle_1d_interval(VectorField([Const(1.0)]), nf.a0_field, nf.ai_fields, 0.5, g)
+
+
+@pytest.mark.parametrize("drift, message", [((Const(1.0),), "1.0 on the axis-0"),
+                                            ((Affine(0, 0.5, -0.25),), "0.25 on the axis-0")])
+def test_interval_oracle_and_the_sweep_refuse_a_wall_crossing_drift_alike(drift, message):
+    # one wall rule: the oracle called directly refuses with the message every study and command gives
+    cfg = SweepConfig(kind="stability", domain=Interval(), n=(64,), epsilons=(0.5,),
+                      system=SystemSpec(drift_forms=drift, u0_form=Const(1.0)))
+    pattern = rf"^drift normal component reaches {message} boundary$"
+    with pytest.raises(BoundaryError, match=pattern):
+        cfg.build()
+    g = cfg.grid()
+    nf = unit_noise(g)
+    with pytest.raises(BoundaryError, match=pattern):
+        oracle_1d_interval(VectorField(drift), nf.a0_field, nf.ai_fields, 0.5, g)
+
+
+def field_loop_coefficients(a0, ai):
+    """The oracles' a and b = A_0 + (1/2) sum A_i A_i', summed field by field: the reference that
+    _oracle_coefficients, built from fields.diffusion_forms and fields.correction_forms, matches."""
+    a_form, b_form = Const(0.0), a0.components[0]
+    for f in ai:
+        c = f.components[0]
+        a_form = add(a_form, mul(c, c))
+        b_form = add(b_form, mul(Const(0.5), mul(c, c.grad(0))))
+    return a_form, b_form
+
+
+def test_oracle_coefficients_of_coordinate_noise_are_constants():
+    # so _panel_samples keeps its b = 0 path and its cache key
+    for kind in (Circle(), Interval()):
+        nf = unit_noise(build_grid(kind, 16))
+        assert stationary._oracle_coefficients(nf.a0_field, nf.ai_fields) == (Const(1.0), Const(0.0))
+
+
+def test_oracle_coefficients_of_one_field_are_the_field_loop():
+    a0 = VectorField([Trig("sin", 0, 1, 0.3, 0.0, 1.0)])
+    for c in (Trig("cos", 0, 1, 0.5, 1.0, 1.0), Affine(0, 0.5, 1.0), Const(2.0)):
+        ai = [VectorField([c])]
+        assert stationary._oracle_coefficients(a0, ai) == field_loop_coefficients(a0, ai)
+
+
+def test_oracle_coefficients_of_two_fields_move_the_oracle_by_roundoff():
+    # b = A_0 + (t1 + t2) / 2 associates the sum otherwise than (A_0 + t1 / 2) + t2 / 2: on this
+    # noise b moves by 4.4e-16 and the circle oracle at 1024 cells by 3.2e-15 to 1.3e-14 relative
+    a0 = VectorField([Trig("sin", 0, 1, 0.3, 0.0, 1.0)])
+    ai = [VectorField([Trig("cos", 0, 1, 0.5, 1.0, 1.0)]), VectorField([Trig("sin", 0, 2, 0.4, 0.8, 1.0)])]
+    (a_form, b_form), (a_loop, b_loop) = stationary._oracle_coefficients(a0, ai), field_loop_coefficients(a0, ai)
+    assert a_form == a_loop
+    x = np.linspace(0.0, 1.0, 10001)
+    assert np.max(np.abs(b_form(x) - b_loop(x))) <= 1e-15
+    g = build_grid(Circle(), 1024)
+    drift = builtin_catalog("circle-positive", g).drift
+    for eps in (0.4, 0.2, 0.1):
+        u, c_eps = oracle_1d_circle(drift, a0, ai, eps, g)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stationary, "_oracle_coefficients", field_loop_coefficients)
+            u_loop, c_loop = oracle_1d_circle(drift, a0, ai, eps, g)
+        assert np.max(np.abs(u - u_loop)) <= 1e-13 * np.max(u_loop)
+        assert abs(c_eps - c_loop) <= 1e-15 * abs(c_loop)
 
 
 # ---------------------------------------------------------------------------
