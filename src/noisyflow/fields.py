@@ -465,10 +465,9 @@ def transform_div_free(sys: ConservativeSystem, noise: Noise):
     by sqrt(u0) and the drift correction absorbs the directional
     derivatives of sqrt(u0).  The stationary density of the transformed
     system equals u_eps / u0 of the original, up to normalization and
-    discretization error.
+    discretization error.  u0 is positive on every cell, which
+    :class:`ConservativeSystem` checks when it is built.
     """
-    if np.any(sys.u0 <= 0.0):
-        raise PositivityError("transform requires a strictly positive invariant density")
     u0 = sys.u0_form
     sqrt_u0 = Power(u0, 0.5)
     new_drift = sys.drift.scaled(u0)

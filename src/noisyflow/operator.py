@@ -34,6 +34,7 @@ dropping every boundary face.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,14 +110,56 @@ def derive_drift_diffusion(sys: ConservativeSystem, noise: Noise, eps: float) ->
 
 
 class FokkerPlanckOperator:
-    """Sparse conservative operator; du/dt = matrix @ u.  Immutable once assembled."""
+    """Conservative operator; du/dt = matrix @ u.  Immutable once assembled.
 
-    def __init__(self, matrix: sp.csr_matrix, grid: Grid, has_cross_diffusion: bool,
-                 positive_rates: bool = False):
-        self.matrix = matrix
+    It is given by its CSR ``matrix`` or, in 1D, by its three ``bands``
+    (sub, diag, sup): sub[i] = M[i, i - 1 mod n], diag[i] = M[i, i] and
+    sup[i] = M[i, i + 1 mod n].  A 1D matrix couples each cell to its
+    two neighbors only, cyclically on a circle; on an interval sub[0] and
+    sup[n - 1] are 0.  :func:`assemble_fp_operator` keeps a 1D operator
+    as its bands, and ``matrix`` builds the CSR from them on first
+    access, with the assembly's own COO conversion, so the time stepper,
+    the irreducibility search and every other reader of ``matrix`` get
+    the bits and stored zeros they got when assembly built it.  An
+    operator given by a 1D matrix reads its bands off the matrix.  The
+    stationary solve reads the bands only (:meth:`apply` and
+    :meth:`inf_norm` with them), so a 1D stationary solve forms no CSR.
+    """
+
+    def __init__(self, matrix: sp.csr_matrix | None, grid: Grid, has_cross_diffusion: bool,
+                 positive_rates: bool = False, bands: tuple | None = None):
+        if (matrix is None) == (bands is None):
+            raise ValueError("an operator is given by its matrix or by its bands, not both")
+        if bands is not None and grid.dim != 1:
+            raise ValueError("only a 1D operator is given by its bands")
+        if matrix is not None:
+            self.matrix = matrix
+        else:
+            self.bands = bands
         self.grid = grid
         self.has_cross_diffusion = has_cross_diffusion
         self.positive_rates = positive_rates
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The CSR of a 1D operator given by its bands: the entries on its faces and its diagonal."""
+        sub, diag, sup = self.bands
+        left, right, _ = self.grid.interior_faces(0)
+        cells = np.arange(self.grid.ncells)
+        return _csr(self.grid.ncells, (right, left, cells), (left, right, cells), (sub[right], sup[left], diag))
+
+    @functools.cached_property
+    def bands(self) -> tuple:
+        """(sub, diag, sup) of an operator given by a 1D matrix; :class:`AssemblyError` off the three bands."""
+        m = self.matrix
+        n = m.shape[0]
+        coo = m.tocoo()
+        offset = (coo.col - coo.row) % n
+        if np.any((offset > 1) & (offset < n - 1)):
+            raise AssemblyError("a 1D operator couples each cell to its two neighbors only")
+        sub = np.append(m.diagonal(n - 1), m.diagonal(-1))
+        sup = np.append(m.diagonal(1), m.diagonal(1 - n))
+        return sub, m.diagonal(), sup
 
     def is_irreducible(self) -> bool:
         """Strong connectivity of the coupling graph, one edge per nonzero entry.
@@ -130,10 +173,10 @@ class FokkerPlanckOperator:
         other operator, one whose rate underflowed to 0 (``bernoulli``
         returns 0 above z = 709), one with cross terms (which add onto
         lattice entries and may cancel one) or one built from a bare
-        matrix, is searched: stored zeros couple nothing, so they are
-        dropped, and the diagonal's self-loops stay, since they never
-        change strong connectivity.  The search takes ~0.8 ms at 2^15
-        cells and ~0.9 ms at 160^2; :func:`stationary.solve_stationary`
+        matrix, is searched on ``matrix``: stored zeros couple nothing,
+        so they are dropped, and the diagonal's self-loops stay, since
+        they never change strong connectivity.  The search takes ~0.8 ms
+        at 2^15 cells and ~0.9 ms at 160^2; :func:`stationary.solve_stationary`
         asks once per operator before it solves.
         """
         if self.positive_rates and not self.has_cross_diffusion:
@@ -143,12 +186,31 @@ class FokkerPlanckOperator:
         ncomp, _ = connected_components(pattern, directed=True, connection="strong")
         return ncomp == 1
 
-    def inf_norm(self) -> float:
-        """max_i sum_j |M_ij|, summed over each row's stored entries without copying the matrix.
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """M u, with the bits of ``matrix @ u``.
 
-        The row sums are the ones ``abs(M).sum(axis=1)`` takes, one
-        ``reduceat`` over the nonempty rows, so the norm has its bits.
+        In 1D it is summed off the bands: the CSR product adds each row's
+        products one by one in column order, (x0 + x1) + x2, and on a
+        circle rows 0 and n - 1 hold their wrap entry last and first.
         """
+        if self.grid.dim != 1:
+            return self.matrix @ u
+        sub, diag, sup = self.bands
+        return _row_sums(sub * np.roll(u, 1), diag * u, sup * np.roll(u, -1), lambda x0, x1, x2: (x0 + x1) + x2)
+
+    def inf_norm(self) -> float:
+        """max_i sum_j |M_ij|, with the bits of ``reduceat`` over each row's stored entries.
+
+        In 2D the row sums are the ones ``abs(M).sum(axis=1)`` takes, one
+        ``reduceat`` over the nonempty rows, without copying the matrix.
+        ``reduceat`` sums a row as x0 + (x1 + x2), and in 1D the same sum
+        is taken off the bands, in the rows' column order (see
+        :meth:`apply`); the zero a band holds where an interval has no
+        wrap entry changes no sum.
+        """
+        if self.grid.dim == 1:
+            sub, diag, sup = self.bands
+            return float(np.max(_row_sums(np.abs(sub), np.abs(diag), np.abs(sup), lambda x0, x1, x2: x0 + (x1 + x2))))
         m = self.matrix
         rows = np.flatnonzero(np.diff(m.indptr))  # reduceat gives an empty row its successor's entry
         if rows.size == 0:
@@ -156,15 +218,37 @@ class FokkerPlanckOperator:
         return float(np.max(np.add.reduceat(np.abs(m.data), m.indptr[rows])))
 
     def __repr__(self):
-        return f"FokkerPlanckOperator(n={self.matrix.shape[0]})"
+        return f"FokkerPlanckOperator(n={self.grid.ncells})"
+
+
+def _row_sums(sub, diag, sup, add):
+    """``add`` over the three band terms of every row of a 1D operator, in the row's CSR column order.
+
+    Row i holds columns i - 1, i, i + 1; on a circle row 0 holds 0, 1,
+    n - 1 and row n - 1 holds 0, n - 2, n - 1.
+    """
+    sums = add(sub, diag, sup)
+    sums[0] = add(diag[0], sup[0], sub[0])
+    sums[-1] = add(sup[-1], sub[-1], diag[-1])
+    return sums
+
+
+def _csr(n: int, rows, cols, vals) -> sp.csr_matrix:
+    """The n x n CSR of COO triplets given as lists of arrays, duplicates summed, columns sorted."""
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)).tocsr()
 
 
 def assemble_fp_operator(dd: DriftDiffusionData) -> FokkerPlanckOperator:
-    """Assemble the finite-volume matrix from flux-form coefficients.
+    """Assemble the finite-volume operator from flux-form coefficients.
 
-    The matrix lives on ``dd.grid``, the grid the coefficients were
+    The operator lives on ``dd.grid``, the grid the coefficients were
     sampled on.  Faces are processed per axis in their canonical order,
-    so repeated assemblies are bit-identical.
+    so repeated assemblies are bit-identical.  A 2D operator is built as
+    its CSR matrix, from COO triplets whose duplicates the conversion
+    sums.  A 1D operator is kept as its three bands (see
+    :class:`FokkerPlanckOperator`): each face adds its rates to the two
+    coupling bands and subtracts them from the diagonal, k_left at its
+    left cell and then k_right at its right one.
     """
     grid = dd.grid
     d = grid.dim
@@ -199,6 +283,13 @@ def assemble_fp_operator(dd: DriftDiffusionData) -> FokkerPlanckOperator:
         k_right = scale * bernoulli(peclet)
         positive_rates = positive_rates and bool(np.all(k_left > 0.0) and np.all(k_right > 0.0))
         # flux(L->R) = k_left*u_L - k_right*u_R, in rate units (already /vol)
+        if d == 1:  # one axis and no cross terms: the three bands are the whole operator
+            sub, diag, sup = np.zeros(grid.ncells), np.zeros(grid.ncells), np.zeros(grid.ncells)
+            sub[right] = k_left
+            sup[left] = k_right
+            diag[left] -= k_left
+            diag[right] -= k_right  # the order in which CSR sums a cell's two diagonal entries
+            return FokkerPlanckOperator(None, grid, False, positive_rates, bands=(sub, diag, sup))
         rows.append(left); cols.append(left); vals.append(-k_left)
         rows.append(right); cols.append(left); vals.append(k_left)
         rows.append(left); cols.append(right); vals.append(k_right)
@@ -219,11 +310,7 @@ def assemble_fp_operator(dd: DriftDiffusionData) -> FokkerPlanckOperator:
                 rows.append(left); cols.append(nbr); vals.append(coef)
                 rows.append(right); cols.append(nbr); vals.append(-coef)
 
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.ncells, grid.ncells),
-    ).tocsr()
-    return FokkerPlanckOperator(mat, grid, has_cross, positive_rates)
+    return FokkerPlanckOperator(_csr(grid.ncells, rows, cols, vals), grid, has_cross, positive_rates)
 
 
 def assemble_for(sys: ConservativeSystem, noise: Noise, eps: float) -> FokkerPlanckOperator:

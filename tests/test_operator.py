@@ -18,6 +18,7 @@ from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
 from noisyflow.operator import (
     FokkerPlanckOperator,
     assemble_for,
+    assemble_fp_operator,
     bernoulli,
     derive_drift_diffusion,
 )
@@ -285,6 +286,79 @@ def test_inf_norm_has_the_bits_of_the_absolute_row_sums(case):
     emptied = FokkerPlanckOperator(m, op.grid, op.has_cross_diffusion)
     assert emptied.inf_norm() == float(np.max(np.abs(m).sum(axis=1)))
     assert FokkerPlanckOperator(sp.csr_matrix(m.shape), op.grid, False).inf_norm() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# 1D operators as three bands
+# ---------------------------------------------------------------------------
+
+
+def face_loop_csr(dd):
+    """The CSR of a 1D operator as a face loop builds it: four COO entries per face, duplicates summed."""
+    g = dd.grid
+    left, right, _ = g.interior_faces(0)
+    h = g.h[0]
+    dface = 0.5 * dd.eps * dd.eps * 0.5 * (dd.a[left, 0, 0] + dd.a[right, 0, 0])
+    peclet = dd.ceff[0] * h / dface
+    scale = dface * g.face_area(0) / (h * g.cell_volume)
+    k_left, k_right = scale * bernoulli(-peclet), scale * bernoulli(peclet)
+    rows = np.concatenate((left, right, left, right))
+    cols = np.concatenate((left, left, right, right))
+    vals = np.concatenate((-k_left, k_left, k_right, -k_right))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(g.ncells, g.ncells)).tocsr()
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+BAND_CASES = [
+    (Circle(), "circle-positive", n, eps) for n in (4, 64, 4096) for eps in (0.4, 0.1)
+] + [
+    (Interval(), "zero-drift", n, 0.3) for n in (4, 64, 4096)
+] + [
+    (Circle(), "circle-positive", 8, 0.01),  # every rate against the drift underflows to a stored 0
+]
+
+
+@pytest.mark.parametrize("kind, name, n, eps", BAND_CASES)
+def test_a_1d_matrix_is_built_from_the_bands_with_the_face_loop_bits(kind, name, n, eps):
+    g = build_grid(kind, n)
+    dd = derive_drift_diffusion(builtin_catalog(name, g), coordinate_noise(g), eps)
+    op = assemble_fp_operator(dd)
+    assert "matrix" not in vars(op)  # assembly keeps the bands only
+    expected = face_loop_csr(dd)
+    for part in ("indptr", "indices", "data"):
+        assert same_bits(getattr(op.matrix, part), getattr(expected, part))
+    assert op.matrix.nnz == (3 * n if g.periodic[0] else 3 * n - 2)
+    if eps == 0.01:
+        assert np.count_nonzero(op.matrix.data == 0.0) == n
+
+
+@pytest.mark.parametrize("kind, name, n, eps", BAND_CASES)
+def test_band_product_and_norm_have_the_bits_of_the_csr(kind, name, n, eps):
+    g = build_grid(kind, n)
+    op = assemble_for(builtin_catalog(name, g), coordinate_noise(g), eps)
+    rng = np.random.default_rng(n)
+    m = op.matrix
+    for u in (rng.random(n), rng.standard_normal(n), np.ones(n)):
+        assert same_bits(op.apply(u), m @ u)  # csr_matvec: (x0 + x1) + x2 per row, in column order
+    # reduceat: x0 + (x1 + x2) per row; every row of an assembled operator holds entries
+    assert op.inf_norm() == float(np.max(np.add.reduceat(np.abs(m.data), m.indptr[:-1])))
+
+
+def test_an_operator_given_by_a_1d_matrix_reads_its_bands_off_it():
+    g = build_grid(Circle(), 16)
+    op = assemble_for(builtin_catalog("circle-positive", g), coordinate_noise(g), 0.3)
+    bare = FokkerPlanckOperator(op.matrix, g, False)
+    for read, assembled in zip(bare.bands, op.bands):
+        assert same_bits(read, assembled)
+    far = op.matrix.tolil()
+    far[0, 8] = 1.0
+    with pytest.raises(AssemblyError, match="^a 1D operator couples each cell to its two neighbors only$"):
+        FokkerPlanckOperator(far.tocsr(), g, False).bands
+    with pytest.raises(ValueError, match="not both"):
+        FokkerPlanckOperator(op.matrix, g, False, bands=op.bands)
 
 
 def test_cross_diffusion_requires_spd():

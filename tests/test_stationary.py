@@ -29,6 +29,7 @@ from noisyflow.fields import (
 )
 from noisyflow.geometry import Circle, Interval, Rectangle, Torus2, build_grid
 from noisyflow.operator import FokkerPlanckOperator, assemble_for
+import noisyflow.operator as operator_module
 import noisyflow.stationary as stationary
 from noisyflow.config import parse_config
 from noisyflow.experiments import SweepConfig, SystemSpec
@@ -345,6 +346,60 @@ def test_path_solve_residual_on_a_large_circle():
     g = build_grid(Circle(), 2 ** 17)
     op = assemble_for(builtin_catalog("circle-positive", g), unit_noise(g), 0.05)
     assert solve_stationary(op).residual <= 1e-14
+
+
+def circle_family(g, phase):
+    """B = 2 + sin(2 pi x + phase) with u0 = 1 / B: positive drift, a constant flux."""
+    b = Trig("sin", 0, 1, 1.0, 2.0, 1.0, phase)
+    return ConservativeSystem(VectorField([b]), Power(b, -1.0), g)
+
+
+def interval_family(g, phase):
+    """B = sin(pi x) (1 + cos(2 pi x + phase) / 2) / 10, which vanishes at both walls of [0, 1].
+
+    The drift is mild: at amplitude 1 a 4-cell interval at eps 0.1 makes
+    the path's matrix singular in floating point, and ``dgtsv`` fails.
+    """
+    b = Product(Trig("sin", 0, 1, 0.1, 0.0, 2.0), Trig("cos", 0, 1, 0.5, 1.0, 1.0, phase))
+    return ConservativeSystem(VectorField([b]), Const(1.0), g)
+
+
+def csr_residual(op, u):
+    """||M u||_inf / (||M||_inf ||u||_inf) from the CSR: its product, and reduceat over its rows."""
+    m = op.matrix
+    norm = float(np.max(np.add.reduceat(np.abs(m.data), m.indptr[:-1])))
+    return float(np.max(np.abs(m @ u))) / (norm * float(u.max()))
+
+
+@pytest.mark.parametrize("kind, family", [(Circle(), circle_family), (Interval(), interval_family)],
+                         ids=["circle", "interval"])
+@pytest.mark.parametrize("n", [4, 64, 4096])
+def test_the_band_residual_has_the_bits_of_the_csr_residual(kind, family, n):
+    g = build_grid(kind, n)
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        system = family(g, 2.0 * math.pi * rng.random())
+        factor = 0.9 + 0.2 * rng.random()
+        for eps in (0.4, 0.2, 0.1, 0.05):
+            op = assemble_for(system, unit_noise(g), eps * factor)
+            rep = solve_stationary(op)
+            assert "matrix" not in vars(op)  # the solve read the bands only
+            assert rep.residual == csr_residual(op, rep.density.values)
+            assert op.inf_norm() == float(np.max(np.abs(op.matrix).sum(axis=1)))
+
+
+@pytest.mark.parametrize("kind", [Circle(), Interval()], ids=["circle", "interval"])
+def test_a_1d_stationary_solve_forms_no_csr(kind, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a CSR was formed")
+
+    g = build_grid(kind, 64)
+    op = assemble_for(builtin_catalog("zero-drift", g), unit_noise(g), 0.3)
+    monkeypatch.setattr(operator_module, "_csr", refuse)
+    rep = solve_stationary(op)
+    assert rep.method == "direct" and "matrix" not in vars(op)
+    with pytest.raises(AssertionError, match="a CSR was formed"):
+        op.matrix
 
 
 def fill(lu):

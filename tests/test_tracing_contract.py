@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from noisyflow.fields import builtin_catalog, coordinate_noise
-from noisyflow.geometry import Circle, build_grid
+from noisyflow.geometry import Circle, Interval, build_grid
 from noisyflow.operator import derive_drift_diffusion
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -45,10 +45,10 @@ def test_every_tracer_target_resolves_in_the_package(module, path):
     assert callable(resolve(module, path))
 
 
-def real_calls(tmp_path):
+def real_calls(tmp_path, kind):
     """path -> (args, kwargs) of one real call of each target whose result the tracer reads."""
-    grid = build_grid(Circle(), 16)
-    system = builtin_catalog("circle-positive", grid)
+    grid = build_grid(kind, 16)
+    system = builtin_catalog("circle-positive" if isinstance(kind, Circle) else "zero-drift", grid)
     data = derive_drift_diffusion(system, coordinate_noise(grid), 0.5)
     op = resolve("noisyflow.operator", "assemble_fp_operator")(data)
     stationary = resolve("noisyflow.stationary", "solve_stationary")(op).density
@@ -61,12 +61,19 @@ def real_calls(tmp_path):
     }
 
 
-def test_the_tracer_reads_attributes_the_results_still_have(tmp_path):
+@pytest.mark.parametrize("kind", [Circle(), Interval()], ids=["circle", "interval"])
+def test_the_tracer_reads_attributes_the_results_still_have(tmp_path, kind):
     # .matrix of the operator, StationaryReport.method, EvolutionTrace.times and the written text
-    calls = real_calls(tmp_path)
+    calls = real_calls(tmp_path, kind)
     readers = {path: (module, attrs_of) for _, module, path, attrs_of in TARGETS if attrs_of is not None}
     assert readers.keys() == calls.keys()
+    assert "matrix" not in vars(calls["solve_stationary"][0][0])  # the solve's reader sees a band-only operator
+    results = {}
     for path, (module, attrs_of) in readers.items():
         args, kwargs = calls[path]
         attrs = attrs_of(args, resolve(module, path)(*args, **kwargs))
         assert attrs and all(isinstance(value, int) for value in attrs.values())
+        results[path] = attrs
+    # a 1D operator is assembled as its bands; reading its nnz forms the CSR
+    assert results["assemble_fp_operator"]["nnz"] == (48 if isinstance(kind, Circle) else 46)
+    assert results["solve_stationary"]["fallback"] == 0
