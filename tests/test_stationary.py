@@ -385,7 +385,6 @@ def test_the_band_residual_has_the_bits_of_the_csr_residual(kind, family, n):
             rep = solve_stationary(op)
             assert "matrix" not in vars(op)  # the solve read the bands only
             assert rep.residual == csr_residual(op, rep.density.values)
-            assert op.inf_norm() == float(np.max(np.abs(op.matrix).sum(axis=1)))
 
 
 @pytest.mark.parametrize("kind", [Circle(), Interval()], ids=["circle", "interval"])
