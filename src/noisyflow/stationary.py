@@ -62,10 +62,12 @@ Phi = (2 / eps^2) P + R at the panel edges with eps-free integrals P of
 B / a and R of 2 b / a.  :func:`_panel_samples` keeps them, per (closed
 forms, panel lattice), and returns them to the next call with equal
 forms on the same lattice, so a loop over eps on one grid samples and
-integrates once.  It keeps 8n + 1 doubles at the panel edges for P and
-for B / a (the slope psi), and a at the edges unless it is constant; a
-drift correction b other than the constant 0 adds R and 2 b / a, and
-both slopes' 8n midpoint samples, for psi_max.
+integrates once.  It keeps 8n + 1 doubles at the panel edges for P, for
+R unless b is the constant 0, and for a unless it is constant; on the
+circle also for B / a (the slope psi), and when b != 0 for 2 b / a and
+both slopes' 8n midpoint samples, for psi_max.  It samples block by
+block into the kept arrays: a cold call at 2^15 cells peaks at 4.5 MB
+traced to keep 4.0 MB (12.0 MB with whole-array temporaries).
 
 Besides the kept arrays a circle oracle call holds one (8n + 1)-long
 array, w (the interval oracle: Phi).  Everything else lives for one
@@ -96,7 +98,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgtsv
 
 from .errors import DegenerateError, FieldEvaluationError, PositivityError, ResolutionError, SolveError
-from .fields import Const, ScalarForm, VectorField, add, correction_forms, diffusion_forms, mul
+from .fields import Const, VectorField, add, correction_forms, diffusion_forms, mul
 from .geometry import Circle, Grid, Interval
 from .operator import FokkerPlanckOperator
 
@@ -365,27 +367,6 @@ def _oracle_coefficients(a0: VectorField, ai: list[VectorField]):
     return a_form, add(a0.components[0], mul(Const(0.5), d_form))
 
 
-def _quad_nodes(origin: float, length: float, panels: int):
-    """Panel edges and midpoints for composite Simpson."""
-    edges = origin + np.arange(panels + 1) * (length / panels)
-    mids = origin + (np.arange(panels) + 0.5) * (length / panels)
-    return edges, mids
-
-
-def _cumulative_simpson(f_edges, f_mids, delta):
-    """Cumulative composite Simpson integral of f from the first edge, at the edges, as a read-only array."""
-    edges = np.empty(len(f_edges))
-    edges[0] = 0.0
-    panel = edges[1:]  # (delta / 6) (f_left + 4 f_mid + f_right), in place
-    np.multiply(4.0, f_mids, out=panel)
-    panel += f_edges[:-1]
-    panel += f_edges[1:]
-    panel *= delta / 6.0
-    np.cumsum(panel, out=panel)
-    edges.flags.writeable = False
-    return edges
-
-
 def _simpson_on_edges(values, delta, factor=None):
     """Composite Simpson treating consecutive edge triples as panels, of ``factor * values`` if given.
 
@@ -407,15 +388,14 @@ class _PanelSamples(NamedTuple):
 
     b_min: float  # the least drift B over all panel nodes
     a: float | np.ndarray  # the total diffusion a at the panel edges
-    psi: tuple  # (q, r) at the edges, r None when b = 0
-    psi_mids: tuple | None  # (q, r) at the midpoints, kept only when b != 0
+    psi: tuple | None  # (q, r) at the edges, r None when b = 0; kept only with slopes
+    psi_mids: tuple | None  # (q, r) at the midpoints, kept only with slopes when b != 0
     q_max: float  # max |q| over all panel nodes
     phi: tuple  # (P, R) at the edges, R None when b = 0
 
 
 @functools.lru_cache(maxsize=1)
-def _panel_samples(b_form: ScalarForm, a_form: ScalarForm, b_corr_form: ScalarForm,
-                   origin: float, length: float, quad: int) -> _PanelSamples:
+def _panel_samples(b_form, a_form, b_corr_form, origin, length, quad, slopes=True) -> _PanelSamples:
     """The eps-free parts of the oracles on ``quad`` Simpson panels of [origin, origin + length].
 
     The exponent's slope is psi = 2 (B + eps^2 b) / (eps^2 a) = s q + r
@@ -423,16 +403,23 @@ def _panel_samples(b_form: ScalarForm, a_form: ScalarForm, b_corr_form: ScalarFo
     linear, so Phi = s P + R at the panel edges with P and R the
     cumulative Simpson integrals of q and r.  Returns a
     :class:`_PanelSamples`: the least B over all panel nodes, a at the
-    edges (one Python float when constant), q and r at the edges, max |q|
-    over all nodes, and P and R.  When the drift correction b = A_0 + d / 2
-    is the constant 0 (coordinate noise), r and R are None and
-    psi_max = s max |q|; otherwise q and r are also kept at the
-    midpoints, for psi_max.  Every kept array is read-only.  Raises
-    :class:`FieldEvaluationError` on a non-finite sample, as the
-    finite-volume path does, and :class:`PositivityError` unless a > 0.
+    edges (one Python float when constant), max |q| over all nodes, and
+    P and R.  When the drift correction b = A_0 + d / 2 is the constant 0
+    (coordinate noise), r and R are None.  With ``slopes`` (the circle
+    oracle's) q and r are also kept at the edges, and when b != 0 at the
+    midpoints, for psi_max (s max |q| when b = 0).  Every kept array is
+    read-only.  Raises :class:`FieldEvaluationError` on a non-finite
+    sample, as the finite-volume path does, and :class:`PositivityError`
+    unless a > 0.
+
+    Nodes and form samples live for one block of ``J1_BLOCK`` panels and
+    the results go straight into the kept arrays; each block's cumsum
+    starts from the running integral, so the bits are those of whole
+    arrays.  At 2^17 cells a cold call peaks at 16.5 MB traced to keep
+    16.0 MB, against 48.0 MB with whole-array temporaries.
 
     The last call's result is kept, keyed on the closed forms by value
-    (every form is a frozen dataclass) and on the exact lattice, so a hit
+    (every form is a frozen dataclass), the exact lattice and ``slopes``, so a hit
     returns what a fresh evaluation would, bit for bit, and never another
     grid's: a caller looping over eps with the same fields on one grid
     evaluates and integrates them once.  Keeping P at the midpoints too
@@ -442,48 +429,62 @@ def _panel_samples(b_form: ScalarForm, a_form: ScalarForm, b_corr_form: ScalarFo
     array raised the traced peak of those solves from 12.1 to 14.2 MB,
     past the cold oracle call's 13.4 MB, and ``peak_rss_mb`` by 0.18 MB.
     """
-    edges, mids = _quad_nodes(origin, length, quad)
+    delta = length / quad
+    corrected = not (isinstance(b_corr_form, Const) and b_corr_form.value == 0.0)
+    parts = [(b_form, "the drift B"), (b_corr_form, "the drift correction b")][:1 + corrected]
 
-    def sample(form, what, arrays=False):
-        if isinstance(form, Const) and not arrays:
-            pair = (float(form.value),) * 2
-        else:
-            pair = (form(edges), form(mids))
+    def kept(size, keep=True):  # (q, r) or (P, R), r and R None when b = 0; None unless kept
+        return (np.zeros(size), np.zeros(size) if corrected else None) if keep else None
+
+    phi, psi, psi_mids = kept(quad + 1), kept(quad + 1, slopes), kept(quad, slopes and corrected)
+    a = float(a_form.value) if isinstance(a_form, Const) else np.empty(quad + 1)
+    b_min, q_max = math.inf, 0.0
+
+    def sample(form, what, nodes, arrays=True):
+        pair = (float(form.value),) * 2 if isinstance(form, Const) and not arrays else (form(nodes[0]), form(nodes[1]))
         for values in pair:
             if not np.all(np.isfinite(values)):
                 raise FieldEvaluationError(f"non-finite sample of {what} on the oracle's panels")
         return pair
 
-    a = sample(a_form, "the total diffusion a")
-    if not (np.all(a[0] > 0.0) and np.all(a[1] > 0.0)):
-        raise PositivityError("total diffusion a must be positive")
-    q = sample(b_form, "the drift B", arrays=True)
-    corrected = not (isinstance(b_corr_form, Const) and b_corr_form.value == 0.0)
-    r = sample(b_corr_form, "the drift correction b", arrays=True) if corrected else (None, None)
-    del edges, mids
-    b_min = min(float(q[0].min()), float(q[1].min()))
-    for b, a_part in zip(q, a):  # q = B / a and r = 2 b / a, in place in the fresh samples
-        np.divide(b, a_part, out=b)
-    if corrected:
-        for b, a_part in zip(r, a):
-            np.divide(b, a_part, out=b)
-            b *= 2.0
-    q_max = max(float(q[0].max()), float(q[1].max()), -float(q[0].min()), -float(q[1].min()))
-    p_edges = _cumulative_simpson(q[0], q[1], length / quad)
-    r_edges = _cumulative_simpson(r[0], r[1], length / quad) if corrected else None
-    for values in (*q, *r, a[0]):
+    for start in range(0, quad, J1_BLOCK):
+        end = min(start + J1_BLOCK, quad)
+        nodes = (origin + np.arange(start, end + 1) * delta, origin + (np.arange(start, end) + 0.5) * delta)
+        a_part = sample(a_form, "the total diffusion a", nodes, False)
+        if not (np.all(a_part[0] > 0.0) and np.all(a_part[1] > 0.0)):
+            raise PositivityError("total diffusion a must be positive")
+        if isinstance(a, np.ndarray):
+            a[start:end + 1] = a_part[0]
+        for k, (form, what) in enumerate(parts):
+            edges, mids = sample(form, what, nodes)
+            if not k:
+                b_min = min(b_min, edges.min(), mids.min())
+            # q = B / a and r = (b / a) 2, into the kept slopes if any
+            edges = np.divide(edges, a_part[0], out=edges if psi is None else psi[k][start:end + 1])
+            mids = np.divide(mids, a_part[1], out=mids if psi_mids is None else psi_mids[k][start:end])
+            if not k:
+                q_max = max(q_max, edges.max(), mids.max(), -edges.min(), -mids.min())
+            else:
+                edges *= 2.0
+                mids *= 2.0
+            term = np.multiply(4.0, mids, out=phi[k][start + 1:end + 1])  # (delta / 6) (f_l + 4 f_mid + f_r)
+            term += edges[:-1]
+            term += edges[1:]
+            term *= delta / 6.0
+            if start:  # the running integral, so the sums stay sequential
+                term[0] += phi[k][start]
+            np.cumsum(term, out=term)
+    for values in (a, *phi, *(psi or ()), *(psi_mids or ())):
         if isinstance(values, np.ndarray):
             values.flags.writeable = False
-    return _PanelSamples(b_min, a[0], (q[0], r[0]), (q[1], r[1]) if corrected else None, q_max,
-                         (p_edges, r_edges))
+    return _PanelSamples(float(b_min), a, psi, psi_mids, float(q_max), phi)
 
 
 def _oracle_samples(drift: VectorField, a0: VectorField, ai: list[VectorField], grid: Grid,
                     quad: int) -> _PanelSamples:
     """:func:`_panel_samples` of the oracles' coefficients on ``quad`` panels over the 1D domain of ``grid``."""
-    a_form, b_corr_form = _oracle_coefficients(a0, ai)
-    (origin,), (length,) = grid.kind.origin, grid.kind.lengths
-    return _panel_samples(drift.components[0], a_form, b_corr_form, origin, length, quad)
+    return _panel_samples(drift.components[0], *_oracle_coefficients(a0, ai), *grid.kind.origin, *grid.kind.lengths,
+                          quad, isinstance(grid.kind, Circle))  # the interval oracle reads no slopes
 
 
 def _scaled(s: float, pair: tuple, part: slice, out=None) -> np.ndarray:

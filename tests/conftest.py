@@ -56,33 +56,45 @@ def full_array_oracles():
     """The 1D oracles as passes over whole arrays, with every form evaluated afresh at every node.
 
     The reference the block passes of ``noisyflow.stationary`` must
-    reproduce bit for bit.  ``integrals(drift, a0, ai, grid, quad)``
-    returns ``(b_min, a_edges, psi, phi)`` on ``quad`` Simpson panels:
+    reproduce bit for bit.  ``samples(b_form, a_form, b_corr_form,
+    origin, length, quad)`` returns the eps-free samples on ``quad``
+    Simpson panels of [origin, origin + length], as a namespace: ``b_min``
+    (the least B over all nodes), ``a`` at the edges, ``q`` = B / a and
+    ``r`` = 2 b / a as (edges, midpoints) pairs, ``q_max`` (max |q| over
+    all nodes), and ``p`` and ``big_r``, the cumulative Simpson integrals
+    of q and r at the edges.  ``integrals(drift, a0, ai, grid, quad)``
+    returns ``(b_min, a_edges, psi, phi)`` from the oracles' coefficients:
     psi = s q + r (at the edges and midpoints) and Phi = s P + R (at the
-    edges) with s = 2 / eps^2, as functions of eps, from the eps-free
-    q = B / a, r = 2 b / a and the cumulative Simpson integrals P and R
-    of q and r (r and R are left out when b is the constant 0, as the
-    package leaves them out).  ``circle`` returns (u, C_eps) and
-    ``interval`` returns u, from the oracles' arguments.  The circle
-    takes Phi at the midpoints from cubic Hermite interpolation of Phi
-    and psi at the edges, stores each panel's term (delta / 6) (E_l + 4 F
-    + E_r), with E and F the exponentials of ref - Phi at its edges and
-    midpoint and ref its block's largest Phi, then sums J1 and J2 out of
-    the terms block by block.  Each elementwise operation takes the
-    operands, in the order, that the package's oracles take; their
-    checks (positivity, resolution, the flux self-check) are left out.
+    edges) with s = 2 / eps^2, as functions of eps (r and R are left out
+    when b is the constant 0, as the package leaves them out).
+    ``circle`` returns (u, C_eps) and ``interval`` returns u, from the
+    oracles' arguments.  The circle takes Phi at the midpoints from cubic
+    Hermite interpolation of Phi and psi at the edges, stores each
+    panel's term (delta / 6) (E_l + 4 F + E_r), with E and F the
+    exponentials of ref - Phi at its edges and midpoint and ref its
+    block's largest Phi, then sums J1 and J2 out of the terms block by
+    block.  Each elementwise operation takes the operands, in the order,
+    that the package's oracles take; their checks (positivity,
+    resolution, the flux self-check) are left out.
     """
+    def samples(b_form, a_form, b_corr_form, origin, length, quad):
+        delta = length / quad
+        nodes = (origin + np.arange(quad + 1) * delta, origin + (np.arange(quad) + 0.5) * delta)
+        b_min = min(float(b_form(x).min()) for x in nodes)
+        q = [b_form(x) / a_form(x) for x in nodes]
+        r = [2.0 * (b_corr_form(x) / a_form(x)) for x in nodes]
+        q_max = max(float(np.max(np.abs(values))) for values in q)
+        p, big_r = (np.concatenate(([0.0], np.cumsum((delta / 6.0) * (f[0][:-1] + 4.0 * f[1] + f[0][1:]))))
+                    for f in (q, r))
+        return SimpleNamespace(b_min=b_min, a=a_form(nodes[0]), q=q, r=r, q_max=q_max, p=p, big_r=big_r)
+
     def integrals(drift, a0, ai, grid, quad):
         a_form, b_corr_form = stationary._oracle_coefficients(a0, ai)
         corrected = b_corr_form != Const(0.0)
         (origin,), (length,) = grid.kind.origin, grid.kind.lengths
         delta = length / quad
-        nodes = stationary._quad_nodes(origin, length, quad)
-        b_min = min(float(drift.components[0](x).min()) for x in nodes)
-        q = [drift.components[0](x) / a_form(x) for x in nodes]
-        r = [2.0 * (b_corr_form(x) / a_form(x)) for x in nodes]
-        p_edges, r_edges = (np.concatenate(([0.0], np.cumsum((delta / 6.0) * (f[0][:-1] + 4.0 * f[1] + f[0][1:]))))
-                            for f in (q, r))
+        ref = samples(drift.components[0], a_form, b_corr_form, origin, length, quad)
+        q, r, p_edges, r_edges = ref.q, ref.r, ref.p, ref.big_r
 
         def psi(eps):
             s = 2.0 / (eps * eps)
@@ -95,7 +107,7 @@ def full_array_oracles():
                 return s * p_edges + r_edges, falls + [1.0 * delta / 4.0 * (r[0][:-1] - r[0][1:])]
             return s * p_edges, falls
 
-        return b_min, a_form(nodes[0]), psi, phi
+        return ref.b_min, ref.a, psi, phi
 
     def blocks(phi):
         """(start, end, ref) of the circle's blocks, left to right."""
@@ -148,7 +160,7 @@ def full_array_oracles():
         z = stationary._simpson_on_edges(u_unnorm, grid.kind.lengths[0] / quad)
         return stationary._at_centers(u_unnorm / z, grid)
 
-    return SimpleNamespace(integrals=integrals, circle=circle, interval=interval)
+    return SimpleNamespace(samples=samples, integrals=integrals, circle=circle, interval=interval)
 
 
 @pytest.fixture

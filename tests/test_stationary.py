@@ -658,6 +658,125 @@ def test_kept_samples_give_the_bits_of_a_fresh_evaluation(case, full_array_oracl
     assert np.array_equal(u, u_ref) and c_eps == c_ref
 
 
+def kept_arrays(samples):
+    """Every array a ``_PanelSamples`` keeps; a constant a is one float, and r, R and the slopes may be None."""
+    fields = (samples.a, *(samples.psi or ()), *(samples.psi_mids or ()), *samples.phi)
+    return [values for values in fields if isinstance(values, np.ndarray)]
+
+
+def same_bits(values, reference):
+    """Equal shapes, dtypes and bytes: unlike ==, -0.0 differs from 0.0."""
+    return (values.shape, values.dtype, values.tobytes()) == (reference.shape, reference.dtype, reference.tobytes())
+
+
+@pytest.mark.parametrize("kind, n, noise", [(Circle(), 1025, "coordinate"), (Circle(), 64, "coordinate"),
+                                            (Circle(), 1025, "varying"), (Interval(), 1025, "varying"),
+                                            (Interval(), 64, "coordinate")])
+def test_every_kept_sample_has_the_bits_of_a_full_array_evaluation(kind, n, noise, full_array_oracles):
+    # 1025 cells are 8200 panels, a full block of J1_BLOCK and a short one of 8; 64 cells are one short
+    # block.  The varying noise has a non-constant a and b != 0, so r, R and the midpoint slopes are kept
+    g = build_grid(kind, n)
+    quad = 8 * n
+    assert (quad % stationary.J1_BLOCK != 0) and (quad > stationary.J1_BLOCK) == (n == 1025)
+    drift = VectorField([Trig("sin", 0, 1, 1.0, 2.0, 1.0)])
+    if noise == "coordinate":
+        nf = unit_noise(g)
+        a0, ai = nf.a0_field, nf.ai_fields
+    else:
+        a0, ai = VectorField.zero(1), [VectorField([Trig("cos", 0, 1, 0.9, 1.0, 1.0)])]
+    a_form, b_corr_form = stationary._oracle_coefficients(a0, ai)
+    ref = full_array_oracles.samples(drift.components[0], a_form, b_corr_form, 0.0, 1.0, quad)
+    _panel_samples.cache_clear()
+    samples = _oracle_samples(drift, a0, ai, g, quad)
+    assert samples.b_min == ref.b_min and samples.q_max == ref.q_max
+    corrected, slopes = noise == "varying", isinstance(kind, Circle)
+    expected = [(samples.phi[0], ref.p)]
+    if corrected:
+        expected += [(samples.phi[1], ref.big_r), (samples.a, ref.a)]
+    else:
+        assert samples.phi[1] is None and samples.a == 1.0 and np.all(ref.a == 1.0)
+    if slopes:
+        expected.append((samples.psi[0], ref.q[0]))
+        if corrected:
+            expected += [(samples.psi[1], ref.r[0]), (samples.psi_mids[0], ref.q[1]), (samples.psi_mids[1], ref.r[1])]
+        else:
+            assert samples.psi[1] is None and samples.psi_mids is None
+    else:  # the interval oracle reads P, R and a only
+        assert samples.psi is None and samples.psi_mids is None
+    assert len(kept_arrays(samples)) == len(expected)
+    for values, reference in expected:
+        assert same_bits(values, reference) and not values.flags.writeable
+
+
+BAD_LAST_BLOCK = Affine(0, -1.0, 0.9995)  # negative past x = 0.9995 only, inside the last of 8200 panels
+
+
+@pytest.mark.parametrize("slopes", [True, False])
+@pytest.mark.parametrize("forms, error, message", [
+    ((Power(BAD_LAST_BLOCK, 0.5), Const(1.0), Const(0.0)), FieldEvaluationError,
+     "non-finite sample of the drift B on the oracle's panels"),
+    ((Const(1.0), Power(BAD_LAST_BLOCK, 0.5), Const(0.0)), FieldEvaluationError,
+     "non-finite sample of the total diffusion a on the oracle's panels"),
+    ((Const(1.0), Const(1.0), Power(BAD_LAST_BLOCK, 0.5)), FieldEvaluationError,
+     "non-finite sample of the drift correction b on the oracle's panels"),
+    ((Const(1.0), BAD_LAST_BLOCK, Const(0.0)), PositivityError, "total diffusion a must be positive"),
+    ((Const(1.0), Const(math.inf), Const(0.0)), FieldEvaluationError,  # a constant a is one float, checked too
+     "non-finite sample of the total diffusion a on the oracle's panels"),
+])
+def test_a_bad_sample_raises_and_keeps_nothing(forms, error, message, slopes):
+    quad = 8 * 1025
+    assert BAD_LAST_BLOCK(np.array([stationary.J1_BLOCK / quad]))[0] > 0.0  # every earlier block is good
+    _panel_samples.cache_clear()
+    with np.errstate(invalid="ignore"), pytest.raises(error, match=f"^{message}$"):
+        _panel_samples(*forms, 0.0, 1.0, quad, slopes)
+    assert _panel_samples.cache_info().currsize == 0
+
+
+def traced_peak(call):
+    """``call()``'s result and the most memory tracemalloc saw above what was held before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_cold_panel_samples_peak_at_the_kept_arrays_and_a_few_blocks():
+    # nodes and form samples live for one block of J1_BLOCK panels; whole-array
+    # nodes and form temporaries peaked at three times the kept arrays
+    n = 2 ** 12
+    g = build_grid(Circle(), n)
+    nf = unit_noise(g)
+    drift = builtin_catalog("circle-positive", g).drift
+    _panel_samples.cache_clear()
+    samples, peak = traced_peak(lambda: _oracle_samples(drift, nf.a0_field, nf.ai_fields, g, 8 * n))
+    kept = sum(values.nbytes for values in kept_arrays(samples))
+    assert kept == 2 * 8 * (8 * n + 1)  # P and q at the edges
+    assert peak < kept + 10 * 8 * (stationary.J1_BLOCK + 1)
+
+
+def test_an_interval_keeps_only_what_its_oracle_reads(full_array_oracles):
+    n = 2 ** 12
+    drift = VectorField([Trig("sin", 0, 1, 1.0, 2.0, 1.0)])
+    circle, interval = build_grid(Circle(), n), build_grid(Interval(), n)
+    nf = unit_noise(interval)
+    _panel_samples.cache_clear()
+    circle_samples = _oracle_samples(drift, nf.a0_field, nf.ai_fields, circle, 8 * n)
+    samples = _oracle_samples(drift, nf.a0_field, nf.ai_fields, interval, 8 * n)  # the same forms and lattice
+    assert (_panel_samples.cache_info().misses, _panel_samples.cache_info().hits) == (2, 0)
+    assert [values.nbytes for values in kept_arrays(samples)] == [8 * (8 * n + 1)]  # P alone: 0.26 MB
+    assert same_bits(samples.phi[0], circle_samples.phi[0])
+    drift = VectorField([Trig("sin", 0, 1, 0.3, 0.0, 1.0)])  # vanishes at both ends
+    u = oracle_1d_interval(drift, nf.a0_field, nf.ai_fields, 0.3, interval)
+    assert same_bits(u, full_array_oracles.interval(drift, nf.a0_field, nf.ai_fields, 0.3, interval))
+
+
 def seam_case(case):
     """(grid, drift, a0, ai, eps) of a circle case placed against the oracles' blocks of J1_BLOCK panels."""
     if case in ("overflowing", "non-monotone"):
@@ -722,17 +841,7 @@ def test_oracle_working_set(kind):
     else:
         oracle, drift = oracle_1d_interval, VectorField([Trig("sin", 0, 1, 0.3, 0.0, 1.0)])
     oracle(drift, nf.a0_field, nf.ai_fields, 0.3, g)  # keeps the samples
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    try:
-        oracle(drift, nf.a0_field, nf.ai_fields, 0.3, g)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
+    _, peak = traced_peak(lambda: oracle(drift, nf.a0_field, nf.ai_fields, 0.3, g))
     assert peak < 2 * 8 * (8 * n + 1)
 
 
