@@ -234,8 +234,14 @@ def _row_sums(sub, diag, sup, add):
 
 
 def _csr(n: int, rows, cols, vals) -> sp.csr_matrix:
-    """The n x n CSR of COO triplets given as lists of arrays, duplicates summed, columns sorted."""
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)).tocsr()
+    """The n x n CSR of COO triplets given as lists of arrays, duplicates summed, columns sorted.
+
+    Summing leaves views of the COO-length buffers; copies own exactly nnz entries.
+    """
+    m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)).tocsr()
+    if m.data.base is not None and m.data.base.size > m.nnz:
+        m.data, m.indices = m.data.copy(), m.indices.copy()
+    return m
 
 
 def assemble_fp_operator(dd: DriftDiffusionData) -> FokkerPlanckOperator:

@@ -3,8 +3,8 @@
 The stationary solve pins one cell of the singular conservative matrix,
 the cell r with the largest diagonal magnitude (lowest index on ties),
 to u_r = 1, and normalizes the solution to unit mass afterwards.  In 2D
-row r becomes d u_r = d with d its diagonal magnitude; the pinned matrix
-stays sparse and is factorized by :func:`factorize`.  In 1D the matrix
+row r becomes d u_r = d with d its diagonal magnitude, set in the one
+CSC copy that :func:`factorize` hands SuperLU as it is.  In 1D the matrix
 is tridiagonal (cyclically on a circle), and assembly keeps it as its
 three bands (see :class:`operator.FokkerPlanckOperator`).  Cutting r out
 of the cycle leaves a path whose equations one LAPACK ``dgtsv`` call
@@ -159,7 +159,8 @@ def factorize(matrix: sp.spmatrix, dim: int) -> spla.SuperLU:
 
     Every sparse factorization in the package goes through here: the
     time-step matrices (I - dt M) and (I - dt/2 M), and in 2D the pinned
-    stationary matrix.  The 1D branch serves time steps only: a 1D
+    stationary matrix, a CSC that reaches SuperLU without a copy.  The 1D
+    branch serves time steps only: a 1D
     stationary solve is one tridiagonal LAPACK call on the operator's
     bands (see :func:`_path_solve`), and a 1D time stepper forms the
     CSR it factorizes from them.  ``dim`` is the dimension of the grid the
@@ -228,14 +229,17 @@ def pinned_system(matrix: sp.csr_matrix):
 
     Row r, the :func:`pinned_cell` of M, becomes d u_r = d with
     d = |M_rr|, which keeps the matrix sparse and its scale.  Returns the
-    pinned matrix (CSR) and the right-hand side d e_r.
+    pinned CSC, which :func:`factorize` takes without a copy, and the
+    right-hand side d e_r.  Row r's off-diagonal entries go with M's stored zeros.
     """
     diag = matrix.diagonal()
     row = pinned_cell(diag)
     pin = abs(float(diag[row]))
-    pinned = matrix.tocsr(copy=True)
+    pinned = matrix.tocsc()
+    in_row = pinned.indices == row
+    pinned.data[in_row] = 0.0
     start, end = pinned.indptr[row], pinned.indptr[row + 1]
-    pinned.data[start:end] = np.where(pinned.indices[start:end] == row, pin, 0.0)
+    pinned.data[start:end][in_row[start:end]] = pin
     pinned.eliminate_zeros()
     rhs = np.zeros(matrix.shape[0])
     rhs[row] = pin

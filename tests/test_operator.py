@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from noisyflow.errors import AssemblyError
+from noisyflow.config import parse_config
+from noisyflow.errors import AssemblyError, BoundaryError, ConfigError
 from noisyflow.fields import (
     ConservativeSystem,
     Const,
@@ -23,6 +26,8 @@ from noisyflow.operator import (
     derive_drift_diffusion,
 )
 from noisyflow.stationary import pinned_system, solve_stationary
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def column_sum_max(op) -> float:
@@ -446,6 +451,30 @@ def test_every_catalog_operator_is_canonical(kind_cls, name):
 def test_cross_diffusion_operator_is_canonical():
     # the cross stencil adds several entries at one (row, col); CSR holds their sum once
     assert is_canonical(inf_norm_case("cross-diffusion").matrix)
+
+
+def corpus_operators():
+    """(config name, operator) at every epsilon of every configuration in ``configs/`` that builds."""
+    for path in sorted(CONFIGS.glob("*.ini")):
+        try:
+            cfg = parse_config(path.read_text())
+            grid, system, noise = cfg.build()
+        except (ConfigError, BoundaryError):
+            continue
+        for eps in cfg.epsilons:
+            yield path.stem, assemble_for(system, noise, eps)
+
+
+def test_every_corpus_matrix_owns_exactly_its_entries():
+    # COO -> CSR sums a 2D cell's four diagonal entries in place and leaves the
+    # CSR's arrays views of the longer COO buffers; the CSR keeps copies of nnz
+    dims = set()
+    for name, op in corpus_operators():
+        m = op.matrix
+        for part in (m.data, m.indices):
+            assert part.base is None or part.base.size == m.nnz, name
+        dims.add((op.grid.dim, op.has_cross_diffusion))
+    assert dims == {(1, False), (2, False), (2, True)}  # cross-diffusion-torus included
 
 
 @settings(max_examples=40, deadline=None)

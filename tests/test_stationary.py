@@ -455,6 +455,77 @@ def test_factorize_agrees_with_default_supernodes_on_the_catalog(eps):
     assert pairs == 8  # circle-positive, three torus systems, zero-drift on four domains
 
 
+def csr_pinned_system(matrix):
+    """The pin made on a CSR copy of M and converted afterwards: the reference ``pinned_system`` reproduces."""
+    diag = matrix.diagonal()
+    row = int(np.argmax(np.abs(diag)))
+    pinned = matrix.tocsr(copy=True)
+    start, end = pinned.indptr[row], pinned.indptr[row + 1]
+    pinned.data[start:end] = np.where(pinned.indices[start:end] == row, abs(float(diag[row])), 0.0)
+    pinned.eliminate_zeros()
+    rhs = np.zeros(matrix.shape[0])
+    rhs[row] = abs(float(diag[row]))
+    return pinned.tocsc(), rhs
+
+
+def underflowed_shear():
+    """torus-shear on 16^2 at eps = 0.005: face Peclet numbers beyond 709, so the matrix stores zeros."""
+    g = build_grid(Torus2(), (16, 16))
+    op = assemble_for(builtin_catalog("torus-shear", g), unit_noise(g), 0.005)
+    assert np.count_nonzero(op.matrix.data == 0.0) > 0
+    return op
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.05])
+def test_the_pinned_csc_has_the_bits_of_the_pinned_csr_copy(eps):
+    ops = [assemble_for(system, unit_noise(g), eps) for g, system in catalog_pairs()]
+    for op in ops + [underflowed_shear()]:
+        pinned, _ = pinned_system(op.matrix)
+        reference, _ = csr_pinned_system(op.matrix)
+        assert pinned.format == "csc"
+        for part in ("indptr", "indices", "data"):
+            ours, theirs = getattr(pinned, part), getattr(reference, part)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("case", ["cellular", "underflowed-shear"])
+def test_a_2d_density_keeps_the_bits_of_the_csr_pin(case, monkeypatch):
+    if case == "cellular":
+        g = build_grid(Torus2(), (24, 20))
+        op = assemble_for(builtin_catalog("hamiltonian-cellular", g), unit_noise(g), 0.1)
+    else:
+        op = underflowed_shear()
+    ours = solve_stationary(op).density.values
+    monkeypatch.setattr(stationary, "pinned_system", csr_pinned_system)
+    assert ours.tobytes() == solve_stationary(op).density.values.tobytes()
+
+
+def test_superlu_sees_one_pinned_csc_beside_the_operator(monkeypatch):
+    # the operator's CSR is the caller's; pinning into the CSC that SuperLU
+    # reads adds that CSC and the right-hand side, and no CSR copy of M
+    g = build_grid(Torus2(), (64, 64))
+    op = assemble_for(builtin_catalog("hamiltonian-cellular", g), unit_noise(g), 0.1)
+    seen = {}
+    splu = spla.splu
+
+    def spy(matrix, **kwargs):
+        seen["live"] = tracemalloc.get_traced_memory()[0]
+        seen["pinned"] = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        solve_stationary(op)
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert seen["live"] - held <= seen["pinned"] + 4 * g.ncells * 8
+
+
 # ---------------------------------------------------------------------------
 # circle oracle
 # ---------------------------------------------------------------------------
