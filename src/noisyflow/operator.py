@@ -112,30 +112,26 @@ def derive_drift_diffusion(sys: ConservativeSystem, noise: Noise, eps: float) ->
 class FokkerPlanckOperator:
     """Conservative operator; du/dt = matrix @ u.  Immutable once assembled.
 
-    It is given by its CSR ``matrix`` or, in 1D, by its three ``bands``
-    (sub, diag, sup): sub[i] = M[i, i - 1 mod n], diag[i] = M[i, i] and
+    It is given by its three ``bands`` (sub, diag, sup) in 1D and by its
+    CSR ``matrix`` otherwise: sub[i] = M[i, i - 1 mod n], diag[i] = M[i, i] and
     sup[i] = M[i, i + 1 mod n].  A 1D matrix couples each cell to its
     two neighbors only, cyclically on a circle; on an interval sub[0] and
     sup[n - 1] are 0.  :func:`assemble_fp_operator` keeps a 1D operator
     as its bands, and ``matrix`` builds the CSR from them on first
     access, with the assembly's own COO conversion, so the time stepper,
     the irreducibility search and every other reader of ``matrix`` get
-    the bits and stored zeros they got when assembly built it.  An
-    operator given by a 1D matrix reads its bands off the matrix.  The
+    the bits and stored zeros they got when assembly built it.  The
     stationary solve reads the bands only (:meth:`apply` and
     :meth:`inf_norm` with them), so a 1D stationary solve forms no CSR.
     """
 
     def __init__(self, matrix: sp.csr_matrix | None, grid: Grid, has_cross_diffusion: bool,
                  positive_rates: bool = False, bands: tuple | None = None):
-        if (matrix is None) == (bands is None):
-            raise ValueError("an operator is given by its matrix or by its bands, not both")
-        if bands is not None and grid.dim != 1:
-            raise ValueError("only a 1D operator is given by its bands")
+        if (matrix is None, bands is None) != (grid.dim == 1, grid.dim != 1):
+            raise ValueError("a 1D operator is given by its bands, any other by its matrix")
         if matrix is not None:
             self.matrix = matrix
-        else:
-            self.bands = bands
+        self.bands = bands
         self.grid = grid
         self.has_cross_diffusion = has_cross_diffusion
         self.positive_rates = positive_rates
@@ -147,19 +143,6 @@ class FokkerPlanckOperator:
         left, right, _ = self.grid.interior_faces(0)
         cells = np.arange(self.grid.ncells)
         return _csr(self.grid.ncells, (right, left, cells), (left, right, cells), (sub[right], sup[left], diag))
-
-    @functools.cached_property
-    def bands(self) -> tuple:
-        """(sub, diag, sup) of an operator given by a 1D matrix; :class:`AssemblyError` off the three bands."""
-        m = self.matrix
-        n = m.shape[0]
-        coo = m.tocoo()
-        offset = (coo.col - coo.row) % n
-        if np.any((offset > 1) & (offset < n - 1)):
-            raise AssemblyError("a 1D operator couples each cell to its two neighbors only")
-        sub = np.append(m.diagonal(n - 1), m.diagonal(-1))
-        sup = np.append(m.diagonal(1), m.diagonal(1 - n))
-        return sub, m.diagonal(), sup
 
     def is_irreducible(self) -> bool:
         """Strong connectivity of the coupling graph, one edge per nonzero entry.

@@ -300,9 +300,10 @@ def test_mass_drift_still_shows_a_nonconservative_operator(scheme):
     # the residual step restores the mass only as far as the columns of M
     # sum to zero: it must never turn into a projection onto unit mass
     op, stat = catalog_setup(Circle(), 32, "circle-positive", 0.5)
-    m = op.matrix.copy()
-    m.data[1] *= 1.0 + 1e-9
-    leaky = FokkerPlanckOperator(m, op.grid, op.has_cross_diffusion)
+    sub, diag, sup = op.bands
+    sup = sup.copy()
+    sup[0] *= 1.0 + 1e-9  # M[0, 1]
+    leaky = FokkerPlanckOperator(None, op.grid, op.has_cross_diffusion, bands=(sub, diag, sup))
     v0 = perturbed_initial(stat, mode=1)
     exact, _ = evolve(op, [v0], horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)
     leaked, _ = evolve(leaky, [v0], horizon=0.5, dt=1e-3, scheme=scheme, stationary=stat)

@@ -105,7 +105,11 @@ def test_positive_face_rates_are_irreducible_without_a_search(kind, n, name, gra
     assert op.is_irreducible()
     assert graph_searches == [0]
     # the search agrees with the rule
-    assert FokkerPlanckOperator(op.matrix, g, False).is_irreducible()
+    if g.dim == 1:
+        searched = FokkerPlanckOperator(None, g, False, positive_rates=False, bands=op.bands)
+    else:
+        searched = FokkerPlanckOperator(op.matrix, g, False)
+    assert searched.is_irreducible()
     assert graph_searches == [1]
 
 
@@ -284,6 +288,8 @@ def inf_norm_case(case):
 def test_inf_norm_has_the_bits_of_the_absolute_row_sums(case):
     op = inf_norm_case(case)
     assert op.inf_norm() == float(np.max(np.abs(op.matrix).sum(axis=1)))
+    if op.grid.dim == 1:  # a 1D operator is given by its bands, whose row sums hold three terms
+        return
     # an empty row (here the first one) adds a zero row sum and nothing else
     m = op.matrix.copy()
     m.data[m.indptr[0]:m.indptr[1]] = 0.0
@@ -352,18 +358,16 @@ def test_band_product_and_norm_have_the_bits_of_the_csr(kind, name, n, eps):
     assert op.inf_norm() == float(np.max(np.add.reduceat(np.abs(m.data), m.indptr[:-1])))
 
 
-def test_an_operator_given_by_a_1d_matrix_reads_its_bands_off_it():
-    g = build_grid(Circle(), 16)
-    op = assemble_for(builtin_catalog("circle-positive", g), coordinate_noise(g), 0.3)
-    bare = FokkerPlanckOperator(op.matrix, g, False)
-    for read, assembled in zip(bare.bands, op.bands):
-        assert same_bits(read, assembled)
-    far = op.matrix.tolil()
-    far[0, 8] = 1.0
-    with pytest.raises(AssemblyError, match="^a 1D operator couples each cell to its two neighbors only$"):
-        FokkerPlanckOperator(far.tocsr(), g, False).bands
-    with pytest.raises(ValueError, match="not both"):
-        FokkerPlanckOperator(op.matrix, g, False, bands=op.bands)
+def test_a_1d_operator_takes_bands_and_any_other_a_matrix():
+    circle = build_grid(Circle(), 16)
+    op = assemble_for(builtin_catalog("circle-positive", circle), coordinate_noise(circle), 0.3)
+    torus = build_grid(Torus2(), (4, 4))
+    flat = assemble_for(builtin_catalog("zero-drift", torus), coordinate_noise(torus), 0.3)
+    message = "^a 1D operator is given by its bands, any other by its matrix$"
+    for matrix, grid, bands in ((op.matrix, circle, None), (op.matrix, circle, op.bands), (None, circle, None),
+                                (None, torus, op.bands), (flat.matrix, torus, op.bands), (None, torus, None)):
+        with pytest.raises(ValueError, match=message):
+            FokkerPlanckOperator(matrix, grid, False, bands=bands)
 
 
 def test_cross_diffusion_requires_spd():
