@@ -1,14 +1,16 @@
 """Stationary solves and the 1D closed-form quadrature oracle.
 
-The stationary solve pins one cell of the singular conservative matrix,
-the cell r with the largest diagonal magnitude (lowest index on ties),
-to u_r = 1, and normalizes the solution to unit mass afterwards.  In 2D
-row r becomes d u_r = d with d its diagonal magnitude, set in the one
-CSC copy that :func:`factorize` hands SuperLU as it is.  In 1D the matrix
-is tridiagonal (cyclically on a circle), and assembly keeps it as its
-three bands (see :class:`operator.FokkerPlanckOperator`).  Cutting r out
-of the cycle leaves a path whose equations one LAPACK ``dgtsv`` call
-solves on those bands (see :func:`_path_solve`), and the residual's
+The stationary solve pins one cell r of the singular conservative
+matrix to u_r = 1, and normalizes the solution to unit mass afterwards.
+In 2D r is the cell with the largest diagonal magnitude (lowest index on
+ties, :func:`pinned_cell`), and row r becomes d u_r = d with d that
+magnitude, set in the one CSC copy that :func:`factorize` hands SuperLU
+as it is.  In 1D the matrix is tridiagonal (cyclically on a circle), and
+assembly keeps it as its three bands (see
+:class:`operator.FokkerPlanckOperator`).  There r is the top of a
+discrete potential (:func:`path_pin`), on an interval the density's
+largest cell.  Cutting r out of the cycle leaves a path whose equations one LAPACK ``dgtsv`` call solves on
+those bands (see :func:`_path_solve`), and the residual's
 product and norm are summed off them with the bits the CSR would give,
 so a 1D stationary solve forms no sparse matrix.  On circle-positive at
 2^15 cells and eps 0.4-0.05 that takes assembly and solve from 7.0-10.5
@@ -220,8 +222,26 @@ def factorize(matrix: sp.spmatrix, dim: int) -> spla.SuperLU:
 
 
 def pinned_cell(diag: np.ndarray) -> int:
-    """The cell a stationary solve pins: largest diagonal magnitude, lowest index on ties."""
+    """The cell a 2D stationary solve pins: largest diagonal magnitude, lowest index on ties."""
     return int(np.argmax(np.abs(diag)))  # argmax takes the lowest index on ties
+
+
+def path_pin(sub: np.ndarray, sup: np.ndarray) -> int:
+    """The cell a 1D stationary solve pins: the argmax of Phi_j = sum_{i<j} log(sub[i+1] / sup[i]), lowest on ties.
+
+    The sum runs along 0, ..., n - 1 over the coupling bands (see
+    :class:`operator.FokkerPlanckOperator`), without a circle's wrap face.
+    On an interval the zero-flux balance u_{i+1} sup[i] = u_i sub[i+1]
+    makes Phi the log of the density up to a constant, so the pin is the
+    density's largest cell.  A rate that underflowed to 0 gives the log
+    of 0 or of inf without a warning: an irreducible operator has one-way
+    faces of one direction only (two opposite ones would cut a circle in
+    two), so Phi's infinities share a sign and its argmax is a cell.
+    """
+    phi = np.zeros(len(sup))
+    with np.errstate(divide="ignore"):
+        np.cumsum(np.log(sub[1:] / sup[:-1]), out=phi[1:])
+    return int(np.argmax(phi))  # argmax takes the lowest index on ties
 
 
 def pinned_system(matrix: sp.csr_matrix):
@@ -251,8 +271,9 @@ def _path_solve(bands: tuple) -> np.ndarray:
 
     ``bands`` are M's (sub, diag, sup), sub[i] = M[i, i - 1 mod n] and
     sup[i] = M[i, i + 1 mod n] (see :class:`operator.FokkerPlanckOperator`),
-    and r is the :func:`pinned_cell` of diag.  A 1D matrix couples cell i
-    to cells i - 1 and i + 1 only, cyclically on a circle; on an interval
+    and r is their :func:`path_pin`, the top of the discrete potential.
+    A 1D matrix couples cell i to cells i - 1 and i + 1 only, cyclically
+    on a circle; on an interval
     the wrap couplings M[0, n-1] and M[n-1, 0] are zero.  Cutting r out
     of the cycle leaves the path r + 1, ..., r - 1 (mod n), whose
     equations are tridiagonal with right-hand side -M[path, r], nonzero
@@ -266,12 +287,16 @@ def _path_solve(bands: tuple) -> np.ndarray:
     subdiagonal outweighs the superdiagonal.  On the 2^17-cell circle-positive matrix at
     eps = 0.05, walking along the drift interchanges 76358 rows and
     leaves a residual of 2.2e-13; walking against it interchanges none
-    and leaves 2.8e-15.  Raises :class:`SolveError` when ``dgtsv``
-    reports a nonzero ``info``.
+    and leaves 2.4e-15.  The pin at the potential's top keeps the path's
+    matrix nonsingular in floating point too.  The 2D rule, the largest
+    diagonal magnitude, pins cell 1 of a 4-cell interval with B = sin(pi
+    x) (1 - cos(2 pi x) / 2) at eps 0.109, whose density is 1e-40 of the
+    largest, and ``dgtsv`` then meets a zero pivot.  Raises
+    :class:`SolveError` when ``dgtsv`` reports a nonzero ``info``.
     """
     sub, diag, sup = bands
     n = len(diag)
-    r = pinned_cell(diag)
+    r = path_pin(sub, sup)
 
     def along_path(values):
         return np.concatenate((values[r + 1:], values[:r]))

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -350,14 +352,80 @@ def circle_family(g, phase):
     return ConservativeSystem(VectorField([b]), Power(b, -1.0), g)
 
 
-def interval_family(g, phase):
-    """B = sin(pi x) (1 + cos(2 pi x + phase) / 2) / 10, which vanishes at both walls of [0, 1].
-
-    The drift is mild: at amplitude 1 a 4-cell interval at eps 0.1 makes
-    the path's matrix singular in floating point, and ``dgtsv`` fails.
-    """
-    b = Product(Trig("sin", 0, 1, 0.1, 0.0, 2.0), Trig("cos", 0, 1, 0.5, 1.0, 1.0, phase))
+def interval_family(g, phase, amplitude=0.1):
+    """B = amplitude sin(pi x) (1 + cos(2 pi x + phase) / 2), which vanishes at both walls of [0, 1]."""
+    b = Product(Trig("sin", 0, 1, amplitude, 0.0, 2.0), Trig("cos", 0, 1, 0.5, 1.0, 1.0, phase))
     return ConservativeSystem(VectorField([b]), Const(1.0), g)
+
+
+def sign_changing_circle_family(g, phase):
+    """B = sin(2 pi x + phase) with u0 = 1: not conservative, but the operator takes it."""
+    return ConservativeSystem(VectorField([Trig("sin", 0, 1, 1.0, 0.0, 1.0, phase)]), Const(1.0), g)
+
+
+def detailed_balance(op):
+    """The unit-mass density of a 1D interval operator from u[j + 1] / u[j] = M[j + 1, j] / M[j, j + 1].
+
+    The zero-flux balance of every face gives it without a solve; its
+    log is a cumulative sum, so nothing is subtracted.
+    """
+    sub, _, sup = op.bands
+    log_u = np.concatenate(([0.0], np.cumsum(np.log(sub[1:]) - np.log(sup[:-1]))))
+    u = np.exp(log_u - log_u.max())
+    return u / (np.sum(u) * op.grid.cell_volume)
+
+
+@pytest.mark.parametrize("eps", [0.109, 0.0545])
+def test_a_strong_drift_on_a_coarse_interval_solves(eps):
+    # the largest diagonal magnitude is cell 1, at 1e-40 (eps 0.109) and 1e-161
+    # (eps 0.0545) of the largest density: pinned there, dgtsv returned info = 3
+    g = build_grid(Interval(), 4)
+    op = assemble_for(interval_family(g, math.pi, amplitude=1.0), unit_noise(g), eps)
+    assert np.argmax(np.abs(op.bands[1])) == 1
+    u = solve_stationary(op).density.values
+    reference = detailed_balance(op)
+    assert np.argmax(reference) == stationary.path_pin(op.bands[0], op.bands[2]) == 3
+    assert np.max(np.abs(u - reference)) <= 1e-15 * np.max(reference)
+
+
+@pytest.mark.parametrize("kind, family", [(Interval(), functools.partial(interval_family, amplitude=1.0)),
+                                          (Circle(), sign_changing_circle_family)], ids=["interval", "circle"])
+def test_the_path_solve_of_a_strong_drift_never_fails(kind, family):
+    # eps 0.4-0.05 on 4-16 cells: pinned at the largest diagonal magnitude, 24 of these 300
+    # interval draws failed (21 at 4 cells, 3 at 8) and 1 of the 300 circle draws (4 cells)
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    for n in (4, 8, 16):
+        g = build_grid(kind, n)
+        for eps, _ in itertools.product((0.4, 0.2, 0.1, 0.05), range(25)):
+            op = assemble_for(family(g, 2.0 * math.pi * rng.random()), unit_noise(g), eps * (0.9 + 0.2 * rng.random()))
+            rep = solve_stationary(op)
+            if g.periodic[0]:
+                assert rep.residual <= 1e-15
+            else:
+                reference = detailed_balance(op)
+                worst = max(worst, np.max(np.abs(rep.density.values - reference)) / np.max(reference))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_one_way_circle_is_pinned_without_a_warning(sign):
+    # face Peclet >= 1.5 h / (eps^2 / 2) > 709 at eps 0.01: every rate against the drift is
+    # 0, so each face's log is of inf (sign 1) or of 0 (sign -1); the audit runs the
+    # demos with RuntimeWarning as an error
+    g = build_grid(Circle(), 8)
+    drift = VectorField([Trig("sin", 0, 1, 0.5 * sign, 2.0 * sign, 1.0)])
+    op = assemble_for(ConservativeSystem(drift, Const(1.0), g), unit_noise(g), 0.01)
+    sub, _, sup = op.bands
+    assert not op.positive_rates and not np.any(sup if sign > 0 else sub)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = solve_stationary(op).density.values
+    # one flux around the cycle: u_i times the rate out of cell i is the same for every i
+    rate_out = np.roll(sub, -1) if sign > 0 else np.roll(sup, 1)
+    reference = 1.0 / rate_out
+    reference /= np.sum(reference) * g.cell_volume
+    assert np.max(np.abs(u - reference)) <= 1e-15 * np.max(reference)
 
 
 def csr_residual(op, u):
